@@ -9,7 +9,7 @@ validator, together with sweep/optimization drivers and a CLI.
 from oamlink.beam import LinkGeometry, ModeSet, PointingState
 from oamlink.crosstalk import CrosstalkMatrix, Method, ReceiverConfig
 from oamlink.ber import BerResult, ChannelVectors, PointingStats
-from oamlink.sweep import Scenario, SweepAxis, SweepSpec
+from oamlink.sweep import Scenario, SweepAxis
 
 __version__ = "0.1.0"
 
@@ -25,6 +25,5 @@ __all__ = [
     "BerResult",
     "Scenario",
     "SweepAxis",
-    "SweepSpec",
     "__version__",
 ]

@@ -90,7 +90,8 @@ class ModeSet:
 
     ``stream_grouping`` partitions ``tx_modes`` into data streams for the
     multi-mode configurations in which several modes carry one stream; when
-    absent every mode is its own stream.
+    absent every mode is its own stream. ``stream_matrix`` mixes the modes
+    into streams.
     """
 
     tx_modes: tuple[int, ...]
@@ -130,6 +131,12 @@ class ModeSet:
         object.__setattr__(self, "tx_modes", tx)
         object.__setattr__(self, "filter_modes", flt)
         object.__setattr__(self, "stream_grouping", grouping)
+        mixing = np.zeros((len(tx), self.n_streams))
+        for k, group in enumerate(self.streams):
+            for mode in group:
+                mixing[tx.index(mode), k] = 1.0 / math.sqrt(len(group))
+        mixing.setflags(write=False)
+        object.__setattr__(self, "_stream_matrix", mixing)
 
     @property
     def n_tx(self) -> int:
@@ -150,6 +157,17 @@ class ModeSet:
     def n_streams(self) -> int:
         """Number of parallel data channels carried by this mode set."""
         return len(self.streams)
+
+    @property
+    def stream_matrix(self) -> np.ndarray:
+        """Equal-power stream mixing matrix M, n_tx x n_streams, read-only.
+
+        M[i, k] is 1/sqrt(modes in stream k) when tx mode i carries stream k
+        and 0 otherwise, so every stream spends the same transmit power. The
+        element-wise square root of a coefficient grid times M gives the
+        stream amplitude vectors across the filter bank.
+        """
+        return self._stream_matrix
 
 
 @dataclass(frozen=True)

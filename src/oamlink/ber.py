@@ -26,7 +26,6 @@ import numpy as np
 from oamlink.beam import LinkGeometry, ModeSet
 from oamlink.crosstalk import (
     SMALL_OFFSET_FLOOR,
-    CrosstalkMatrix,
     Method,
     ReceiverConfig,
     channel_profile,
@@ -38,11 +37,7 @@ __all__ = [
     "PointingStats",
     "ChannelVectors",
     "BerResult",
-    "channel_vectors",
-    "grouped_channel_vectors",
-    "stream_weights",
     "conditional_ber",
-    "symmetric_mode_approx",
     "average_ber",
 ]
 
@@ -144,81 +139,6 @@ class BerResult:
         return min(self.averaged, 0.5)
 
 
-def stream_weights(modes: ModeSet) -> np.ndarray:
-    """Equal-power amplitude weight per tx mode: 1/sqrt(modes in its stream)."""
-    weights = np.empty(modes.n_tx)
-    for group in modes.streams:
-        for mode in group:
-            weights[modes.tx_modes.index(mode)] = 1.0 / math.sqrt(len(group))
-    return weights
-
-
-def _stream_index(modes: ModeSet) -> np.ndarray:
-    """Stream number carried by each tx mode, aligned with tx_modes order."""
-    idx = np.empty(modes.n_tx, dtype=int)
-    for s, group in enumerate(modes.streams):
-        for mode in group:
-            idx[modes.tx_modes.index(mode)] = s
-    return idx
-
-
-def channel_vectors(m: CrosstalkMatrix) -> ChannelVectors:
-    """Per-stream amplitude vectors for the plain two-mode configuration.
-
-    Column n of the element-wise square root of the coefficient grid is the
-    amplitude signature of transmitted mode n across the filter bank.
-    """
-    if m.values.shape != (2, 2):
-        raise ValueError(
-            f"expected a 2x2 coefficient grid, got {m.values.shape}; use "
-            "grouped_channel_vectors for stream-grouped mode sets"
-        )
-    amp = m.amplitude_matrix
-    return ChannelVectors(h1=amp[:, 0].copy(), h2=amp[:, 1].copy())
-
-
-def grouped_channel_vectors(
-    m: CrosstalkMatrix,
-    grouping: Sequence[Sequence[int]],
-    power_split: Mapping[int, float] | None = None,
-) -> ChannelVectors:
-    """Amplitude vectors when several tx modes jointly carry one stream.
-
-    Each stream's vector is the weighted sum of its modes' amplitude
-    columns. Weights are amplitudes; within every stream they must satisfy
-    sum(w^2) = 1 so all streams spend the same transmit power. By default
-    the power is split equally: weight 1/sqrt(len(group)) per mode.
-    """
-    groups = tuple(tuple(int(x) for x in g) for g in grouping)
-    if len(groups) != 2:
-        raise ValueError(f"need exactly 2 streams, got {len(groups)}")
-    flat = [mode for g in groups for mode in g]
-    if sorted(flat) != sorted(m.tx_modes):
-        raise ValueError(
-            f"grouping {groups} does not partition the tx modes {m.tx_modes}"
-        )
-    amp = m.amplitude_matrix
-    vectors = []
-    for group in groups:
-        if power_split is None:
-            weights = {mode: 1.0 / math.sqrt(len(group)) for mode in group}
-        else:
-            weights = {mode: float(power_split[mode]) for mode in group}
-            if any(w < 0 for w in weights.values()):
-                raise ValueError("power split weights must be non-negative")
-            budget = sum(w**2 for w in weights.values())
-            if abs(budget - 1.0) > 1e-9:
-                raise ValueError(
-                    f"stream {group} power budget is {budget:.6g}, expected 1 "
-                    "(weights are amplitudes; their squares must sum to 1)"
-                )
-        h = np.zeros(len(m.filter_modes))
-        for mode in group:
-            h += weights[mode] * amp[:, m.tx_modes.index(mode)]
-        vectors.append(h)
-    return ChannelVectors(h1=vectors[0], h2=vectors[1])
-
-
 def _four_term_ber(h1: np.ndarray, h2: np.ndarray, n0: float):
     """Four-Q conditional error probability.
 
@@ -251,32 +171,16 @@ def conditional_ber(h: ChannelVectors, n0: float) -> float:
     return float(_four_term_ber(h.h1, h.h2, n0))
 
 
-def symmetric_mode_approx(h: ChannelVectors, n0: float) -> float:
-    """Dominant error term when the stream signatures nearly coincide.
-
-    Q(|h1 - h2| / 2 sqrt(N0)) / 2: the only term of the conditional
-    expression that does not vanish at high SNR for h1 = h2.
-    """
-    if not (n0 > 0):
-        raise ValueError(f"noise level must be positive, got {n0!r}")
-    diff = np.linalg.norm(np.asarray(h.h1, float) - np.asarray(h.h2, float))
-    return float(0.5 * q_function(diff / math.sqrt(4.0 * n0)))
-
-
 def _vectors_from_profile(profile: np.ndarray, modes: ModeSet) -> tuple[np.ndarray, np.ndarray]:
     """Stream amplitude vectors for a batch of coefficient grids.
 
     ``profile`` has shape (n_points, n_filter, n_tx); returns two arrays of
-    shape (n_points, n_filter) with the equal-power stream weights applied.
+    shape (n_points, n_filter): sqrt(C) mixed by the mode set's stream matrix.
     """
-    if len(modes.streams) != 2:
-        raise ValueError(f"need exactly 2 data streams, got {len(modes.streams)}")
-    amp = np.sqrt(profile)
-    weights = stream_weights(modes)
-    stream_of = _stream_index(modes)
-    h = np.zeros((2, profile.shape[0], profile.shape[1]))
-    for i in range(modes.n_tx):
-        h[stream_of[i]] += weights[i] * amp[:, :, i]
+    if modes.n_streams != 2:
+        raise ValueError(f"need exactly 2 data streams, got {modes.n_streams}")
+    # einsum, not matmul: BLAS reorders the sum and moves grouped-set BERs.
+    h = np.einsum("nft,tk->knf", np.sqrt(profile), modes.stream_matrix)
     return h[0], h[1]
 
 
@@ -299,14 +203,12 @@ def _stream_envelope_amplitudes(
     radii: np.ndarray,
 ) -> np.ndarray:
     """Scalar stream amplitudes a_k(r) of the separable coefficient forms."""
-    weights = stream_weights(modes)
-    stream_of = _stream_index(modes)
     r_arr = np.asarray(radii, dtype=float)
-    a = np.zeros((len(modes.streams), r_arr.size))
-    for i, ell_n in enumerate(modes.tx_modes):
-        env = mode_envelope(geom, rx, modes.n_streams, ell_n, r_arr)
-        a[stream_of[i]] += weights[i] * np.sqrt(env)
-    return a
+    env = np.array([
+        np.sqrt(mode_envelope(geom, rx, modes.n_streams, ell_n, r_arr))
+        for ell_n in modes.tx_modes
+    ])
+    return np.einsum("tn,tk->kn", env, modes.stream_matrix)
 
 
 def _degeneracy_windows(
@@ -326,7 +228,7 @@ def _degeneracy_windows(
     crossing is located by bisection and bracketed with a margin wide enough
     that the pairwise Q terms decay to nothing outside.
     """
-    if len(modes.streams) != 2:
+    if modes.n_streams != 2:
         return []
     probe = np.linspace(0.0, upper, 4097)[1:]
     a = _stream_envelope_amplitudes(geom, rx, modes, probe)

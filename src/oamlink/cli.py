@@ -18,14 +18,19 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from oamlink import __version__
 from oamlink.beam import LinkGeometry, ModeSet, PointingState
 from oamlink.ber import average_ber
 from oamlink.crosstalk import Method, ReceiverConfig, crosstalk_matrix
-from oamlink.montecarlo import DegradedChannelError, TrialConfig, simulate_ber
+from oamlink.montecarlo import (
+    DegradedChannelError,
+    TrialConfig,
+    simulate_ber,
+    worker_count,
+)
 from oamlink.sweep import (
     Scenario,
     SweepAxis,
@@ -297,12 +302,20 @@ class RunConfig:
                 modes=self.mode_set(),
                 sigma_theta=self.number("pointing.sigma_theta_rad"),
                 quad_order=quad_order,
-                trials=self.integer("mc.trials"),
                 seed=self.integer("mc.seed"),
-                allow_degraded=self.flag("mc.allow_degraded"),
             )
         except ValueError as exc:
             raise ConfigError(f"pointing: {exc}") from None
+
+    def trial_config(self, method: Method) -> TrialConfig:
+        """Monte Carlo settings for runs with one crosstalk method."""
+        trials = self.integer("mc.trials")
+        seed = self.integer("mc.seed")
+        allow_degraded = self.flag("mc.allow_degraded")
+        try:
+            return TrialConfig(trials, seed, method, allow_degraded=allow_degraded)
+        except ValueError as exc:
+            raise ConfigError(f"mc: {exc}") from None
 
     def output_path(self, command: str) -> str:
         if not self.is_set("output.path"):
@@ -373,9 +386,21 @@ def _dbm(c_watts: float, tx_power_w: float) -> float:
     return 10.0 * math.log10(received * 1000.0)
 
 
-def _warning_text(caught) -> str:
-    messages = sorted({str(w.message) for w in caught})
-    return "; ".join(messages)
+def _capture(fn, *args):
+    """Call ``fn(*args)``, folding its warnings or its error into a status cell.
+
+    Returns ``(result, status)``: status is "ok", "warning: " followed by the
+    distinct warning texts in sorted order, or "error: Type: message" with a
+    None result (warnings raised before the error are dropped).
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            return None, f"error: {type(exc).__name__}: {exc}"
+    note = "; ".join(sorted({str(w.message) for w in caught}))
+    return result, f"warning: {note}" if note else "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +422,8 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> int:
             "crosstalk-curve needs offset radii: set sweep.grid (meters) or "
             "pointing.r_ch_m for a single point"
         )
-    if any(r < 0 for r in radii):
-        raise ConfigError(f"offset radii must be >= 0, got {radii}")
+    if not all(0.0 <= r < math.inf for r in radii):
+        raise ConfigError(f"offset radii must be finite and >= 0, got {radii}")
     out_path = cfg.output_path("crosstalk-curve")
 
     t0 = time.perf_counter()
@@ -407,20 +432,10 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> int:
     # lines.
     evaluated: dict[tuple[float, Method], tuple] = {}
     for r in radii:
+        point = PointingState.from_radius(r)
         for method in methods:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    matrix = crosstalk_matrix(
-                        geom, rx, modes, PointingState.from_radius(r), method
-                    )
-                    values = matrix.values
-                    note = _warning_text(caught)
-                    status = f"warning: {note}" if note else "ok"
-                except Exception as exc:
-                    values = None
-                    status = f"error: {type(exc).__name__}: {exc}"
-            evaluated[(r, method)] = (values, status)
+            matrix, status = _capture(crosstalk_matrix, geom, rx, modes, point, method)
+            evaluated[(r, method)] = (None if matrix is None else matrix.values, status)
 
     rows = []
     errors = 0
@@ -464,67 +479,48 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> int:
 def cmd_ber_curve(cfg: RunConfig) -> int:
     scen = cfg.scenario()
     methods = cfg.methods()
-    axis = SweepAxis.parse(cfg.text("sweep.axis"))
-    if axis is SweepAxis.R_CH:
-        raise ConfigError(
-            "ber-curve plots jitter-averaged BER; r_ch is not one of its "
-            "axes (use w0, sigma_theta, or Z)"
-        )
+    try:
+        axis = SweepAxis.parse(cfg.text("sweep.axis"))
+    except ValueError as exc:
+        raise ConfigError(f"sweep.axis: {exc}") from None
     grid = cfg.numbers("sweep.grid")
     if not grid:
         raise ConfigError("ber-curve needs sweep.grid values for the chosen axis")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"sweep.grid must be strictly increasing, got {grid}")
+    try:
+        points = [scen.with_axis(axis, value) for value in grid]
+    except ValueError as exc:
+        raise ConfigError(f"sweep.grid: {exc}") from None
     candidates = cfg.candidates() or (scen.modes,)
     with_mc = cfg.flag("ber.with_mc")
+    trial_cfgs = {method: cfg.trial_config(method) for method in methods} if with_mc else {}
     out_path = cfg.output_path("ber-curve")
 
     t0 = time.perf_counter()
     rows = []
     errors = 0
     unconverged = 0
-    for value in grid:
+    for value, point in zip(grid, points):
+        stats = point.pointing_stats()
         for modes in candidates:
             label = mode_set_label(modes)
-            point_scen = replace(scen.with_axis(axis, value), modes=modes)
             for method in methods:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    try:
-                        res = average_ber(
-                            point_scen.geom,
-                            point_scen.rx,
-                            modes,
-                            point_scen.pointing_stats(),
-                            method,
-                            point_scen.quad_order,
-                        )
-                        raw, clamped = res.averaged, res.averaged_clamped
-                        if not res.quad_converged:
-                            unconverged += 1
-                        status = "ok"
-                    except Exception as exc:
-                        raw = clamped = math.nan
-                        status = f"error: {type(exc).__name__}: {exc}"
-                        errors += 1
-                    note = _warning_text(caught)
-                    if note and not status.startswith("error"):
-                        status = f"warning: {note}"
+                res, status = _capture(
+                    average_ber, point.geom, point.rx, modes, stats, method, point.quad_order
+                )
+                if res is None:
+                    raw = clamped = math.nan
+                    errors += 1
+                else:
+                    raw, clamped = res.averaged, res.averaged_clamped
+                    if not res.quad_converged:
+                        unconverged += 1
                 row = [value, label, method.value, raw, clamped]
                 if with_mc:
                     try:
-                        trial_cfg = TrialConfig(
-                            trials=point_scen.trials,
-                            seed=point_scen.seed,
-                            crosstalk_method=method,
-                            allow_degraded=point_scen.allow_degraded,
-                        )
                         outcome = simulate_ber(
-                            point_scen.geom,
-                            point_scen.rx,
-                            modes,
-                            point_scen.pointing_stats(),
-                            trial_cfg,
+                            point.geom, point.rx, modes, stats, trial_cfgs[method]
                         )
                         row.extend([outcome.ber_hat, outcome.ci95_halfwidth])
                     except DegradedChannelError as exc:
@@ -564,13 +560,8 @@ def cmd_ber_curve(cfg: RunConfig) -> int:
 def cmd_montecarlo(cfg: RunConfig) -> int:
     scen = cfg.scenario()
     method = cfg.single_method()
+    trial_cfg = cfg.trial_config(method)
     out_path = cfg.output_path("monte-carlo")
-    trial_cfg = TrialConfig(
-        trials=scen.trials,
-        seed=scen.seed,
-        crosstalk_method=method,
-        allow_degraded=scen.allow_degraded,
-    )
     t0 = time.perf_counter()
     try:
         outcome = simulate_ber(
@@ -603,7 +594,7 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
                 outcome.ci95_halfwidth,
                 outcome.degraded_fraction,
                 method.value,
-                scen.seed,
+                trial_cfg.seed,
                 "ok",
             )
         ],
@@ -614,7 +605,7 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
         cfg,
         {
             "workers": str(outcome.workers),
-            "seed": str(scen.seed),
+            "seed": str(trial_cfg.seed),
             "degraded_fraction": repr(outcome.degraded_fraction),
             "wall_time_s": f"{wall:.3f}",
         },
@@ -938,6 +929,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.set_items, _flag_overrides(args))
+        try:
+            worker_count()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return _HANDLERS[args.command](cfg)
     except ConfigError as exc:
         print(f"oamlink: config error: {exc}", file=sys.stderr)

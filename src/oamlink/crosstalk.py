@@ -16,9 +16,11 @@ quality to cheapest:
   on the k_r sample radii; a closed-form weighted sum of Bessel values.
 - ``asymptotic``: the large-offset limit of the Bessel reduction.
 
-The three Bessel-based forms assume the offset radius is large against the
-aperture; below ``SMALL_OFFSET_FLOOR`` they still return values but flag
-degraded accuracy with ``ApproximationWarning``.
+Each method has one kernel, batched over offset radii (``channel_profile``);
+``crosstalk`` and ``crosstalk_matrix`` evaluate it at a single offset. The
+Bessel-integral and Bessel-sum forms assume the offset radius is large
+against the aperture; below ``SMALL_OFFSET_FLOOR`` those single-offset views
+still return values but flag degraded accuracy with ``ApproximationWarning``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,10 +52,6 @@ __all__ = [
     "QuadratureConvergenceWarning",
     "crosstalk_exact",
     "crosstalk_exact_detailed",
-    "crosstalk_radial_sum",
-    "crosstalk_bessel_integral",
-    "crosstalk_bessel_sum",
-    "crosstalk_asymptotic",
     "crosstalk",
     "crosstalk_matrix",
     "filter_spectrum",
@@ -323,7 +320,7 @@ def _validate_pair(n_m: int, ell_n: int, ell_j: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# evaluators
+# the reference integral
 
 def crosstalk_exact_detailed(
     geom: LinkGeometry,
@@ -395,128 +392,46 @@ def crosstalk_exact(
     return result.value
 
 
-def crosstalk_radial_sum(
+def _exact_grid(
     geom: LinkGeometry,
     rx: ReceiverConfig,
+    modes: ModeSet,
     n_m: int,
-    ell_n: int,
-    ell_j: int,
     pointing: PointingState,
-    *,
-    phi_points: int = 512,
-) -> float:
-    """Semi-analytical crosstalk: exact azimuthal integral, k_r radial samples.
+) -> np.ndarray:
+    """Reference coefficients for every (filter, tx) pair at one pointing."""
+    values = np.empty((modes.n_filter, modes.n_tx))
+    for j, ell_j in enumerate(modes.filter_modes):
+        for i, ell_n in enumerate(modes.tx_modes):
+            values[j, i] = crosstalk_exact(geom, rx, n_m, ell_n, ell_j, pointing)
+    return values
 
-    The azimuthal projection is computed exactly (periodic rule) at the
-    sample radii r_a*k/k_r and the radial integral is taken with
-    Simpson-type weights over those nodes.
+
+def _coefficient_grid(
+    geom: LinkGeometry,
+    rx: ReceiverConfig,
+    modes: ModeSet,
+    n_m: int,
+    pointing: PointingState,
+    method: Method,
+) -> np.ndarray:
+    """One (filter, tx) coefficient grid: the batched kernel at one offset.
+
+    exact2d integrates at the given pointing; the reduced methods depend on
+    the offset radius only. Warns with ``ApproximationWarning`` below the
+    validity floor of the Bessel-integral and Bessel-sum forms.
     """
-    _validate_pair(n_m, ell_n, ell_j)
-    nodes, weights = _sample_radii_and_weights(rx)
-    proj = _azimuthal_projection(geom, ell_n, ell_j, pointing, nodes, phi_points)
-    radial_sum = float(np.dot(weights * nodes, np.abs(proj) ** 2))
-    return rx.gain / (2.0 * math.pi * n_m**2) * radial_sum
-
-
-def _warn_small_offset(r_ch: float, offset_floor: float) -> None:
-    if r_ch < offset_floor:
+    if method is Method.EXACT2D:
+        return _exact_grid(geom, rx, modes, n_m, pointing)
+    r_ch = pointing.r_ch
+    if method in (Method.BESSEL_INTEGRAL, Method.BESSEL_SUM) and r_ch < SMALL_OFFSET_FLOOR:
         warnings.warn(
-            f"offset radius {r_ch:.3g} m is below the {offset_floor:g} m validity "
+            f"offset radius {r_ch:.3g} m is below the {SMALL_OFFSET_FLOOR:g} m validity "
             "floor of the Bessel-based approximations; accuracy is degraded",
             ApproximationWarning,
             stacklevel=3,
         )
-
-
-def crosstalk_bessel_integral(
-    geom: LinkGeometry,
-    rx: ReceiverConfig,
-    n_m: int,
-    ell_n: int,
-    ell_j: int,
-    pointing: PointingState,
-    *,
-    radial_order: int = 96,
-    offset_floor: float = SMALL_OFFSET_FLOOR,
-) -> float:
-    """One-dimensional Bessel-integral crosstalk approximation.
-
-    The mode envelope is frozen at the offset radius and the azimuthal
-    integral collapses to J_{ell_j} of the radial coordinate scaled by
-    (wavenumber * r_ch / curvature radius); only depends on |ell_n|.
-    """
-    _validate_pair(n_m, ell_n, ell_j)
-    r_ch = pointing.r_ch
-    _warn_small_offset(r_ch, offset_floor)
-    alpha = geom.wavenumber * r_ch / geom.curvature_at_rx
-    rule = gauss_legendre(radial_order, 0.0, rx.aperture_radius)
-    j_sq = bessel_j(ell_j, alpha * rule.nodes) ** 2
-    radial_integral = float(np.dot(rule.weights * rule.nodes, j_sq))
-    return (
-        _envelope_prefactor(geom, rx, n_m, ell_n)
-        * float(_frozen_envelope_sq(geom, ell_n, r_ch))
-        * radial_integral
-    )
-
-
-def crosstalk_bessel_sum(
-    geom: LinkGeometry,
-    rx: ReceiverConfig,
-    n_m: int,
-    ell_n: int,
-    ell_j: int,
-    pointing: PointingState,
-    *,
-    offset_floor: float = SMALL_OFFSET_FLOOR,
-) -> float:
-    """Closed-form crosstalk: weighted sum of squared Bessel values.
-
-    The Bessel-integral form discretized on the k_r uniform sample radii
-    with the same Simpson-type weights as the radial-sum evaluator.
-    """
-    _validate_pair(n_m, ell_n, ell_j)
-    r_ch = pointing.r_ch
-    _warn_small_offset(r_ch, offset_floor)
-    alpha = geom.wavenumber * r_ch / geom.curvature_at_rx
-    nodes, weights = _sample_radii_and_weights(rx)
-    j_sq = bessel_j(ell_j, alpha * nodes) ** 2
-    radial_sum = float(np.dot(weights * nodes, j_sq))
-    return (
-        _envelope_prefactor(geom, rx, n_m, ell_n)
-        * float(_frozen_envelope_sq(geom, ell_n, r_ch))
-        * radial_sum
-    )
-
-
-def crosstalk_asymptotic(
-    geom: LinkGeometry,
-    rx: ReceiverConfig,
-    n_m: int,
-    ell_n: int,
-    ell_j: int,
-    pointing: PointingState,
-) -> float:
-    """Large-offset crosstalk limit; independent of the filter order ell_j."""
-    _validate_pair(n_m, ell_n, ell_j)
-    r_ch = pointing.r_ch
-    if r_ch <= 0:
-        raise ValueError("asymptotic form requires a strictly positive offset radius")
-    return (
-        _envelope_prefactor(geom, rx, n_m, ell_n)
-        * float(_frozen_envelope_sq(geom, ell_n, r_ch))
-        * geom.curvature_at_rx
-        * rx.aperture_radius
-        / (math.pi * geom.wavenumber * r_ch)
-    )
-
-
-_EVALUATORS = {
-    Method.EXACT2D: crosstalk_exact,
-    Method.RADIAL_SUM: crosstalk_radial_sum,
-    Method.BESSEL_INTEGRAL: crosstalk_bessel_integral,
-    Method.BESSEL_SUM: crosstalk_bessel_sum,
-    Method.ASYMPTOTIC: crosstalk_asymptotic,
-}
+    return _profile(geom, rx, modes, n_m, np.array([r_ch]), method)[0]
 
 
 def crosstalk(
@@ -527,12 +442,15 @@ def crosstalk(
     ell_j: int,
     pointing: PointingState,
     method: Method | str = Method.BESSEL_SUM,
-    **options,
 ) -> float:
-    """Dispatch a single coefficient evaluation to the selected method."""
-    return _EVALUATORS[Method.parse(method)](
-        geom, rx, n_m, ell_n, ell_j, pointing, **options
-    )
+    """One coefficient, watts per unit modulation, with the selected method.
+
+    ``n_m`` is the number of data streams the coefficient is normalized by.
+    """
+    method = Method.parse(method)
+    _validate_pair(n_m, ell_n, ell_j)
+    pair = ModeSet((ell_n,), (ell_j,))
+    return float(_coefficient_grid(geom, rx, pair, n_m, pointing, method)[0, 0])
 
 
 def crosstalk_matrix(
@@ -541,9 +459,8 @@ def crosstalk_matrix(
     modes: ModeSet,
     pointing: PointingState,
     method: Method | str = Method.BESSEL_SUM,
-    **options,
 ) -> CrosstalkMatrix:
-    """Assemble the full filter-by-tx coefficient grid with one evaluator.
+    """The full filter-by-tx coefficient grid at one pointing offset.
 
     The channel-count normalization inside each coefficient counts parallel
     data channels (streams), not physical modes, so a stream-grouped set keeps
@@ -551,14 +468,8 @@ def crosstalk_matrix(
     total power budget.
     """
     method = Method.parse(method)
-    evaluate = _EVALUATORS[method]
-    n_m = modes.n_streams
-    values = np.empty((modes.n_filter, modes.n_tx))
-    for j, ell_j in enumerate(modes.filter_modes):
-        for i, ell_n in enumerate(modes.tx_modes):
-            values[j, i] = evaluate(geom, rx, n_m, ell_n, ell_j, pointing, **options)
     return CrosstalkMatrix(
-        values=values,
+        values=_coefficient_grid(geom, rx, modes, modes.n_streams, pointing, method),
         tx_modes=modes.tx_modes,
         filter_modes=modes.filter_modes,
         method=method,
@@ -627,7 +538,7 @@ def filter_spectrum(
 
 
 # ---------------------------------------------------------------------------
-# vectorized profiles for the averaging and Monte Carlo hot paths
+# the batched kernel behind every method
 
 def channel_profile(
     geom: LinkGeometry,
@@ -638,18 +549,31 @@ def channel_profile(
 ) -> np.ndarray:
     """Coefficient grids for a whole batch of offset radii at once.
 
-    Returns an array of shape (len(r_ch), n_filter, n_tx) containing the
-    same values the per-point evaluators produce at pointing (r, 0). The
-    Bessel-based methods vectorize directly; the reference and radial-sum
-    methods fall back to a per-point loop. No degraded-accuracy warnings are
-    emitted here; callers are expected to account for offsets below the
-    validity floor themselves.
+    Returns an array of shape (len(r_ch), n_filter, n_tx): the grid
+    ``crosstalk_matrix`` gives at pointing (r, 0) for each radius. No
+    degraded-accuracy or convergence warnings are emitted here; callers are
+    expected to account for offsets below the validity floor themselves.
     """
-    method = Method.parse(method)
+    return _profile(geom, rx, modes, modes.n_streams, r_ch, Method.parse(method))
+
+
+def _profile(
+    geom: LinkGeometry,
+    rx: ReceiverConfig,
+    modes: ModeSet,
+    n_m: int,
+    r_ch: np.ndarray,
+    method: Method,
+) -> np.ndarray:
+    """The one kernel of every method, batched over offset radii.
+
+    ``n_m`` is the stream count the coefficients are normalized by. The
+    Bessel-based methods vectorize directly, radial-sum projects a shifted
+    field grid by FFT, and exact2d loops over the reference integral.
+    """
     r = np.asarray(r_ch, dtype=float)
     if r.ndim != 1:
         raise ValueError("r_ch must be one-dimensional")
-    n_m = modes.n_streams
     out = np.empty((r.size, modes.n_filter, modes.n_tx))
 
     if method is Method.EXACT2D:
@@ -657,15 +581,15 @@ def channel_profile(
             warnings.simplefilter("ignore", QuadratureConvergenceWarning)
             for idx, radius in enumerate(r):
                 point = PointingState(float(radius), 0.0)
-                out[idx] = crosstalk_matrix(geom, rx, modes, point, method).values
+                out[idx] = _exact_grid(geom, rx, modes, n_m, point)
         return out
 
     if method is Method.RADIAL_SUM:
-        _radial_sum_profile(geom, rx, modes, r, out)
+        _radial_sum_profile(geom, rx, modes, n_m, r, out)
         return out
 
     if method is Method.ASYMPTOTIC and np.any(r <= 0):
-        raise ValueError("asymptotic form requires strictly positive offset radii")
+        raise ValueError("asymptotic form requires a strictly positive offset radius")
 
     alpha = geom.wavenumber * r / geom.curvature_at_rx
 
@@ -703,6 +627,7 @@ def _radial_sum_profile(
     geom: LinkGeometry,
     rx: ReceiverConfig,
     modes: ModeSet,
+    n_m: int,
     r_ch: np.ndarray,
     out: np.ndarray,
     *,
@@ -711,13 +636,13 @@ def _radial_sum_profile(
 ) -> None:
     """Batched radial-sum coefficients, written into ``out`` in place.
 
-    Evaluates the shifted field once per tx mode on a (batch, k_r, phi)
-    grid and projects every filter order from it by FFT over the azimuthal
-    samples; identical to crosstalk_radial_sum up to floating-point
-    summation order. Batches are sliced to bound the grid memory.
+    Keeps the azimuthal integral exact and samples the radial one at the
+    k_r radii r_a*k/k_r with Simpson-type weights. The shifted field is
+    evaluated once per tx mode on a (batch, k_r, phi) grid and every filter
+    order is projected from it by FFT over the azimuthal samples. Batches
+    are sliced to bound the grid memory.
     """
     nodes, weights = _sample_radii_and_weights(rx)
-    n_m = modes.n_streams
     phi = 2.0 * np.pi * np.arange(phi_points) / phi_points
     cos_phi = np.cos(phi)[np.newaxis, np.newaxis, :]
     sin_phi = np.sin(phi)[np.newaxis, np.newaxis, :]

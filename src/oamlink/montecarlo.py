@@ -22,8 +22,8 @@ from itertools import product
 
 import numpy as np
 
-from oamlink.beam import LinkGeometry, ModeSet, PointingState
-from oamlink.ber import PointingStats, _stream_index, stream_weights
+from oamlink.beam import LinkGeometry, ModeSet
+from oamlink.ber import PointingStats
 from oamlink.crosstalk import (
     SMALL_OFFSET_FLOOR,
     Method,
@@ -38,8 +38,6 @@ __all__ = [
     "TrialConfig",
     "TrialOutcome",
     "worker_count",
-    "draw_pointing",
-    "ml_detect",
     "simulate_ber",
 ]
 
@@ -47,8 +45,6 @@ __all__ = [
 CHUNK_SIZE = 1 << 16
 
 WORKERS_ENV_VAR = "OAMLINK_WORKERS"
-
-_REFRESH_MODES = ("per-symbol", "per-block")
 
 
 class DegradedChannelError(RuntimeError):
@@ -59,9 +55,12 @@ def worker_count() -> int:
     """Worker threads to use: the OAMLINK_WORKERS variable, else CPU count."""
     raw = os.environ.get(WORKERS_ENV_VAR)
     if raw is not None:
-        count = int(raw)
+        try:
+            count = int(raw)
+        except ValueError:
+            count = 0
         if count < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {raw!r}")
+            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}")
         return count
     return os.cpu_count() or 1
 
@@ -70,21 +69,14 @@ def worker_count() -> int:
 class TrialConfig:
     """Monte Carlo run parameters.
 
-    ``channel_refresh`` chooses whether a fresh pointing offset is drawn for
-    every symbol or held for ``block_len`` consecutive symbols. Refresh
-    blocks are drawn inside each scheduling chunk, so ``block_len`` should
-    stay well below the chunk size for the intended statistics.
-
-    ``allow_degraded`` overrides the abort that triggers when more than
-    0.1% of the drawn offsets fall below the validity floor of the
-    Bessel-based crosstalk approximations.
+    Every trial draws a fresh pointing offset. ``allow_degraded`` overrides
+    the abort that triggers when more than 0.1% of the drawn offsets fall
+    below the validity floor of the Bessel-based crosstalk approximations.
     """
 
     trials: int
     seed: int
     crosstalk_method: Method | str = Method.BESSEL_SUM
-    channel_refresh: str = "per-symbol"
-    block_len: int = 1
     allow_degraded: bool = False
 
     def __post_init__(self) -> None:
@@ -92,17 +84,9 @@ class TrialConfig:
             raise ValueError(f"trials must be an integer >= 1000, got {self.trials!r}")
         if not isinstance(self.seed, (int, np.integer)) or not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if self.channel_refresh not in _REFRESH_MODES:
-            raise ValueError(
-                f"channel_refresh must be one of {_REFRESH_MODES}, "
-                f"got {self.channel_refresh!r}"
-            )
-        if not isinstance(self.block_len, (int, np.integer)) or self.block_len < 1:
-            raise ValueError(f"block_len must be an integer >= 1, got {self.block_len!r}")
         object.__setattr__(self, "crosstalk_method", Method.parse(self.crosstalk_method))
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "block_len", int(self.block_len))
 
 
 @dataclass(frozen=True)
@@ -124,40 +108,9 @@ class TrialOutcome:
             raise ValueError("ber_hat inconsistent with error and trial counts")
 
 
-def draw_pointing(stats: PointingStats, rng: np.random.Generator) -> PointingState:
-    """One pointing draw: independent N(0, sigma_theta) tilt per axis, scaled
-    by the link distance."""
-    theta = rng.normal(0.0, stats.sigma_theta, size=2)
-    return PointingState(theta[0] * stats.distance, theta[1] * stats.distance)
-
-
 def _hypotheses(n_streams: int) -> np.ndarray:
     """All on/off stream vectors, in lexicographic order."""
     return np.array(list(product((0, 1), repeat=n_streams)), dtype=float)
-
-
-def ml_detect(
-    y: np.ndarray,
-    amplitude_matrix: np.ndarray,
-    hypotheses: np.ndarray,
-) -> np.ndarray:
-    """Joint ML decision: the hypothesis minimizing ||y - H a||^2.
-
-    ``hypotheses`` rows are on/off vectors already expressed per matrix
-    column (for grouped streams, fold the per-mode amplitude weights into
-    the matrix first). Ties resolve to the earliest row, deterministically.
-    """
-    y = np.asarray(y, dtype=float)
-    h = np.asarray(amplitude_matrix, dtype=float)
-    hyp = np.asarray(hypotheses, dtype=float)
-    if h.shape != (y.size, hyp.shape[1]):
-        raise ValueError(
-            f"shape mismatch: y has {y.size} branches, matrix is {h.shape}, "
-            f"hypotheses have {hyp.shape[1]} entries"
-        )
-    residuals = y[np.newaxis, :] - hyp @ h.T
-    metrics = np.einsum("kf,kf->k", residuals, residuals)
-    return hyp[int(np.argmin(metrics))].astype(int)
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -181,41 +134,26 @@ def _run_chunk(
     runs differing only in the noise level see identical random streams.
     """
     rng = np.random.default_rng((cfg.seed, chunk_index))
-    hypotheses = _hypotheses(len(modes.streams))
-    weights = stream_weights(modes)
-    stream_of = _stream_index(modes)
-    # Hypothesis k as a per-mode on/off amplitude vector.
-    mode_amps = hypotheses[:, stream_of]
+    hypotheses = _hypotheses(modes.n_streams)
 
     degraded = 0
     if fixed_amplitude is not None:
-        weighted = np.broadcast_to(
-            fixed_amplitude * weights[np.newaxis, :],
-            (n, *fixed_amplitude.shape),
-        )
+        amp = np.broadcast_to(fixed_amplitude, (n, *fixed_amplitude.shape))
     else:
-        if cfg.channel_refresh == "per-symbol":
-            theta = rng.normal(0.0, stats.sigma_theta, size=(n, 2))
-        else:
-            draws = -(-n // cfg.block_len)
-            theta = np.repeat(
-                rng.normal(0.0, stats.sigma_theta, size=(draws, 2)),
-                cfg.block_len,
-                axis=0,
-            )[:n]
+        theta = rng.normal(0.0, stats.sigma_theta, size=(n, 2))
         offsets = theta * stats.distance
         r_ch = np.hypot(offsets[:, 0], offsets[:, 1])
         if cfg.crosstalk_method not in (Method.EXACT2D, Method.RADIAL_SUM):
             degraded = int(np.count_nonzero(r_ch < SMALL_OFFSET_FLOOR))
-        profile = channel_profile(geom, rx, modes, r_ch, cfg.crosstalk_method)
-        weighted = np.sqrt(profile) * weights[np.newaxis, np.newaxis, :]
+        amp = np.sqrt(channel_profile(geom, rx, modes, r_ch, cfg.crosstalk_method))
 
-    bits = rng.integers(0, 2, size=(n, len(modes.streams)))
+    bits = rng.integers(0, 2, size=(n, modes.n_streams))
     noise = rng.standard_normal(size=(n, modes.n_filter))
 
-    # Candidate signal points for every trial and hypothesis: (n, k, n_f).
-    candidates = np.einsum("nft,kt->nkf", weighted, mode_amps)
-    places = 1 << np.arange(len(modes.streams) - 1, -1, -1)
+    # Candidate signal points for every trial and hypothesis: (n, k, n_f);
+    # column k of M @ hyp.T is hypothesis k as per-mode amplitudes.
+    candidates = np.einsum("nft,tk->nkf", amp, modes.stream_matrix @ hypotheses.T)
+    places = 1 << np.arange(modes.n_streams - 1, -1, -1)
     sent = bits @ places
     y = candidates[np.arange(n), sent, :] + math.sqrt(rx.noise_level) * noise
     residuals = y[:, np.newaxis, :] - candidates
@@ -248,7 +186,7 @@ def simulate_ber(
     draws fall below the approximation validity floor, unless the config
     sets ``allow_degraded``.
     """
-    if len(modes.streams) < 1:
+    if modes.n_streams < 1:
         raise ValueError("mode set defines no streams")
     fixed = None
     if amplitude_matrix is not None:

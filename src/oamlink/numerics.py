@@ -141,10 +141,6 @@ class QuadratureRule:
         """Dot the rule's weights with integrand values at the nodes."""
         return np.dot(np.asarray(values), self.weights)
 
-    def apply(self, f: Callable) -> float | complex:
-        """Integrate a callable by evaluating it at the nodes."""
-        return self.integrate(f(self.nodes))
-
 
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 

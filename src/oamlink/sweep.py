@@ -1,10 +1,10 @@
-"""Parameter sweeps, beam-waist optimization, mode-set ranking, and method benchmarks.
+"""Link scenarios, beam-waist optimization, mode-set ranking, and method benchmarks.
 
-Drives the lower modules over grids of one link parameter at a time,
-searches for the BER-minimizing beam waist with a bracketed golden-section
-routine, orders candidate mode sets by averaged BER under an equal total
-power budget, and times the crosstalk evaluators against the reference
-integral and the Monte Carlo validator.
+Holds the scenario a command varies one link parameter of, searches for
+the BER-minimizing beam waist with a bracketed golden-section routine,
+orders candidate mode sets by averaged BER under an equal total power
+budget, and times the crosstalk evaluators against the reference integral
+and the Monte Carlo validator.
 """
 
 from __future__ import annotations
@@ -20,19 +20,14 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from oamlink.beam import LinkGeometry, ModeSet, PointingState
-from oamlink.ber import (
-    PointingStats,
-    average_ber,
-    conditional_ber,
-    grouped_channel_vectors,
-)
+from oamlink.ber import PointingStats, average_ber
 from oamlink.crosstalk import (
     ApproximationWarning,
     Method,
     QuadratureConvergenceWarning,
     ReceiverConfig,
     crosstalk,
-    crosstalk_matrix,
+    crosstalk_matrix,  # noqa: F401  benchmarks/spans.py traces sweep.crosstalk_matrix
 )
 from oamlink.montecarlo import TrialConfig, simulate_ber
 
@@ -41,14 +36,11 @@ GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 # Coarse scan used to seed the golden-section bracket.
 PRE_GRID_POINTS = 8
 
-QUANTITIES = ("crosstalk", "conditional-ber", "averaged-ber", "mc-ber")
-
 
 class SweepAxis(str, Enum):
     """Link parameter varied along the sweep grid."""
 
     W0 = "w0"
-    R_CH = "r_ch"
     SIGMA_THETA = "sigma_theta"
     Z = "Z"
 
@@ -66,29 +58,22 @@ class SweepAxis(str, Enum):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete link configuration a sweep varies one parameter of.
+    """Complete jitter-averaged link configuration a sweep varies one parameter of.
 
-    ``r_ch`` is the fixed pointing offset used by the per-offset quantities
-    (crosstalk matrix, conditional BER); ``sigma_theta`` feeds the Rayleigh
-    average and the Monte Carlo draw. Both are kept because a single sweep
-    may request offset-conditioned and averaged quantities side by side.
+    ``sigma_theta`` feeds the Rayleigh average and the Monte Carlo draw;
+    ``seed`` seeds the Monte Carlo runs of the method benchmark.
     """
 
     geom: LinkGeometry
     rx: ReceiverConfig
     modes: ModeSet
     sigma_theta: float
-    r_ch: float = 0.0
     quad_order: int = 64
-    trials: int = 100_000
     seed: int = 0
-    allow_degraded: bool = False
 
     def __post_init__(self) -> None:
         if not (self.sigma_theta > 0 and math.isfinite(self.sigma_theta)):
             raise ValueError(f"sigma_theta must be positive, got {self.sigma_theta!r}")
-        if not (self.r_ch >= 0 and math.isfinite(self.r_ch)):
-            raise ValueError(f"r_ch must be >= 0, got {self.r_ch!r}")
 
     def pointing_stats(self) -> PointingStats:
         """Jitter statistics tied to the current link distance."""
@@ -102,187 +87,12 @@ class Scenario:
             return replace(self, geom=replace(self.geom, waist=value))
         if axis is SweepAxis.Z:
             return replace(self, geom=replace(self.geom, distance=value))
-        if axis is SweepAxis.R_CH:
-            return replace(self, r_ch=value)
         return replace(self, sigma_theta=value)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-axis sweep request: grid, fixed scenario, methods, quantities."""
-
-    axis: SweepAxis
-    grid: tuple[float, ...]
-    fixed: Scenario
-    methods: tuple[Method, ...]
-    quantities: tuple[str, ...] = ("averaged-ber",)
-
-    def __init__(
-        self,
-        axis: "SweepAxis | str",
-        grid: Sequence[float],
-        fixed: Scenario,
-        methods: Sequence["Method | str"],
-        quantities: Sequence[str] = ("averaged-ber",),
-    ) -> None:
-        axis = SweepAxis.parse(axis)
-        grid_t = tuple(float(g) for g in grid)
-        if len(grid_t) < 1:
-            raise ValueError("sweep grid must contain at least one point")
-        if any(not math.isfinite(g) for g in grid_t):
-            raise ValueError(f"sweep grid must be finite, got {grid_t}")
-        if any(b <= a for a, b in zip(grid_t, grid_t[1:])):
-            raise ValueError(f"sweep grid must be strictly increasing, got {grid_t}")
-        floor = 0.0 if axis is SweepAxis.R_CH else None
-        if floor is not None:
-            if any(g < floor for g in grid_t):
-                raise ValueError(f"{axis.value} grid values must be >= {floor}")
-        elif grid_t[0] <= 0:
-            raise ValueError(f"{axis.value} grid values must be positive")
-        methods_t = tuple(Method.parse(m) for m in methods)
-        if not methods_t:
-            raise ValueError("need at least one crosstalk method")
-        if len(set(methods_t)) != len(methods_t):
-            raise ValueError(f"duplicate methods in {[m.value for m in methods_t]}")
-        quantities_t = tuple(str(q) for q in quantities)
-        unknown = [q for q in quantities_t if q not in QUANTITIES]
-        if unknown:
-            raise ValueError(
-                f"unknown quantities {unknown}; expected a subset of {QUANTITIES}"
-            )
-        if not quantities_t:
-            raise ValueError("need at least one output quantity")
-        if len(set(quantities_t)) != len(quantities_t):
-            raise ValueError(f"duplicate quantities in {quantities_t}")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "grid", grid_t)
-        object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "methods", methods_t)
-        object.__setattr__(self, "quantities", quantities_t)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One evaluated cell of the sweep table.
-
-    ``quantity`` names the requested output; the crosstalk quantity expands
-    to one row per (tx mode, filter mode) pair, labelled
-    ``C[ell_n->ell_j]``. ``ci95`` is populated only for Monte Carlo rows.
-    ``status`` is "ok", or the collected warning/error text for this cell;
-    failed cells carry value NaN instead of aborting the sweep.
-    """
-
-    axis: str
-    axis_value: float
-    method: str
-    quantity: str
-    value: float
-    ci95: float = math.nan
-    status: str = "ok"
 
 
 def mode_set_label(modes: ModeSet) -> str:
     """Canonical short name: modes comma-joined, streams separated by '|'."""
     return "|".join(",".join(str(m) for m in group) for group in modes.streams)
-
-
-def _quantity_rows(
-    scen: Scenario,
-    method: Method,
-    quantity: str,
-    axis: SweepAxis,
-    axis_value: float,
-) -> list[SweepRow]:
-    """Evaluate one (grid point, method, quantity) cell into rows."""
-    payload: list[tuple[str, float, float]] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            if quantity == "crosstalk":
-                point = PointingState.from_radius(scen.r_ch)
-                matrix = crosstalk_matrix(scen.geom, scen.rx, scen.modes, point, method)
-                for j, ell_j in enumerate(scen.modes.filter_modes):
-                    for i, ell_n in enumerate(scen.modes.tx_modes):
-                        payload.append(
-                            (
-                                f"C[{ell_n}->{ell_j}]",
-                                float(matrix.values[j, i]),
-                                math.nan,
-                            )
-                        )
-            elif quantity == "conditional-ber":
-                point = PointingState.from_radius(scen.r_ch)
-                matrix = crosstalk_matrix(scen.geom, scen.rx, scen.modes, point, method)
-                h = grouped_channel_vectors(matrix, scen.modes.streams)
-                payload.append(
-                    (quantity, conditional_ber(h, scen.rx.noise_level), math.nan)
-                )
-            elif quantity == "averaged-ber":
-                res = average_ber(
-                    scen.geom,
-                    scen.rx,
-                    scen.modes,
-                    scen.pointing_stats(),
-                    method,
-                    scen.quad_order,
-                )
-                payload.append((quantity, res.averaged, math.nan))
-            else:
-                cfg = TrialConfig(
-                    trials=scen.trials,
-                    seed=scen.seed,
-                    crosstalk_method=method,
-                    allow_degraded=scen.allow_degraded,
-                )
-                out = simulate_ber(
-                    scen.geom, scen.rx, scen.modes, scen.pointing_stats(), cfg
-                )
-                payload.append((quantity, out.ber_hat, out.ci95_halfwidth))
-        except Exception as exc:
-            return [
-                SweepRow(
-                    axis=axis.value,
-                    axis_value=axis_value,
-                    method=method.value,
-                    quantity=quantity,
-                    value=math.nan,
-                    status=f"error: {type(exc).__name__}: {exc}",
-                )
-            ]
-    notes = "; ".join(str(w.message) for w in caught)
-    status = f"warning: {notes}" if notes else "ok"
-    return [
-        SweepRow(
-            axis=axis.value,
-            axis_value=axis_value,
-            method=method.value,
-            quantity=name,
-            value=value,
-            ci95=ci,
-            status=status,
-        )
-        for name, value, ci in payload
-    ]
-
-
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the requested quantities over the grid.
-
-    Row order is deterministic: grid-major, then method, then quantity (the
-    crosstalk quantity expands in coefficient-grid layout, filter-major).
-    Evaluator warnings and errors are folded into each row's status column;
-    no single bad point aborts the sweep. Cells are evaluated sequentially
-    so the per-row warning capture, which touches the interpreter-wide
-    warning state, stays race-free; parallelism lives inside the Monte
-    Carlo and array layers.
-    """
-    rows: list[SweepRow] = []
-    for value in spec.grid:
-        scen = spec.fixed.with_axis(spec.axis, value)
-        for method in spec.methods:
-            for quantity in spec.quantities:
-                rows.extend(_quantity_rows(scen, method, quantity, spec.axis, value))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +134,7 @@ def optimize_w0(
     scenario: Scenario,
     bounds: tuple[float, float],
     tol: float,
-    method: "Method | str" = Method.RADIAL_SUM,
+    method: "Method | str" = Method.BESSEL_SUM,
     objective: Optional[Callable[[float], float]] = None,
 ) -> OptimizeResult:
     """Golden-section search for the beam waist minimizing averaged BER.
@@ -444,7 +254,7 @@ class RankedModeSet:
 def rank_mode_sets(
     candidates: Sequence[ModeSet],
     scenario: Scenario,
-    method: "Method | str" = Method.RADIAL_SUM,
+    method: "Method | str" = Method.BESSEL_SUM,
 ) -> tuple[RankedModeSet, ...]:
     """Order candidate mode sets by Rayleigh-averaged BER, best first.
 

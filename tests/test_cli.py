@@ -27,6 +27,7 @@ from oamlink.cli import (
     write_csv,
     write_manifest,
 )
+from oamlink.crosstalk import Method
 
 
 def cfg_with(**overrides):
@@ -174,7 +175,11 @@ class TestModeSpecAndAccessors:
             cfg_with(quad__order="8").scenario()
         scen = cfg_with().scenario()
         assert scen.sigma_theta == 3e-5
-        assert scen.trials == 1_000_000
+        trial_cfg = cfg_with().trial_config(Method.RADIAL_SUM)
+        assert trial_cfg.trials == 1_000_000
+        assert trial_cfg.crosstalk_method is Method.RADIAL_SUM
+        with pytest.raises(ConfigError, match="trials"):
+            cfg_with(mc__trials="10").trial_config(Method.BESSEL_SUM)
 
     def test_output_path_required(self):
         with pytest.raises(ConfigError, match="set output.path"):
@@ -221,6 +226,24 @@ class TestMainErrors:
         out = tmp_path / "o.csv"
         args = ["monte-carlo", "-o", str(out), "-s", "bogus=1"]
         assert main(args) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "args, env, key",
+        [
+            (["monte-carlo", "--trials", "10"], None, "trials"),
+            (["monte-carlo", "--seed=-1"], None, "seed"),
+            (["ber-curve", "--monte-carlo", "--trials", "10", "--grid", "0.02"], None, "trials"),
+            (["monte-carlo"], "abc", "OAMLINK_WORKERS"),
+        ],
+    )
+    def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):
+        # Each is refused before any trial runs, so no thread starts.
+        if env is not None:
+            monkeypatch.setenv("OAMLINK_WORKERS", env)
+        assert main(args + ["-o", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -276,7 +299,36 @@ class TestCrosstalkCurveCommand:
         assert all(r[4] == "nan" for r in rows)
 
     def test_needs_radii(self, tmp_path):
-        assert main(["crosstalk-curve", "-o", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        out = str(tmp_path / "x.csv")
+        assert main(["crosstalk-curve", "-o", out]) == EXIT_CONFIG
+        assert main(["crosstalk-curve", "--grid", "nan", "-o", out]) == EXIT_CONFIG
+        assert main(["crosstalk-curve", "--grid=-1,2", "-o", out]) == EXIT_CONFIG
+
+    def test_warning_folded_into_status(self, tmp_path):
+        # Below the validity floor the Bessel sum still delivers values and
+        # says so in the status column.
+        out = tmp_path / "xt.csv"
+        code = main(["crosstalk-curve", "--grid", "0.5", "--method", "bessel-sum",
+                     "-o", str(out)])
+        assert code == EXIT_OK
+        _, _, rows = read_csv_file(out)
+        assert len(rows) == 4
+        assert all(r[6].startswith("warning:") and "validity" in r[6] for r in rows)
+        assert not any(math.isnan(float(r[4])) for r in rows)
+
+    def test_error_cell_does_not_abort(self, tmp_path):
+        # The large-offset form rejects a zero offset; its cells report the
+        # failure while the reference integral still produces values.
+        out = tmp_path / "xt.csv"
+        code = main(["crosstalk-curve", "--grid", "0", "--method", "exact2d,asymptotic",
+                     "-o", str(out)])
+        assert code == EXIT_NONCONVERGED
+        _, _, rows = read_csv_file(out)
+        exact = [r for r in rows if r[3] == "exact2d"]
+        asym = [r for r in rows if r[3] == "asymptotic"]
+        assert len(exact) == len(asym) == 4
+        assert not any(r[6].startswith("error") or math.isnan(float(r[4])) for r in exact)
+        assert all(r[6].startswith("error: ValueError") and r[4] == "nan" for r in asym)
 
     def test_single_point_from_pointing_offset(self, tmp_path):
         out = tmp_path / "xt.csv"
@@ -325,12 +377,24 @@ class TestBerCurveCommand:
         assert all(r[1] == "-2|1" for r in rows)
         assert all(0 < float(r[3]) < 0.5 for r in rows)
 
-    def test_rejects_offset_axis_and_bad_grid(self, tmp_path):
+    def test_rejects_offset_axis_and_bad_grid(self, tmp_path, capsys):
         out = str(tmp_path / "ber.csv")
         base = ["ber-curve", "--candidates=-2|1", "-o", out]
         assert main(base + ["--axis", "r_ch", "--grid", "1,2"]) == EXIT_CONFIG
         assert main(base + ["--axis", "w0", "--grid", "0.03,0.02"]) == EXIT_CONFIG
         assert main(base + ["--axis", "w0"]) == EXIT_CONFIG
+        # Each bad axis or grid value is refused, naming the key, before
+        # anything is evaluated.
+        for args, key in (
+            (["--grid", "nan"], "sweep.grid"),
+            (["--grid=-0.01,0.02"], "sweep.grid"),
+            (["--axis", "sigma_theta", "--grid", "0,1e-5"], "sweep.grid"),
+            (["--axis", "foo", "--grid", "0.02"], "sweep.axis"),
+        ):
+            capsys.readouterr()
+            assert main(base + args) == EXIT_CONFIG, args
+            assert key in capsys.readouterr().err, args
+        assert not (tmp_path / "ber.csv").exists()
 
 
 class TestMonteCarloCommand:

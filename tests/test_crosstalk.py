@@ -23,17 +23,13 @@ from oamlink.crosstalk import (
     CrosstalkMatrix,
     Method,
     ReceiverConfig,
+    channel_profile,
     crosstalk,
-    crosstalk_asymptotic,
-    crosstalk_bessel_integral,
-    crosstalk_bessel_sum,
     crosstalk_exact,
     crosstalk_exact_detailed,
     crosstalk_matrix,
-    crosstalk_radial_sum,
     filter_spectrum,
 )
-from oamlink.crosstalk import channel_profile
 from oamlink.numerics import gauss_legendre, periodic_trapezoid
 
 N_M = 2
@@ -176,48 +172,46 @@ class TestApproximationChain:
     def test_radial_sum_within_five_percent(self):
         geom, rx, table = self.exact_grid()
         for (ell_n, ell_j, r), ref in table.items():
-            got = crosstalk_radial_sum(
-                geom, rx, N_M, ell_n, ell_j, PointingState(r, 0.0)
+            got = crosstalk(
+                geom, rx, N_M, ell_n, ell_j, PointingState(r, 0.0), "radial-sum"
             )
             assert abs(got - ref) <= 0.05 * ref, (ell_n, ell_j, r, got, ref)
 
     def test_bessel_forms_within_one_db(self):
         geom, rx, table = self.exact_grid()
-        for evaluator in (crosstalk_bessel_integral, crosstalk_bessel_sum):
+        for method in ("bessel-integral", "bessel-sum"):
             for (ell_n, ell_j, r), ref in table.items():
-                got = evaluator(geom, rx, N_M, ell_n, ell_j, PointingState(r, 0.0))
+                got = crosstalk(geom, rx, N_M, ell_n, ell_j, PointingState(r, 0.0), method)
                 db = abs(10.0 * math.log10(got / ref))
-                assert db <= 1.0, (evaluator.__name__, ell_n, ell_j, r, db)
+                assert db <= 1.0, (method, ell_n, ell_j, r, db)
 
     def test_bessel_sum_tracks_bessel_integral(self):
         # Same integrand, k_r-point Simpson grid instead of Gauss-Legendre.
         geom, rx = default_geom(), default_rx()
         point = PointingState(10.0, 0.0)
-        fine = crosstalk_bessel_integral(geom, rx, N_M, 2, 0, point)
-        coarse = crosstalk_bessel_sum(geom, rx, N_M, 2, 0, point)
+        fine = crosstalk(geom, rx, N_M, 2, 0, point, "bessel-integral")
+        coarse = crosstalk(geom, rx, N_M, 2, 0, point, "bessel-sum")
         assert coarse == pytest.approx(fine, rel=5e-3)
-        dense = crosstalk_bessel_sum(geom, default_rx(k_r=64), N_M, 2, 0, point)
+        dense = crosstalk(geom, default_rx(k_r=64), N_M, 2, 0, point, "bessel-sum")
         assert dense == pytest.approx(fine, rel=1e-6)
 
     def test_asymptotic_is_filter_independent(self):
         geom, rx = default_geom(), default_rx()
         point = PointingState(100.0, 0.0)
         values = {
-            ell_j: crosstalk_asymptotic(geom, rx, N_M, 0, ell_j, point)
+            ell_j: crosstalk(geom, rx, N_M, 0, ell_j, point, "asymptotic")
             for ell_j in (-3, 0, 2)
         }
         assert len(set(values.values())) == 1
-        with pytest.raises(ValueError):
-            crosstalk_asymptotic(geom, rx, N_M, 0, 0, PointingState(0.0, 0.0))
+        with pytest.raises(ValueError, match="strictly positive offset radius"):
+            crosstalk(geom, rx, N_M, 0, 0, PointingState(0.0, 0.0), "asymptotic")
 
     def test_asymptotic_approaches_bessel_integral_far_out(self):
         geom = default_geom()
         rx = default_rx(k_r=64)
         point = PointingState(100.0, 0.0)
-        ref = crosstalk_bessel_integral(
-            geom, rx, N_M, 0, 0, point, radial_order=256
-        )
-        got = crosstalk_asymptotic(geom, rx, N_M, 0, 0, point)
+        ref = crosstalk(geom, rx, N_M, 0, 0, point, "bessel-integral")
+        got = crosstalk(geom, rx, N_M, 0, 0, point, "asymptotic")
         assert got == pytest.approx(ref, rel=0.1)
 
     def test_separability_of_reduced_forms(self):
@@ -225,19 +219,15 @@ class TestApproximationChain:
         # so cross products of coefficients must match.
         geom, rx = default_geom(), default_rx()
         point = PointingState(10.0, 0.0)
-        for evaluator in (
-            crosstalk_bessel_integral,
-            crosstalk_bessel_sum,
-            crosstalk_asymptotic,
-        ):
+        for method in ("bessel-integral", "bessel-sum", "asymptotic"):
             c = {
-                (n, j): evaluator(geom, rx, N_M, n, j, point)
+                (n, j): crosstalk(geom, rx, N_M, n, j, point, method)
                 for n in (0, 2)
                 for j in (0, 2)
             }
             lhs = c[(0, 2)] * c[(2, 0)]
             rhs = c[(0, 0)] * c[(2, 2)]
-            assert lhs == pytest.approx(rhs, rel=1e-12), evaluator.__name__
+            assert lhs == pytest.approx(rhs, rel=1e-12), method
 
 
 class TestStructuralInvariants:
@@ -286,11 +276,13 @@ class TestStructuralInvariants:
         assert plus == pytest.approx(minus, rel=1e-12)
 
     def test_rotation_invariance(self):
+        # The reference integral sees the full pointing vector; rotating it
+        # about the beam axis must not change the coefficient.
         geom, rx = default_geom(), default_rx()
-        aligned = crosstalk_radial_sum(
+        aligned = crosstalk_exact(
             geom, rx, N_M, -2, 1, PointingState.from_radius(8.0, 0.0)
         )
-        rotated = crosstalk_radial_sum(
+        rotated = crosstalk_exact(
             geom, rx, N_M, -2, 1, PointingState.from_radius(8.0, 2.1)
         )
         assert rotated == pytest.approx(aligned, rel=1e-10)
@@ -302,26 +294,25 @@ class TestStructuralInvariants:
         rx = default_rx(k_r=64)
         point = PointingState(10.0, 0.0)
         ref = crosstalk_exact(geom, rx, N_M, 2, 0, point)
-        got = crosstalk_radial_sum(geom, rx, N_M, 2, 0, point)
+        got = crosstalk(geom, rx, N_M, 2, 0, point, "radial-sum")
         assert got == pytest.approx(ref, rel=1e-2)
 
 
 class TestDispatchAndBatching:
     def test_dispatch_matches_direct_calls(self):
+        # One coefficient is the batched kernel of its method at one radius.
         geom, rx = default_geom(), default_rx()
         point = PointingState(10.0, 0.0)
-        cases = {
-            "exact2d": crosstalk_exact,
-            "radial-sum": crosstalk_radial_sum,
-            "bessel-integral": crosstalk_bessel_integral,
-            "bessel-sum": crosstalk_bessel_sum,
-            "asymptotic": crosstalk_asymptotic,
-        }
-        for name, evaluator in cases.items():
-            direct = evaluator(geom, rx, N_M, -2, 1, point)
-            assert crosstalk(geom, rx, N_M, -2, 1, point, method=name) == direct
+        modes = ModeSet(tx_modes=(-2, 1))
+        for method in Method:
+            grid = channel_profile(geom, rx, modes, np.array([point.r_ch]), method)[0]
+            got = crosstalk(geom, rx, modes.n_streams, -2, 1, point, method=method.value)
+            assert got == pytest.approx(grid[1, 0], rel=1e-12), method
+        assert crosstalk(geom, rx, N_M, -2, 1, point, method="exact2d") == crosstalk_exact(
+            geom, rx, N_M, -2, 1, point
+        )
         default = crosstalk(geom, rx, N_M, -2, 1, point)
-        assert default == crosstalk_bessel_sum(geom, rx, N_M, -2, 1, point)
+        assert default == crosstalk(geom, rx, N_M, -2, 1, point, "bessel-sum")
 
     def test_method_parse(self):
         assert Method.parse(" Bessel-Sum ") is Method.BESSEL_SUM
@@ -337,8 +328,8 @@ class TestDispatchAndBatching:
         assert matrix.values.shape == (3, 2)
         for j, ell_j in enumerate(modes.filter_modes):
             for i, ell_n in enumerate(modes.tx_modes):
-                want = crosstalk_bessel_sum(
-                    geom, rx, modes.n_streams, ell_n, ell_j, point
+                want = crosstalk(
+                    geom, rx, modes.n_streams, ell_n, ell_j, point, "bessel-sum"
                 )
                 assert matrix.values[j, i] == want
         assert np.allclose(matrix.amplitude_matrix**2, matrix.values)
@@ -402,17 +393,24 @@ class TestWarningsAndGuards:
     def test_small_offset_warns(self):
         geom, rx = default_geom(), default_rx()
         near = PointingState(0.5 * SMALL_OFFSET_FLOOR, 0.0)
-        for evaluator in (crosstalk_bessel_integral, crosstalk_bessel_sum):
+        modes = ModeSet(tx_modes=(-2, 1))
+        for method in ("bessel-integral", "bessel-sum"):
             with pytest.warns(ApproximationWarning):
-                evaluator(geom, rx, N_M, 0, 0, near)
+                crosstalk(geom, rx, N_M, 0, 0, near, method)
+            with pytest.warns(ApproximationWarning):
+                crosstalk_matrix(geom, rx, modes, near, method)
 
     def test_no_warning_above_floor(self):
         geom, rx = default_geom(), default_rx()
         point = PointingState(2.0 * SMALL_OFFSET_FLOOR, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            crosstalk_bessel_integral(geom, rx, N_M, 0, 0, point)
-            crosstalk_bessel_sum(geom, rx, N_M, 0, 0, point)
+            crosstalk(geom, rx, N_M, 0, 0, point, "bessel-integral")
+            crosstalk(geom, rx, N_M, 0, 0, point, "bessel-sum")
+            # The other reduced forms carry no validity floor.
+            near = PointingState(0.5 * SMALL_OFFSET_FLOOR, 0.0)
+            crosstalk(geom, rx, N_M, 0, 0, near, "radial-sum")
+            crosstalk(geom, rx, N_M, 0, 0, near, "asymptotic")
 
     def test_receiver_config_validation(self):
         with pytest.raises(ValueError):

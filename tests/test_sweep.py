@@ -1,35 +1,27 @@
-"""Sweep driver, waist optimizer, mode-set ranking and method benchmarks.
+"""Sweep scenarios, waist optimizer, mode-set ranking and method benchmarks.
 
-The sweep rows are checked cell by cell against direct calls of the
-underlying evaluators, the optimizer against closed-form objectives with
-known minima, and the ranking for permutation stability. Benchmark checks
-stick to structure and internal consistency; absolute timing thresholds
-belong to the acceptance suite.
+The optimizer is checked against closed-form objectives with known minima
+and the ranking for permutation stability. Benchmark checks stick to
+structure and internal consistency; absolute timing thresholds belong to
+the acceptance suite.
 """
 
 import math
-from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from oamlink.beam import LinkGeometry, ModeSet, PointingState
-from oamlink.ber import average_ber, conditional_ber, grouped_channel_vectors
-from oamlink.crosstalk import Method, ReceiverConfig, crosstalk_matrix
-from oamlink.montecarlo import TrialConfig, simulate_ber
+from oamlink.beam import LinkGeometry, ModeSet
+from oamlink.crosstalk import Method, ReceiverConfig
 from oamlink.sweep import (
     PRE_GRID_POINTS,
-    QUANTITIES,
     BenchReport,
     OptimizeResult,
     Scenario,
     SweepAxis,
-    SweepSpec,
     bench_methods,
     mode_set_label,
     optimize_w0,
     rank_mode_sets,
-    run_sweep,
 )
 
 
@@ -43,9 +35,7 @@ def default_scenario(**overrides):
         rx=rx,
         modes=ModeSet(tx_modes=(-2, 1)),
         sigma_theta=3.0e-5,
-        r_ch=8.0,
         quad_order=48,
-        trials=10_000,
         seed=77,
     )
     kwargs.update(overrides)
@@ -59,12 +49,14 @@ class TestAxisAndScenario:
         assert SweepAxis.parse(SweepAxis.Z) is SweepAxis.Z
         with pytest.raises(ValueError):
             SweepAxis.parse("waist")
+        # A fixed offset is not an axis of the jitter-averaged scenario.
+        with pytest.raises(ValueError):
+            SweepAxis.parse("r_ch")
 
     def test_with_axis(self):
         scen = default_scenario()
         assert scen.with_axis("w0", 0.015).geom.waist == 0.015
         assert scen.with_axis("Z", 5.0e5).geom.distance == 5.0e5
-        assert scen.with_axis("r_ch", 12.0).r_ch == 12.0
         assert scen.with_axis("sigma_theta", 2.0e-5).sigma_theta == 2.0e-5
         # The original is untouched.
         assert scen.geom.waist == 0.025
@@ -78,148 +70,7 @@ class TestAxisAndScenario:
         with pytest.raises(ValueError):
             default_scenario(sigma_theta=0.0)
         with pytest.raises(ValueError):
-            default_scenario(r_ch=-1.0)
-
-
-class TestSweepSpec:
-    def test_accepts_single_point_grid(self):
-        spec = SweepSpec("w0", [0.02], default_scenario(), ["bessel-sum"])
-        assert spec.grid == (0.02,)
-        assert spec.quantities == ("averaged-ber",)
-
-    def test_grid_validation(self):
-        scen = default_scenario()
-        with pytest.raises(ValueError):
-            SweepSpec("w0", [], scen, ["bessel-sum"])
-        with pytest.raises(ValueError):
-            SweepSpec("w0", [0.02, 0.01], scen, ["bessel-sum"])
-        with pytest.raises(ValueError):
-            SweepSpec("w0", [0.01, 0.01], scen, ["bessel-sum"])
-        with pytest.raises(ValueError):
-            SweepSpec("w0", [math.inf], scen, ["bessel-sum"])
-        with pytest.raises(ValueError):
-            SweepSpec("w0", [0.0, 0.01], scen, ["bessel-sum"])
-        # Zero offset radius is legitimate; zero waist is not.
-        SweepSpec("r_ch", [0.0, 5.0], scen, ["exact2d"])
-        with pytest.raises(ValueError):
-            SweepSpec("r_ch", [-1.0, 5.0], scen, ["exact2d"])
-
-    def test_method_and_quantity_validation(self):
-        scen = default_scenario()
-        with pytest.raises(ValueError):
-            SweepSpec("w0", [0.02], scen, [])
-        with pytest.raises(ValueError):
-            SweepSpec("w0", [0.02], scen, ["bessel-sum", "bessel-sum"])
-        with pytest.raises(ValueError):
-            SweepSpec("w0", [0.02], scen, ["warp"])
-        with pytest.raises(ValueError):
-            SweepSpec("w0", [0.02], scen, ["bessel-sum"], quantities=["snr"])
-        with pytest.raises(ValueError):
-            SweepSpec("w0", [0.02], scen, ["bessel-sum"], quantities=[])
-        with pytest.raises(ValueError):
-            SweepSpec(
-                "w0", [0.02], scen, ["bessel-sum"],
-                quantities=["crosstalk", "crosstalk"],
-            )
-        assert set(QUANTITIES) >= {"crosstalk", "averaged-ber"}
-
-
-class TestRunSweep:
-    def test_row_order_and_expansion(self):
-        scen = default_scenario()
-        spec = SweepSpec(
-            "r_ch",
-            [5.0, 10.0],
-            scen,
-            ["radial-sum", "bessel-sum"],
-            quantities=["crosstalk", "conditional-ber"],
-        )
-        rows = run_sweep(spec)
-        # Per grid point and method: 4 coefficient rows plus 1 conditional.
-        assert len(rows) == 2 * 2 * 5
-        heads = [(r.axis_value, r.method, r.quantity) for r in rows[:5]]
-        assert heads == [
-            (5.0, "radial-sum", "C[-2->-2]"),
-            (5.0, "radial-sum", "C[1->-2]"),
-            (5.0, "radial-sum", "C[-2->1]"),
-            (5.0, "radial-sum", "C[1->1]"),
-            (5.0, "radial-sum", "conditional-ber"),
-        ]
-        assert rows[5].method == "bessel-sum"
-        assert rows[10].axis_value == 10.0
-        assert all(r.axis == "r_ch" for r in rows)
-
-    def test_cells_match_direct_calls(self):
-        scen = default_scenario()
-        spec = SweepSpec(
-            "r_ch",
-            [8.0],
-            scen,
-            ["bessel-sum"],
-            quantities=["crosstalk", "conditional-ber", "averaged-ber", "mc-ber"],
-        )
-        rows = {r.quantity: r for r in run_sweep(spec)}
-
-        point = PointingState.from_radius(8.0)
-        matrix = crosstalk_matrix(
-            scen.geom, scen.rx, scen.modes, point, Method.BESSEL_SUM
-        )
-        assert rows["C[-2->1]"].value == matrix.values[1, 0]
-        assert rows["C[1->1]"].value == matrix.values[1, 1]
-
-        h = grouped_channel_vectors(matrix, scen.modes.streams)
-        assert rows["conditional-ber"].value == conditional_ber(
-            h, scen.rx.noise_level
-        )
-
-        res = average_ber(
-            scen.geom, scen.rx, scen.modes, scen.pointing_stats(),
-            Method.BESSEL_SUM, scen.quad_order,
-        )
-        assert rows["averaged-ber"].value == res.averaged
-
-        cfg = TrialConfig(
-            trials=scen.trials, seed=scen.seed, crosstalk_method=Method.BESSEL_SUM
-        )
-        out = simulate_ber(scen.geom, scen.rx, scen.modes, scen.pointing_stats(), cfg)
-        assert rows["mc-ber"].value == out.ber_hat
-        assert rows["mc-ber"].ci95 == out.ci95_halfwidth
-        assert math.isnan(rows["averaged-ber"].ci95)
-
-    def test_deterministic(self):
-        scen = default_scenario()
-        spec = SweepSpec(
-            "w0", [0.02, 0.025], scen, ["bessel-sum"],
-            quantities=["averaged-ber", "mc-ber"],
-        )
-        assert run_sweep(spec) == run_sweep(spec)
-
-    def test_error_cell_does_not_abort(self):
-        # The large-offset form rejects a zero offset; its cell must report
-        # the failure while the other method still produces values.
-        scen = default_scenario(r_ch=0.0)
-        spec = SweepSpec(
-            "r_ch", [0.0], scen, ["exact2d", "asymptotic"],
-            quantities=["crosstalk"],
-        )
-        rows = run_sweep(spec)
-        by_method = {}
-        for r in rows:
-            by_method.setdefault(r.method, []).append(r)
-        # The reference integral may flag slow settling at this degenerate
-        # point, but it must still deliver values rather than an error row.
-        assert not any(r.status.startswith("error") for r in by_method["exact2d"])
-        assert all(r.status.startswith("error: ValueError") for r in by_method["asymptotic"])
-        assert all(math.isnan(r.value) for r in by_method["asymptotic"])
-        assert not any(math.isnan(r.value) for r in by_method["exact2d"])
-
-    def test_warning_folded_into_status(self):
-        scen = default_scenario(r_ch=0.5)
-        spec = SweepSpec("r_ch", [0.5], scen, ["bessel-sum"], quantities=["crosstalk"])
-        rows = run_sweep(spec)
-        assert all(r.status.startswith("warning:") for r in rows)
-        assert all("validity" in r.status for r in rows)
-        assert not any(math.isnan(r.value) for r in rows)
+            default_scenario().with_axis("w0", math.nan)
 
 
 class TestModeSetLabel:
@@ -271,7 +122,7 @@ class TestOptimizeW0:
         assert not res.boundary
         assert 0.009 < res.w0_opt < 0.016
         assert res.ber_opt < 5e-3
-        assert res.method is Method.RADIAL_SUM
+        assert res.method is Method.BESSEL_SUM
 
     def test_validation(self):
         scen = default_scenario()
