@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,9 +40,6 @@ __all__ = [
     "conditional_ber",
     "average_ber",
 ]
-
-# Rayleigh mass beyond the quadrature cutoff 8*sigma_r: exp(-32).
-RAYLEIGH_TAIL_BOUND = math.exp(-32.0)
 
 # Wherever the scalar stream amplitudes of the separable coefficient forms
 # cross, the conditional BER carries a narrow ridge: the separable methods
@@ -112,27 +109,20 @@ class BerResult:
     """Averaged BER with the quadrature audit trail.
 
     ``averaged`` is the Rayleigh-weighted mean of the conditional error
-    probability; ``conditional`` is the conditional value at the most
-    probable offset radius (the Rayleigh scale), kept as a representative
-    operating point. Both live in [0, 1.5]; ``averaged_clamped`` caps at
-    0.5 for plotting against conventional BER axes.
+    probability and lives in [0, 1.5]; ``averaged_clamped`` caps it at 0.5
+    for plotting against conventional BER axes.
     """
 
-    conditional: float
     averaged: float
-    parameter_point: Mapping[str, object]
     method: Method
     quad_order: int = 0
     quad_self_check_rel: float = 0.0
     quad_converged: bool = True
-    tail_mass_bound: float = RAYLEIGH_TAIL_BOUND
     degraded_node_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("conditional", "averaged"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.5):
-                raise ValueError(f"{name} BER {value!r} outside [0, 1.5]")
+        if not (0.0 <= self.averaged <= 1.5):
+            raise ValueError(f"averaged BER {self.averaged!r} outside [0, 1.5]")
 
     @property
     def averaged_clamped(self) -> float:
@@ -362,29 +352,8 @@ def average_ber(
             UserWarning,
             stacklevel=2,
         )
-    conditional_at_scale = float(
-        _conditional_on_radii(geom, rx, modes, np.array([sigma_r]), method)[0]
-    )
-    snapshot = {
-        "wavelength_m": geom.wavelength,
-        "waist_m": geom.waist,
-        "radial_index": geom.radial_index,
-        "distance_m": geom.distance,
-        "aperture_radius_m": rx.aperture_radius,
-        "noise_level": rx.noise_level,
-        "k_r": rx.k_r,
-        "tx_modes": modes.tx_modes,
-        "filter_modes": modes.filter_modes,
-        "streams": modes.streams,
-        "sigma_theta_rad": stats.sigma_theta,
-        "rayleigh_scale_m": sigma_r,
-        "method": method.value,
-        "quad_order": int(quad_order),
-    }
     return BerResult(
-        conditional=conditional_at_scale,
         averaged=base,
-        parameter_point=snapshot,
         method=method,
         quad_order=int(quad_order),
         quad_self_check_rel=self_check,

@@ -13,13 +13,14 @@ or failed evaluation, 4 boundary optimum.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from oamlink import __version__
 from oamlink.beam import LinkGeometry, ModeSet, PointingState
@@ -88,6 +89,44 @@ class ConfigError(ValueError):
     """Configuration problem the user must fix; maps to exit code 2."""
 
 
+@contextlib.contextmanager
+def _config_errors(prefix: str = "", message: str = "") -> Iterator[None]:
+    """Re-raise a ValueError from the block as a ConfigError.
+
+    The new message is ``message`` when given, else the error's own text
+    after ``prefix``, which names the key or section at fault.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(message or f"{prefix}{exc}") from None
+
+
+def _key_values(entries, missing_equals: str, from_file: bool = False) -> dict[str, str]:
+    """Raw values from ``key = value`` entries, each paired with its source.
+
+    Unknown and duplicated keys are errors. In a file, ``config.`` prefixes
+    are stripped and ``manifest.`` keys skipped, so a run manifest doubles
+    as a config file.
+    """
+    out: dict[str, str] = {}
+    for where, entry in entries:
+        key, equals, value = entry.partition("=")
+        key = key.strip()
+        if not equals:
+            raise ConfigError(missing_equals.format(where, entry))
+        if from_file:
+            if key.startswith("manifest."):
+                continue
+            key = key.removeprefix("config.")
+        if key not in DEFAULTS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in out:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        out[key] = value.strip()
+    return out
+
+
 def parse_config_text(text: str, source: str) -> dict[str, str]:
     """Parse flat ``key = value`` lines into a dict of raw string values.
 
@@ -96,41 +135,22 @@ def parse_config_text(text: str, source: str) -> dict[str, str]:
     keys are ignored, so a run manifest doubles as a config file. Unknown
     and duplicated keys are errors.
     """
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key.startswith("manifest."):
-            continue
-        if key.startswith("config."):
-            key = key[len("config."):]
-        if key not in DEFAULTS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in out:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
+    lines = [
+        (f"{source}:{lineno}", raw)
+        for lineno, raw in enumerate(text.splitlines(), 1)
+        if raw.strip() and not raw.strip().startswith("#")
+    ]
+    return _key_values(lines, "{}: expected 'key = value', got {!r}", from_file=True)
 
 
-def _parse_set_items(items: Sequence[str]) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for item in items:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        if key in out:
-            raise ConfigError(f"--set: duplicate key {key!r}")
-        out[key] = value.strip()
-    return out
+def _mode_groups(text: str) -> list[list[int]]:
+    """Orders in the mode-set syntax: streams split by '|', modes by ','."""
+    return [[int(tok) for tok in part.split(",")] for part in text.split("|")]
+
+
+def _mode_list(text: str) -> list[int]:
+    (orders,) = _mode_groups(text)  # a single stream: no '|'
+    return orders
 
 
 def parse_mode_set_spec(spec: str) -> ModeSet:
@@ -139,14 +159,9 @@ def parse_mode_set_spec(spec: str) -> ModeSet:
     ``-2|1`` is two single-mode streams; ``-4,-2|1,3`` groups two modes
     per stream.
     """
-    try:
-        groups = [
-            [int(tok) for tok in part.split(",")] for part in spec.strip().split("|")
-        ]
-        tx = [m for g in groups for m in g]
-        return ModeSet(tx, stream_grouping=groups)
-    except ValueError as exc:
-        raise ConfigError(f"bad mode set spec {spec!r}: {exc}") from None
+    with _config_errors(f"bad mode set spec {spec!r}: "):
+        groups = _mode_groups(spec)
+        return ModeSet([m for g in groups for m in g], stream_grouping=groups)
 
 
 @dataclass(frozen=True)
@@ -166,50 +181,40 @@ class RunConfig:
     def is_set(self, key: str) -> bool:
         return self.raw[key] != ""
 
+    def _parsed(self, key: str, parse, must: str):
+        with _config_errors(message=f"{key} must {must}, got {self.raw[key]!r}"):
+            return parse(self.raw[key])
+
     def number(self, key: str) -> float:
-        try:
-            return float(self.raw[key])
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {self.raw[key]!r}") from None
+        return self._parsed(key, float, "be a number")
 
     def integer(self, key: str) -> int:
-        try:
-            return int(self.raw[key])
-        except ValueError:
-            raise ConfigError(
-                f"{key} must be an integer, got {self.raw[key]!r}"
-            ) from None
+        return self._parsed(key, int, "be an integer")
 
     def flag(self, key: str) -> bool:
-        value = self.raw[key].lower()
-        if value not in ("true", "false"):
-            raise ConfigError(f"{key} must be true or false, got {self.raw[key]!r}")
-        return value == "true"
+        # tuple.index raises ValueError for anything but the two words.
+        return self._parsed(
+            key, lambda s: ("false", "true").index(s.lower()) == 1, "be true or false"
+        )
 
     def numbers(self, key: str) -> tuple[float, ...]:
-        raw = self.raw[key]
-        if not raw:
-            return ()
-        try:
-            return tuple(float(tok) for tok in raw.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"{key} must be comma-separated numbers, got {raw!r}"
-            ) from None
+        return self._parsed(
+            key,
+            lambda s: tuple(float(tok) for tok in s.split(",")) if s else (),
+            "be comma-separated numbers",
+        )
 
     def geometry(self) -> LinkGeometry:
-        try:
+        with _config_errors("geometry: "):
             return LinkGeometry(
                 wavelength=self.number("geometry.wavelength_m"),
                 waist=self.number("geometry.w0_m"),
                 radial_index=self.integer("geometry.radial_index"),
                 distance=self.number("geometry.distance_m"),
             )
-        except ValueError as exc:
-            raise ConfigError(f"geometry: {exc}") from None
 
     def receiver(self) -> ReceiverConfig:
-        try:
+        with _config_errors("receiver: "):
             return ReceiverConfig(
                 aperture_radius=self.number("receiver.aperture_radius_m"),
                 responsivity=self.number("receiver.responsivity_a_per_w"),
@@ -217,42 +222,17 @@ class RunConfig:
                 noise_level=self.number("receiver.noise_level"),
                 k_r=self.integer("receiver.k_r"),
             )
-        except ValueError as exc:
-            raise ConfigError(f"receiver: {exc}") from None
 
     def mode_set(self) -> ModeSet:
-        try:
-            tx = [int(tok) for tok in self.text("modes.tx").split(",")]
-        except ValueError:
-            raise ConfigError(
-                f"modes.tx must be comma-separated integers, got "
-                f"{self.text('modes.tx')!r}"
-            ) from None
-        flt = None
+        orders = "be comma-separated integers"
+        tx = self._parsed("modes.tx", _mode_list, orders)
+        flt = grouping = None
         if self.is_set("modes.filter"):
-            try:
-                flt = [int(tok) for tok in self.text("modes.filter").split(",")]
-            except ValueError:
-                raise ConfigError(
-                    f"modes.filter must be comma-separated integers, got "
-                    f"{self.text('modes.filter')!r}"
-                ) from None
-        grouping = None
+            flt = self._parsed("modes.filter", _mode_list, orders)
         if self.is_set("modes.grouping"):
-            try:
-                grouping = [
-                    [int(tok) for tok in part.split(",")]
-                    for part in self.text("modes.grouping").split("|")
-                ]
-            except ValueError:
-                raise ConfigError(
-                    f"modes.grouping must look like '-4,-2|1,3', got "
-                    f"{self.text('modes.grouping')!r}"
-                ) from None
-        try:
+            grouping = self._parsed("modes.grouping", _mode_groups, "look like '-4,-2|1,3'")
+        with _config_errors("modes: "):
             return ModeSet(tx, flt, grouping)
-        except ValueError as exc:
-            raise ConfigError(f"modes: {exc}") from None
 
     def candidates(self) -> tuple[ModeSet, ...]:
         raw = self.text("modes.candidates")
@@ -261,10 +241,8 @@ class RunConfig:
         return tuple(parse_mode_set_spec(part) for part in raw.split(";"))
 
     def methods(self) -> tuple[Method, ...]:
-        try:
+        with _config_errors():
             parsed = tuple(Method.parse(tok) for tok in self.text("method").split(","))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if len(set(parsed)) != len(parsed):
             raise ConfigError(f"duplicate methods in {self.text('method')!r}")
         return parsed
@@ -295,7 +273,7 @@ class RunConfig:
         quad_order = self.integer("quad.order")
         if not (16 <= quad_order <= 256):
             raise ConfigError(f"quad.order must be in [16, 256], got {quad_order}")
-        try:
+        with _config_errors("pointing: "):
             return Scenario(
                 geom=self.geometry(),
                 rx=self.receiver(),
@@ -304,18 +282,14 @@ class RunConfig:
                 quad_order=quad_order,
                 seed=self.integer("mc.seed"),
             )
-        except ValueError as exc:
-            raise ConfigError(f"pointing: {exc}") from None
 
     def trial_config(self, method: Method) -> TrialConfig:
         """Monte Carlo settings for runs with one crosstalk method."""
         trials = self.integer("mc.trials")
         seed = self.integer("mc.seed")
         allow_degraded = self.flag("mc.allow_degraded")
-        try:
+        with _config_errors("mc: "):
             return TrialConfig(trials, seed, method, allow_degraded=allow_degraded)
-        except ValueError as exc:
-            raise ConfigError(f"mc: {exc}") from None
 
     def output_path(self, command: str) -> str:
         if not self.is_set("output.path"):
@@ -338,7 +312,8 @@ def load_config(
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         merged.update(parse_config_text(text, config_path))
-    merged.update(_parse_set_items(set_items))
+    set_entries = [("--set", item) for item in set_items]
+    merged.update(_key_values(set_entries, "{} expects KEY=VALUE, got {!r}"))
     merged.update(flag_overrides)
     return RunConfig(raw=merged)
 
@@ -365,7 +340,7 @@ def write_csv(path: str, schema: str, header: Sequence[str], rows) -> None:
 
 
 def write_manifest(
-    path: str, command: str, cfg: RunConfig, extra: Mapping[str, str]
+    path: str, command: str, cfg: RunConfig, extra: Mapping[str, object]
 ) -> None:
     """Key-value sidecar: run facts plus the full merged config echo."""
     lines = [
@@ -403,17 +378,33 @@ def _capture(fn, *args):
     return result, f"warning: {note}" if note else "ok"
 
 
+class _Output(NamedTuple):
+    """What a command hands to ``run_command``.
+
+    ``body`` is either ``(schema, header, rows)`` for a CSV file or the
+    text of the file; ``facts`` go into the manifest and ``summary`` into
+    the one stdout line.
+    """
+
+    body: tuple | str
+    facts: dict[str, object]
+    summary: str
+    code: int = EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_crosstalk_curve(cfg: RunConfig) -> int:
+def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
     cfg.validate_pointing()
     geom = cfg.geometry()
     rx = cfg.receiver()
     modes = cfg.mode_set()
     methods = cfg.methods()
     tx_power = cfg.number("receiver.tx_power_w")
+    if not (0.0 < tx_power < math.inf):
+        raise ConfigError(f"receiver.tx_power_w must be finite and > 0, got {tx_power!r}")
     radii = cfg.numbers("sweep.grid")
     if not radii and cfg.is_set("pointing.r_ch_m"):
         radii = (cfg.number("pointing.r_ch_m"),)
@@ -424,13 +415,11 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> int:
         )
     if not all(0.0 <= r < math.inf for r in radii):
         raise ConfigError(f"offset radii must be finite and >= 0, got {radii}")
-    out_path = cfg.output_path("crosstalk-curve")
 
-    t0 = time.perf_counter()
     # Evaluate one matrix per (radius, method), then emit rows with the
     # method innermost so the per-pair method comparison sits on adjacent
-    # lines.
-    evaluated: dict[tuple[float, Method], tuple] = {}
+    # lines. A failed matrix leaves nan cells and its error as the status.
+    evaluated = {}
     for r in radii:
         point = PointingState.from_radius(r)
         for method in methods:
@@ -444,60 +433,37 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> int:
             for i, ell_n in enumerate(modes.tx_modes):
                 for method in methods:
                     values, status = evaluated[(r, method)]
-                    if values is None:
-                        rows.append(
-                            (r, ell_n, ell_j, method.value, math.nan, math.nan, status)
-                        )
-                        errors += 1
-                        continue
-                    c = float(values[j, i])
-                    rows.append(
-                        (r, ell_n, ell_j, method.value, c, _dbm(c, tx_power), status)
-                    )
-    write_csv(
-        out_path,
-        "oamlink/crosstalk-curve v1; units: r_ch_m=m, C_watts=W, C_dBm=dBm(P_tx)",
-        ("r_ch_m", "ell_n", "ell_j", "method", "C_watts", "C_dBm", "status"),
-        rows,
+                    c = math.nan if values is None else float(values[j, i])
+                    errors += values is None
+                    rows.append((r, ell_n, ell_j, method.value, c, _dbm(c, tx_power), status))
+    return _Output(
+        (
+            "oamlink/crosstalk-curve v1; units: r_ch_m=m, C_watts=W, C_dBm=dBm(P_tx)",
+            ("r_ch_m", "ell_n", "ell_j", "method", "C_watts", "C_dBm", "status"),
+            rows,
+        ),
+        {"rows": len(rows), "error_rows": errors, "k_r": rx.k_r},
+        f"{len(rows)} rows",
+        EXIT_NONCONVERGED if errors else EXIT_OK,
     )
-    wall = time.perf_counter() - t0
-    write_manifest(
-        out_path + ".manifest",
-        "crosstalk-curve",
-        cfg,
-        {
-            "rows": str(len(rows)),
-            "error_rows": str(errors),
-            "k_r": str(rx.k_r),
-            "wall_time_s": f"{wall:.3f}",
-        },
-    )
-    print(f"crosstalk-curve: {len(rows)} rows -> {out_path} ({wall:.2f}s)")
-    return EXIT_NONCONVERGED if errors else EXIT_OK
 
 
-def cmd_ber_curve(cfg: RunConfig) -> int:
+def cmd_ber_curve(cfg: RunConfig) -> _Output:
     scen = cfg.scenario()
     methods = cfg.methods()
-    try:
+    with _config_errors("sweep.axis: "):
         axis = SweepAxis.parse(cfg.text("sweep.axis"))
-    except ValueError as exc:
-        raise ConfigError(f"sweep.axis: {exc}") from None
     grid = cfg.numbers("sweep.grid")
     if not grid:
         raise ConfigError("ber-curve needs sweep.grid values for the chosen axis")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"sweep.grid must be strictly increasing, got {grid}")
-    try:
+    with _config_errors("sweep.grid: "):
         points = [scen.with_axis(axis, value) for value in grid]
-    except ValueError as exc:
-        raise ConfigError(f"sweep.grid: {exc}") from None
     candidates = cfg.candidates() or (scen.modes,)
     with_mc = cfg.flag("ber.with_mc")
     trial_cfgs = {method: cfg.trial_config(method) for method in methods} if with_mc else {}
-    out_path = cfg.output_path("ber-curve")
 
-    t0 = time.perf_counter()
     rows = []
     errors = 0
     unconverged = 0
@@ -514,8 +480,7 @@ def cmd_ber_curve(cfg: RunConfig) -> int:
                     errors += 1
                 else:
                     raw, clamped = res.averaged, res.averaged_clamped
-                    if not res.quad_converged:
-                        unconverged += 1
+                    unconverged += not res.quad_converged
                 row = [value, label, method.value, raw, clamped]
                 if with_mc:
                     try:
@@ -528,158 +493,93 @@ def cmd_ber_curve(cfg: RunConfig) -> int:
                         status = f"error: {type(exc).__name__}: {exc}"
                         errors += 1
                 row.append(status)
-                rows.append(tuple(row))
-    header = ["axis_value", "mode_set_id", "method", "ber_avg_raw", "ber_avg_clamped"]
-    if with_mc:
-        header.extend(["ber_mc", "ci95"])
-    header.append("status")
-    write_csv(
-        out_path,
-        f"oamlink/ber-curve v1; axis={axis.value} (SI units); ber columns are "
-        "probabilities",
-        header,
-        rows,
-    )
-    wall = time.perf_counter() - t0
-    write_manifest(
-        out_path + ".manifest",
-        "ber-curve",
-        cfg,
+                rows.append(row)
+    mc_columns = ["ber_mc", "ci95"] if with_mc else []
+    return _Output(
+        (
+            f"oamlink/ber-curve v1; axis={axis.value} (SI units); ber columns are "
+            "probabilities",
+            ["axis_value", "mode_set_id", "method", "ber_avg_raw", "ber_avg_clamped",
+             *mc_columns, "status"],
+            rows,
+        ),
         {
-            "rows": str(len(rows)),
-            "error_rows": str(errors),
-            "unconverged_rows": str(unconverged),
-            "quad_order": str(scen.quad_order),
-            "wall_time_s": f"{wall:.3f}",
+            "rows": len(rows),
+            "error_rows": errors,
+            "unconverged_rows": unconverged,
+            "quad_order": scen.quad_order,
         },
+        f"{len(rows)} rows",
+        EXIT_NONCONVERGED if (errors or unconverged) else EXIT_OK,
     )
-    print(f"ber-curve: {len(rows)} rows -> {out_path} ({wall:.2f}s)")
-    return EXIT_NONCONVERGED if (errors or unconverged) else EXIT_OK
 
 
-def cmd_montecarlo(cfg: RunConfig) -> int:
+def cmd_montecarlo(cfg: RunConfig) -> _Output:
     scen = cfg.scenario()
     method = cfg.single_method()
     trial_cfg = cfg.trial_config(method)
-    out_path = cfg.output_path("monte-carlo")
-    t0 = time.perf_counter()
-    try:
-        outcome = simulate_ber(
-            scen.geom, scen.rx, scen.modes, scen.pointing_stats(), trial_cfg
-        )
-    except DegradedChannelError as exc:
-        print(f"monte-carlo: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
-    wall = time.perf_counter() - t0
-    write_csv(
-        out_path,
-        "oamlink/monte-carlo v1; ber_mc and ci95 are probabilities",
+    outcome = simulate_ber(scen.geom, scen.rx, scen.modes, scen.pointing_stats(), trial_cfg)
+    return _Output(
         (
-            "trials",
-            "errors",
-            "bit_errors",
-            "ber_mc",
-            "ci95",
-            "degraded_fraction",
-            "method",
-            "seed",
-            "status",
+            "oamlink/monte-carlo v1; ber_mc and ci95 are probabilities",
+            ("trials", "errors", "bit_errors", "ber_mc", "ci95", "degraded_fraction",
+             "method", "seed", "status"),
+            [(outcome.trials, outcome.errors, outcome.bit_errors, outcome.ber_hat,
+              outcome.ci95_halfwidth, outcome.degraded_fraction, method.value,
+              trial_cfg.seed, "ok")],
         ),
-        [
-            (
-                outcome.trials,
-                outcome.errors,
-                outcome.bit_errors,
-                outcome.ber_hat,
-                outcome.ci95_halfwidth,
-                outcome.degraded_fraction,
-                method.value,
-                trial_cfg.seed,
-                "ok",
-            )
-        ],
-    )
-    write_manifest(
-        out_path + ".manifest",
-        "monte-carlo",
-        cfg,
         {
-            "workers": str(outcome.workers),
-            "seed": str(trial_cfg.seed),
+            "workers": outcome.workers,
+            "seed": trial_cfg.seed,
             "degraded_fraction": repr(outcome.degraded_fraction),
-            "wall_time_s": f"{wall:.3f}",
         },
+        f"ber={outcome.ber_hat:.6g} +/- {outcome.ci95_halfwidth:.2g} "
+        f"({outcome.trials} trials, {outcome.workers} workers)",
     )
-    print(
-        f"monte-carlo: ber={outcome.ber_hat:.6g} +/- {outcome.ci95_halfwidth:.2g} "
-        f"({outcome.trials} trials, {outcome.workers} workers, {wall:.2f}s) "
-        f"-> {out_path}"
-    )
-    return EXIT_OK
 
 
-def cmd_optimize(cfg: RunConfig) -> int:
+def cmd_optimize(cfg: RunConfig) -> _Output:
     scen = cfg.scenario()
     method = cfg.single_method()
-    lo = cfg.number("optimize.lo_m")
-    hi = cfg.number("optimize.hi_m")
+    bounds = (cfg.number("optimize.lo_m"), cfg.number("optimize.hi_m"))
     tol = cfg.number("optimize.tol_m")
-    out_path = cfg.output_path("optimize")
-    t0 = time.perf_counter()
-    try:
-        result = optimize_w0(scen, (lo, hi), tol, method)
-    except ValueError as exc:
-        raise ConfigError(f"optimize: {exc}") from None
-    wall = time.perf_counter() - t0
+    with _config_errors("optimize: "):
+        result = optimize_w0(scen, bounds, tol, method)
     (b_lo, b_mid, b_hi) = result.bracket
-    lines = [
-        f"optimize.w0_opt_m = {result.w0_opt!r}",
-        f"optimize.ber_opt = {result.ber_opt!r}",
-        f"optimize.boundary = {str(result.boundary).lower()}",
-        f"optimize.evaluations = {result.evaluations}",
-        f"optimize.method = {result.method.value}",
-        f"optimize.tol_m = {result.tol!r}",
-        f"optimize.bracket_lo_m = {b_lo[0]!r}",
-        f"optimize.bracket_lo_ber = {b_lo[1]!r}",
-        f"optimize.bracket_mid_m = {b_mid[0]!r}",
-        f"optimize.bracket_mid_ber = {b_mid[1]!r}",
-        f"optimize.bracket_hi_m = {b_hi[0]!r}",
-        f"optimize.bracket_hi_ber = {b_hi[1]!r}",
-    ]
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    write_manifest(
-        out_path + ".manifest",
-        "optimize",
-        cfg,
-        {
-            "boundary": str(result.boundary).lower(),
-            "evaluations": str(result.evaluations),
-            "quad_order": str(scen.quad_order),
-            "wall_time_s": f"{wall:.3f}",
-        },
-    )
+    boundary = str(result.boundary).lower()
+    # Floats print in their shortest round-trip form, as in the CSVs.
+    report = {
+        "w0_opt_m": result.w0_opt,
+        "ber_opt": result.ber_opt,
+        "boundary": boundary,
+        "evaluations": result.evaluations,
+        "method": result.method.value,
+        "tol_m": result.tol,
+        "bracket_lo_m": b_lo[0],
+        "bracket_lo_ber": b_lo[1],
+        "bracket_mid_m": b_mid[0],
+        "bracket_mid_ber": b_mid[1],
+        "bracket_hi_m": b_hi[0],
+        "bracket_hi_ber": b_hi[1],
+    }
     flag = " (boundary)" if result.boundary else ""
-    print(
-        f"optimize: w0*={result.w0_opt:.6g} m, ber*={result.ber_opt:.6g}{flag} "
-        f"[{result.evaluations} evaluations, {wall:.2f}s] -> {out_path}"
+    return _Output(
+        "".join(f"optimize.{key} = {_fmt(value)}\n" for key, value in report.items()),
+        {"boundary": boundary, "evaluations": result.evaluations, "quad_order": scen.quad_order},
+        f"w0*={result.w0_opt:.6g} m, ber*={result.ber_opt:.6g}{flag} "
+        f"[{result.evaluations} evaluations]",
+        EXIT_BOUNDARY if result.boundary else EXIT_OK,
     )
-    return EXIT_BOUNDARY if result.boundary else EXIT_OK
 
 
-def cmd_rank_modes(cfg: RunConfig) -> int:
+def cmd_rank_modes(cfg: RunConfig) -> _Output:
     scen = cfg.scenario()
     method = cfg.single_method()
     candidates = cfg.candidates()
     if not candidates:
         raise ConfigError("rank-modes needs modes.candidates, e.g. '-2|1;-2|2'")
-    out_path = cfg.output_path("rank-modes")
-    t0 = time.perf_counter()
-    try:
+    with _config_errors("rank-modes: "):
         ranking = rank_mode_sets(candidates, scen, method)
-    except ValueError as exc:
-        raise ConfigError(f"rank-modes: {exc}") from None
-    wall = time.perf_counter() - t0
     rows = [
         (
             r.rank,
@@ -691,33 +591,21 @@ def cmd_rank_modes(cfg: RunConfig) -> int:
         )
         for r in ranking
     ]
-    write_csv(
-        out_path,
-        "oamlink/rank-modes v1; ber_avg is a probability",
-        ("rank", "mode_set_id", "ber_avg", "method", "converged", "status"),
-        rows,
-    )
-    unconverged = sum(0 if r.converged else 1 for r in ranking)
-    write_manifest(
-        out_path + ".manifest",
-        "rank-modes",
-        cfg,
-        {
-            "candidates": str(len(candidates)),
-            "unconverged": str(unconverged),
-            "quad_order": str(scen.quad_order),
-            "wall_time_s": f"{wall:.3f}",
-        },
-    )
+    unconverged = sum(not r.converged for r in ranking)
     best = ranking[0]
-    print(
-        f"rank-modes: best {best.label} at ber={best.ber:.6g} "
-        f"({len(ranking)} candidates, {wall:.2f}s) -> {out_path}"
+    return _Output(
+        (
+            "oamlink/rank-modes v1; ber_avg is a probability",
+            ("rank", "mode_set_id", "ber_avg", "method", "converged", "status"),
+            rows,
+        ),
+        {"candidates": len(candidates), "unconverged": unconverged, "quad_order": scen.quad_order},
+        f"best {best.label} at ber={best.ber:.6g} ({len(ranking)} candidates)",
+        EXIT_NONCONVERGED if unconverged else EXIT_OK,
     )
-    return EXIT_NONCONVERGED if unconverged else EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(cfg: RunConfig) -> _Output:
     scen = cfg.scenario()
     methods = list(cfg.methods())
     if Method.EXACT2D not in methods:
@@ -731,102 +619,101 @@ def cmd_bench(cfg: RunConfig) -> int:
         raise ConfigError(f"need 0 < bench.r_min_m < bench.r_max_m, got {r_min}, {r_max}")
     if n_points < 1:
         raise ConfigError(f"bench.grid_points must be >= 1, got {n_points}")
-    out_path = cfg.output_path("bench")
 
     # Shared grid: radii evenly spaced, mode pairs cycling through the
     # full tx-by-filter product so off-diagonal costs are represented.
-    pairs = [
-        (ell_n, ell_j)
-        for ell_j in scen.modes.filter_modes
-        for ell_n in scen.modes.tx_modes
-    ]
+    pairs = [(ell_n, ell_j) for ell_j in scen.modes.filter_modes for ell_n in scen.modes.tx_modes]
     step = (r_max - r_min) / (n_points - 1) if n_points > 1 else 0.0
-    grid = [
-        (r_min + i * step, pairs[i % len(pairs)]) for i in range(n_points)
-    ]
-    t0 = time.perf_counter()
-    try:
+    grid = [(r_min + i * step, pairs[i % len(pairs)]) for i in range(n_points)]
+    with _config_errors("bench: "):
         report = bench_methods(scen, grid, repetitions, methods, mc_trials)
-    except ValueError as exc:
-        raise ConfigError(f"bench: {exc}") from None
-    wall = time.perf_counter() - t0
 
-    # Wall times vary run to run, so they go to stdout and the manifest;
+    # Wall times vary run to run, so they go to the manifest and stdout;
     # the CSV records only what was benchmarked, keeping reruns
     # byte-identical.
-    rows = [
+    roles = [(m.value, "reference" if m is Method.EXACT2D else "candidate") for m in methods]
+    roles += [("monte-carlo", "estimator"), ("quadrature-average", "estimator")]
+    rows = [(*role, len(grid), repetitions, mc_trials) for role in roles]
+    speedups = report.speedup_vs_exact.items()
+    return _Output(
         (
-            method.value,
-            "reference" if method is Method.EXACT2D else "candidate",
-            len(grid),
-            repetitions,
-            mc_trials,
-        )
-        for method in methods
-    ]
-    rows.append(("monte-carlo", "estimator", len(grid), repetitions, mc_trials))
-    rows.append(("quadrature-average", "estimator", len(grid), repetitions, mc_trials))
-    write_csv(
-        out_path,
-        "oamlink/bench v1; measured seconds live in the manifest and stdout",
-        ("method", "role", "grid_size", "repetitions", "mc_trials"),
-        rows,
+            "oamlink/bench v1; measured seconds live in the manifest and stdout",
+            ("method", "role", "grid_size", "repetitions", "mc_trials"),
+            rows,
+        ),
+        {
+            "workers": 1,
+            **{f"median_s.{name}": f"{s:.6f}" for name, s in report.method_times.items()},
+            **{f"speedup.{name}": f"{ratio:.2f}" for name, ratio in speedups},
+            "mc_median_s": f"{report.mc_time:.6f}",
+            "analytic_median_s": f"{report.analytic_ber_time:.6f}",
+            "mc_over_analytic": f"{report.mc_over_analytic:.2f}",
+        },
+        f"grid of {len(grid)} points, {repetitions} repetitions"
+        + "".join(f", {name} {ratio:.0f}x" for name, ratio in speedups)
+        + f" vs exact2d, monte-carlo {report.mc_over_analytic:.0f}x quadrature",
     )
-    extra = {
-        "workers": "1",
-        "wall_time_s": f"{wall:.3f}",
-    }
-    for name, seconds in report.method_times.items():
-        extra[f"median_s.{name}"] = f"{seconds:.6f}"
-    for name, ratio in report.speedup_vs_exact.items():
-        extra[f"speedup.{name}"] = f"{ratio:.2f}"
-    extra["mc_median_s"] = f"{report.mc_time:.6f}"
-    extra["analytic_median_s"] = f"{report.analytic_ber_time:.6f}"
-    extra["mc_over_analytic"] = f"{report.mc_over_analytic:.2f}"
-    write_manifest(out_path + ".manifest", "bench", cfg, extra)
-    print(f"bench: grid of {len(grid)} points, {repetitions} repetitions -> {out_path}")
-    for name, seconds in report.method_times.items():
-        line = f"  {name}: {seconds * 1e3:.3f} ms/pass"
-        if name in report.speedup_vs_exact:
-            line += f" ({report.speedup_vs_exact[name]:.0f}x vs exact2d)"
-        print(line)
-    print(
-        f"  monte-carlo {report.mc_time:.3f} s vs quadrature "
-        f"{report.analytic_ber_time * 1e3:.3f} ms "
-        f"({report.mc_over_analytic:.0f}x)"
-    )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# command table, argument parsing and the one output path
 
 
-_HANDLERS = {
-    "crosstalk-curve": cmd_crosstalk_curve,
-    "ber-curve": cmd_ber_curve,
-    "monte-carlo": cmd_montecarlo,
-    "optimize": cmd_optimize,
-    "rank-modes": cmd_rank_modes,
-    "bench": cmd_bench,
-}
+# Dedicated flags as (flag, config key it overrides, help). The parser
+# stores each under its key; a key whose default is true/false makes the
+# flag a switch that stores "true".
+_COMMON_FLAGS = [
+    ("--method", "method", "crosstalk method(s), comma-separated"),
+    ("--seed", "mc.seed", "Monte Carlo seed"),
+]
 
-# Dedicated flags and the config key each one overrides. Boolean flags
-# store "true"; valued flags store their argument text.
-_FLAG_KEYS = {
-    "output": "output.path",
-    "method": "method",
-    "grid": "sweep.grid",
-    "axis": "sweep.axis",
-    "trials": "mc.trials",
-    "seed": "mc.seed",
-    "allow_degraded": "mc.allow_degraded",
-    "monte_carlo": "ber.with_mc",
-    "candidates": "modes.candidates",
-    "lo": "optimize.lo_m",
-    "hi": "optimize.hi_m",
-    "tol": "optimize.tol_m",
-    "repetitions": "bench.repetitions",
+# command: (handler, help, dedicated flags)
+_COMMANDS = {
+    "crosstalk-curve": (
+        cmd_crosstalk_curve,
+        "crosstalk coefficients versus offset radius",
+        [("--grid", "sweep.grid", "comma-separated offset radii in meters")],
+    ),
+    "ber-curve": (
+        cmd_ber_curve,
+        "averaged BER along one swept axis",
+        [
+            ("--axis", "sweep.axis", "sweep axis: w0, sigma_theta, or Z"),
+            ("--grid", "sweep.grid", "comma-separated axis values (SI units)"),
+            ("--candidates", "modes.candidates", "mode sets to draw, e.g. '-2|1;-4,-2|1,3'"),
+            ("--monte-carlo", "ber.with_mc", "add ber_mc and ci95 columns"),
+            ("--trials", "mc.trials", "Monte Carlo trials per point"),
+        ],
+    ),
+    "monte-carlo": (
+        cmd_montecarlo,
+        "simulated BER estimate",
+        [
+            ("--trials", "mc.trials", "number of trials"),
+            ("--allow-degraded", "mc.allow_degraded",
+             "accept draws below the approximation validity floor"),
+        ],
+    ),
+    "optimize": (
+        cmd_optimize,
+        "search the BER-minimizing beam waist",
+        [
+            ("--lo", "optimize.lo_m", "lower waist bound, meters"),
+            ("--hi", "optimize.hi_m", "upper waist bound, meters"),
+            ("--tol", "optimize.tol_m", "bracket tolerance, meters"),
+        ],
+    ),
+    "rank-modes": (
+        cmd_rank_modes,
+        "order mode sets by averaged BER",
+        [("--candidates", "modes.candidates",
+          "semicolon-separated mode set specs, e.g. '-2|1;-2|2'")],
+    ),
+    "bench": (
+        cmd_bench,
+        "time the evaluators on a shared grid",
+        [("--repetitions", "bench.repetitions", "timing repetitions (median kept)")],
+    ),
 }
 
 
@@ -850,90 +737,55 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override one config key; repeatable",
     )
-    common.add_argument("-o", "--output", metavar="PATH", help="output file path")
-    common.add_argument("--method", help="crosstalk method(s), comma-separated")
-    common.add_argument("--seed", help="Monte Carlo seed")
+    common.add_argument("-o", "--output", dest="output.path", metavar="PATH", help="output file path")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "crosstalk-curve",
-        parents=[common],
-        help="crosstalk coefficients versus offset radius",
-    )
-    p.add_argument("--grid", help="comma-separated offset radii in meters")
-
-    p = sub.add_parser(
-        "ber-curve", parents=[common], help="averaged BER along one swept axis"
-    )
-    p.add_argument("--axis", help="sweep axis: w0, sigma_theta, or Z")
-    p.add_argument("--grid", help="comma-separated axis values (SI units)")
-    p.add_argument(
-        "--candidates", help="mode sets to draw, e.g. '-2|1;-4,-2|1,3'"
-    )
-    p.add_argument(
-        "--monte-carlo",
-        dest="monte_carlo",
-        action="store_true",
-        default=None,
-        help="add ber_mc and ci95 columns",
-    )
-    p.add_argument("--trials", help="Monte Carlo trials per point")
-
-    p = sub.add_parser(
-        "monte-carlo", parents=[common], help="simulated BER estimate"
-    )
-    p.add_argument("--trials", help="number of trials")
-    p.add_argument(
-        "--allow-degraded",
-        dest="allow_degraded",
-        action="store_true",
-        default=None,
-        help="accept draws below the approximation validity floor",
-    )
-
-    p = sub.add_parser(
-        "optimize", parents=[common], help="search the BER-minimizing beam waist"
-    )
-    p.add_argument("--lo", help="lower waist bound, meters")
-    p.add_argument("--hi", help="upper waist bound, meters")
-    p.add_argument("--tol", help="bracket tolerance, meters")
-
-    p = sub.add_parser(
-        "rank-modes", parents=[common], help="order mode sets by averaged BER"
-    )
-    p.add_argument(
-        "--candidates", help="semicolon-separated mode set specs, e.g. '-2|1;-2|2'"
-    )
-
-    p = sub.add_parser(
-        "bench", parents=[common], help="time the evaluators on a shared grid"
-    )
-    p.add_argument("--repetitions", help="timing repetitions (median kept)")
-
+    for command, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for flag, key, flag_help in _COMMON_FLAGS + flags:
+            if DEFAULTS[key] in ("true", "false"):
+                p.add_argument(flag, dest=key, action="store_const", const="true", help=flag_help)
+            else:
+                p.add_argument(flag, dest=key, metavar=flag[2:].upper(), help=flag_help)
     return parser
 
 
-def _flag_overrides(args: argparse.Namespace) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    for attr, key in _FLAG_KEYS.items():
-        value = getattr(args, attr, None)
-        if value is None:
-            continue
-        overrides[key] = "true" if value is True else str(value)
-    return overrides
+def run_command(command: str, cfg: RunConfig) -> int:
+    """Run one command and write what it returns: the output file, its
+    manifest sidecar and one summary line on stdout.
+
+    A Monte Carlo run with too many degraded draws exits 3 with no file.
+    """
+    path = cfg.output_path(command)
+    start = time.perf_counter()
+    try:
+        out = _COMMANDS[command][0](cfg)
+    except DegradedChannelError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGED
+    wall = time.perf_counter() - start
+    if isinstance(out.body, str):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(out.body)
+    else:
+        write_csv(path, *out.body)
+    write_manifest(path + ".manifest", command, cfg, {**out.facts, "wall_time_s": f"{wall:.3f}"})
+    print(f"{command}: {out.summary} -> {path} ({wall:.2f}s)")
+    return out.code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    flags = {
+        key: value
+        for key, value in vars(args).items()
+        if key in DEFAULTS and value is not None
+    }
     try:
-        cfg = load_config(args.config, args.set_items, _flag_overrides(args))
-        try:
+        cfg = load_config(args.config, args.set_items, flags)
+        with _config_errors():
             worker_count()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return _HANDLERS[args.command](cfg)
+        return run_command(args.command, cfg)
     except ConfigError as exc:
         print(f"oamlink: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

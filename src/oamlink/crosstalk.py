@@ -120,12 +120,12 @@ class ReceiverConfig:
     def __post_init__(self) -> None:
         if not (self.aperture_radius > 0 and math.isfinite(self.aperture_radius)):
             raise ValueError(f"aperture_radius must be positive, got {self.aperture_radius!r}")
-        if not (self.responsivity > 0):
-            raise ValueError(f"responsivity must be positive, got {self.responsivity!r}")
-        if not (self.apd_gain >= 1):
-            raise ValueError(f"apd_gain must be >= 1, got {self.apd_gain!r}")
-        if not (self.noise_level > 0):
-            raise ValueError(f"noise_level must be positive, got {self.noise_level!r}")
+        if not (0 < self.responsivity < math.inf):
+            raise ValueError(f"responsivity must be finite and positive, got {self.responsivity!r}")
+        if not (1 <= self.apd_gain < math.inf):
+            raise ValueError(f"apd_gain must be finite and >= 1, got {self.apd_gain!r}")
+        if not (0 < self.noise_level < math.inf):
+            raise ValueError(f"noise_level must be finite and positive, got {self.noise_level!r}")
         if not isinstance(self.k_r, (int, np.integer)) or not (2 <= self.k_r <= 64):
             raise ValueError(f"k_r must be an integer in [2, 64], got {self.k_r!r}")
 
@@ -661,3 +661,7 @@ def _radial_sum_profile(
             for j, ell_j in enumerate(modes.filter_modes):
                 column = proj[:, :, ell_j % phi_points]
                 out[start:stop, j, i] = scale * (np.abs(column) ** 2 @ radial_weight)
+                if ell_j != ell_n:
+                    # A centred mode holds only its own azimuthal harmonic, so
+                    # these are exact zeros where the FFT leaves round-off.
+                    out[start:stop, j, i][batch == 0.0] = 0.0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from oamlink.beam import LinkGeometry, ModeSet, PointingState
+from oamlink.beam import LinkGeometry, ModeSet
 from oamlink.ber import (
     BerResult,
     ChannelVectors,
@@ -25,7 +25,6 @@ from oamlink.crosstalk import (
     Method,
     ReceiverConfig,
     channel_profile,
-    crosstalk_matrix,
     mode_envelope,
 )
 from oamlink.numerics import gauss_legendre
@@ -225,16 +224,6 @@ class TestAverageBer:
         assert result.averaged == pytest.approx(dense, rel=1e-3)
         assert parts[1] > 0.03 * dense
 
-    def test_conditional_field_is_value_at_rayleigh_scale(self):
-        geom, rx = default_geom(), default_rx()
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
-        modes = ModeSet(tx_modes=(-2, 1))
-        result = average_ber(geom, rx, modes, stats, Method.RADIAL_SUM, quad_order=48)
-        want = conditional_profile(
-            geom, rx, np.array([stats.rayleigh_scale]), Method.RADIAL_SUM
-        )[0]
-        assert result.conditional == pytest.approx(float(want), rel=1e-10)
-
     def test_degeneracy_ridge_is_resolved(self):
         # At this waist the two stream envelopes cross inside the averaging
         # domain, where the separable forms make h1 = h2 exactly.
@@ -317,15 +306,6 @@ class TestAverageBer:
         assert 0.0 < result.averaged < 1.5
         assert result.quad_converged
 
-        # Spot-check the conditional at one radius against the public
-        # matrix-and-vectors route.
-        r = stats.rayleigh_scale
-        m = crosstalk_matrix(geom, rx, modes, PointingState(r, 0.0), Method.RADIAL_SUM)
-        h = m.amplitude_matrix @ modes.stream_matrix
-        assert result.conditional == pytest.approx(
-            conditional_ber(ChannelVectors(h[:, 0], h[:, 1]), rx.noise_level), rel=1e-10
-        )
-
     def test_grouped_average_is_bit_stable(self):
         # Frozen from the loop that mixed modes into streams before the
         # stream matrix existed. A BLAS matmul in place of the einsum that
@@ -345,9 +325,6 @@ class TestAverageBer:
         result = average_ber(geom, rx, modes, stats, "radial-sum", quad_order=48)
         assert result.method is Method.RADIAL_SUM
         assert result.quad_order == 48
-        assert result.parameter_point["waist_m"] == geom.waist
-        assert result.parameter_point["method"] == "radial-sum"
-        assert result.tail_mass_bound < 1e-13
 
     def test_quad_order_guards(self):
         geom, rx = default_geom(), default_rx()
@@ -358,31 +335,8 @@ class TestAverageBer:
                 average_ber(geom, rx, modes, stats, Method.RADIAL_SUM, quad_order=bad)
 
     def test_result_validation_and_clamp(self):
-        ok = BerResult(
-            conditional=0.1,
-            averaged=1.2,
-            parameter_point={},
-            method=Method.BESSEL_SUM,
-        )
-        assert ok.averaged_clamped == 0.5
-        modest = BerResult(
-            conditional=0.1,
-            averaged=0.3,
-            parameter_point={},
-            method=Method.BESSEL_SUM,
-        )
-        assert modest.averaged_clamped == 0.3
-        with pytest.raises(ValueError):
-            BerResult(
-                conditional=0.1,
-                averaged=1.6,
-                parameter_point={},
-                method=Method.BESSEL_SUM,
-            )
-        with pytest.raises(ValueError):
-            BerResult(
-                conditional=-0.1,
-                averaged=0.3,
-                parameter_point={},
-                method=Method.BESSEL_SUM,
-            )
+        assert BerResult(averaged=1.2, method=Method.BESSEL_SUM).averaged_clamped == 0.5
+        assert BerResult(averaged=0.3, method=Method.BESSEL_SUM).averaged_clamped == 0.3
+        for bad in (1.6, -0.1):
+            with pytest.raises(ValueError):
+                BerResult(averaged=bad, method=Method.BESSEL_SUM)

@@ -234,6 +234,12 @@ class TestMainErrors:
             (["monte-carlo", "--seed=-1"], None, "seed"),
             (["ber-curve", "--monte-carlo", "--trials", "10", "--grid", "0.02"], None, "trials"),
             (["monte-carlo"], "abc", "OAMLINK_WORKERS"),
+            (["crosstalk-curve", "--grid", "5", "-s", "receiver.tx_power_w=-1"], None,
+             "receiver.tx_power_w"),
+            (["crosstalk-curve", "--grid", "5", "-s", "receiver.tx_power_w=nan"], None,
+             "receiver.tx_power_w"),
+            (["ber-curve", "--grid", "0.02", "-s", "receiver.noise_level=inf"], None,
+             "noise_level"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):
@@ -250,6 +256,54 @@ class TestMainErrors:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("oamlink ")
+
+
+BER = ["-s", "sweep.grid=0.02", "-s", "quad.order=48"]
+OPT = ["-s", "quad.order=48", "-s", "optimize.lo_m=0.008", "-s", "optimize.hi_m=0.03"]
+BENCH = ["-s", "bench.grid_points=2", "-s", "bench.r_min_m=5", "-s", "bench.r_max_m=10",
+         "-s", "bench.mc_trials=1000"]
+
+
+class TestFlagKeys:
+    # Every dedicated flag with the one config key it overrides; -o is part
+    # of every run, so each case also checks output.path.
+    CASES = [
+        (["crosstalk-curve", "--grid", "5"], "sweep.grid", "5"),
+        (["crosstalk-curve", "--method", "radial-sum", "-s", "sweep.grid=5"], "method", "radial-sum"),
+        (["crosstalk-curve", "--seed", "7", "-s", "sweep.grid=5"], "mc.seed", "7"),
+        (["ber-curve", "--axis", "sigma_theta", "-s", "sweep.grid=2e-5", "-s",
+          "quad.order=48", "-s", "modes.candidates=-2|1"], "sweep.axis", "sigma_theta"),
+        (["ber-curve", "--grid", "0.03", "-s", "quad.order=48", "-s", "modes.candidates=-2|1"],
+         "sweep.grid", "0.03"),
+        (["ber-curve", "--candidates=-1|1", *BER], "modes.candidates", "-1|1"),
+        (["ber-curve", "--monte-carlo", "-s", "mc.trials=1000", "-s", "mc.allow_degraded=true",
+          "-s", "modes.candidates=-2|1", *BER], "ber.with_mc", "true"),
+        (["ber-curve", "--trials", "2000", "-s", "modes.candidates=-2|1", *BER],
+         "mc.trials", "2000"),
+        (["monte-carlo", "--trials", "1000", "-s", "mc.allow_degraded=true"], "mc.trials", "1000"),
+        (["monte-carlo", "--allow-degraded", "-s", "mc.trials=1000"], "mc.allow_degraded", "true"),
+        (["optimize", "--lo", "0.009", "-s", "optimize.tol_m=0.002", *OPT], "optimize.lo_m", "0.009"),
+        (["optimize", "--hi", "0.02", "-s", "optimize.tol_m=0.002", *OPT], "optimize.hi_m", "0.02"),
+        (["optimize", "--tol", "0.003", *OPT], "optimize.tol_m", "0.003"),
+        (["rank-modes", "--candidates=-2|1;-1|1", "-s", "quad.order=48"],
+         "modes.candidates", "-2|1;-1|1"),
+        (["bench", "--repetitions", "4", *BENCH], "bench.repetitions", "4"),
+    ]
+
+    @pytest.mark.parametrize("argv, key, value", CASES)
+    def test_flag_sets_exactly_its_key(self, argv, key, value, tmp_path):
+        out = tmp_path / "out"
+        assert main(argv + ["-o", str(out)]) == EXIT_OK
+        manifest = (tmp_path / "out.manifest").read_text(encoding="utf-8")
+        echoed = dict(
+            line[len("config."):].split(" = ", 1)
+            for line in manifest.splitlines()
+            if line.startswith("config.")
+        )
+        expected = dict(DEFAULTS)
+        expected.update(argv[i + 1].split("=", 1) for i, arg in enumerate(argv) if arg == "-s")
+        expected.update({"output.path": str(out), key: value})
+        assert echoed == expected
 
 
 class TestCrosstalkCurveCommand:

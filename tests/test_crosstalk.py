@@ -380,6 +380,19 @@ class TestDispatchAndBatching:
             ).values
             assert np.allclose(profile[idx], expected, rtol=1e-12), (method, r)
 
+    @pytest.mark.parametrize("tx_modes", [(-2, 1), (0, 2, 4)])
+    def test_radial_sum_zero_offset_off_diagonals_are_zero(self, tx_modes):
+        # A centred mode holds only its own azimuthal harmonic: at r = 0 the
+        # off-diagonal coefficients vanish exactly, not at FFT round-off,
+        # while an offset radius in the same batch keeps its leakage.
+        geom, rx = default_geom(), default_rx()
+        modes = ModeSet(tx_modes=tx_modes)
+        profile = channel_profile(geom, rx, modes, np.array([0.0, 2.0]), "radial-sum")
+        off = ~np.eye(len(tx_modes), dtype=bool)
+        assert np.all(profile[0][off] == 0.0)
+        assert np.all(np.diag(profile[0]) > 0.0)
+        assert np.all(profile[1][off] > 0.0)
+
     def test_profile_asymptotic_positive_radii_only(self):
         geom, rx = default_geom(), default_rx()
         modes = ModeSet(tx_modes=(-2, 1))
@@ -421,6 +434,10 @@ class TestWarningsAndGuards:
             ReceiverConfig(aperture_radius=0.05, apd_gain=0.5)
         with pytest.raises(ValueError):
             ReceiverConfig(aperture_radius=0.05, noise_level=0.0)
+        for field in ("responsivity", "apd_gain", "noise_level"):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=field):
+                    ReceiverConfig(aperture_radius=0.05, **{field: bad})
         with pytest.raises(ValueError):
             ReceiverConfig(aperture_radius=0.05, k_r=1)
         with pytest.raises(ValueError):
