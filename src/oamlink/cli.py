@@ -90,15 +90,23 @@ class ConfigError(ValueError):
 
 
 @contextlib.contextmanager
-def _config_errors(prefix: str = "", message: str = "") -> Iterator[None]:
+def _config_errors(
+    prefix: str = "", message: str = "", keys: Optional[Mapping[str, str]] = None
+) -> Iterator[None]:
     """Re-raise a ValueError from the block as a ConfigError.
 
     The new message is ``message`` when given, else the error's own text
-    after ``prefix``, which names the key or section at fault.
+    after ``prefix``, which names the key or section at fault. ``keys``
+    maps the fields of a typed object built in the block to their config
+    keys: an error text that starts with such a field starts with its key
+    instead.
     """
     try:
         yield
     except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if keys and field in keys:
+            raise ConfigError(f"{keys[field]} {rest}") from None
         raise ConfigError(message or f"{prefix}{exc}") from None
 
 
@@ -204,24 +212,31 @@ class RunConfig:
             "be comma-separated numbers",
         )
 
+    def _build(self, cls, **fields):
+        """``cls`` from one ``(key, parse)`` pair per field; an error the
+        object raises about a field names that field's config key."""
+        values = {name: parse(key) for name, (key, parse) in fields.items()}
+        with _config_errors(keys={name: key for name, (key, _) in fields.items()}):
+            return cls(**values)
+
     def geometry(self) -> LinkGeometry:
-        with _config_errors("geometry: "):
-            return LinkGeometry(
-                wavelength=self.number("geometry.wavelength_m"),
-                waist=self.number("geometry.w0_m"),
-                radial_index=self.integer("geometry.radial_index"),
-                distance=self.number("geometry.distance_m"),
-            )
+        return self._build(
+            LinkGeometry,
+            wavelength=("geometry.wavelength_m", self.number),
+            waist=("geometry.w0_m", self.number),
+            radial_index=("geometry.radial_index", self.integer),
+            distance=("geometry.distance_m", self.number),
+        )
 
     def receiver(self) -> ReceiverConfig:
-        with _config_errors("receiver: "):
-            return ReceiverConfig(
-                aperture_radius=self.number("receiver.aperture_radius_m"),
-                responsivity=self.number("receiver.responsivity_a_per_w"),
-                apd_gain=self.number("receiver.apd_gain"),
-                noise_level=self.number("receiver.noise_level"),
-                k_r=self.integer("receiver.k_r"),
-            )
+        return self._build(
+            ReceiverConfig,
+            aperture_radius=("receiver.aperture_radius_m", self.number),
+            responsivity=("receiver.responsivity_a_per_w", self.number),
+            apd_gain=("receiver.apd_gain", self.number),
+            noise_level=("receiver.noise_level", self.number),
+            k_r=("receiver.k_r", self.integer),
+        )
 
     def mode_set(self) -> ModeSet:
         orders = "be comma-separated integers"
@@ -247,13 +262,25 @@ class RunConfig:
             raise ConfigError(f"duplicate methods in {self.text('method')!r}")
         return parsed
 
-    def single_method(self) -> Method:
+    def averaged_methods(self) -> tuple[Method, ...]:
+        """Methods for a jitter-averaged command, which refuses exact2d: one
+        average needs hundreds of reference integrals (about 250 s)."""
         parsed = self.methods()
-        if len(parsed) != 1:
+        if Method.EXACT2D in parsed:
+            raise ConfigError(
+                "method exact2d takes minutes per jitter-averaged value; use "
+                "radial-sum, which keeps the azimuthal integral exact"
+            )
+        return parsed
+
+    def single_method(self) -> Method:
+        """The one method of a Monte Carlo, optimize or rank-modes run; like
+        every jitter-averaged command, these refuse exact2d."""
+        if len(self.methods()) != 1:
             raise ConfigError(
                 f"this command needs exactly one method, got {self.text('method')!r}"
             )
-        return parsed[0]
+        return self.averaged_methods()[0]
 
     def validate_pointing(self) -> None:
         if self.is_set("pointing.sigma_theta_rad") and self.is_set("pointing.r_ch_m"):
@@ -273,22 +300,18 @@ class RunConfig:
         quad_order = self.integer("quad.order")
         if not (16 <= quad_order <= 256):
             raise ConfigError(f"quad.order must be in [16, 256], got {quad_order}")
-        with _config_errors("pointing: "):
-            return Scenario(
-                geom=self.geometry(),
-                rx=self.receiver(),
-                modes=self.mode_set(),
-                sigma_theta=self.number("pointing.sigma_theta_rad"),
-                quad_order=quad_order,
-                seed=self.integer("mc.seed"),
-            )
+        geom, rx, modes = self.geometry(), self.receiver(), self.mode_set()
+        sigma_theta = self.number("pointing.sigma_theta_rad")
+        seed = self.integer("mc.seed")
+        with _config_errors(keys={"sigma_theta": "pointing.sigma_theta_rad"}):
+            return Scenario(geom, rx, modes, sigma_theta, quad_order, seed)
 
     def trial_config(self, method: Method) -> TrialConfig:
         """Monte Carlo settings for runs with one crosstalk method."""
         trials = self.integer("mc.trials")
         seed = self.integer("mc.seed")
         allow_degraded = self.flag("mc.allow_degraded")
-        with _config_errors("mc: "):
+        with _config_errors(keys={"trials": "mc.trials", "seed": "mc.seed"}):
             return TrialConfig(trials, seed, method, allow_degraded=allow_degraded)
 
     def output_path(self, command: str) -> str:
@@ -450,7 +473,7 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
 
 def cmd_ber_curve(cfg: RunConfig) -> _Output:
     scen = cfg.scenario()
-    methods = cfg.methods()
+    methods = cfg.averaged_methods()
     with _config_errors("sweep.axis: "):
         axis = SweepAxis.parse(cfg.text("sweep.axis"))
     grid = cfg.numbers("sweep.grid")

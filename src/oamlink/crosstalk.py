@@ -591,26 +591,23 @@ def _profile(
     if method is Method.ASYMPTOTIC and np.any(r <= 0):
         raise ValueError("asymptotic form requires a strictly positive offset radius")
 
-    alpha = geom.wavenumber * r / geom.curvature_at_rx
-
     # Radial factor: depends only on the filter order (through |ell_j|).
-    radial = {}
-    if method is Method.BESSEL_SUM:
-        nodes, weights = _sample_radii_and_weights(rx)
+    orders = sorted({abs(m) for m in modes.filter_modes})
+    if method is Method.ASYMPTOTIC:
+        common = geom.curvature_at_rx * rx.aperture_radius / (math.pi * geom.wavenumber * r)
+        radial = dict.fromkeys(orders, common)
     else:
-        rule = gauss_legendre(96, 0.0, rx.aperture_radius)
-        nodes, weights = rule.nodes, rule.weights
-    for ell_j in set(abs(m) for m in modes.filter_modes):
-        if method is Method.ASYMPTOTIC:
-            radial[ell_j] = (
-                geom.curvature_at_rx
-                * rx.aperture_radius
-                / (math.pi * geom.wavenumber * r)
-            )
+        if method is Method.BESSEL_SUM:
+            nodes, weights = _sample_radii_and_weights(rx)
         else:
-            x = alpha[:, np.newaxis] * nodes[np.newaxis, :]
-            j_sq = bessel_j(ell_j, x) ** 2
-            radial[ell_j] = j_sq @ (weights * nodes)
+            rule = gauss_legendre(96, 0.0, rx.aperture_radius)
+            nodes, weights = rule.nodes, rule.weights
+        alpha = geom.wavenumber * r / geom.curvature_at_rx
+        # One recurrence pass gives every order; each is squared and reduced
+        # to its weighted radial sum at once.
+        table = bessel_j(orders, alpha[:, np.newaxis] * nodes[np.newaxis, :])
+        weighted = weights * nodes
+        radial = {ell_j: np.square(j, out=j) @ weighted for ell_j, j in zip(orders, table)}
 
     # Envelope factor: depends only on the tx order (through |ell_n|).
     envelope = {}

@@ -2,8 +2,9 @@
 
 Everything here is a pure function of its arguments (safe to call from any
 number of workers). Associated Laguerre polynomials are evaluated by the
-explicit finite sum; Bessel functions and the Gaussian Q-function are backed
-by scipy.special behind the guard rails documented on each wrapper.
+explicit finite sum, and Bessel functions of the first kind by one
+recurrence pass that yields every requested order; the Gaussian Q-function
+is backed by scipy.special. Each carries the guard rails documented on it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ LAGUERRE_MAX_ORDER = 12
 
 BESSEL_MAX_ORDER = 64
 BESSEL_MAX_ARG = 1e6
+
+# Bessel orders are served in tiers, each by one recurrence pass that starts
+# above the tier's bound. The bound, not the requested orders, sets the
+# pass, so an order's value never depends on the other orders requested;
+# the low tier keeps the orders of the usual mode sets (|ell| <= 4) cheap.
+_ORDER_TIERS = (4, 16, BESSEL_MAX_ORDER)
+# Arguments per recurrence block: its six work arrays stay in the L2 cache,
+# and the block's largest argument sets its start index.
+_BLOCK = 8192
 
 
 def laguerre(p: int, alpha: int, x):
@@ -82,33 +92,146 @@ def laguerre(p: int, alpha: int, x):
     return result
 
 
-def bessel_j(n: int, x):
-    """Bessel function of the first kind J_n(x) for integer order.
+def bessel_j(n, x):
+    """Bessel function of the first kind J_n(x) for integer orders.
+
+    The requested orders of one tier of ``_ORDER_TIERS`` come out of one
+    recurrence pass over ``x`` (see ``_orders_in_tier``), so asking for
+    several orders at once costs little more than asking for one. The value
+    of each order does not depend on which other orders are requested.
 
     Parameters
     ----------
-    n : int
-        Order with |n| <= BESSEL_MAX_ORDER.
+    n : int or sequence of int
+        Order(s) with |n| <= BESSEL_MAX_ORDER; negative orders follow
+        J_{-n} = (-1)^n J_n.
     x : float or ndarray
-        Argument(s) with |x| <= BESSEL_MAX_ARG.
+        Argument(s) with |x| <= BESSEL_MAX_ARG; negative arguments follow
+        J_n(-x) = (-1)^n J_n(x), and x = 0 gives exact values.
 
     Returns
     -------
     float or ndarray
+        For one order, a float for scalar ``x`` and otherwise an array of
+        the shape of ``x``; for a sequence, an array of shape
+        ``(len(n), *x.shape)``.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"Bessel order must be an integer, got {n!r}")
-    if abs(n) > BESSEL_MAX_ORDER:
-        raise ValueError(f"Bessel order |{n}| exceeds guard {BESSEL_MAX_ORDER}")
+    single = np.ndim(n) == 0
+    orders = [n] if single else list(n)
+    for order in orders:
+        if not isinstance(order, (int, np.integer)):
+            raise ValueError(f"Bessel order must be an integer, got {order!r}")
+        if abs(order) > BESSEL_MAX_ORDER:
+            raise ValueError(f"Bessel order |{order}| exceeds guard {BESSEL_MAX_ORDER}")
+    orders = [int(order) for order in orders]
     x_arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x_arr)):
         raise ValueError("Bessel argument must be finite")
     if np.any(np.abs(x_arr) > BESSEL_MAX_ARG):
         raise ValueError(f"Bessel argument exceeds guard |x| <= {BESSEL_MAX_ARG:g}")
 
-    out = _sps.jv(n, x_arr)
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out)
+    flat = x_arr.ravel()
+    distinct = sorted({abs(order) for order in orders})
+    table = np.empty((len(distinct), flat.size))
+    low = 0
+    for bound in _ORDER_TIERS:
+        members = [i for i, order in enumerate(distinct) if low <= order <= bound]
+        if members:
+            tier = slice(members[0], members[-1] + 1)
+            _orders_in_tier(flat, distinct[tier], bound, table[tier])
+        low = bound + 1
+
+    if orders != distinct:
+        rows = [distinct.index(abs(order)) for order in orders]
+        signs = [-1.0 if order < 0 and order % 2 else 1.0 for order in orders]
+        table = table[rows] * np.array(signs)[:, np.newaxis]
+    out = table.reshape(len(orders), *x_arr.shape)
+    if single:
+        return float(out[0]) if x_arr.ndim == 0 else out[0]
+    return out
+
+
+def _orders_in_tier(x: np.ndarray, orders: list[int], bound: int, out: np.ndarray) -> None:
+    """J_n(x) for the non-negative ``orders`` <= ``bound``, into ``out`` rows.
+
+    Works through ``x`` in blocks. Within a block, arguments with
+    |x| <= bound take the backward recurrence and larger ones the forward
+    recurrence, which is stable there because n <= bound < |x|.
+    """
+    work = np.empty((6, min(_BLOCK, x.size)))
+    for start in range(0, x.size, _BLOCK):
+        xb = x[start: start + _BLOCK]
+        rows = out[:, start: start + xb.size]
+        small = np.abs(xb) <= bound
+        if small.all():
+            _backward(xb, orders, bound, rows, work)
+            continue
+        part = np.empty((len(orders), np.count_nonzero(small)))
+        _backward(xb[small], orders, bound, part, work)
+        rows[:, small] = part
+        rows[:, ~small] = _forward(xb[~small], orders)
+
+
+def _backward(
+    x: np.ndarray, orders: list[int], bound: int, out: np.ndarray, work: np.ndarray
+) -> None:
+    """Miller's backward recurrence (DLMF 3.6; Numerical Recipes 6.5).
+
+    Runs on v_k = J_k(x) (2/x)^k, for which the three-term recurrence reads
+    v_{k-1} = k v_k - (x^2/4) v_{k+1}: no division by x, no overflow for
+    |x| <= BESSEL_MAX_ORDER, and x = 0 gives exact values. The arbitrary
+    start v_{m+1} = 0, v_m = 1 is normalised by J_0 + 2 sum_j J_2j = 1,
+    summed by Horner's rule in z = x^2/4 as the recurrence descends. The
+    start index m depends only on the largest |x| and the tier bound, never
+    on the requested orders. ``work`` holds six buffers of at least x.size.
+    """
+    if x.size == 0:
+        return
+    want = {order: row for row, order in enumerate(orders)}
+    half, z, v, v_next, tmp, total = work[:, : x.size]
+    reach = float(np.max(np.abs(x)))
+    m = 2 * math.ceil((max(reach, bound) + 2.0 + 11.0 * reach ** (1.0 / 3.0)) / 2)
+    np.multiply(x, 0.5, out=half)
+    np.multiply(half, half, out=z)
+    v.fill(1.0)
+    v_next.fill(0.0)
+    total.fill(0.0)
+    for k in range(m, 0, -1):
+        if k in want:
+            out[want[k]] = v
+        if k % 2 == 0:
+            total *= z
+            total += v
+        np.multiply(v_next, z, out=tmp)
+        np.multiply(v, k, out=v_next)
+        v_next -= tmp
+        v, v_next = v_next, v
+    # S = v_0 + 2 z total; then J_k = v_k (x/2)^k / S.
+    total *= z
+    total *= 2.0
+    total += v
+    if 0 in want:
+        np.divide(v, total, out=out[want[0]])  # exactly 1 at x = 0
+    np.divide(1.0, total, out=tmp)
+    for k in range(1, max(orders) + 1):
+        tmp *= half
+        if k in want:
+            out[want[k]] *= tmp
+
+
+def _forward(x: np.ndarray, orders: list[int]) -> np.ndarray:
+    """Forward recurrence from scipy's J_0 and J_1, one row per order."""
+    out = np.empty((len(orders), x.size))
+    want = {order: row for row, order in enumerate(orders)}
+    prev, cur = _sps.j0(x), _sps.j1(x)
+    for k, values in ((0, prev), (1, cur)):
+        if k in want:
+            out[want[k]] = values
+    two_over_x = 2.0 / x
+    for k in range(1, max(orders)):
+        prev, cur = cur, k * two_over_x * cur - prev
+        if k + 1 in want:
+            out[want[k + 1]] = cur
     return out
 
 

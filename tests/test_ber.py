@@ -307,16 +307,21 @@ class TestAverageBer:
         assert result.quad_converged
 
     def test_grouped_average_is_bit_stable(self):
-        # Frozen from the loop that mixed modes into streams before the
-        # stream matrix existed. A BLAS matmul in place of the einsum that
-        # applies the matrix moves the stream vectors by about 1e-19, which
-        # shifts the 20 urad average in its last digits.
+        # Frozen from the one-pass Bessel recurrence. A BLAS matmul in place
+        # of the einsum that applies the stream matrix moves the stream
+        # vectors by about 1e-19, which shifts the 20 urad average in its
+        # last digits. ``before`` is the value frozen from per-order scipy
+        # Bessel calls, which the recurrence must stay within 1e-12 of.
         geom, rx = default_geom(), default_rx()
         modes = ModeSet(tx_modes=(-4, -2, 1, 3), stream_grouping=((-4, -2), (1, 3)))
-        for sigma, frozen in ((3.0e-5, "0.06337909537581757"), (2.0e-5, "0.0015061308287290154")):
+        for sigma, frozen, before in (
+            (3.0e-5, "0.06337909537581757", "0.06337909537581757"),
+            (2.0e-5, "0.001506130828729055", "0.0015061308287290154"),
+        ):
             stats = PointingStats(sigma_theta=sigma, distance=geom.distance)
             result = average_ber(geom, rx, modes, stats, Method.BESSEL_SUM, quad_order=64)
             assert repr(result.averaged) == frozen, sigma
+            assert result.averaged == pytest.approx(float(before), rel=1e-12, abs=0.0), sigma
 
     def test_parameter_snapshot(self):
         geom, rx = default_geom(), default_rx()

@@ -240,6 +240,14 @@ class TestMainErrors:
              "receiver.tx_power_w"),
             (["ber-curve", "--grid", "0.02", "-s", "receiver.noise_level=inf"], None,
              "noise_level"),
+            (["ber-curve", "--grid", "0.02", "-s", "receiver.noise_level=inf"], None,
+             "receiver.noise_level"),
+            (["ber-curve", "--grid", "0.02", "-s", "geometry.w0_m=-1"], None, "geometry.w0_m"),
+            (["ber-curve", "--grid", "0.02", "-s", "pointing.sigma_theta_rad=-1"], None,
+             "pointing.sigma_theta_rad"),
+            (["ber-curve", "--grid", "0.02", "-s", "geometry.distance_m=0"], None,
+             "geometry.distance_m"),
+            (["ber-curve", "--grid", "0.02", "-s", "receiver.k_r=1"], None, "receiver.k_r"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):
@@ -249,6 +257,22 @@ class TestMainErrors:
         assert main(args + ["-o", str(tmp_path / "o.csv")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ber-curve", "--grid", "0.02", "--method", "bessel-sum,exact2d"],
+            ["monte-carlo", "--method", "exact2d"],
+            ["optimize", "--method", "exact2d"],
+            ["rank-modes", "--method", "exact2d"],
+        ],
+    )
+    def test_exact2d_refused_for_jitter_averaged_commands(self, args, tmp_path, capsys):
+        # One exact2d average takes minutes; the refusal comes before any.
+        assert main(args + ["-o", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: method exact2d" in err and "radial-sum" in err
         assert not (tmp_path / "o.csv").exists()
 
     def test_version(self, capsys):

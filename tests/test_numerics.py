@@ -1,8 +1,8 @@
 """Special-function and quadrature primitives against independent references.
 
-The Laguerre evaluator is hand-rolled, so it is checked against scipy and a
-recurrence; the Bessel and Q wrappers delegate to scipy, so they are checked
-against a plain series sum and a direct density integral instead.
+The Laguerre and Bessel evaluators are hand-rolled, so they are checked
+against scipy (and a recurrence or a plain series sum); the Q wrapper
+delegates to scipy, so it is checked against a direct density integral.
 """
 
 import math
@@ -113,6 +113,61 @@ class TestBessel:
         x = np.linspace(0.0, 20.0, 41)
         for n in (1, 2, 3, 7):
             assert np.allclose(bessel_j(-n, x), (-1.0) ** n * bessel_j(n, x))
+
+    def test_against_scipy(self):
+        orders = list(range(-16, 17))
+        zeros = sps.jn_zeros(0, 25)
+        x = np.concatenate(
+            [np.linspace(0.0, 80.0, 8001), zeros, zeros * (1 + 1e-12), zeros * (1 - 1e-9)]
+        )
+        ref = np.array([sps.jv(n, x) for n in orders])
+        assert np.max(np.abs(bessel_j(orders, x) - ref)) <= 1e-14
+
+    def test_relative_accuracy_below_turning_point(self):
+        # Where 0 < x < |n| the values are tiny, so absolute error says
+        # nothing; the recurrence must keep their leading digits.
+        orders = list(range(-16, 17))
+        x = np.concatenate([[1e-12], np.geomspace(1e-12, 16.0, 2001)])
+        ref = np.array([sps.jv(n, x) for n in orders])
+        below = x[np.newaxis, :] < np.abs(np.array(orders))[:, np.newaxis]
+        rel = np.abs(bessel_j(orders, x) - ref)[below] / np.abs(ref[below])
+        assert rel.max() <= 1e-12
+
+    def test_large_arguments(self):
+        # Above the recurrence's order bound the values come from a forward
+        # recurrence on scipy's J_0 and J_1, whose phase reduction limits
+        # the absolute error to about 2e-14 at x = 1e6.
+        x = np.array([65.0, -100.0, 1234.5, 98765.4321, -5.5e5, BESSEL_MAX_ARG])
+        for n in (0, 1, -2, 16, BESSEL_MAX_ORDER):
+            assert np.allclose(bessel_j(n, x), sps.jv(n, x), rtol=0.0, atol=1e-13), n
+
+    def test_sequence_matches_single_orders(self):
+        rng = np.random.default_rng(9)
+        x = rng.rayleigh(6.0, size=(300, 7)) * rng.choice([-1.0, 1.0], size=(300, 7))
+        orders = [3, -2, 0, 64, -17, 3, 16]
+        table = bessel_j(orders, x)
+        assert table.shape == (len(orders), *x.shape)
+        for row, n in zip(table, orders):
+            assert np.array_equal(row, bessel_j(n, x)), n
+        for bad in ([1, BESSEL_MAX_ORDER + 1], [1, 0.5]):
+            with pytest.raises(ValueError):
+                bessel_j(bad, x)
+
+    def test_values_do_not_depend_on_other_orders(self):
+        rng = np.random.default_rng(10)
+        x = np.concatenate([rng.rayleigh(4.0, 20000), [0.0, 1e-12, 16.0, 16.5, 70.0]])
+        for n in (0, 1, 2, 7, 16, 40):
+            alone = bessel_j([n], x)[0]
+            for others in ([n + 1], [0, 1, 2, 3, 4], [BESSEL_MAX_ORDER, 16], list(range(17))):
+                together = bessel_j(others + [n], x)[-1]
+                assert np.array_equal(together, alone), (n, others)
+
+    def test_exact_at_zero_and_parity_in_x(self):
+        assert bessel_j(0, 0.0) == 1.0
+        assert np.array_equal(bessel_j([0, 1, -2, 16, 64], 0.0), [1.0, 0.0, 0.0, 0.0, 0.0])
+        x = np.linspace(0.1, 30.0, 59)
+        for n in (0, 1, 2, 5):
+            assert np.allclose(bessel_j(n, -x), (-1.0) ** n * bessel_j(n, x), rtol=1e-15, atol=0)
 
     def test_guards(self):
         with pytest.raises(ValueError):
