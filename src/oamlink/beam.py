@@ -274,33 +274,13 @@ def shifted_aperture_field(
     from the quadrant-correct two-argument arctangent so the field stays
     continuous in phi'. Evaluated at the link distance.
     """
-    if abs(ell) > MAX_AZIMUTHAL_ORDER:
-        raise ValueError(f"azimuthal order |{ell}| exceeds guard {MAX_AZIMUTHAL_ORDER}")
     r_arr = np.asarray(r_prime, dtype=float)
     if np.any(r_arr < 0):
         raise ValueError("radial coordinate must be >= 0")
     phi_arr = np.asarray(phi_prime, dtype=float)
-
-    z = geom.distance
-    w = beam_radius(geom, z)
-    curvature = curvature_radius(geom, z)
-    psi = gouy_phase(geom, ell, z)
-    k = geom.wavenumber
-
     x = r_arr * np.cos(phi_arr) + pointing.x_ch
     y = r_arr * np.sin(phi_arr) + pointing.y_ch
-    rho_sq = x**2 + y**2
-
-    t = 2.0 * rho_sq / w**2
-    amplitude = (
-        _lg_radial_norm(geom, ell)
-        / w
-        * np.sqrt(t) ** abs(ell)
-        * laguerre(geom.radial_index, abs(ell), t)
-        * np.exp(-rho_sq / w**2)
-    )
-    phase = -ell * np.arctan2(y, x) - k * rho_sq / (2.0 * curvature) + psi
-    out = amplitude * np.exp(1j * phase)
+    out = lg_field(geom, ell, np.hypot(x, y), np.arctan2(y, x), geom.distance)
     if np.isscalar(r_prime) and np.isscalar(phi_prime):
         return complex(out)
     return out

@@ -246,14 +246,23 @@ class RunConfig:
             flt = self._parsed("modes.filter", _mode_list, orders)
         if self.is_set("modes.grouping"):
             grouping = self._parsed("modes.grouping", _mode_groups, "look like '-4,-2|1,3'")
-        with _config_errors("modes: "):
-            return ModeSet(tx, flt, grouping)
+        # Each key's value is checked on top of the ones before it.
+        for key, args in (("modes.tx", (tx,)), ("modes.filter", (tx, flt)),
+                          ("modes.grouping", (tx, flt, grouping))):
+            with _config_errors(f"{key}: "):
+                modes = ModeSet(*args)
+        return modes
 
     def candidates(self) -> tuple[ModeSet, ...]:
         raw = self.text("modes.candidates")
         if not raw:
             return ()
-        return tuple(parse_mode_set_spec(part) for part in raw.split(";"))
+        with _config_errors("modes.candidates: "):
+            sets = tuple(parse_mode_set_spec(part) for part in raw.split(";"))
+        labels = [mode_set_label(m) for m in sets]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"modes.candidates lists a mode set twice: {raw!r}")
+        return sets
 
     def methods(self) -> tuple[Method, ...]:
         with _config_errors():
@@ -437,7 +446,9 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
             "pointing.r_ch_m for a single point"
         )
     if not all(0.0 <= r < math.inf for r in radii):
-        raise ConfigError(f"offset radii must be finite and >= 0, got {radii}")
+        raise ConfigError(
+            f"offset radii (sweep.grid or pointing.r_ch_m) must be finite and >= 0, got {radii}"
+        )
 
     # Evaluate one matrix per (radius, method), then emit rows with the
     # method innermost so the per-pair method comparison sits on adjacent
@@ -564,10 +575,13 @@ def cmd_montecarlo(cfg: RunConfig) -> _Output:
 def cmd_optimize(cfg: RunConfig) -> _Output:
     scen = cfg.scenario()
     method = cfg.single_method()
-    bounds = (cfg.number("optimize.lo_m"), cfg.number("optimize.hi_m"))
+    lo, hi = cfg.number("optimize.lo_m"), cfg.number("optimize.hi_m")
     tol = cfg.number("optimize.tol_m")
-    with _config_errors("optimize: "):
-        result = optimize_w0(scen, bounds, tol, method)
+    if not (0 < lo < hi < math.inf):
+        raise ConfigError(f"need 0 < optimize.lo_m < optimize.hi_m < inf, got {lo}, {hi}")
+    if not (0 < tol < hi - lo):
+        raise ConfigError(f"optimize.tol_m must be in (0, {hi - lo:g}), got {tol}")
+    result = optimize_w0(scen, (lo, hi), tol, method)
     (b_lo, b_mid, b_hi) = result.bracket
     boundary = str(result.boundary).lower()
     # Floats print in their shortest round-trip form, as in the CSVs.
@@ -601,8 +615,7 @@ def cmd_rank_modes(cfg: RunConfig) -> _Output:
     candidates = cfg.candidates()
     if not candidates:
         raise ConfigError("rank-modes needs modes.candidates, e.g. '-2|1;-2|2'")
-    with _config_errors("rank-modes: "):
-        ranking = rank_mode_sets(candidates, scen, method)
+    ranking = rank_mode_sets(candidates, scen, method)
     rows = [
         (
             r.rank,
@@ -638,18 +651,23 @@ def cmd_bench(cfg: RunConfig) -> _Output:
     n_points = cfg.integer("bench.grid_points")
     repetitions = cfg.integer("bench.repetitions")
     mc_trials = cfg.integer("bench.mc_trials")
-    if not (0 < r_min < r_max):
-        raise ConfigError(f"need 0 < bench.r_min_m < bench.r_max_m, got {r_min}, {r_max}")
+    if not (0 < r_min < r_max < math.inf):
+        raise ConfigError(
+            f"need 0 < bench.r_min_m < bench.r_max_m < inf, got {r_min}, {r_max}"
+        )
     if n_points < 1:
         raise ConfigError(f"bench.grid_points must be >= 1, got {n_points}")
+    if repetitions < 3:
+        raise ConfigError(f"bench.repetitions must be >= 3, got {repetitions}")
+    with _config_errors(keys={"trials": "bench.mc_trials", "seed": "mc.seed"}):
+        TrialConfig(mc_trials, scen.seed)
 
     # Shared grid: radii evenly spaced, mode pairs cycling through the
     # full tx-by-filter product so off-diagonal costs are represented.
     pairs = [(ell_n, ell_j) for ell_j in scen.modes.filter_modes for ell_n in scen.modes.tx_modes]
     step = (r_max - r_min) / (n_points - 1) if n_points > 1 else 0.0
     grid = [(r_min + i * step, pairs[i % len(pairs)]) for i in range(n_points)]
-    with _config_errors("bench: "):
-        report = bench_methods(scen, grid, repetitions, methods, mc_trials)
+    report = bench_methods(scen, grid, repetitions, methods, mc_trials)
 
     # Wall times vary run to run, so they go to the manifest and stdout;
     # the CSV records only what was benchmarked, keeping reruns
@@ -777,14 +795,18 @@ def run_command(command: str, cfg: RunConfig) -> int:
     """Run one command and write what it returns: the output file, its
     manifest sidecar and one summary line on stdout.
 
-    A Monte Carlo run with too many degraded draws exits 3 with no file.
+    A failed evaluation exits 3 with no file: a Monte Carlo run with too
+    many degraded draws, or numbers out of range for the numerics (a
+    configuration error is not one of these).
     """
     path = cfg.output_path(command)
     start = time.perf_counter()
     try:
         out = _COMMANDS[command][0](cfg)
-    except DegradedChannelError as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
+    except ConfigError:
+        raise
+    except (DegradedChannelError, ValueError, ArithmeticError) as exc:
+        print(f"{command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
     wall = time.perf_counter() - start
     if isinstance(out.body, str):

@@ -37,7 +37,7 @@ from oamlink.beam import (
     ModeSet,
     PointingState,
     lg_field,
-    shifted_aperture_field,
+    shifted_aperture_field,  # noqa: F401  benchmarks/spans.py traces crosstalk.shifted_aperture_field
 )
 from oamlink.numerics import bessel_j, gauss_legendre, laguerre
 
@@ -139,7 +139,7 @@ class ReceiverConfig:
 class ExactEvaluation:
     """Reference-integral result with its convergence audit trail."""
 
-    value: float
+    value: float | np.ndarray
     converged: bool
     rel_change: float
     phi_points: int
@@ -275,48 +275,71 @@ def _sample_radii_and_weights(rx: ReceiverConfig) -> tuple[np.ndarray, np.ndarra
     return nodes, weights
 
 
-def _azimuthal_projection(
+def _ring_powers(
     geom: LinkGeometry,
-    ell_n: int,
-    ell_j: int,
-    pointing: PointingState,
-    radial_nodes: np.ndarray,
+    tx_modes,
+    filter_modes,
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    x_ch,
+    y_ch,
     phi_points: int,
 ) -> np.ndarray:
-    """Integral over phi' of the shifted field times e^{i ell_j phi'}.
+    """The one azimuthal projection of the displaced beam behind exact2d,
+    radial-sum and ``filter_spectrum``.
 
-    Returns one complex value per radial node, computed with the equal-weight
-    periodic rule on phi_points samples.
+    On each ring r' = nodes[k] of the aperture the displaced field of every
+    tx mode is sampled at phi_points equally spaced angles and projected on
+    every filter harmonic by one FFT; ``|projection|^2`` is then summed over
+    the rings with weights*nodes. ``x_ch`` and ``y_ch`` are offsets, scalars
+    or one per batch entry. Returns shape (batch, n_filter, n_tx), without
+    the gain and stream-count normalization.
     """
     phi = 2.0 * np.pi * np.arange(phi_points) / phi_points
-    grid_r, grid_phi = np.meshgrid(radial_nodes, phi, indexing="ij")
-    u = shifted_aperture_field(geom, ell_n, grid_r, grid_phi, pointing)
-    kernel = np.exp(1j * ell_j * phi)
-    return (2.0 * np.pi / phi_points) * (u * kernel[np.newaxis, :]).sum(axis=1)
+    ring = nodes[:, np.newaxis]
+    x = ring * np.cos(phi) + np.reshape(x_ch, (-1, 1, 1))
+    y = ring * np.sin(phi) + np.reshape(y_ch, (-1, 1, 1))
+    rho = np.hypot(x, y)
+    angle = np.arctan2(y, x)
+    weighted = weights * nodes
+    out = np.empty((rho.shape[0], len(filter_modes), len(tx_modes)))
+    for i, ell_n in enumerate(tx_modes):
+        # ifft index m holds (1/n) sum_k u_k e^{+i m phi_k}
+        proj = 2.0 * np.pi * np.fft.ifft(lg_field(geom, ell_n, rho, angle, geom.distance), axis=2)
+        for j, ell_j in enumerate(filter_modes):
+            out[:, j, i] = np.abs(proj[:, :, ell_j % phi_points]) ** 2 @ weighted
+    return out
 
 
-def _exact_once(
+def _reference_grid(
     geom: LinkGeometry,
     rx: ReceiverConfig,
     n_m: int,
-    ell_n: int,
-    ell_j: int,
+    tx_modes,
+    filter_modes,
     pointing: PointingState,
     phi_points: int,
     radial_order: int,
-) -> float:
+) -> np.ndarray:
+    """Reference coefficients, shape (n_filter, n_tx), on one grid: a
+    Gauss-Legendre rule of ``radial_order`` nodes over the aperture radius
+    times ``phi_points`` equally spaced angles."""
     rule = gauss_legendre(radial_order, 0.0, rx.aperture_radius)
-    proj = _azimuthal_projection(geom, ell_n, ell_j, pointing, rule.nodes, phi_points)
-    radial_integral = float(np.dot(rule.weights * rule.nodes, np.abs(proj) ** 2))
-    return rx.gain / (2.0 * math.pi * n_m**2) * radial_integral
+    powers = _ring_powers(
+        geom, tx_modes, filter_modes, rule.nodes, rule.weights,
+        pointing.x_ch, pointing.y_ch, phi_points,
+    )
+    return rx.gain / (2.0 * math.pi * n_m**2) * powers[0]
 
 
-def _validate_pair(n_m: int, ell_n: int, ell_j: int) -> None:
+def _validate_pair(n_m: int, ell_n, ell_j) -> None:
+    """Checks the stream count and every order of one or a sequence of them."""
     if not isinstance(n_m, (int, np.integer)) or n_m < 1:
         raise ValueError(f"n_m must be a positive integer, got {n_m!r}")
-    for ell in (ell_n, ell_j):
-        if not isinstance(ell, (int, np.integer)):
-            raise ValueError(f"mode order must be an integer, got {ell!r}")
+    for orders in (ell_n, ell_j):
+        for ell in np.atleast_1d(np.asarray(orders, dtype=object)):
+            if not isinstance(ell, (int, np.integer)):
+                raise ValueError(f"mode order must be an integer, got {ell!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +349,8 @@ def crosstalk_exact_detailed(
     geom: LinkGeometry,
     rx: ReceiverConfig,
     n_m: int,
-    ell_n: int,
-    ell_j: int,
+    ell_n,
+    ell_j,
     pointing: PointingState,
     *,
     phi_points: int = 512,
@@ -336,27 +359,35 @@ def crosstalk_exact_detailed(
 ) -> ExactEvaluation:
     """Reference 2D-integral crosstalk with an explicit convergence record.
 
-    Evaluates on the requested grid and on a doubled grid; if the two differ
-    by more than ``rel_tol`` the grid is doubled once more (radial order is
-    capped at 512). The refined value is returned together with the relative
-    change of the last doubling.
+    ``ell_n`` and ``ell_j`` are one order or a sequence each; the value has
+    shape ``(len(ell_j), len(ell_n))``, without the axis of a single order,
+    and is a float for one pair. Every pair is evaluated on the requested
+    grid and on a doubled grid; pairs that differ by more than ``rel_tol``
+    take one more doubling (radial order is capped at 512). Each pair keeps
+    the value of the first doubling that settled it, so a pair's value does
+    not depend on the other pairs. The record reports the finest grid used
+    and the largest relative change among the pairs' last doublings.
     """
     _validate_pair(n_m, ell_n, ell_j)
-    value = _exact_once(geom, rx, n_m, ell_n, ell_j, pointing, phi_points, radial_order)
+    tx, flt = np.atleast_1d(ell_n), np.atleast_1d(ell_j)
     n_phi, n_rad = phi_points, radial_order
-    rel_change = math.inf
+    value = _reference_grid(geom, rx, n_m, tx, flt, pointing, n_phi, n_rad)
+    rel_change = np.full(value.shape, math.inf)
     while True:
-        next_phi, next_rad = 2 * n_phi, min(2 * n_rad, 512)
-        refined = _exact_once(geom, rx, n_m, ell_n, ell_j, pointing, next_phi, next_rad)
-        scale = max(abs(value), abs(refined))
-        rel_change = 0.0 if scale == 0.0 else abs(refined - value) / scale
-        value, n_phi, n_rad = refined, next_phi, next_rad
-        if rel_change <= rel_tol or n_rad >= 512:
+        unsettled = rel_change > rel_tol
+        n_phi, n_rad = 2 * n_phi, min(2 * n_rad, 512)
+        refined = _reference_grid(geom, rx, n_m, tx, flt, pointing, n_phi, n_rad)
+        size = np.maximum(np.abs(value), np.abs(refined))
+        change = np.abs(refined - value) / np.where(size == 0.0, 1.0, size)
+        rel_change = np.where(unsettled, change, rel_change)
+        value = np.where(unsettled, refined, value)
+        if np.all(rel_change <= rel_tol) or n_rad >= 512:
             break
+    value = value.reshape(np.shape(ell_j) + np.shape(ell_n))
     return ExactEvaluation(
-        value=value,
-        converged=rel_change <= rel_tol,
-        rel_change=rel_change,
+        value=float(value) if value.ndim == 0 else value,
+        converged=bool(np.all(rel_change <= rel_tol)),
+        rel_change=float(rel_change.max()),
         phi_points=n_phi,
         radial_order=n_rad,
     )
@@ -366,17 +397,18 @@ def crosstalk_exact(
     geom: LinkGeometry,
     rx: ReceiverConfig,
     n_m: int,
-    ell_n: int,
-    ell_j: int,
+    ell_n,
+    ell_j,
     pointing: PointingState,
     *,
     phi_points: int = 512,
     radial_order: int = 128,
-) -> float:
+):
     """Reference 2D-integral crosstalk coefficient, watts per unit modulation.
 
-    Warns with ``QuadratureConvergenceWarning`` if grid doubling still moves
-    the result by more than 0.1%.
+    Takes the orders as ``crosstalk_exact_detailed`` does. Warns once with
+    ``QuadratureConvergenceWarning`` if grid doubling still moves a value
+    by more than 0.1%, quoting the largest change.
     """
     result = crosstalk_exact_detailed(
         geom, rx, n_m, ell_n, ell_j, pointing,
@@ -390,21 +422,6 @@ def crosstalk_exact(
             stacklevel=2,
         )
     return result.value
-
-
-def _exact_grid(
-    geom: LinkGeometry,
-    rx: ReceiverConfig,
-    modes: ModeSet,
-    n_m: int,
-    pointing: PointingState,
-) -> np.ndarray:
-    """Reference coefficients for every (filter, tx) pair at one pointing."""
-    values = np.empty((modes.n_filter, modes.n_tx))
-    for j, ell_j in enumerate(modes.filter_modes):
-        for i, ell_n in enumerate(modes.tx_modes):
-            values[j, i] = crosstalk_exact(geom, rx, n_m, ell_n, ell_j, pointing)
-    return values
 
 
 def _coefficient_grid(
@@ -422,7 +439,7 @@ def _coefficient_grid(
     validity floor of the Bessel-integral and Bessel-sum forms.
     """
     if method is Method.EXACT2D:
-        return _exact_grid(geom, rx, modes, n_m, pointing)
+        return crosstalk_exact(geom, rx, n_m, modes.tx_modes, modes.filter_modes, pointing)
     r_ch = pointing.r_ch
     if method in (Method.BESSEL_INTEGRAL, Method.BESSEL_SUM) and r_ch < SMALL_OFFSET_FLOOR:
         warnings.warn(
@@ -491,11 +508,10 @@ def filter_spectrum(
 ) -> list[tuple[int, float]]:
     """Reference crosstalk across a whole range of filter orders at once.
 
-    Evaluates the same integral as the reference evaluator but projects all
-    requested azimuthal orders from a single field grid (an FFT over the
-    azimuthal samples). A doubled grid guards convergence; if any order
-    moves by more than ``rel_tol`` a ``QuadratureConvergenceWarning`` is
-    emitted.
+    Evaluates the same integral as the reference evaluator, every requested
+    order projected from one field grid. A doubled grid guards convergence;
+    if any order moves by more than ``rel_tol`` of the largest value a
+    ``QuadratureConvergenceWarning`` is emitted.
     """
     lo, hi = int(ell_j_range[0]), int(ell_j_range[1])
     if lo > hi:
@@ -505,26 +521,10 @@ def filter_spectrum(
     _validate_pair(n_m, ell_n, 0)
     orders = list(range(lo, hi + 1))
 
-    def spectrum_on(n_phi: int, n_rad: int) -> np.ndarray:
-        rule = gauss_legendre(n_rad, 0.0, rx.aperture_radius)
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        grid_r, grid_phi = np.meshgrid(rule.nodes, phi, indexing="ij")
-        u = shifted_aperture_field(geom, ell_n, grid_r, grid_phi, pointing)
-        # ifft index m holds (1/n) sum_k u_k e^{+i m phi_k}
-        proj = 2.0 * np.pi * np.fft.ifft(u, axis=1)
-        radial_weight = rule.weights * rule.nodes
-        out = np.empty(len(orders))
-        for idx, ell in enumerate(orders):
-            column = proj[:, ell % n_phi]
-            out[idx] = (
-                rx.gain
-                / (2.0 * math.pi * n_m**2)
-                * float(np.dot(radial_weight, np.abs(column) ** 2))
-            )
-        return out
-
-    coarse = spectrum_on(phi_points, radial_order)
-    fine = spectrum_on(2 * phi_points, min(2 * radial_order, 512))
+    coarse = _reference_grid(geom, rx, n_m, [ell_n], orders, pointing, phi_points, radial_order)
+    fine = _reference_grid(
+        geom, rx, n_m, [ell_n], orders, pointing, 2 * phi_points, min(2 * radial_order, 512)
+    )
     scale = max(fine.max(), coarse.max(), np.finfo(float).tiny)
     worst = float(np.max(np.abs(fine - coarse)) / scale)
     if worst > rel_tol:
@@ -534,7 +534,7 @@ def filter_spectrum(
             QuadratureConvergenceWarning,
             stacklevel=2,
         )
-    return list(zip(orders, fine.tolist()))
+    return list(zip(orders, fine[:, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +577,11 @@ def _profile(
     out = np.empty((r.size, modes.n_filter, modes.n_tx))
 
     if method is Method.EXACT2D:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", QuadratureConvergenceWarning)
-            for idx, radius in enumerate(r):
-                point = PointingState(float(radius), 0.0)
-                out[idx] = _exact_grid(geom, rx, modes, n_m, point)
+        for idx, radius in enumerate(r):
+            out[idx] = crosstalk_exact_detailed(
+                geom, rx, n_m, modes.tx_modes, modes.filter_modes,
+                PointingState(float(radius), 0.0),
+            ).value
         return out
 
     if method is Method.RADIAL_SUM:
@@ -634,31 +634,19 @@ def _radial_sum_profile(
     """Batched radial-sum coefficients, written into ``out`` in place.
 
     Keeps the azimuthal integral exact and samples the radial one at the
-    k_r radii r_a*k/k_r with Simpson-type weights. The shifted field is
-    evaluated once per tx mode on a (batch, k_r, phi) grid and every filter
-    order is projected from it by FFT over the azimuthal samples. Batches
-    are sliced to bound the grid memory.
+    k_r radii r_a*k/k_r with Simpson-type weights, on the projection
+    kernel of the reference integral. Batches are sliced to bound the grid
+    memory.
     """
     nodes, weights = _sample_radii_and_weights(rx)
-    phi = 2.0 * np.pi * np.arange(phi_points) / phi_points
-    cos_phi = np.cos(phi)[np.newaxis, np.newaxis, :]
-    sin_phi = np.sin(phi)[np.newaxis, np.newaxis, :]
-    radial_weight = weights * nodes
     scale = rx.gain / (2.0 * math.pi * n_m**2)
+    # A centred mode holds only its own azimuthal harmonic, so the
+    # off-diagonals at r = 0 are exact zeros where the FFT leaves round-off.
+    leaks = np.not_equal.outer(modes.filter_modes, modes.tx_modes)
     for start in range(0, r_ch.size, slice_size):
-        stop = min(start + slice_size, r_ch.size)
-        batch = r_ch[start:stop]
-        x = nodes[np.newaxis, :, np.newaxis] * cos_phi + batch[:, np.newaxis, np.newaxis]
-        y = nodes[np.newaxis, :, np.newaxis] * sin_phi
-        rho = np.hypot(x, y)
-        angle = np.arctan2(y, x)
-        for i, ell_n in enumerate(modes.tx_modes):
-            u = lg_field(geom, ell_n, rho, angle, geom.distance)
-            proj = 2.0 * np.pi * np.fft.ifft(u, axis=2)
-            for j, ell_j in enumerate(modes.filter_modes):
-                column = proj[:, :, ell_j % phi_points]
-                out[start:stop, j, i] = scale * (np.abs(column) ** 2 @ radial_weight)
-                if ell_j != ell_n:
-                    # A centred mode holds only its own azimuthal harmonic, so
-                    # these are exact zeros where the FFT leaves round-off.
-                    out[start:stop, j, i][batch == 0.0] = 0.0
+        batch = r_ch[start : start + slice_size]
+        powers = _ring_powers(
+            geom, modes.tx_modes, modes.filter_modes, nodes, weights, batch, 0.0, phi_points
+        )
+        out[start : start + batch.size] = scale * powers
+        out[start : start + batch.size][(batch == 0.0)[:, None, None] & leaks] = 0.0

@@ -33,6 +33,7 @@ from oamlink.crosstalk import (
 
 __all__ = [
     "CHUNK_SIZE",
+    "MAX_TRIALS",
     "WORKERS_ENV_VAR",
     "DegradedChannelError",
     "TrialConfig",
@@ -43,6 +44,10 @@ __all__ = [
 
 # Trials per RNG chunk; also the unit of work handed to a thread.
 CHUNK_SIZE = 1 << 16
+
+# Ceiling on one run: about 17 minutes at roughly a million trials per
+# second, so a mistyped count is refused instead of running for days.
+MAX_TRIALS = 10**9
 
 WORKERS_ENV_VAR = "OAMLINK_WORKERS"
 
@@ -80,8 +85,10 @@ class TrialConfig:
     allow_degraded: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1000:
-            raise ValueError(f"trials must be an integer >= 1000, got {self.trials!r}")
+        if not isinstance(self.trials, (int, np.integer)) or not (1000 <= self.trials <= MAX_TRIALS):
+            raise ValueError(
+                f"trials must be an integer in [1000, {MAX_TRIALS}], got {self.trials!r}"
+            )
         if not isinstance(self.seed, (int, np.integer)) or not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "crosstalk_method", Method.parse(self.crosstalk_method))

@@ -10,6 +10,8 @@ import csv
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oamlink.cli import (
     DEFAULTS,
@@ -248,6 +250,17 @@ class TestMainErrors:
             (["ber-curve", "--grid", "0.02", "-s", "geometry.distance_m=0"], None,
              "geometry.distance_m"),
             (["ber-curve", "--grid", "0.02", "-s", "receiver.k_r=1"], None, "receiver.k_r"),
+            (["bench", "-s", "bench.mc_trials=10"], None, "bench.mc_trials"),
+            (["bench", "-s", "bench.mc_trials=1000000000000"], None, "bench.mc_trials"),
+            (["bench", "-s", "bench.r_max_m=inf"], None, "bench.r_max_m"),
+            (["bench", "--seed=-1"], None, "mc.seed"),
+            (["bench", "-s", "bench.r_min_m=nan"], None, "bench.r_min_m"),
+            (["crosstalk-curve", "--grid", "nan"], None, "sweep.grid"),
+            (["rank-modes", "--candidates=;"], None, "modes.candidates"),
+            (["rank-modes", "--candidates=-2|1;1,x"], None, "modes.candidates"),
+            (["monte-carlo", "--trials", "1000000000000"], None, "mc.trials"),
+            (["ber-curve", "--monte-carlo", "--trials", "1000000000000", "--grid", "0.02"], None,
+             "mc.trials"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):
@@ -641,3 +654,52 @@ class TestBenchCommand:
     def test_bad_bench_range(self, tmp_path):
         args = ["bench", "-o", str(tmp_path / "b.csv"), "-s", "bench.r_min_m=30"]
         assert main(args) == EXIT_CONFIG
+
+
+# Values no key may take without a clean exit: non-finite, negative, zero,
+# empty, huge, malformed numbers and malformed or out-of-guard mode specs.
+HOSTILE_VALUES = [
+    "nan", "inf", "-inf", "-1", "-0.5", "0", "", "0.5", "1e308", "1000000000000",
+    "abc", "1,,2", "|", ";", "-2|", "-2|1|", "1;2", "1,1", "17", "-2|1;-2|1",
+]
+# Small settings under every run, so whatever is accepted ends in well under
+# a second; the bench sizes are never overridden.
+TINY = {"quad.order": "16", "mc.trials": "1000", "modes.candidates": "-2|1;-1|1",
+        "bench.r_min_m": "5", "bench.r_max_m": "10"}
+BENCH_SIZES = {"bench.grid_points": "2", "bench.repetitions": "3", "bench.mc_trials": "1000"}
+GRIDS = {"crosstalk-curve": "5", "ber-curve": "0.02"}
+COMMANDS = ["crosstalk-curve", "ber-curve", "monte-carlo", "optimize", "rank-modes", "bench"]
+
+
+class TestCliContract:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(COMMANDS),
+        overrides=st.dictionaries(
+            st.sampled_from(sorted(set(DEFAULTS) - set(BENCH_SIZES) - {"output.path"})),
+            st.sampled_from(HOSTILE_VALUES),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_hostile_overrides_exit_cleanly(self, command, overrides, tmp_path, monkeypatch,
+                                            capsys):
+        # No exception may escape main, every exit code is a documented one,
+        # and a configuration error names the key at fault. One worker: the
+        # worker-count parse path is covered without starting threads.
+        monkeypatch.setenv("OAMLINK_WORKERS", "1")
+        raw = {**TINY, **BENCH_SIZES, "sweep.grid": GRIDS.get(command, ""), **overrides}
+        argv = [command, "-o", str(tmp_path / "out")]
+        for key, value in raw.items():
+            argv += ["-s", f"{key}={value}"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_BOUNDARY), err
+        if code == EXIT_CONFIG:
+            assert any(key in err for key in DEFAULTS), err

@@ -22,6 +22,7 @@ from oamlink.crosstalk import (
     ApproximationWarning,
     CrosstalkMatrix,
     Method,
+    QuadratureConvergenceWarning,
     ReceiverConfig,
     channel_profile,
     crosstalk,
@@ -333,6 +334,35 @@ class TestDispatchAndBatching:
                 )
                 assert matrix.values[j, i] == want
         assert np.allclose(matrix.amplitude_matrix**2, matrix.values)
+
+        # exact2d doubles one grid for the whole matrix, and each pair keeps
+        # the value of the first doubling that settled it. At r = 0 the
+        # diagonal settles after one doubling while the round-off
+        # off-diagonals never do, so a matrix that kept doubling settled
+        # pairs would differ from the one-pair calls there.
+        modes = ModeSet(tx_modes=(-4, -2, 1, 3))
+        n_m = modes.n_streams
+        points = [PointingState(r, 0.0) for r in (0.0, 1.5, 8.0)]
+        for point in points + [PointingState.from_radius(8.0, 2.1)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", QuadratureConvergenceWarning)
+                matrix = crosstalk_matrix(geom, rx, modes, point, Method.EXACT2D)
+            whole = crosstalk_exact_detailed(
+                geom, rx, n_m, modes.tx_modes, modes.filter_modes, point
+            )
+            assert np.array_equal(whole.value, matrix.values)
+            pairs = []
+            for j, ell_j in enumerate(modes.filter_modes):
+                for i, ell_n in enumerate(modes.tx_modes):
+                    pair = crosstalk_exact_detailed(geom, rx, n_m, ell_n, ell_j, point)
+                    assert matrix.values[j, i] == pair.value, (point, ell_n, ell_j)
+                    pairs.append(pair)
+            assert whole.rel_change == max(p.rel_change for p in pairs)
+            assert whole.phi_points == max(p.phi_points for p in pairs)
+            assert whole.radial_order == max(p.radial_order for p in pairs)
+            assert whole.converged == all(p.converged for p in pairs)
+            if point.r_ch == 0.0:
+                assert min(p.phi_points for p in pairs) < whole.phi_points
 
     def test_matrix_normalizes_by_stream_count(self):
         # Grouping four modes into two streams keeps the per-channel scale of

@@ -16,6 +16,7 @@ from oamlink.ber import ChannelVectors, PointingStats, conditional_ber
 from oamlink.crosstalk import Method, ReceiverConfig
 from oamlink.montecarlo import (
     CHUNK_SIZE,
+    MAX_TRIALS,
     WORKERS_ENV_VAR,
     DegradedChannelError,
     TrialConfig,
@@ -64,6 +65,10 @@ class TestTrialConfig:
             TrialConfig(trials=999, seed=0)
         with pytest.raises(ValueError):
             TrialConfig(trials=1e4, seed=0)
+        # A run of days is refused at construction; none is started here.
+        assert TrialConfig(trials=MAX_TRIALS, seed=0).trials == MAX_TRIALS
+        with pytest.raises(ValueError, match="trials"):
+            TrialConfig(trials=MAX_TRIALS + 1, seed=0)
         with pytest.raises(ValueError):
             TrialConfig(trials=10_000, seed=-1)
         with pytest.raises(ValueError):
