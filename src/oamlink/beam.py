@@ -64,6 +64,16 @@ class LinkGeometry:
             raise ValueError(
                 f"radial_index must be an integer in [0, {LAGUERRE_MAX_ORDER}], got {p!r}"
             )
+        try:
+            derived = (self.wavenumber, self.rayleigh_range, self.beam_radius_at_rx,
+                       self.curvature_at_rx)
+        except (OverflowError, ZeroDivisionError):
+            derived = (math.inf,)
+        if not all(0.0 < q < math.inf for q in derived):
+            raise ValueError(
+                f"wavelength {self.wavelength!r}, waist {self.waist!r} and distance "
+                f"{self.distance!r} must give a finite, positive k, z_R, w(Z) and R(Z)"
+            )
 
     @property
     def wavenumber(self) -> float:

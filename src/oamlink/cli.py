@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import math
+import re
 import sys
 import time
 import warnings
@@ -98,15 +99,16 @@ def _config_errors(
     The new message is ``message`` when given, else the error's own text
     after ``prefix``, which names the key or section at fault. ``keys``
     maps the fields of a typed object built in the block to their config
-    keys: an error text that starts with such a field starts with its key
-    instead.
+    keys: an error text that names such fields names their keys instead.
     """
     try:
         yield
     except ValueError as exc:
-        field, _, rest = str(exc).partition(" ")
-        if keys and field in keys:
-            raise ConfigError(f"{keys[field]} {rest}") from None
+        named = str(exc)
+        if keys:
+            named = re.sub(r"\b(" + "|".join(keys) + r")\b", lambda m: keys[m[0]], named)
+        if named != str(exc):
+            raise ConfigError(named) from None
         raise ConfigError(message or f"{prefix}{exc}") from None
 
 
@@ -312,7 +314,9 @@ class RunConfig:
         geom, rx, modes = self.geometry(), self.receiver(), self.mode_set()
         sigma_theta = self.number("pointing.sigma_theta_rad")
         seed = self.integer("mc.seed")
-        with _config_errors(keys={"sigma_theta": "pointing.sigma_theta_rad"}):
+        keys = {"sigma_theta": "pointing.sigma_theta_rad",
+                "aperture_radius": "receiver.aperture_radius_m"}
+        with _config_errors(keys=keys):
             return Scenario(geom, rx, modes, sigma_theta, quad_order, seed)
 
     def trial_config(self, method: Method) -> TrialConfig:
@@ -449,6 +453,8 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
         raise ConfigError(
             f"offset radii (sweep.grid or pointing.r_ch_m) must be finite and >= 0, got {radii}"
         )
+    with _config_errors(keys={"aperture_radius": "receiver.aperture_radius_m"}):
+        rx.check_bessel_range(geom, max(radii))
 
     # Evaluate one matrix per (radius, method), then emit rows with the
     # method innermost so the per-pair method comparison sits on adjacent
@@ -655,12 +661,15 @@ def cmd_bench(cfg: RunConfig) -> _Output:
         raise ConfigError(
             f"need 0 < bench.r_min_m < bench.r_max_m < inf, got {r_min}, {r_max}"
         )
-    if n_points < 1:
-        raise ConfigError(f"bench.grid_points must be >= 1, got {n_points}")
-    if repetitions < 3:
-        raise ConfigError(f"bench.repetitions must be >= 3, got {repetitions}")
-    with _config_errors(keys={"trials": "bench.mc_trials", "seed": "mc.seed"}):
+    # At about 35 ms per exact2d point the ceilings bound it to ~12 minutes.
+    if not 1 <= n_points <= 1000:
+        raise ConfigError(f"bench.grid_points must be in [1, 1000], got {n_points}")
+    if not 3 <= repetitions <= 20:
+        raise ConfigError(f"bench.repetitions must be in [3, 20], got {repetitions}")
+    with _config_errors(keys={"trials": "bench.mc_trials", "seed": "mc.seed",
+                              "aperture_radius": "receiver.aperture_radius_m"}):
         TrialConfig(mc_trials, scen.seed)
+        scen.rx.check_bessel_range(scen.geom, r_max)
 
     # Shared grid: radii evenly spaced, mode pairs cycling through the
     # full tx-by-filter product so off-diagonal costs are represented.

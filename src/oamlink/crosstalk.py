@@ -7,8 +7,8 @@ quality to cheapest:
 - ``exact2d``: the full 2D aperture integral (azimuthal projection of the
   shifted field, then a weighted radial integral), with a grid-doubling
   convergence check. This is the oracle the others are judged against.
-- ``radial-sum``: keeps the azimuthal integral exact but evaluates the
-  radial integral on k_r uniformly spaced sample radii.
+- ``radial-sum``: keeps the azimuthal integral exact (in closed form) but
+  evaluates the radial integral on k_r uniformly spaced sample radii.
 - ``bessel-integral``: freezes the slowly varying envelope at the offset
   radius and reduces the azimuthal integral analytically to a squared
   Bessel function, leaving a single smooth radial integral.
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import ive
 
 from oamlink.beam import (
     LinkGeometry,
@@ -39,7 +40,7 @@ from oamlink.beam import (
     lg_field,
     shifted_aperture_field,  # noqa: F401  benchmarks/spans.py traces crosstalk.shifted_aperture_field
 )
-from oamlink.numerics import bessel_j, gauss_legendre, laguerre
+from oamlink.numerics import BESSEL_MAX_ARG, bessel_j, gauss_legendre, laguerre
 
 __all__ = [
     "SMALL_OFFSET_FLOOR",
@@ -133,6 +134,17 @@ class ReceiverConfig:
     def gain(self) -> float:
         """Combined scalar gain: responsivity times APD gain."""
         return self.responsivity * self.apd_gain
+
+    def check_bessel_range(self, geom: LinkGeometry, r_max: float) -> None:
+        """Refuses Bessel arguments past ``BESSEL_MAX_ARG`` at offsets up to
+        ``r_max``: |beta| = 2|c| r_a r (``_ring_projection``) bounds k r_a r/R."""
+        c = 1.0 / geom.beam_radius_at_rx**2 + 0.5j * geom.wavenumber / geom.curvature_at_rx
+        largest = 2.0 * abs(c) * self.aperture_radius * r_max
+        if not largest <= BESSEL_MAX_ARG:
+            raise ValueError(
+                f"aperture_radius {self.aperture_radius!r} m takes Bessel arguments up to "
+                f"{largest:.3g} at offsets up to {r_max:.3g} m, past {BESSEL_MAX_ARG:g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -277,42 +289,6 @@ def _sample_radii_and_weights(rx: ReceiverConfig) -> tuple[np.ndarray, np.ndarra
 
 def _ring_powers(
     geom: LinkGeometry,
-    tx_modes,
-    filter_modes,
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    x_ch,
-    y_ch,
-    phi_points: int,
-) -> np.ndarray:
-    """The one azimuthal projection of the displaced beam behind exact2d,
-    radial-sum and ``filter_spectrum``.
-
-    On each ring r' = nodes[k] of the aperture the displaced field of every
-    tx mode is sampled at phi_points equally spaced angles and projected on
-    every filter harmonic by one FFT; ``|projection|^2`` is then summed over
-    the rings with weights*nodes. ``x_ch`` and ``y_ch`` are offsets, scalars
-    or one per batch entry. Returns shape (batch, n_filter, n_tx), without
-    the gain and stream-count normalization.
-    """
-    phi = 2.0 * np.pi * np.arange(phi_points) / phi_points
-    ring = nodes[:, np.newaxis]
-    x = ring * np.cos(phi) + np.reshape(x_ch, (-1, 1, 1))
-    y = ring * np.sin(phi) + np.reshape(y_ch, (-1, 1, 1))
-    rho = np.hypot(x, y)
-    angle = np.arctan2(y, x)
-    weighted = weights * nodes
-    out = np.empty((rho.shape[0], len(filter_modes), len(tx_modes)))
-    for i, ell_n in enumerate(tx_modes):
-        # ifft index m holds (1/n) sum_k u_k e^{+i m phi_k}
-        proj = 2.0 * np.pi * np.fft.ifft(lg_field(geom, ell_n, rho, angle, geom.distance), axis=2)
-        for j, ell_j in enumerate(filter_modes):
-            out[:, j, i] = np.abs(proj[:, :, ell_j % phi_points]) ** 2 @ weighted
-    return out
-
-
-def _reference_grid(
-    geom: LinkGeometry,
     rx: ReceiverConfig,
     n_m: int,
     tx_modes,
@@ -320,16 +296,96 @@ def _reference_grid(
     pointing: PointingState,
     phi_points: int,
     radial_order: int,
-) -> np.ndarray:
-    """Reference coefficients, shape (n_filter, n_tx), on one grid: a
-    Gauss-Legendre rule of ``radial_order`` nodes over the aperture radius
-    times ``phi_points`` equally spaced angles."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reference integral's grid, independent of the closed form: a
+    Gauss-Legendre rule of ``radial_order`` rings over the aperture radius
+    times ``phi_points`` equally spaced angles.
+
+    The displaced field of every tx mode is sampled on each ring and
+    projected on every filter harmonic by one FFT; ``|projection|^2`` is
+    summed over the rings. Returns the coefficients, shape
+    (n_filter, n_tx), and the same sum over every harmonic, which is the
+    power each tx mode puts through the aperture (Parseval), shape (n_tx,).
+    """
     rule = gauss_legendre(radial_order, 0.0, rx.aperture_radius)
-    powers = _ring_powers(
-        geom, tx_modes, filter_modes, rule.nodes, rule.weights,
-        pointing.x_ch, pointing.y_ch, phi_points,
-    )
-    return rx.gain / (2.0 * math.pi * n_m**2) * powers[0]
+    phi = 2.0 * np.pi * np.arange(phi_points) / phi_points
+    ring = rule.nodes[:, np.newaxis]
+    x = ring * np.cos(phi) + pointing.x_ch
+    y = ring * np.sin(phi) + pointing.y_ch
+    rho = np.hypot(x, y)
+    angle = np.arctan2(y, x)
+    weighted = rule.weights * rule.nodes
+    out = np.empty((len(filter_modes), len(tx_modes)))
+    captured = np.empty(len(tx_modes))
+    for i, ell_n in enumerate(tx_modes):
+        # ifft index m holds (1/n) sum_k u_k e^{+i m phi_k}
+        proj = 2.0 * np.pi * np.fft.ifft(lg_field(geom, ell_n, rho, angle, geom.distance), axis=1)
+        for j, ell_j in enumerate(filter_modes):
+            out[j, i] = np.abs(proj[:, ell_j % phi_points]) ** 2 @ weighted
+        captured[i] = (np.abs(proj) ** 2).sum(axis=1) @ weighted
+    scale = rx.gain / (2.0 * math.pi * n_m**2)
+    return scale * out, scale * captured
+
+
+def _laurent_product(a: list, b: list) -> list:
+    """Product of two Laurent polynomials, coefficients lowest power first."""
+    return [sum(a[i] * b[k - i] for i in range(max(0, k + 1 - len(b)), min(k + 1, len(a))))
+            for k in range(len(a) + len(b) - 1)]
+
+
+def _ring_projection(
+    geom: LinkGeometry,
+    rx: ReceiverConfig,
+    n_m: int,
+    tx_modes,
+    filter_modes,
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    r_ch: np.ndarray,
+) -> np.ndarray:
+    """Radial-sum and ``filter_spectrum`` kernel: coefficients on the rings
+    ``nodes``, exact in angle, shape (len(r_ch), n_filter, n_tx).
+
+    With the offset at (r, 0), s = sqrt(2) r/w and s' = sqrt(2) r'/w, the
+    field of mode (p, ell) on ring r' is the Laurent polynomial
+    sum_k P_k z^k (z = e^{i phi}) of (s + s' z^{-sign ell})^{|ell|}
+    L_p^{|ell|}(s^2 + s'^2 + s s' (z + 1/z)), times exp(-c (r^2 + r'^2))
+    exp(beta cos phi), where c = 1/w^2 + i k/(2R) and beta = -2 c r r'. By
+    the Jacobi-Anger expansion (DLMF 10.35) its projection on
+    e^{i ell_j phi} is 2 pi sum_k P_k I_{ell_j+k}(beta). ``ive`` takes
+    e^{|Re beta|} out of I, leaving the Gaussian the modulus
+    exp(-(r' - r)^2/w^2); the curvature and Gouy phases have unit modulus.
+    """
+    w = geom.beam_radius_at_rx
+    c = 1.0 / w**2 + 0.5j * geom.wavenumber / geom.curvature_at_rx
+    r = np.reshape(r_ch, (-1, 1))
+    s, s_ring = math.sqrt(2.0) / w * r, math.sqrt(2.0) / w * nodes
+    gauss = np.exp(-(((nodes - r) / w) ** 2))
+    p = geom.radial_index
+    fields = {}  # ell_n: (P_k from the lowest power of z up, that power)
+    for ell_n in tx_modes:
+        n = abs(ell_n)
+        # Horner on the explicit Laguerre sum (numerics.laguerre), in z.
+        poly = [(-1.0) ** p / math.factorial(p)]
+        for m in range(p - 1, -1, -1):
+            poly = _laurent_product(poly, [s * s_ring, s**2 + s_ring**2, s * s_ring])
+            poly[p - m] += (-1.0) ** m / math.factorial(m) * math.comb(p + n, p - m)
+        helix = [math.comb(n, m) * s ** (n - m) * s_ring**m for m in range(n + 1)]
+        if ell_n > 0:
+            helix.reverse()
+        fields[ell_n] = (_laurent_product(poly, helix), -p - n * (ell_n > 0))
+    # One table of I_n e^{-|Re beta|} for every order a (tx, filter) pair needs.
+    orders = sorted({abs(ell_j + lo + k) for coeffs, lo in fields.values()
+                     for k in range(len(coeffs)) for ell_j in filter_modes})
+    table = dict(zip(orders, ive(np.reshape(orders, (-1, 1, 1)), -2.0 * c * r * nodes)))
+    out = np.empty((r.shape[0], len(filter_modes), len(tx_modes)))
+    for i, ell_n in enumerate(tx_modes):
+        coeffs, lo = fields[ell_n]
+        scale = (2.0 * math.pi) ** 2 * _envelope_prefactor(geom, rx, n_m, ell_n)
+        for j, ell_j in enumerate(filter_modes):
+            proj = sum(a * table[abs(ell_j + lo + k)] for k, a in enumerate(coeffs))
+            out[:, j, i] = np.square(gauss * np.abs(proj)) @ (scale * weights * nodes)
+    return out
 
 
 def _validate_pair(n_m: int, ell_n, ell_j) -> None:
@@ -363,21 +419,25 @@ def crosstalk_exact_detailed(
     shape ``(len(ell_j), len(ell_n))``, without the axis of a single order,
     and is a float for one pair. Every pair is evaluated on the requested
     grid and on a doubled grid; pairs that differ by more than ``rel_tol``
-    take one more doubling (radial order is capped at 512). Each pair keeps
-    the value of the first doubling that settled it, so a pair's value does
-    not depend on the other pairs. The record reports the finest grid used
-    and the largest relative change among the pairs' last doublings.
+    take one more doubling (radial order is capped at 512). A pair whose
+    values on both grids are below 1e-13 of its tx mode's captured power
+    is FFT round-off (about 1e-32 of it at r = 0): its change is measured
+    against that power, so it settles. Each pair keeps the value of the first doubling
+    that settled it, so a pair's value does not depend on the other pairs.
+    The record reports the finest grid used and the largest relative
+    change among the pairs' last doublings.
     """
     _validate_pair(n_m, ell_n, ell_j)
     tx, flt = np.atleast_1d(ell_n), np.atleast_1d(ell_j)
     n_phi, n_rad = phi_points, radial_order
-    value = _reference_grid(geom, rx, n_m, tx, flt, pointing, n_phi, n_rad)
+    value, _ = _ring_powers(geom, rx, n_m, tx, flt, pointing, n_phi, n_rad)
     rel_change = np.full(value.shape, math.inf)
     while True:
         unsettled = rel_change > rel_tol
         n_phi, n_rad = 2 * n_phi, min(2 * n_rad, 512)
-        refined = _reference_grid(geom, rx, n_m, tx, flt, pointing, n_phi, n_rad)
+        refined, captured = _ring_powers(geom, rx, n_m, tx, flt, pointing, n_phi, n_rad)
         size = np.maximum(np.abs(value), np.abs(refined))
+        size = np.where(size < 1e-13 * captured, captured, size)
         change = np.abs(refined - value) / np.where(size == 0.0, 1.0, size)
         rel_change = np.where(unsettled, change, rel_change)
         value = np.where(unsettled, refined, value)
@@ -502,16 +562,16 @@ def filter_spectrum(
     pointing: PointingState,
     ell_j_range: tuple[int, int] = (-SPECTRUM_MAX_ORDER, SPECTRUM_MAX_ORDER),
     *,
-    phi_points: int = 512,
     radial_order: int = 128,
     rel_tol: float = 1e-3,
 ) -> list[tuple[int, float]]:
     """Reference crosstalk across a whole range of filter orders at once.
 
     Evaluates the same integral as the reference evaluator, every requested
-    order projected from one field grid. A doubled grid guards convergence;
-    if any order moves by more than ``rel_tol`` of the largest value a
-    ``QuadratureConvergenceWarning`` is emitted.
+    order projected in closed form (exact in angle) on a Gauss-Legendre
+    rule of ``radial_order`` nodes over the aperture. A doubled radial rule
+    guards convergence; if any order moves by more than ``rel_tol`` of the
+    largest value a ``QuadratureConvergenceWarning`` is emitted.
     """
     lo, hi = int(ell_j_range[0]), int(ell_j_range[1])
     if lo > hi:
@@ -521,12 +581,15 @@ def filter_spectrum(
     _validate_pair(n_m, ell_n, 0)
     orders = list(range(lo, hi + 1))
 
-    coarse = _reference_grid(geom, rx, n_m, [ell_n], orders, pointing, phi_points, radial_order)
-    fine = _reference_grid(
-        geom, rx, n_m, [ell_n], orders, pointing, 2 * phi_points, min(2 * radial_order, 512)
-    )
-    scale = max(fine.max(), coarse.max(), np.finfo(float).tiny)
-    worst = float(np.max(np.abs(fine - coarse)) / scale)
+    def spectrum(order: int) -> np.ndarray:
+        rule = gauss_legendre(order, 0.0, rx.aperture_radius)
+        return _ring_projection(
+            geom, rx, n_m, [ell_n], orders, rule.nodes, rule.weights, np.array([pointing.r_ch])
+        )[0, :, 0]
+
+    coarse, fine = spectrum(radial_order), spectrum(min(2 * radial_order, 512))
+    peak = max(fine.max(), coarse.max(), np.finfo(float).tiny)
+    worst = float(np.max(np.abs(fine - coarse)) / peak)
     if worst > rel_tol:
         warnings.warn(
             f"filter spectrum did not settle: doubling moved an order by {worst:.2%} "
@@ -534,7 +597,7 @@ def filter_spectrum(
             QuadratureConvergenceWarning,
             stacklevel=2,
         )
-    return list(zip(orders, fine[:, 0].tolist()))
+    return list(zip(orders, fine.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +631,8 @@ def _profile(
     """The one kernel of every method, batched over offset radii.
 
     ``n_m`` is the stream count the coefficients are normalized by. The
-    Bessel-based methods vectorize directly, radial-sum projects a shifted
-    field grid by FFT, and exact2d loops over the reference integral.
+    Bessel-based methods vectorize directly, radial-sum projects the shifted
+    field in closed form, and exact2d loops over the reference integral.
     """
     r = np.asarray(r_ch, dtype=float)
     if r.ndim != 1:
@@ -585,7 +648,14 @@ def _profile(
         return out
 
     if method is Method.RADIAL_SUM:
-        _radial_sum_profile(geom, rx, modes, n_m, r, out)
+        # The k_r sample radii with Simpson-type weights, the angle exact;
+        # slices of 1024 radii keep the Bessel table small.
+        nodes, weights = _sample_radii_and_weights(rx)
+        for start in range(0, r.size, 1024):
+            out[start : start + 1024] = _ring_projection(
+                geom, rx, n_m, modes.tx_modes, modes.filter_modes, nodes, weights,
+                r[start : start + 1024],
+            )
         return out
 
     if method is Method.ASYMPTOTIC and np.any(r <= 0):
@@ -619,34 +689,3 @@ def _profile(
             out[:, j, i] = envelope[abs(ell_n)] * radial[abs(ell_j)]
     return out
 
-
-def _radial_sum_profile(
-    geom: LinkGeometry,
-    rx: ReceiverConfig,
-    modes: ModeSet,
-    n_m: int,
-    r_ch: np.ndarray,
-    out: np.ndarray,
-    *,
-    phi_points: int = 512,
-    slice_size: int = 1024,
-) -> None:
-    """Batched radial-sum coefficients, written into ``out`` in place.
-
-    Keeps the azimuthal integral exact and samples the radial one at the
-    k_r radii r_a*k/k_r with Simpson-type weights, on the projection
-    kernel of the reference integral. Batches are sliced to bound the grid
-    memory.
-    """
-    nodes, weights = _sample_radii_and_weights(rx)
-    scale = rx.gain / (2.0 * math.pi * n_m**2)
-    # A centred mode holds only its own azimuthal harmonic, so the
-    # off-diagonals at r = 0 are exact zeros where the FFT leaves round-off.
-    leaks = np.not_equal.outer(modes.filter_modes, modes.tx_modes)
-    for start in range(0, r_ch.size, slice_size):
-        batch = r_ch[start : start + slice_size]
-        powers = _ring_powers(
-            geom, modes.tx_modes, modes.filter_modes, nodes, weights, batch, 0.0, phi_points
-        )
-        out[start : start + batch.size] = scale * powers
-        out[start : start + batch.size][(batch == 0.0)[:, None, None] & leaks] = 0.0

@@ -74,6 +74,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if not (self.sigma_theta > 0 and math.isfinite(self.sigma_theta)):
             raise ValueError(f"sigma_theta must be positive, got {self.sigma_theta!r}")
+        # The Rayleigh average reaches 8 sigma_r (ber.average_ber).
+        self.rx.check_bessel_range(self.geom, 8.0 * self.pointing_stats().rayleigh_scale)
 
     def pointing_stats(self) -> PointingStats:
         """Jitter statistics tied to the current link distance."""

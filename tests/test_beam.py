@@ -106,6 +106,13 @@ class TestLinkGeometry:
                 radial_index=LAGUERRE_MAX_ORDER + 1,
                 distance=1e6,
             )
+        # Finite inputs whose k, z_R, w(Z) or R(Z) overflow or vanish.
+        for wavelength, waist, distance in [
+            (1e-300, 0.025, 1e6), (1e300, 0.025, 1e6), (1.55e-6, 1e200, 1e6),
+            (1.55e-6, 1e-200, 1e6), (1.55e-6, 0.025, 1e306), (1.55e-6, 0.025, 1e-300),
+        ]:
+            with pytest.raises(ValueError, match="finite, positive k, z_R, w"):
+                LinkGeometry(wavelength, waist, 0, distance)
 
 
 class TestModeSet:

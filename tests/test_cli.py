@@ -261,6 +261,13 @@ class TestMainErrors:
             (["monte-carlo", "--trials", "1000000000000"], None, "mc.trials"),
             (["ber-curve", "--monte-carlo", "--trials", "1000000000000", "--grid", "0.02"], None,
              "mc.trials"),
+            (["optimize", "-s", "geometry.wavelength_m=1e-300"], None, "geometry.wavelength_m"),
+            (["monte-carlo", "-s", "receiver.aperture_radius_m=1e308"], None,
+             "receiver.aperture_radius_m"),
+            (["crosstalk-curve", "--grid", "5", "-s", "receiver.aperture_radius_m=1e308"], None,
+             "receiver.aperture_radius_m"),
+            (["bench", "-s", "bench.grid_points=1001"], None, "bench.grid_points"),
+            (["bench", "-s", "bench.repetitions=21"], None, "bench.repetitions"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):

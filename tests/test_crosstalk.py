@@ -31,6 +31,7 @@ from oamlink.crosstalk import (
     crosstalk_matrix,
     filter_spectrum,
 )
+from oamlink.crosstalk import _ring_powers, _ring_projection
 from oamlink.numerics import gauss_legendre, periodic_trapezoid
 
 N_M = 2
@@ -252,6 +253,10 @@ class TestStructuralInvariants:
 
         collected = rule.integrate(np.array([ring(r) for r in rule.nodes]))
         assert total == pytest.approx(rx.gain * collected / N_M**2, rel=1e-3)
+        # The reference grid's sum over every harmonic is the same power
+        # (Parseval); exact2d measures its round-off floor against it.
+        _, captured = _ring_powers(geom, rx, N_M, [2], [2], pointing, 512, 128)
+        assert captured[0] == pytest.approx(rx.gain * collected / N_M**2, rel=1e-9)
 
     def test_spectrum_matches_single_projection(self):
         geom, rx = default_geom(), default_rx()
@@ -299,6 +304,54 @@ class TestStructuralInvariants:
         assert got == pytest.approx(ref, rel=1e-2)
 
 
+class TestClosedFormProjection:
+    # The Jacobi-Anger projection behind radial-sum and filter_spectrum
+    # against the FFT grid of the reference integral at 1024 angles.
+    ORDERS = tuple(range(-8, 9))
+    RADII = (0.0, 0.3, 3.0, 30.0, 200.0)
+
+    def closed_and_fft(self, geom, radial_order=24):
+        rx = default_rx()
+        rule = gauss_legendre(radial_order, 0.0, rx.aperture_radius)
+        closed = _ring_projection(
+            geom, rx, N_M, self.ORDERS, self.ORDERS, rule.nodes, rule.weights,
+            np.array(self.RADII),
+        )
+        for got, r in zip(closed, self.RADII):
+            want, _ = _ring_powers(
+                geom, rx, N_M, self.ORDERS, self.ORDERS, PointingState(r, 0.0), 1024,
+                radial_order,
+            )
+            yield r, got, want
+
+    @pytest.mark.parametrize("distance", [5.0e5, 1.0e6])
+    @pytest.mark.parametrize("waist", [0.012, 0.025, 0.06])
+    @pytest.mark.parametrize("radial_index", [0, 1, 2])
+    def test_matches_fft_projection(self, radial_index, waist, distance):
+        geom = default_geom(waist, radial_index, distance)
+        off = ~np.eye(len(self.ORDERS), dtype=bool)
+        for r, got, want in self.closed_and_fft(geom):
+            assert np.all(np.isfinite(got)), r
+            if r == 0.0:
+                assert np.all(got[off] == 0.0)
+            top = want.max(axis=0)
+            # The grid samples exp(-i k rho^2 / 2R), whose phase reaches
+            # k (r + r_a)^2 / 2R (1.6e5 rad at 200 m and 500 km); its
+            # round-off, not the closed form, bounds the agreement there.
+            phase = geom.wavenumber * (r + 0.05) ** 2 / (2.0 * geom.curvature_at_rx)
+            floor = max(1e-12, 2.0 * 2.0**-53 * phase)
+            assert np.all(np.abs(got - want) <= floor * top), (r, np.abs(got - want).max())
+            large = want > 1e-12 * top
+            assert np.all(np.abs(got - want)[large] <= 1e-9 * want[large]), r
+
+    def test_underflowed_field_is_zero(self):
+        # exp(-r^2/w^2) underflows at 200 m on a 4 m beam: zeros, not nan.
+        geom = default_geom(0.06, 0, 5.0e5)
+        assert math.exp(-(200.0 / geom.beam_radius_at_rx) ** 2) == 0.0
+        r, got, want = list(self.closed_and_fft(geom))[-1]
+        assert r == 200.0 and np.all(got == 0.0) and np.all(want == 0.0)
+
+
 class TestDispatchAndBatching:
     def test_dispatch_matches_direct_calls(self):
         # One coefficient is the batched kernel of its method at one radius.
@@ -336,10 +389,7 @@ class TestDispatchAndBatching:
         assert np.allclose(matrix.amplitude_matrix**2, matrix.values)
 
         # exact2d doubles one grid for the whole matrix, and each pair keeps
-        # the value of the first doubling that settled it. At r = 0 the
-        # diagonal settles after one doubling while the round-off
-        # off-diagonals never do, so a matrix that kept doubling settled
-        # pairs would differ from the one-pair calls there.
+        # the value of the first doubling that settled it.
         modes = ModeSet(tx_modes=(-4, -2, 1, 3))
         n_m = modes.n_streams
         points = [PointingState(r, 0.0) for r in (0.0, 1.5, 8.0)]
@@ -362,7 +412,24 @@ class TestDispatchAndBatching:
             assert whole.radial_order == max(p.radial_order for p in pairs)
             assert whole.converged == all(p.converged for p in pairs)
             if point.r_ch == 0.0:
-                assert min(p.phi_points for p in pairs) < whole.phi_points
+                # The off-diagonals are FFT round-off, far below the round-off
+                # floor of their mode's captured power, so they settle after
+                # one doubling with the diagonal instead of doubling on.
+                assert whole.converged and whole.phi_points == 1024
+        # At a tight tolerance the pairs settle after different doublings,
+        # so a matrix that kept doubling settled pairs would differ from
+        # the one-pair calls.
+        point = PointingState(1.5, 0.0)
+        whole = crosstalk_exact_detailed(
+            geom, rx, n_m, modes.tx_modes, modes.filter_modes, point, rel_tol=1e-13
+        )
+        pairs = [
+            crosstalk_exact_detailed(geom, rx, n_m, ell_n, ell_j, point, rel_tol=1e-13)
+            for ell_j in modes.filter_modes
+            for ell_n in modes.tx_modes
+        ]
+        assert whole.value.ravel().tolist() == [p.value for p in pairs]
+        assert min(p.phi_points for p in pairs) < whole.phi_points
 
     def test_matrix_normalizes_by_stream_count(self):
         # Grouping four modes into two streams keeps the per-channel scale of
