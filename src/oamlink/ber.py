@@ -26,10 +26,11 @@ import numpy as np
 from oamlink.beam import LinkGeometry, ModeSet
 from oamlink.crosstalk import (
     SMALL_OFFSET_FLOOR,
+    ApproximationWarning,
     Method,
     ReceiverConfig,
     channel_profile,
-    mode_envelope,
+    mode_envelope,  # noqa: F401  benchmarks/spans.py traces ber.mode_envelope
 )
 from oamlink.numerics import gauss_legendre, q_function
 
@@ -40,13 +41,6 @@ __all__ = [
     "conditional_ber",
     "average_ber",
 ]
-
-# Wherever the scalar stream amplitudes of the separable coefficient forms
-# cross, the conditional BER carries a narrow ridge: the separable methods
-# make the two stream vectors exactly collinear there, and even the full-rank
-# methods leave them nearly so (their difference norm dips orders of magnitude
-# below its neighborhood), so every method needs refined quadrature around
-# those radii.
 
 # Per-window quadrature order used on each degeneracy ridge (doubled along
 # with the base order by the convergence self-check).
@@ -70,6 +64,10 @@ class PointingStats:
             raise ValueError(f"sigma_theta must be positive, got {self.sigma_theta!r}")
         if not (self.distance > 0 and math.isfinite(self.distance)):
             raise ValueError(f"distance must be positive, got {self.distance!r}")
+        # The density divides by sigma_r^2, which must be a normal float.
+        if not (np.finfo(float).tiny <= self.rayleigh_scale * self.rayleigh_scale < math.inf):
+            raise ValueError(f"sigma_theta {self.sigma_theta!r} gives a Rayleigh scale "
+                             f"{self.rayleigh_scale!r} m whose square is not a normal float")
 
     @property
     def rayleigh_scale(self) -> float:
@@ -174,62 +172,56 @@ def _vectors_from_profile(profile: np.ndarray, modes: ModeSet) -> tuple[np.ndarr
     return h[0], h[1]
 
 
-def _conditional_on_radii(
-    geom: LinkGeometry,
-    rx: ReceiverConfig,
-    modes: ModeSet,
-    radii: np.ndarray,
-    method: Method,
-) -> np.ndarray:
-    profile = channel_profile(geom, rx, modes, radii, method)
-    h1, h2 = _vectors_from_profile(profile, modes)
-    return _four_term_ber(h1, h2, rx.noise_level)
-
-
-def _stream_envelope_amplitudes(
-    geom: LinkGeometry,
-    rx: ReceiverConfig,
-    modes: ModeSet,
-    radii: np.ndarray,
-) -> np.ndarray:
-    """Scalar stream amplitudes a_k(r) of the separable coefficient forms."""
-    r_arr = np.asarray(radii, dtype=float)
-    env = np.array([
-        np.sqrt(mode_envelope(geom, rx, modes.n_streams, ell_n, r_arr))
-        for ell_n in modes.tx_modes
-    ])
-    return np.einsum("tn,tk->kn", env, modes.stream_matrix)
-
-
 def _degeneracy_windows(
     geom: LinkGeometry,
     rx: ReceiverConfig,
     modes: ModeSet,
     method: Method,
     upper: float,
-) -> list[tuple[float, float]]:
+) -> list[tuple[float, float, float]]:
     """Offset intervals around the stream-amplitude crossings, if any.
 
-    Where a1(r) = a2(r) the separable methods give h1 = h2 exactly and the
-    conditional BER jumps onto the 0.25 degeneracy floor over a width set by
-    the noise level, typically centimeters against a domain of hundreds of
-    meters. The full-rank methods dip into the same near-degenerate spike at
-    the same radii, so the windows are applied for every method. Each
-    crossing is located by bisection and bracketed with a margin wide enough
-    that the pairwise Q terms decay to nothing outside.
+    Where the scalar stream amplitudes a1(r), a2(r) of the separable methods
+    cross, those give h1 = h2 exactly and the conditional BER jumps onto the
+    0.25 floor over a width set by the noise level, typically centimeters
+    against a domain of hundreds of meters. The full-rank methods dip into
+    the same near-degenerate spike at the same radii, so every method gets
+    the windows. With s = sqrt(2) r / w, a1 - a2 = C(r) g(s), where
+    C(r) = 2 pi sqrt(gain / 2 pi) exp(-s^2/2) / (n_m w) > 0 and
+    g(s) = sum_l d_l |s^|l| L_p^|l|(s^2)|, d_l = (M[l, 0] - M[l, 1])
+    sqrt(2 p! / (pi (p + |l|)!)) with M the stream matrix. g depends on the
+    mode set and p alone; each of its sign changes is refined by bisection
+    and bracketed with a margin wide enough that the pairwise Q terms decay
+    to nothing outside.
     """
     if modes.n_streams != 2:
         return []
-    probe = np.linspace(0.0, upper, 4097)[1:]
-    a = _stream_envelope_amplitudes(geom, rx, modes, probe)
-    diff = a[0] - a[1]
+    p = geom.radial_index
+    terms = []
+    for ell, (m1, m2) in zip(modes.tx_modes, modes.stream_matrix.tolist()):
+        n = abs(ell)
+        norm = math.sqrt(2.0 * math.factorial(p) / (math.pi * math.factorial(p + n)))
+        # L_p^n coefficients (numerics.laguerre), highest power first, for Horner.
+        lag = [(-1.0) ** m / math.factorial(m) * math.comb(p + n, p - m)
+               for m in range(p, -1, -1)]
+        terms.append(((m1 - m2) * norm, n, lag))
+
+    def gap(s):
+        # A float in the bisection, an array in the probe scan.
+        total = 0.0
+        for d, n, lag in terms:
+            poly = 0.0
+            for c in lag:
+                poly = poly * (s * s) + c
+            total = total + d * abs(s**n * poly)
+        return total
+
+    to_s = math.sqrt(2.0) / geom.beam_radius_at_rx
+    probe = np.linspace(0.0, upper, 4097)[1:] * to_s
+    diff = gap(probe)
     flips = np.nonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)[0]
 
-    def gap(r: float) -> float:
-        point = _stream_envelope_amplitudes(geom, rx, modes, np.array([r]))
-        return float(point[0, 0] - point[1, 0])
-
-    windows: list[tuple[float, float]] = []
+    windows: list[tuple[float, float, float]] = []
     for idx in flips:
         lo, hi = float(probe[idx]), float(probe[idx + 1])
         f_lo = gap(lo)
@@ -240,14 +232,12 @@ def _degeneracy_windows(
                 hi = mid
             else:
                 lo, f_lo = mid, f_mid
-        r_star = 0.5 * (lo + hi)
+        r_star = 0.5 * (lo + hi) / to_s
         # Probe far enough out that the full-rank methods' nonzero dip floor
         # does not masquerade as slope, but still inside the linear ramp.
         step = 1e-4 * upper
-        h1, h2 = _vectors_from_profile(
-            channel_profile(geom, rx, modes, np.array([r_star + step]), method),
-            modes,
-        )
+        profile = channel_profile(geom, rx, modes, np.array([r_star + step]), method)
+        h1, h2 = _vectors_from_profile(profile, modes)
         slope = float(np.linalg.norm(h1[0] - h2[0])) / step
         if slope > 0.0:
             # Half-width where the ridge's Q argument reaches 12.
@@ -255,9 +245,7 @@ def _degeneracy_windows(
         else:
             half = 1e-3 * upper
         half = min(max(half, 1e-6 * upper), 0.1 * upper)
-        windows.append(
-            (max(r_star - half, 0.0), r_star, min(r_star + half, upper))
-        )
+        windows.append((max(r_star - half, 0.0), r_star, min(r_star + half, upper)))
 
     windows.sort()
     merged: list[tuple[float, float, float]] = []
@@ -319,20 +307,31 @@ def average_ber(
     stream-amplitude crossing, whose centimeter-scale degeneracy ridge a
     single global rule would step over. The integral is recomputed at twice
     the order as a self-check; a relative shift above 1% marks the result
-    as not converged (and is also warned about).
+    as not converged (and is also warned about). A Bessel-based method warns
+    with ``ApproximationWarning`` when the whole domain lies below its
+    validity floor.
     """
     if not isinstance(quad_order, (int, np.integer)) or not (16 <= quad_order <= 256):
         raise ValueError(f"quad_order must be an integer in [16, 256], got {quad_order!r}")
     method = Method.parse(method)
     sigma_r = stats.rayleigh_scale
     upper = 8.0 * sigma_r
+    bessel_based = method not in (Method.EXACT2D, Method.RADIAL_SUM)
+    if bessel_based and upper < SMALL_OFFSET_FLOOR:
+        warnings.warn(
+            f"every averaged offset (up to 8 sigma_r = {upper:.3g} m) is below the "
+            f"{SMALL_OFFSET_FLOOR:g} m validity floor of the Bessel-based "
+            "approximations; accuracy is degraded",
+            ApproximationWarning,
+            stacklevel=2,
+        )
     windows = _degeneracy_windows(geom, rx, modes, method, upper)
 
     def averaged_at(order: int, window_order: int) -> tuple[float, float]:
         nodes, weights = _piecewise_rule(windows, upper, order, window_order)
-        cond = _conditional_on_radii(geom, rx, modes, nodes, method)
+        h1, h2 = _vectors_from_profile(channel_profile(geom, rx, modes, nodes, method), modes)
+        cond = _four_term_ber(h1, h2, rx.noise_level)
         value = float(np.dot(weights, stats.pdf(nodes) * cond))
-        bessel_based = method not in (Method.EXACT2D, Method.RADIAL_SUM)
         degraded = (
             float(np.count_nonzero(nodes < SMALL_OFFSET_FLOOR)) / nodes.size
             if bessel_based

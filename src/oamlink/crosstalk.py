@@ -242,8 +242,9 @@ def mode_envelope(
     The three Bessel-reduction methods all factor each coefficient into
     this envelope (a function of the transmitted order and the offset
     radius alone) times a radial factor that depends only on the filter
-    order. Exposed so BER averaging can locate the offset radii where two
-    stream envelopes cross, which is where those methods degenerate.
+    order. BER averaging no longer calls it: it locates the radii where
+    two stream envelopes cross (where those methods degenerate) from the
+    waist-free factor of their gap (``ber._degeneracy_windows``).
     """
     return _envelope_prefactor(geom, rx, n_m, ell_n) * _frozen_envelope_sq(
         geom, ell_n, r_ch

@@ -247,6 +247,8 @@ class TestMainErrors:
             (["ber-curve", "--grid", "0.02", "-s", "geometry.w0_m=-1"], None, "geometry.w0_m"),
             (["ber-curve", "--grid", "0.02", "-s", "pointing.sigma_theta_rad=-1"], None,
              "pointing.sigma_theta_rad"),
+            (["ber-curve", "--grid", "0.02", "-s", "pointing.sigma_theta_rad=1e-300"], None,
+             "pointing.sigma_theta_rad"),
             (["ber-curve", "--grid", "0.02", "-s", "geometry.distance_m=0"], None,
              "geometry.distance_m"),
             (["ber-curve", "--grid", "0.02", "-s", "receiver.k_r=1"], None, "receiver.k_r"),
@@ -474,6 +476,19 @@ class TestBerCurveCommand:
         assert [r[0] for r in rows] == ["0.02", "0.025"]
         assert all(r[1] == "-2|1" for r in rows)
         assert all(0 < float(r[3]) < 0.5 for r in rows)
+
+    def test_tiny_jitter_row_carries_warning(self, tmp_path):
+        # Every offset of this average lies below the Bessel methods' 1 m
+        # validity floor; the value is written and the status says so.
+        out = tmp_path / "ber.csv"
+        args = ["ber-curve", "--grid", "0.02", "--candidates=-2|1", "--method",
+                "bessel-sum,radial-sum", "-s", "pointing.sigma_theta_rad=1e-12"]
+        assert main(args + ["-o", str(out)]) == EXIT_OK
+        _, _, rows = read_csv_file(out)
+        bessel, radial = rows
+        assert bessel[2] == "bessel-sum" and 0.0 <= float(bessel[3]) <= 1.5
+        assert bessel[5].startswith("warning:") and "validity floor" in bessel[5]
+        assert radial[2] == "radial-sum" and radial[5] == "ok"
 
     def test_rejects_offset_axis_and_bad_grid(self, tmp_path, capsys):
         out = str(tmp_path / "ber.csv")
