@@ -247,8 +247,6 @@ class TestMainErrors:
             (["ber-curve", "--grid", "0.02", "-s", "geometry.w0_m=-1"], None, "geometry.w0_m"),
             (["ber-curve", "--grid", "0.02", "-s", "pointing.sigma_theta_rad=-1"], None,
              "pointing.sigma_theta_rad"),
-            (["ber-curve", "--grid", "0.02", "-s", "pointing.sigma_theta_rad=1e-300"], None,
-             "pointing.sigma_theta_rad"),
             (["ber-curve", "--grid", "0.02", "-s", "geometry.distance_m=0"], None,
              "geometry.distance_m"),
             (["ber-curve", "--grid", "0.02", "-s", "receiver.k_r=1"], None, "receiver.k_r"),
@@ -270,6 +268,8 @@ class TestMainErrors:
              "receiver.aperture_radius_m"),
             (["bench", "-s", "bench.grid_points=1001"], None, "bench.grid_points"),
             (["bench", "-s", "bench.repetitions=21"], None, "bench.repetitions"),
+            (["ber-curve", "--grid", "0.02", "-s", "pointing.sigma_theta_rad=1e-300"], None,
+             "pointing.sigma_theta_rad"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):
