@@ -25,7 +25,6 @@ import numpy as np
 
 from oamlink.beam import LinkGeometry, ModeSet
 from oamlink.crosstalk import (
-    SMALL_OFFSET_FLOOR,
     ApproximationWarning,
     Method,
     ReceiverConfig,
@@ -316,11 +315,11 @@ def average_ber(
     method = Method.parse(method)
     sigma_r = stats.rayleigh_scale
     upper = 8.0 * sigma_r
-    bessel_based = method not in (Method.EXACT2D, Method.RADIAL_SUM)
-    if bessel_based and upper < SMALL_OFFSET_FLOOR:
+    floor = method.validity_floor
+    if upper < floor:
         warnings.warn(
             f"every averaged offset (up to 8 sigma_r = {upper:.3g} m) is below the "
-            f"{SMALL_OFFSET_FLOOR:g} m validity floor of the Bessel-based "
+            f"{floor:g} m validity floor of the Bessel-based "
             "approximations; accuracy is degraded",
             ApproximationWarning,
             stacklevel=2,
@@ -332,12 +331,7 @@ def average_ber(
         h1, h2 = _vectors_from_profile(channel_profile(geom, rx, modes, nodes, method), modes)
         cond = _four_term_ber(h1, h2, rx.noise_level)
         value = float(np.dot(weights, stats.pdf(nodes) * cond))
-        degraded = (
-            float(np.count_nonzero(nodes < SMALL_OFFSET_FLOOR)) / nodes.size
-            if bessel_based
-            else 0.0
-        )
-        return value, degraded
+        return value, float(np.count_nonzero(nodes < floor)) / nodes.size
 
     base, degraded_fraction = averaged_at(int(quad_order), _WINDOW_ORDER)
     refined, _ = averaged_at(2 * int(quad_order), 2 * _WINDOW_ORDER)

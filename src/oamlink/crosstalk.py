@@ -18,9 +18,10 @@ quality to cheapest:
 
 Each method has one kernel, batched over offset radii (``channel_profile``);
 ``crosstalk`` and ``crosstalk_matrix`` evaluate it at a single offset. The
-Bessel-integral and Bessel-sum forms assume the offset radius is large
-against the aperture; below ``SMALL_OFFSET_FLOOR`` those single-offset views
-still return values but flag degraded accuracy with ``ApproximationWarning``.
+Bessel-based forms (bessel-integral, bessel-sum, asymptotic) assume the
+offset radius is large against the aperture; below ``SMALL_OFFSET_FLOOR``
+(``Method.validity_floor``) those single-offset views still return values
+but flag degraded accuracy with ``ApproximationWarning``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ SMALL_OFFSET_FLOOR = 1.0
 # Guard for the azimuthal spectrum instrument.
 SPECTRUM_MAX_ORDER = 20
 
+# Starting grid of the reference integral: equally spaced angles times
+# Gauss-Legendre rings; each doubling doubles both (rings capped at 512).
+_EXACT_PHI_POINTS = 512
+_EXACT_RADIAL_ORDER = 128
+
 
 class ApproximationWarning(UserWarning):
     """An approximation was evaluated outside its stated validity region."""
@@ -92,6 +98,12 @@ class Method(str, Enum):
         except ValueError:
             valid = ", ".join(m.value for m in cls)
             raise ValueError(f"unknown method {name!r}; expected one of: {valid}") from None
+
+    @property
+    def validity_floor(self) -> float:
+        """Offset radius (m) below which the method's accuracy is degraded:
+        ``SMALL_OFFSET_FLOOR`` for the Bessel-based forms, 0 for the others."""
+        return 0.0 if self in (Method.EXACT2D, Method.RADIAL_SUM) else SMALL_OFFSET_FLOOR
 
 
 @dataclass(frozen=True)
@@ -242,9 +254,7 @@ def mode_envelope(
     The three Bessel-reduction methods all factor each coefficient into
     this envelope (a function of the transmitted order and the offset
     radius alone) times a radial factor that depends only on the filter
-    order. BER averaging no longer calls it: it locates the radii where
-    two stream envelopes cross (where those methods degenerate) from the
-    waist-free factor of their gap (``ber._degeneracy_windows``).
+    order.
     """
     return _envelope_prefactor(geom, rx, n_m, ell_n) * _frozen_envelope_sq(
         geom, ell_n, r_ch
@@ -256,11 +266,8 @@ def _uniform_panel_weights(n_panels: int, step: float) -> np.ndarray:
 
     Composite Simpson weights for an even panel count; for odd counts the
     last three panels use the 3/8 rule. Weights sum to n_panels * step.
+    Needs n_panels >= 2 (``ReceiverConfig.k_r`` is at least 2).
     """
-    if n_panels < 1:
-        raise ValueError("need at least one panel")
-    if n_panels == 1:
-        return np.array([0.5, 0.5]) * step
     w = np.zeros(n_panels + 1)
     if n_panels % 2 == 0:
         w[:] = 2.0
@@ -344,8 +351,8 @@ def _ring_projection(
     weights: np.ndarray,
     r_ch: np.ndarray,
 ) -> np.ndarray:
-    """Radial-sum and ``filter_spectrum`` kernel: coefficients on the rings
-    ``nodes``, exact in angle, shape (len(r_ch), n_filter, n_tx).
+    """Radial-sum kernel: coefficients on the rings ``nodes``, exact in
+    angle, shape (len(r_ch), n_filter, n_tx).
 
     With the offset at (r, 0), s = sqrt(2) r/w and s' = sqrt(2) r'/w, the
     field of mode (p, ell) on ring r' is the Laurent polynomial
@@ -410,27 +417,26 @@ def crosstalk_exact_detailed(
     ell_j,
     pointing: PointingState,
     *,
-    phi_points: int = 512,
-    radial_order: int = 128,
     rel_tol: float = 1e-3,
 ) -> ExactEvaluation:
     """Reference 2D-integral crosstalk with an explicit convergence record.
 
     ``ell_n`` and ``ell_j`` are one order or a sequence each; the value has
     shape ``(len(ell_j), len(ell_n))``, without the axis of a single order,
-    and is a float for one pair. Every pair is evaluated on the requested
-    grid and on a doubled grid; pairs that differ by more than ``rel_tol``
-    take one more doubling (radial order is capped at 512). A pair whose
-    values on both grids are below 1e-13 of its tx mode's captured power
-    is FFT round-off (about 1e-32 of it at r = 0): its change is measured
-    against that power, so it settles. Each pair keeps the value of the first doubling
-    that settled it, so a pair's value does not depend on the other pairs.
+    and is a float for one pair. Every pair is evaluated on the starting
+    grid (``_EXACT_PHI_POINTS`` x ``_EXACT_RADIAL_ORDER``) and on a doubled
+    grid; pairs that differ by more than ``rel_tol`` take one more doubling
+    (radial order is capped at 512). A pair whose values on both grids are
+    below 1e-13 of its tx mode's captured power is FFT round-off (about
+    1e-32 of it at r = 0): its change is measured against that power, so it
+    settles. Each pair keeps the value of the first doubling that settled
+    it, so a pair's value does not depend on the other pairs.
     The record reports the finest grid used and the largest relative
     change among the pairs' last doublings.
     """
     _validate_pair(n_m, ell_n, ell_j)
     tx, flt = np.atleast_1d(ell_n), np.atleast_1d(ell_j)
-    n_phi, n_rad = phi_points, radial_order
+    n_phi, n_rad = _EXACT_PHI_POINTS, _EXACT_RADIAL_ORDER
     value, _ = _ring_powers(geom, rx, n_m, tx, flt, pointing, n_phi, n_rad)
     rel_change = np.full(value.shape, math.inf)
     while True:
@@ -461,9 +467,6 @@ def crosstalk_exact(
     ell_n,
     ell_j,
     pointing: PointingState,
-    *,
-    phi_points: int = 512,
-    radial_order: int = 128,
 ):
     """Reference 2D-integral crosstalk coefficient, watts per unit modulation.
 
@@ -471,10 +474,7 @@ def crosstalk_exact(
     ``QuadratureConvergenceWarning`` if grid doubling still moves a value
     by more than 0.1%, quoting the largest change.
     """
-    result = crosstalk_exact_detailed(
-        geom, rx, n_m, ell_n, ell_j, pointing,
-        phi_points=phi_points, radial_order=radial_order,
-    )
+    result = crosstalk_exact_detailed(geom, rx, n_m, ell_n, ell_j, pointing)
     if not result.converged:
         warnings.warn(
             f"crosstalk integral did not settle: last grid doubling changed the "
@@ -497,14 +497,14 @@ def _coefficient_grid(
 
     exact2d integrates at the given pointing; the reduced methods depend on
     the offset radius only. Warns with ``ApproximationWarning`` below the
-    validity floor of the Bessel-integral and Bessel-sum forms.
+    method's ``validity_floor``.
     """
     if method is Method.EXACT2D:
         return crosstalk_exact(geom, rx, n_m, modes.tx_modes, modes.filter_modes, pointing)
     r_ch = pointing.r_ch
-    if method in (Method.BESSEL_INTEGRAL, Method.BESSEL_SUM) and r_ch < SMALL_OFFSET_FLOOR:
+    if r_ch < method.validity_floor:
         warnings.warn(
-            f"offset radius {r_ch:.3g} m is below the {SMALL_OFFSET_FLOOR:g} m validity "
+            f"offset radius {r_ch:.3g} m is below the {method.validity_floor:g} m validity "
             "floor of the Bessel-based approximations; accuracy is degraded",
             ApproximationWarning,
             stacklevel=3,
@@ -562,43 +562,19 @@ def filter_spectrum(
     ell_n: int,
     pointing: PointingState,
     ell_j_range: tuple[int, int] = (-SPECTRUM_MAX_ORDER, SPECTRUM_MAX_ORDER),
-    *,
-    radial_order: int = 128,
-    rel_tol: float = 1e-3,
 ) -> list[tuple[int, float]]:
     """Reference crosstalk across a whole range of filter orders at once.
 
-    Evaluates the same integral as the reference evaluator, every requested
-    order projected in closed form (exact in angle) on a Gauss-Legendre
-    rule of ``radial_order`` nodes over the aperture. A doubled radial rule
-    guards convergence; if any order moves by more than ``rel_tol`` of the
-    largest value a ``QuadratureConvergenceWarning`` is emitted.
+    Every order in ``ell_j_range`` goes through one ``crosstalk_exact``
+    call, with its grid doubling and its ``QuadratureConvergenceWarning``.
     """
     lo, hi = int(ell_j_range[0]), int(ell_j_range[1])
     if lo > hi:
         raise ValueError(f"empty filter order range {ell_j_range!r}")
     if max(abs(lo), abs(hi)) > SPECTRUM_MAX_ORDER:
         raise ValueError(f"filter orders must satisfy |ell'| <= {SPECTRUM_MAX_ORDER}")
-    _validate_pair(n_m, ell_n, 0)
     orders = list(range(lo, hi + 1))
-
-    def spectrum(order: int) -> np.ndarray:
-        rule = gauss_legendre(order, 0.0, rx.aperture_radius)
-        return _ring_projection(
-            geom, rx, n_m, [ell_n], orders, rule.nodes, rule.weights, np.array([pointing.r_ch])
-        )[0, :, 0]
-
-    coarse, fine = spectrum(radial_order), spectrum(min(2 * radial_order, 512))
-    peak = max(fine.max(), coarse.max(), np.finfo(float).tiny)
-    worst = float(np.max(np.abs(fine - coarse)) / peak)
-    if worst > rel_tol:
-        warnings.warn(
-            f"filter spectrum did not settle: doubling moved an order by {worst:.2%} "
-            "of the peak",
-            QuadratureConvergenceWarning,
-            stacklevel=2,
-        )
-    return list(zip(orders, fine.tolist()))
+    return list(zip(orders, crosstalk_exact(geom, rx, n_m, ell_n, orders, pointing).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ import numpy as np
 from oamlink.beam import LinkGeometry, ModeSet
 from oamlink.ber import PointingStats
 from oamlink.crosstalk import (
-    SMALL_OFFSET_FLOOR,
     Method,
     ReceiverConfig,
     channel_profile,
@@ -150,8 +149,7 @@ def _run_chunk(
         theta = rng.normal(0.0, stats.sigma_theta, size=(n, 2))
         offsets = theta * stats.distance
         r_ch = np.hypot(offsets[:, 0], offsets[:, 1])
-        if cfg.crosstalk_method not in (Method.EXACT2D, Method.RADIAL_SUM):
-            degraded = int(np.count_nonzero(r_ch < SMALL_OFFSET_FLOOR))
+        degraded = int(np.count_nonzero(r_ch < cfg.crosstalk_method.validity_floor))
         amp = np.sqrt(channel_profile(geom, rx, modes, r_ch, cfg.crosstalk_method))
 
     bits = rng.integers(0, 2, size=(n, modes.n_streams))
@@ -193,8 +191,6 @@ def simulate_ber(
     draws fall below the approximation validity floor, unless the config
     sets ``allow_degraded``.
     """
-    if modes.n_streams < 1:
-        raise ValueError("mode set defines no streams")
     fixed = None
     if amplitude_matrix is not None:
         fixed = np.asarray(amplitude_matrix, dtype=float)
@@ -228,7 +224,7 @@ def simulate_ber(
     if degraded_fraction > 1e-3 and not cfg.allow_degraded:
         raise DegradedChannelError(
             f"{degraded_fraction:.3%} of trials drew offsets below the "
-            f"{SMALL_OFFSET_FLOOR:g} m validity floor of method "
+            f"{cfg.crosstalk_method.validity_floor:g} m validity floor of method "
             f"'{Method.parse(cfg.crosstalk_method).value}' (limit 0.1%); "
             "set allow_degraded=True to accept them or use an exact method"
         )

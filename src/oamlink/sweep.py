@@ -72,8 +72,6 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.sigma_theta > 0 and math.isfinite(self.sigma_theta)):
-            raise ValueError(f"sigma_theta must be positive, got {self.sigma_theta!r}")
         # The Rayleigh average reaches 8 sigma_r (ber.average_ber).
         self.rx.check_bessel_range(self.geom, 8.0 * self.pointing_stats().rayleigh_scale)
 
@@ -188,31 +186,17 @@ def optimize_w0(
     pre_vals = [evaluate(float(x)) for x in pre]
     k = int(np.argmin(pre_vals))
 
-    if k == 0 or k == PRE_GRID_POINTS - 1:
-        edge = slice(0, 3) if k == 0 else slice(PRE_GRID_POINTS - 3, PRE_GRID_POINTS)
-        certificate = tuple(
-            (float(x), float(v)) for x, v in zip(pre[edge], pre_vals[edge])
-        )
-        return OptimizeResult(
-            w0_opt=float(pre[k]),
-            ber_opt=pre_vals[k],
-            bracket=certificate,
-            boundary=True,
-            evaluations=len(memo),
-            method=method,
-            tol=float(tol),
-        )
-
-    a, b = float(pre[k - 1]), float(pre[k + 1])
-    c = b - GOLDEN_RATIO_CONJUGATE * (b - a)
-    d = a + GOLDEN_RATIO_CONJUGATE * (b - a)
-    while (b - a) > tol:
-        if evaluate(c) <= evaluate(d):
-            b, d = d, c
-            c = b - GOLDEN_RATIO_CONJUGATE * (b - a)
-        else:
-            a, c = c, d
-            d = a + GOLDEN_RATIO_CONJUGATE * (b - a)
+    if 0 < k < PRE_GRID_POINTS - 1:
+        a, b = float(pre[k - 1]), float(pre[k + 1])
+        c = b - GOLDEN_RATIO_CONJUGATE * (b - a)
+        d = a + GOLDEN_RATIO_CONJUGATE * (b - a)
+        while (b - a) > tol:
+            if evaluate(c) <= evaluate(d):
+                b, d = d, c
+                c = b - GOLDEN_RATIO_CONJUGATE * (b - a)
+            else:
+                a, c = c, d
+                d = a + GOLDEN_RATIO_CONJUGATE * (b - a)
 
     # Certify the best evaluated point with its nearest evaluated neighbors;
     # the memo argmin rather than the final interval midpoint keeps the

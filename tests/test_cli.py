@@ -270,6 +270,8 @@ class TestMainErrors:
             (["bench", "-s", "bench.repetitions=21"], None, "bench.repetitions"),
             (["ber-curve", "--grid", "0.02", "-s", "pointing.sigma_theta_rad=1e-300"], None,
              "pointing.sigma_theta_rad"),
+            (["rank-modes", "-s", "receiver.aperture_radius_m=2"], None,
+             "receiver.aperture_radius_m"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):
@@ -405,14 +407,14 @@ class TestCrosstalkCurveCommand:
         assert main(["crosstalk-curve", "--grid=-1,2", "-o", out]) == EXIT_CONFIG
 
     def test_warning_folded_into_status(self, tmp_path):
-        # Below the validity floor the Bessel sum still delivers values and
-        # says so in the status column.
+        # Below the validity floor the Bessel-based forms still deliver
+        # values and say so in the status column.
         out = tmp_path / "xt.csv"
-        code = main(["crosstalk-curve", "--grid", "0.5", "--method", "bessel-sum",
+        code = main(["crosstalk-curve", "--grid", "0.5", "--method", "bessel-sum,asymptotic",
                      "-o", str(out)])
         assert code == EXIT_OK
         _, _, rows = read_csv_file(out)
-        assert len(rows) == 4
+        assert sorted({r[3] for r in rows}) == ["asymptotic", "bessel-sum"] and len(rows) == 8
         assert all(r[6].startswith("warning:") and "validity" in r[6] for r in rows)
         assert not any(math.isnan(float(r[4])) for r in rows)
 

@@ -8,6 +8,7 @@ the acceptance suite.
 
 import math
 
+import numpy as np
 import pytest
 
 from oamlink.beam import LinkGeometry, ModeSet
@@ -102,19 +103,20 @@ class TestOptimizeW0:
         assert xs[0] < res.w0_opt <= xs[2]
         assert ys[1] <= ys[0] and ys[1] <= ys[2]
 
-    def test_boundary_minimum_is_flagged(self):
+    @pytest.mark.parametrize("sign, edge", [(1.0, slice(0, 3)), (-1.0, slice(-3, None))],
+                             ids=["lower", "upper"])
+    def test_boundary_minimum_is_flagged(self, sign, edge):
         res = optimize_w0(
             default_scenario(),
             bounds=(0.01, 0.02),
             tol=1e-4,
-            objective=lambda w: w,
+            objective=lambda w: sign * w,
         )
+        pre = np.linspace(0.01, 0.02, PRE_GRID_POINTS)[edge]
         assert res.boundary
-        assert res.w0_opt == 0.01
+        assert res.w0_opt == (0.01 if sign > 0 else 0.02)
         assert res.evaluations == PRE_GRID_POINTS
-        xs = [p[0] for p in res.bracket]
-        assert xs == sorted(xs)
-        assert xs[0] == 0.01
+        assert res.bracket == tuple((x, sign * x) for x in pre.tolist())
 
     def test_real_objective_interior_optimum(self):
         scen = default_scenario()
