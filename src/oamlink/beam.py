@@ -25,6 +25,7 @@ __all__ = [
     "curvature_radius",
     "gouy_phase",
     "lg_field",
+    "lg_radial_norm",
     "shifted_aperture_field",
 ]
 
@@ -228,7 +229,8 @@ def gouy_phase(geom: LinkGeometry, ell: int, z: float) -> float:
     return (2 * geom.radial_index + abs(ell) + 1) * math.atan2(z, geom.rayleigh_range)
 
 
-def _lg_radial_norm(geom: LinkGeometry, ell: int) -> float:
+def lg_radial_norm(geom: LinkGeometry, ell: int) -> float:
+    """Unit-power normalisation sqrt(2 p! / (pi (p + |ell|)!)) of the LG mode."""
     p = geom.radial_index
     return math.sqrt(
         2.0 * math.factorial(p) / (math.pi * math.factorial(p + abs(ell)))
@@ -256,7 +258,7 @@ def lg_field(geom: LinkGeometry, ell: int, r, phi, z: float):
 
     t = 2.0 * r_arr**2 / w**2
     amplitude = (
-        _lg_radial_norm(geom, ell)
+        lg_radial_norm(geom, ell)
         / w
         * (math.sqrt(2.0) * r_arr / w) ** abs(ell)
         * laguerre(geom.radial_index, abs(ell), t)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from oamlink.beam import LinkGeometry, ModeSet
+from oamlink.beam import LinkGeometry, ModeSet, lg_radial_norm
 from oamlink.crosstalk import (
     ApproximationWarning,
     Method,
@@ -31,7 +31,7 @@ from oamlink.crosstalk import (
     channel_profile,
     mode_envelope,  # noqa: F401  benchmarks/spans.py traces ber.mode_envelope
 )
-from oamlink.numerics import gauss_legendre, q_function
+from oamlink.numerics import gauss_legendre, laguerre_coefficients, q_function
 
 __all__ = [
     "PointingStats",
@@ -72,6 +72,12 @@ class PointingStats:
     def rayleigh_scale(self) -> float:
         """Scale sigma_r of the Rayleigh offset-radius distribution, meters."""
         return self.sigma_theta * self.distance
+
+    @property
+    def reach(self) -> float:
+        """Largest offset radius the Rayleigh average covers, 8 sigma_r, m;
+        the excluded tail carries less than 1.3e-14 of the probability mass."""
+        return 8.0 * self.rayleigh_scale
 
     def pdf(self, r) -> np.ndarray:
         """Rayleigh density (r/sigma_r^2) exp(-r^2 / (2 sigma_r^2))."""
@@ -164,8 +170,6 @@ def _vectors_from_profile(profile: np.ndarray, modes: ModeSet) -> tuple[np.ndarr
     ``profile`` has shape (n_points, n_filter, n_tx); returns two arrays of
     shape (n_points, n_filter): sqrt(C) mixed by the mode set's stream matrix.
     """
-    if modes.n_streams != 2:
-        raise ValueError(f"need exactly 2 data streams, got {modes.n_streams}")
     # einsum, not matmul: BLAS reorders the sum and moves grouped-set BERs.
     h = np.einsum("nft,tk->knf", np.sqrt(profile), modes.stream_matrix)
     return h[0], h[1]
@@ -188,22 +192,17 @@ def _degeneracy_windows(
     the windows. With s = sqrt(2) r / w, a1 - a2 = C(r) g(s), where
     C(r) = 2 pi sqrt(gain / 2 pi) exp(-s^2/2) / (n_m w) > 0 and
     g(s) = sum_l d_l |s^|l| L_p^|l|(s^2)|, d_l = (M[l, 0] - M[l, 1])
-    sqrt(2 p! / (pi (p + |l|)!)) with M the stream matrix. g depends on the
-    mode set and p alone; each of its sign changes is refined by bisection
-    and bracketed with a margin wide enough that the pairwise Q terms decay
-    to nothing outside.
+    sqrt(2 p! / (pi (p + |l|)!)) (``lg_radial_norm``) with M the stream
+    matrix of the two-stream set. g depends on the mode set and p alone;
+    each of its sign changes is refined by bisection and bracketed with a
+    margin wide enough that the pairwise Q terms decay to nothing outside.
     """
-    if modes.n_streams != 2:
-        return []
-    p = geom.radial_index
     terms = []
     for ell, (m1, m2) in zip(modes.tx_modes, modes.stream_matrix.tolist()):
         n = abs(ell)
-        norm = math.sqrt(2.0 * math.factorial(p) / (math.pi * math.factorial(p + n)))
-        # L_p^n coefficients (numerics.laguerre), highest power first, for Horner.
-        lag = [(-1.0) ** m / math.factorial(m) * math.comb(p + n, p - m)
-               for m in range(p, -1, -1)]
-        terms.append(((m1 - m2) * norm, n, lag))
+        # L_p^n coefficients, highest power first, for Horner.
+        lag = laguerre_coefficients(geom.radial_index, n)[::-1]
+        terms.append(((m1 - m2) * lg_radial_norm(geom, ell), n, lag))
 
     def gap(s):
         # A float in the bisection, an array in the probe scan.
@@ -301,20 +300,21 @@ def average_ber(
     """Rayleigh-averaged error probability over the pointing distribution.
 
     Gauss-Legendre integration of conditional BER times the Rayleigh
-    density on [0, 8 sigma_r]; the excluded tail carries less than 1.3e-14
-    of the probability mass. The rule is composed piecewise around each
-    stream-amplitude crossing, whose centimeter-scale degeneracy ridge a
-    single global rule would step over. The integral is recomputed at twice
-    the order as a self-check; a relative shift above 1% marks the result
-    as not converged (and is also warned about). A Bessel-based method warns
+    density on [0, 8 sigma_r] (``PointingStats.reach``). The rule is
+    composed piecewise around each stream-amplitude crossing, whose
+    centimeter-scale degeneracy ridge a single global rule would step
+    over. The integral is recomputed at twice the order as a self-check;
+    a relative shift above 1% marks the result as not converged (and is
+    also warned about). A Bessel-based method warns
     with ``ApproximationWarning`` when the whole domain lies below its
-    validity floor.
+    validity floor. The mode set must carry exactly two data streams.
     """
     if not isinstance(quad_order, (int, np.integer)) or not (16 <= quad_order <= 256):
         raise ValueError(f"quad_order must be an integer in [16, 256], got {quad_order!r}")
     method = Method.parse(method)
-    sigma_r = stats.rayleigh_scale
-    upper = 8.0 * sigma_r
+    if modes.n_streams != 2:
+        raise ValueError(f"need exactly 2 data streams, got {modes.n_streams}")
+    upper = stats.reach
     floor = method.validity_floor
     if upper < floor:
         warnings.warn(

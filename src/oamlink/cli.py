@@ -19,7 +19,6 @@ import math
 import re
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -40,6 +39,7 @@ from oamlink.sweep import (
     mode_set_label,
     optimize_w0,
     rank_mode_sets,
+    warning_status,
 )
 
 EXIT_OK = 0
@@ -398,20 +398,13 @@ def _dbm(c_watts: float, tx_power_w: float) -> float:
 
 
 def _capture(fn, *args):
-    """Call ``fn(*args)``, folding its warnings or its error into a status cell.
-
-    Returns ``(result, status)``: status is "ok", "warning: " followed by the
-    distinct warning texts in sorted order, or "error: Type: message" with a
-    None result (warnings raised before the error are dropped).
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = fn(*args)
-        except Exception as exc:
-            return None, f"error: {type(exc).__name__}: {exc}"
-    note = "; ".join(sorted({str(w.message) for w in caught}))
-    return result, f"warning: {note}" if note else "ok"
+    """``warning_status(fn, *args)``, with an error folded into the status
+    cell too: "error: Type: message" with a None result (warnings raised
+    before the error are dropped)."""
+    try:
+        return warning_status(fn, *args)
+    except Exception as exc:
+        return None, f"error: {type(exc).__name__}: {exc}"
 
 
 class _Output(NamedTuple):
@@ -442,7 +435,12 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
     if not (0.0 < tx_power < math.inf):
         raise ConfigError(f"receiver.tx_power_w must be finite and > 0, got {tx_power!r}")
     radii = cfg.numbers("sweep.grid")
-    if not radii and cfg.is_set("pointing.r_ch_m"):
+    if cfg.is_set("pointing.r_ch_m"):
+        if radii:
+            raise ConfigError(
+                "sweep.grid and pointing.r_ch_m both give offset radii; clear one "
+                "(e.g. --set pointing.r_ch_m=)"
+            )
         radii = (cfg.number("pointing.r_ch_m"),)
     if not radii:
         raise ConfigError(
@@ -629,7 +627,7 @@ def cmd_rank_modes(cfg: RunConfig) -> _Output:
             r.ber,
             r.method.value,
             str(r.converged).lower(),
-            "ok" if r.converged else "warning: quadrature self-check failed",
+            r.status,
         )
         for r in ranking
     ]

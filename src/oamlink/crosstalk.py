@@ -41,7 +41,13 @@ from oamlink.beam import (
     lg_field,
     shifted_aperture_field,  # noqa: F401  benchmarks/spans.py traces crosstalk.shifted_aperture_field
 )
-from oamlink.numerics import BESSEL_MAX_ARG, bessel_j, gauss_legendre, laguerre
+from oamlink.numerics import (
+    BESSEL_MAX_ARG,
+    bessel_j,
+    gauss_legendre,
+    laguerre,
+    laguerre_coefficients,
+)
 
 __all__ = [
     "SMALL_OFFSET_FLOOR",
@@ -70,6 +76,8 @@ SPECTRUM_MAX_ORDER = 20
 # Gauss-Legendre rings; each doubling doubles both (rings capped at 512).
 _EXACT_PHI_POINTS = 512
 _EXACT_RADIAL_ORDER = 128
+# Relative change between doublings below which a reference pair settles.
+_EXACT_REL_TOL = 1e-3
 
 
 class ApproximationWarning(UserWarning):
@@ -183,7 +191,6 @@ class CrosstalkMatrix:
     tx_modes: tuple[int, ...]
     filter_modes: tuple[int, ...]
     method: Method
-    pointing: PointingState
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -195,11 +202,6 @@ class CrosstalkMatrix:
         if np.any(vals < 0):
             raise ValueError("crosstalk coefficients must be non-negative")
         object.__setattr__(self, "values", vals)
-
-    @property
-    def amplitude_matrix(self) -> np.ndarray:
-        """Element-wise square root of the coefficient grid."""
-        return np.sqrt(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -223,25 +225,6 @@ def _envelope_prefactor(geom: LinkGeometry, rx: ReceiverConfig, n_m: int, ell_n:
     )
 
 
-def _frozen_envelope_sq(geom: LinkGeometry, ell_n: int, r_ch) -> np.ndarray:
-    """Squared azimuthal-integral envelope frozen at the offset radius.
-
-    [2*pi * (sqrt(2) r_ch / w)^{|ell_n|} L_p^{|ell_n|}(2 r_ch^2/w^2)
-     exp(-r_ch^2/w^2)]^2, vectorized over r_ch.
-    """
-    w = geom.beam_radius_at_rx
-    r = np.asarray(r_ch, dtype=float)
-    t = 2.0 * r**2 / w**2
-    amp = (
-        2.0
-        * math.pi
-        * np.sqrt(t) ** abs(ell_n)
-        * laguerre(geom.radial_index, abs(ell_n), t)
-        * np.exp(-(r**2) / w**2)
-    )
-    return amp**2
-
-
 def mode_envelope(
     geom: LinkGeometry,
     rx: ReceiverConfig,
@@ -254,11 +237,21 @@ def mode_envelope(
     The three Bessel-reduction methods all factor each coefficient into
     this envelope (a function of the transmitted order and the offset
     radius alone) times a radial factor that depends only on the filter
-    order.
+    order: the prefactor times the squared azimuthal-integral envelope
+    frozen at the offset radius, [2*pi * (sqrt(2) r_ch / w)^{|ell_n|}
+    L_p^{|ell_n|}(2 r_ch^2/w^2) exp(-r_ch^2/w^2)]^2, vectorized over r_ch.
     """
-    return _envelope_prefactor(geom, rx, n_m, ell_n) * _frozen_envelope_sq(
-        geom, ell_n, r_ch
+    w = geom.beam_radius_at_rx
+    r = np.asarray(r_ch, dtype=float)
+    t = 2.0 * r**2 / w**2
+    amp = (
+        2.0
+        * math.pi
+        * np.sqrt(t) ** abs(ell_n)
+        * laguerre(geom.radial_index, abs(ell_n), t)
+        * np.exp(-(r**2) / w**2)
     )
+    return _envelope_prefactor(geom, rx, n_m, ell_n) * amp**2
 
 
 def _uniform_panel_weights(n_panels: int, step: float) -> np.ndarray:
@@ -373,11 +366,12 @@ def _ring_projection(
     fields = {}  # ell_n: (P_k from the lowest power of z up, that power)
     for ell_n in tx_modes:
         n = abs(ell_n)
-        # Horner on the explicit Laguerre sum (numerics.laguerre), in z.
-        poly = [(-1.0) ** p / math.factorial(p)]
+        # Horner on the explicit Laguerre sum, in z.
+        lag = laguerre_coefficients(p, n)
+        poly = [lag[p]]
         for m in range(p - 1, -1, -1):
             poly = _laurent_product(poly, [s * s_ring, s**2 + s_ring**2, s * s_ring])
-            poly[p - m] += (-1.0) ** m / math.factorial(m) * math.comb(p + n, p - m)
+            poly[p - m] += lag[m]
         helix = [math.comb(n, m) * s ** (n - m) * s_ring**m for m in range(n + 1)]
         if ell_n > 0:
             helix.reverse()
@@ -416,8 +410,6 @@ def crosstalk_exact_detailed(
     ell_n,
     ell_j,
     pointing: PointingState,
-    *,
-    rel_tol: float = 1e-3,
 ) -> ExactEvaluation:
     """Reference 2D-integral crosstalk with an explicit convergence record.
 
@@ -425,11 +417,11 @@ def crosstalk_exact_detailed(
     shape ``(len(ell_j), len(ell_n))``, without the axis of a single order,
     and is a float for one pair. Every pair is evaluated on the starting
     grid (``_EXACT_PHI_POINTS`` x ``_EXACT_RADIAL_ORDER``) and on a doubled
-    grid; pairs that differ by more than ``rel_tol`` take one more doubling
-    (radial order is capped at 512). A pair whose values on both grids are
-    below 1e-13 of its tx mode's captured power is FFT round-off (about
-    1e-32 of it at r = 0): its change is measured against that power, so it
-    settles. Each pair keeps the value of the first doubling that settled
+    grid; pairs that differ by more than ``_EXACT_REL_TOL`` take one more
+    doubling (radial order is capped at 512). A pair whose values on both
+    grids are below 1e-13 of its tx mode's captured power is FFT round-off
+    (about 1e-32 of it at r = 0): its change is measured against that
+    power, so it settles. Each pair keeps the value of the first doubling that settled
     it, so a pair's value does not depend on the other pairs.
     The record reports the finest grid used and the largest relative
     change among the pairs' last doublings.
@@ -440,7 +432,7 @@ def crosstalk_exact_detailed(
     value, _ = _ring_powers(geom, rx, n_m, tx, flt, pointing, n_phi, n_rad)
     rel_change = np.full(value.shape, math.inf)
     while True:
-        unsettled = rel_change > rel_tol
+        unsettled = rel_change > _EXACT_REL_TOL
         n_phi, n_rad = 2 * n_phi, min(2 * n_rad, 512)
         refined, captured = _ring_powers(geom, rx, n_m, tx, flt, pointing, n_phi, n_rad)
         size = np.maximum(np.abs(value), np.abs(refined))
@@ -448,12 +440,12 @@ def crosstalk_exact_detailed(
         change = np.abs(refined - value) / np.where(size == 0.0, 1.0, size)
         rel_change = np.where(unsettled, change, rel_change)
         value = np.where(unsettled, refined, value)
-        if np.all(rel_change <= rel_tol) or n_rad >= 512:
+        if np.all(rel_change <= _EXACT_REL_TOL) or n_rad >= 512:
             break
     value = value.reshape(np.shape(ell_j) + np.shape(ell_n))
     return ExactEvaluation(
         value=float(value) if value.ndim == 0 else value,
-        converged=bool(np.all(rel_change <= rel_tol)),
+        converged=bool(np.all(rel_change <= _EXACT_REL_TOL)),
         rel_change=float(rel_change.max()),
         phi_points=n_phi,
         radial_order=n_rad,
@@ -551,7 +543,6 @@ def crosstalk_matrix(
         tx_modes=modes.tx_modes,
         filter_modes=modes.filter_modes,
         method=method,
-        pointing=pointing,
     )
 
 

@@ -10,7 +10,7 @@ is backed by scipy.special. Each carries the guard rails documented on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,6 +23,7 @@ __all__ = [
     "BESSEL_MAX_ARG",
     "QuadratureRule",
     "laguerre",
+    "laguerre_coefficients",
     "bessel_j",
     "q_function",
     "gauss_legendre",
@@ -47,6 +48,13 @@ _ORDER_TIERS = (4, 16, BESSEL_MAX_ORDER)
 # Arguments per recurrence block: its six work arrays stay in the L2 cache,
 # and the block's largest argument sets its start index.
 _BLOCK = 8192
+
+
+def laguerre_coefficients(p: int, alpha: int) -> list[float]:
+    """Power-series coefficients of L_p^alpha, lowest power first:
+    (-1)^m / m! * C(p + alpha, p - m) for m = 0..p."""
+    return [(-1.0) ** m / math.factorial(m) * math.comb(p + alpha, p - m)
+            for m in range(p + 1)]
 
 
 def laguerre(p: int, alpha: int, x):
@@ -83,10 +91,7 @@ def laguerre(p: int, alpha: int, x):
         raise ValueError("laguerre argument must be finite")
 
     # Horner evaluation of the explicit sum, highest power first.
-    coeffs = [
-        (-1.0) ** m / math.factorial(m) * math.comb(p + alpha, p - m)
-        for m in range(p + 1)
-    ]
+    coeffs = laguerre_coefficients(p, alpha)
     result = np.full_like(x_arr, coeffs[-1])
     for m in range(p - 1, -1, -1):
         result = result * x_arr + coeffs[m]
@@ -259,9 +264,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
-    a: float = field(default=-1.0)
-    b: float = field(default=1.0)
 
     def integrate(self, values) -> float | complex:
         """Dot the rule's weights with integrand values at the nodes."""
@@ -293,13 +295,7 @@ def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
     xs, ws = _LEGGAUSS_CACHE[order]
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    return QuadratureRule(
-        nodes=mid + half * xs,
-        weights=half * ws,
-        order=int(order),
-        a=float(a),
-        b=float(b),
-    )
+    return QuadratureRule(nodes=mid + half * xs, weights=half * ws)
 
 
 def periodic_trapezoid(f: Callable, n_points: int) -> complex:

@@ -15,7 +15,7 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,8 +72,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # The Rayleigh average reaches 8 sigma_r (ber.average_ber).
-        self.rx.check_bessel_range(self.geom, 8.0 * self.pointing_stats().rayleigh_scale)
+        self.rx.check_bessel_range(self.geom, self.pointing_stats().reach)
 
     def pointing_stats(self) -> PointingStats:
         """Jitter statistics tied to the current link distance."""
@@ -135,7 +134,6 @@ def optimize_w0(
     bounds: tuple[float, float],
     tol: float,
     method: "Method | str" = Method.BESSEL_SUM,
-    objective: Optional[Callable[[float], float]] = None,
 ) -> OptimizeResult:
     """Golden-section search for the beam waist minimizing averaged BER.
 
@@ -143,40 +141,26 @@ def optimize_w0(
     bracket; golden-section then narrows the bracketing interval below
     ``tol``. When the pre-grid argmin falls on an interval edge the result
     is flagged as a boundary minimum and no interior certificate is
-    fabricated. ``objective`` replaces the averaged-BER objective (same
-    signature: waist in meters to scalar), mainly for optimizer sanity
-    tests on closed-form functions.
+    fabricated.
     """
     w_lo, w_hi = float(bounds[0]), float(bounds[1])
     if not (math.isfinite(w_lo) and math.isfinite(w_hi) and w_lo < w_hi):
         raise ValueError(f"need w_lo < w_hi, got {bounds!r}")
-    if objective is None and w_lo <= 0:
+    if w_lo <= 0:
         raise ValueError(f"beam waist bounds must be positive, got {bounds!r}")
     if not (0 < tol < (w_hi - w_lo)):
         raise ValueError(
             f"tol must be in (0, {w_hi - w_lo:g}) for these bounds, got {tol!r}"
         )
     method = Method.parse(method)
-    if objective is None:
-        def objective_fn(w0: float) -> float:
-            geom = replace(scenario.geom, waist=w0)
-            res = average_ber(
-                geom,
-                scenario.rx,
-                scenario.modes,
-                PointingStats(scenario.sigma_theta, geom.distance),
-                method,
-                scenario.quad_order,
-            )
-            return res.averaged
-    else:
-        objective_fn = objective
-
+    stats = scenario.pointing_stats()
     memo: dict[float, float] = {}
 
     def evaluate(x: float) -> float:
         if x not in memo:
-            y = float(objective_fn(x))
+            geom = replace(scenario.geom, waist=x)
+            res = average_ber(geom, scenario.rx, scenario.modes, stats, method, scenario.quad_order)
+            y = float(res.averaged)
             if not math.isfinite(y):
                 raise ValueError(f"objective returned non-finite value {y!r} at {x!r}")
             memo[x] = y
@@ -225,16 +209,28 @@ def optimize_w0(
 # mode-set ranking
 
 
+def warning_status(fn: Callable, *args):
+    """Call ``fn(*args)`` and fold its warnings into a status cell: returns
+    ``(result, status)`` with status "ok", or "warning: " followed by the
+    distinct warning texts in sorted order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    note = "; ".join(sorted({str(w.message) for w in caught}))
+    return result, f"warning: {note}" if note else "ok"
+
+
 @dataclass(frozen=True)
 class RankedModeSet:
-    """One candidate's position in the averaged-BER ordering."""
+    """One candidate's position in the averaged-BER ordering; ``status``
+    folds the warnings of its average (``warning_status``)."""
 
     rank: int
     label: str
-    modes: ModeSet
     ber: float
     method: Method
     converged: bool
+    status: str
 
 
 def rank_mode_sets(
@@ -260,21 +256,21 @@ def rank_mode_sets(
     stats = scenario.pointing_stats()
     scored = []
     for label, modes in zip(labels, candidates):
-        res = average_ber(
-            scenario.geom, scenario.rx, modes, stats, method, scenario.quad_order
+        res, status = warning_status(
+            average_ber, scenario.geom, scenario.rx, modes, stats, method, scenario.quad_order
         )
-        scored.append((res.averaged, label, modes, res.quad_converged))
+        scored.append((res.averaged, label, res.quad_converged, status))
     scored.sort(key=lambda item: (item[0], item[1]))
     return tuple(
         RankedModeSet(
             rank=i + 1,
             label=label,
-            modes=modes,
             ber=ber,
             method=method,
             converged=converged,
+            status=status,
         )
-        for i, (ber, label, modes, converged) in enumerate(scored)
+        for i, (ber, label, converged, status) in enumerate(scored)
     )
 
 
@@ -296,24 +292,6 @@ class BenchReport:
     method_times: Mapping[str, float]
     mc_time: float
     analytic_ber_time: float
-    repetitions: int
-    grid_size: int
-    mc_trials: int
-
-    def __post_init__(self) -> None:
-        if Method.EXACT2D.value not in self.method_times:
-            raise ValueError("benchmark must include the reference method exact2d")
-        for name, t in self.method_times.items():
-            if not (t > 0 and math.isfinite(t)):
-                raise ValueError(f"non-positive wall time {t!r} for method {name}")
-        for name in ("mc_time", "analytic_ber_time"):
-            t = getattr(self, name)
-            if not (t > 0 and math.isfinite(t)):
-                raise ValueError(f"non-positive wall time {t!r} for {name}")
-        if self.repetitions < 3:
-            raise ValueError(f"repetitions must be >= 3, got {self.repetitions}")
-        if self.grid_size < 1:
-            raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
 
     @property
     def speedup_vs_exact(self) -> dict[str, float]:
@@ -357,10 +335,11 @@ def bench_methods(
     points; every method runs the identical list and the median of
     ``repetitions`` passes is kept. The Monte Carlo versus analytic-average
     comparison runs the estimator at ``mc_trials`` trials pinned to a
-    single worker against one quadrature average with the same crosstalk
-    method. Accuracy warnings are suppressed inside the timed region so
-    console I/O does not leak into the wall times; the benchmark grid
-    should sit inside every method's validity range regardless.
+    single worker against one quadrature average, both with bessel-sum
+    whatever ``methods`` lists. Accuracy warnings are suppressed inside the
+    timed region so console I/O does not leak into the wall times; the
+    benchmark grid should sit inside every method's validity range
+    regardless.
     """
     if repetitions < 3:
         raise ValueError(f"repetitions must be >= 3, got {repetitions}")
@@ -417,11 +396,4 @@ def bench_methods(
             repetitions,
         )
 
-    return BenchReport(
-        method_times=method_times,
-        mc_time=mc_time,
-        analytic_ber_time=analytic_time,
-        repetitions=int(repetitions),
-        grid_size=len(entries),
-        mc_trials=int(mc_trials),
-    )
+    return BenchReport(method_times, mc_time, analytic_time)

@@ -8,6 +8,7 @@ the contract.
 
 import csv
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -72,6 +73,10 @@ class TestConfigText:
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate key"):
             parse_config_text("mc.seed = 1\nmc.seed = 2", "inline")
+
+    def test_default_config_file_spells_out_the_defaults(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+        assert parse_config_text(path.read_text(encoding="utf-8"), str(path)) == DEFAULTS
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="expected 'key = value'"):
@@ -272,6 +277,8 @@ class TestMainErrors:
              "pointing.sigma_theta_rad"),
             (["rank-modes", "-s", "receiver.aperture_radius_m=2"], None,
              "receiver.aperture_radius_m"),
+            (["crosstalk-curve", "--grid", "5", "-s", "pointing.sigma_theta_rad=",
+              "-s", "pointing.r_ch_m=7"], None, "sweep.grid and pointing.r_ch_m"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):
@@ -637,6 +644,20 @@ class TestRankModesCommand:
         assert {r[1] for r in rows} == {"-2|1", "-1|1"}
         bers = [float(r[2]) for r in rows]
         assert bers == sorted(bers)
+
+    def test_status_folds_warnings_as_ber_curve_does(self, tmp_path):
+        # Every offset of this average lies below the Bessel methods' 1 m
+        # validity floor: both commands write the same warning status.
+        link = ["--candidates=-2|1", "-s", "pointing.sigma_theta_rad=1e-12"]
+        rank, ber = tmp_path / "rank.csv", tmp_path / "ber.csv"
+        assert main(["rank-modes", *link, "-o", str(rank)]) == EXIT_OK
+        assert main(["ber-curve", *link, "--grid", DEFAULTS["geometry.w0_m"],
+                     "-o", str(ber)]) == EXIT_OK
+        (rank_row,) = read_csv_file(rank)[2]
+        (ber_row,) = read_csv_file(ber)[2]
+        assert rank_row[2] == ber_row[3]
+        assert rank_row[5] == ber_row[5]
+        assert rank_row[5].startswith("warning:") and "validity floor" in rank_row[5]
 
     def test_duplicate_candidates(self, tmp_path):
         args = ["rank-modes", "--candidates=-2|1;-2|1", "-o",

@@ -7,10 +7,12 @@ the acceptance suite.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import oamlink.sweep
 from oamlink.beam import LinkGeometry, ModeSet
 from oamlink.crosstalk import Method, ReceiverConfig
 from oamlink.sweep import (
@@ -82,17 +84,25 @@ class TestModeSetLabel:
         assert mode_set_label(ModeSet(tx_modes=(0,))) == "0"
 
 
+def use_objective(monkeypatch, objective):
+    """Replace the averaged BER the optimizer minimizes with a closed-form
+    function of the waist."""
+    def average_ber(geom, *args):
+        return SimpleNamespace(averaged=objective(geom.waist))
+
+    monkeypatch.setattr(oamlink.sweep, "average_ber", average_ber)
+
+
 class TestOptimizeW0:
-    def test_recovers_quadratic_minimum(self):
+    def test_recovers_quadratic_minimum(self, monkeypatch):
         calls = []
 
         def objective(w):
             calls.append(w)
             return (w - 0.02) ** 2 + 0.3
 
-        res = optimize_w0(
-            default_scenario(), bounds=(0.005, 0.06), tol=1e-4, objective=objective
-        )
+        use_objective(monkeypatch, objective)
+        res = optimize_w0(default_scenario(), bounds=(0.005, 0.06), tol=1e-4)
         assert not res.boundary
         assert res.w0_opt == pytest.approx(0.02, abs=1e-4)
         assert res.ber_opt == pytest.approx(0.3, abs=1e-8)
@@ -105,13 +115,9 @@ class TestOptimizeW0:
 
     @pytest.mark.parametrize("sign, edge", [(1.0, slice(0, 3)), (-1.0, slice(-3, None))],
                              ids=["lower", "upper"])
-    def test_boundary_minimum_is_flagged(self, sign, edge):
-        res = optimize_w0(
-            default_scenario(),
-            bounds=(0.01, 0.02),
-            tol=1e-4,
-            objective=lambda w: sign * w,
-        )
+    def test_boundary_minimum_is_flagged(self, sign, edge, monkeypatch):
+        use_objective(monkeypatch, lambda w: sign * w)
+        res = optimize_w0(default_scenario(), bounds=(0.01, 0.02), tol=1e-4)
         pre = np.linspace(0.01, 0.02, PRE_GRID_POINTS)[edge]
         assert res.boundary
         assert res.w0_opt == (0.01 if sign > 0 else 0.02)
@@ -126,7 +132,7 @@ class TestOptimizeW0:
         assert res.ber_opt < 5e-3
         assert res.method is Method.BESSEL_SUM
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         scen = default_scenario()
         with pytest.raises(ValueError):
             optimize_w0(scen, bounds=(0.03, 0.01), tol=1e-4)
@@ -134,10 +140,9 @@ class TestOptimizeW0:
             optimize_w0(scen, bounds=(0.01, 0.03), tol=0.5)
         with pytest.raises(ValueError):
             optimize_w0(scen, bounds=(-0.01, 0.03), tol=1e-4)
+        use_objective(monkeypatch, lambda w: math.nan)
         with pytest.raises(ValueError):
-            optimize_w0(
-                scen, bounds=(0.01, 0.03), tol=1e-4, objective=lambda w: math.nan
-            )
+            optimize_w0(scen, bounds=(0.01, 0.03), tol=1e-4)
 
     def test_result_validation(self):
         good = ((0.01, 2.0), (0.02, 1.0), (0.03, 3.0))
@@ -192,9 +197,6 @@ class TestBench:
         scen = default_scenario()
         grid = [(5.0, (-2, 1)), (10.0, (0, 0))]
         report = bench_methods(scen, grid, repetitions=3, mc_trials=1000)
-        assert report.grid_size == 2
-        assert report.repetitions == 3
-        assert report.mc_trials == 1000
         assert set(report.method_times) == {
             "exact2d", "bessel-integral", "bessel-sum",
         }
@@ -224,29 +226,6 @@ class TestBench:
 
     def test_report_validation(self):
         times = {"exact2d": 1.0, "bessel-sum": 0.1}
-        report = BenchReport(
-            method_times=times, mc_time=2.0, analytic_ber_time=0.5,
-            repetitions=3, grid_size=10, mc_trials=1000,
-        )
+        report = BenchReport(method_times=times, mc_time=2.0, analytic_ber_time=0.5)
         assert report.speedup_vs_exact["bessel-sum"] == pytest.approx(10.0)
         assert report.mc_over_analytic == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            BenchReport(
-                method_times={"bessel-sum": 0.1}, mc_time=2.0,
-                analytic_ber_time=0.5, repetitions=3, grid_size=10, mc_trials=1000,
-            )
-        with pytest.raises(ValueError):
-            BenchReport(
-                method_times=times, mc_time=0.0, analytic_ber_time=0.5,
-                repetitions=3, grid_size=10, mc_trials=1000,
-            )
-        with pytest.raises(ValueError):
-            BenchReport(
-                method_times=times, mc_time=2.0, analytic_ber_time=0.5,
-                repetitions=2, grid_size=10, mc_trials=1000,
-            )
-        with pytest.raises(ValueError):
-            BenchReport(
-                method_times=times, mc_time=2.0, analytic_ber_time=0.5,
-                repetitions=3, grid_size=0, mc_trials=1000,
-            )
