@@ -585,7 +585,7 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
         raise ConfigError(f"need 0 < optimize.lo_m < optimize.hi_m < inf, got {lo}, {hi}")
     if not (0 < tol < hi - lo):
         raise ConfigError(f"optimize.tol_m must be in (0, {hi - lo:g}), got {tol}")
-    result = optimize_w0(scen, (lo, hi), tol, method)
+    result, status = warning_status(optimize_w0, scen, (lo, hi), tol, method)
     (b_lo, b_mid, b_hi) = result.bracket
     boundary = str(result.boundary).lower()
     # Floats print in their shortest round-trip form, as in the CSVs.
@@ -606,7 +606,8 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
     flag = " (boundary)" if result.boundary else ""
     return _Output(
         "".join(f"optimize.{key} = {_fmt(value)}\n" for key, value in report.items()),
-        {"boundary": boundary, "evaluations": result.evaluations, "quad_order": scen.quad_order},
+        {"boundary": boundary, "evaluations": result.evaluations, "quad_order": scen.quad_order,
+         "status": status},
         f"w0*={result.w0_opt:.6g} m, ber*={result.ber_opt:.6g}{flag} "
         f"[{result.evaluations} evaluations]",
         EXIT_BOUNDARY if result.boundary else EXIT_OK,

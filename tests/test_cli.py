@@ -8,6 +8,7 @@ the contract.
 
 import csv
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -613,6 +614,24 @@ class TestOptimizeCommand:
         )
         assert code == EXIT_BOUNDARY
         assert "optimize.boundary = true" in out.read_text(encoding="utf-8")
+
+    def test_warnings_go_to_manifest_status(self, tmp_path):
+        # At this order the doubled-order self-check fails on some waists:
+        # the warnings land in the manifest's status line, not on stderr,
+        # and the report itself carries no status.
+        out = tmp_path / "opt.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["optimize", "-s", "quad.order=32", "-o", str(out)]) == EXIT_OK
+        assert caught == []
+        manifest = (tmp_path / "opt.txt.manifest").read_text(encoding="utf-8")
+        assert "manifest.status = warning: pointing average did not settle" in manifest
+        assert "status" not in out.read_text(encoding="utf-8")
+
+        clean = tmp_path / "clean.txt"
+        assert main(["optimize", "-s", "quad.order=64", "-o", str(clean)]) == EXIT_OK
+        assert "manifest.status = ok\n" in (tmp_path / "clean.txt.manifest").read_text(
+            encoding="utf-8")
 
     def test_bad_bounds(self, tmp_path):
         args = ["optimize", "--lo", "0.03", "--hi", "0.01", "-o",
