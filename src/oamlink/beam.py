@@ -8,6 +8,7 @@ All quantities are SI (meters, radians).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -237,15 +238,26 @@ def lg_radial_norm(geom: LinkGeometry, ell: int) -> float:
     )
 
 
-def lg_field(geom: LinkGeometry, ell: int, r, phi, z: float):
+def lg_field(geom: LinkGeometry, ell, r, phi, z: float):
     """Complex LG mode field u_{p,ell}(r, phi, z), normalized to unit power.
 
     Includes the radial envelope, the associated Laguerre factor, the helical
     phase e^{-i ell phi}, the wavefront-curvature phase and the Gouy phase.
     Broadcasts over array-valued r and phi.
+
+    ``ell`` is one order or a sequence, as for ``numerics.bessel_j``: one
+    order gives a complex for scalar r and phi, else an array of their
+    broadcast shape; a sequence stacks the fields on a new first axis. The
+    Gaussian and curvature factor exp(-(1/w^2 + i k/(2R)) r^2) and the step
+    (sqrt(2) r/w) e^{-i phi} are computed once for all orders; each order's
+    helix is a power of the step (of its conjugate for ell < 0), so its
+    field does not depend on which other orders are requested.
     """
-    if abs(ell) > MAX_AZIMUTHAL_ORDER:
-        raise ValueError(f"azimuthal order |{ell}| exceeds guard {MAX_AZIMUTHAL_ORDER}")
+    single = np.ndim(ell) == 0
+    orders = [ell] if single else list(ell)
+    for order in orders:
+        if abs(order) > MAX_AZIMUTHAL_ORDER:
+            raise ValueError(f"azimuthal order |{order}| exceeds guard {MAX_AZIMUTHAL_ORDER}")
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise ValueError("radial coordinate must be >= 0")
@@ -253,22 +265,36 @@ def lg_field(geom: LinkGeometry, ell: int, r, phi, z: float):
 
     w = beam_radius(geom, z)
     curvature = curvature_radius(geom, z)  # raises at z = 0
-    psi = gouy_phase(geom, ell, z)
-    k = geom.wavenumber
+    p = geom.radial_index
 
-    t = 2.0 * r_arr**2 / w**2
-    amplitude = (
-        lg_radial_norm(geom, ell)
-        / w
-        * (math.sqrt(2.0) * r_arr / w) ** abs(ell)
-        * laguerre(geom.radial_index, abs(ell), t)
-        * np.exp(-(r_arr**2) / w**2)
-    )
-    phase = -ell * phi_arr - k * r_arr**2 / (2.0 * curvature) + psi
-    out = amplitude * np.exp(1j * phase)
+    r2 = np.square(r_arr)
+    shared = np.exp(-(1.0 / w**2 + 0.5j * geom.wavenumber / curvature) * r2)
+    step = np.empty(np.broadcast_shapes(r_arr.shape, phi_arr.shape), dtype=complex)
+    np.cos(phi_arr, out=step.real)
+    np.sin(-phi_arr, out=step.imag)
+    step *= math.sqrt(2.0) / w * r_arr
+    # step^n by the same chain of products whatever orders are requested.
+    needed = {abs(order) for order in orders}
+    helix, power = {}, step
+    for n in range(1, max(needed, default=0) + 1):
+        power = power * step if n > 1 else step
+        if n in needed:
+            helix[n] = power
+
+    out = np.empty((len(orders),) + step.shape, dtype=complex)
+    for idx, order in enumerate(orders):
+        field, n = out[idx, ...], abs(order)
+        scalar = cmath.rect(lg_radial_norm(geom, order) / w, gouy_phase(geom, order, z))
+        np.multiply(shared, scalar, out=field)
+        if n:
+            field *= helix[n] if order > 0 else np.conj(helix[n])
+        if p:
+            field *= laguerre(p, n, 2.0 * r2 / w**2)
+    if not single:
+        return out
     if np.isscalar(r) and np.isscalar(phi):
-        return complex(out)
-    return out
+        return complex(out[0])
+    return out[0]
 
 
 def shifted_aperture_field(

@@ -6,7 +6,9 @@ quality to cheapest:
 
 - ``exact2d``: the full 2D aperture integral (azimuthal projection of the
   shifted field, then a weighted radial integral), with a grid-doubling
-  convergence check. This is the oracle the others are judged against.
+  convergence check. Its grid is walked block by block of rings, with one
+  shared-factor field pass for every tx mode and one FFT per block. This is
+  the oracle the others are judged against.
 - ``radial-sum``: keeps the azimuthal integral exact (in closed form) but
   evaluates the radial integral on k_r uniformly spaced sample radii.
 - ``bessel-integral``: freezes the slowly varying envelope at the offset
@@ -78,6 +80,9 @@ _EXACT_PHI_POINTS = 512
 _EXACT_RADIAL_ORDER = 128
 # Relative change between doublings below which a reference pair settles.
 _EXACT_REL_TOL = 1e-3
+# Grid points per field pass of the reference integral: whole rings, so
+# the fields of every tx mode stay a few megabytes on any grid.
+_EXACT_BLOCK_POINTS = 16384
 
 
 class ApproximationWarning(UserWarning):
@@ -302,29 +307,38 @@ def _ring_powers(
     Gauss-Legendre rule of ``radial_order`` rings over the aperture radius
     times ``phi_points`` equally spaced angles.
 
-    The displaced field of every tx mode is sampled on each ring and
-    projected on every filter harmonic by one FFT; ``|projection|^2`` is
-    summed over the rings. Returns the coefficients, shape
-    (n_filter, n_tx), and the same sum over every harmonic, which is the
-    power each tx mode puts through the aperture (Parseval), shape (n_tx,).
+    The rings are walked in blocks of about ``_EXACT_BLOCK_POINTS`` grid
+    points. For each block one shared-factor ``lg_field`` pass samples the
+    displaced field of every tx mode, one FFT projects each on every filter
+    harmonic, and ``|projection|^2`` times the ring weights is added to a
+    running sum per (filter, tx) pair, each pair with its own reduction so
+    its value does not depend on the other pairs. Returns the coefficients,
+    shape (n_filter, n_tx), and the same sum over every harmonic, which is
+    the power each tx mode puts through the aperture (Parseval), shape
+    (n_tx,).
     """
     rule = gauss_legendre(radial_order, 0.0, rx.aperture_radius)
     phi = 2.0 * np.pi * np.arange(phi_points) / phi_points
-    ring = rule.nodes[:, np.newaxis]
-    x = ring * np.cos(phi) + pointing.x_ch
-    y = ring * np.sin(phi) + pointing.y_ch
-    rho = np.hypot(x, y)
-    angle = np.arctan2(y, x)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     weighted = rule.weights * rule.nodes
-    out = np.empty((len(filter_modes), len(tx_modes)))
-    captured = np.empty(len(tx_modes))
-    for i, ell_n in enumerate(tx_modes):
-        # ifft index m holds (1/n) sum_k u_k e^{+i m phi_k}
-        proj = 2.0 * np.pi * np.fft.ifft(lg_field(geom, ell_n, rho, angle, geom.distance), axis=1)
-        for j, ell_j in enumerate(filter_modes):
-            out[j, i] = np.abs(proj[:, ell_j % phi_points]) ** 2 @ weighted
-        captured[i] = (np.abs(proj) ** 2).sum(axis=1) @ weighted
-    scale = rx.gain / (2.0 * math.pi * n_m**2)
+    harmonics = [ell_j % phi_points for ell_j in filter_modes]
+    out = np.zeros((len(filter_modes), len(tx_modes)))
+    captured = np.zeros(len(tx_modes))
+    rows = max(1, _EXACT_BLOCK_POINTS // phi_points)
+    for start in range(0, radial_order, rows):
+        ring = rule.nodes[start : start + rows, np.newaxis]
+        x = ring * cos_phi + pointing.x_ch
+        y = ring * sin_phi + pointing.y_ch
+        fields = lg_field(geom, tx_modes, np.hypot(x, y), np.arctan2(y, x), geom.distance)
+        # ifft index m holds (1/n) sum_k u_k e^{+i m phi_k}; the projection
+        # is 2 pi times it, and (2 pi)^2 goes into ``scale``.
+        power = np.square(np.abs(np.fft.ifft(fields, axis=-1)))
+        block = weighted[start : start + rows]
+        for i, tx_power in enumerate(power):
+            for j, m in enumerate(harmonics):
+                out[j, i] += tx_power[:, m] @ block
+            captured[i] += tx_power.sum(axis=1) @ block
+    scale = 2.0 * math.pi * rx.gain / n_m**2
     return scale * out, scale * captured
 
 

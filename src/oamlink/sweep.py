@@ -10,6 +10,7 @@ and the Monte Carlo validator.
 from __future__ import annotations
 
 import math
+import re
 import statistics
 import time
 import warnings
@@ -209,14 +210,32 @@ def optimize_w0(
 # mode-set ranking
 
 
+_NUMBER = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
 def warning_status(fn: Callable, *args):
     """Call ``fn(*args)`` and fold its warnings into a status cell: returns
     ``(result, status)`` with status "ok", or "warning: " followed by the
-    distinct warning texts in sorted order."""
+    distinct warning texts in sorted order.
+
+    Texts that differ only in their numbers fold into one: the text with
+    the largest numbers, which for the warnings that repeat so (a change
+    that did not settle) is the worst, followed by "(worst of N warnings)".
+    A text with no such relatives is kept as it is.
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = fn(*args)
-    note = "; ".join(sorted({str(w.message) for w in caught}))
+    groups: dict[str, list[str]] = {}
+    for w in caught:
+        text = str(w.message)
+        groups.setdefault(_NUMBER.sub("#", text), []).append(text)
+    notes = []
+    for texts in groups.values():
+        worst = max(texts, key=lambda text: [float(x) for x in _NUMBER.findall(text)])
+        alone = len(set(texts)) == 1
+        notes.append(worst if alone else f"{worst} (worst of {len(texts)} warnings)")
+    note = "; ".join(sorted(notes))
     return result, f"warning: {note}" if note else "ok"
 
 

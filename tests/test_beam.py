@@ -253,6 +253,48 @@ class TestLgField:
             # The curvature phase is singular at the waist plane.
             lg_field(geom, 0, 1.0, 0.0, 0.0)
 
+    def test_each_order_of_a_sequence_matches_its_single_call(self):
+        rng = np.random.default_rng(11)
+        r = rng.uniform(0.0, 60.0, (40, 50))
+        phi = rng.uniform(-4.0, 4.0, (40, 50))
+        orders = (-16, -4, -1, 0, 2, 3, 16)
+        for p in (0, 2):
+            geom = default_geom(radial_index=p)
+            many = lg_field(geom, orders, r, phi, geom.distance)
+            assert many.shape == (len(orders), 40, 50)
+            for field, ell in zip(many, orders):
+                one = lg_field(geom, ell, r, phi, geom.distance)
+                np.testing.assert_allclose(field, one, rtol=4 * np.finfo(float).eps, atol=0)
+
+    def test_values_do_not_depend_on_other_orders(self):
+        geom = default_geom(radial_index=1)
+        rng = np.random.default_rng(12)
+        r = np.concatenate([rng.rayleigh(20.0, 5000), [0.0, 1e-9, 150.0]])
+        phi = rng.uniform(-7.0, 7.0, r.size)
+        for ell in (-5, 0, 1, 16):
+            alone = lg_field(geom, [ell], r, phi, geom.distance)[0]
+            for others in ([ell], [ell - 1], [-16, 16], list(range(-16, 17))):
+                together = lg_field(geom, others + [ell], r, phi, geom.distance)[-1]
+                assert np.array_equal(together, alone), (ell, others)
+
+    def test_guard_fires_for_any_order_of_a_sequence(self):
+        geom = default_geom()
+        too_high = MAX_AZIMUTHAL_ORDER + 1
+        for orders in ([too_high], [0, 1, -too_high], (2, too_high, 3)):
+            with pytest.raises(ValueError, match="exceeds guard"):
+                lg_field(geom, orders, 1.0, 0.0, geom.distance)
+
+    def test_sequence_forms(self):
+        geom = default_geom()
+        z = geom.distance
+        pair = lg_field(geom, [1, -2], 5.0, 0.2, z)
+        assert isinstance(pair, np.ndarray) and pair.shape == (2,)
+        assert pair.dtype == complex and pair[0] == lg_field(geom, 1, 5.0, 0.2, z)
+        r = np.array([1.0, 5.0, 9.0])
+        assert lg_field(geom, (1,), r, 0.2, z).shape == (1, 3)
+        assert lg_field(geom, np.array([0, 3]), r[:, None], r, z).shape == (2, 3, 3)
+        assert lg_field(geom, [], r, 0.2, z).shape == (0, 3)
+
 
 class TestShiftedApertureField:
     def test_zero_offset_matches_on_axis_field(self):

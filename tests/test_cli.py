@@ -633,6 +633,20 @@ class TestOptimizeCommand:
         assert "manifest.status = ok\n" in (tmp_path / "clean.txt.manifest").read_text(
             encoding="utf-8")
 
+    def test_repeated_warnings_fold_into_one_short_status(self, tmp_path):
+        # Most of the search's averages fail the self-check, each by its own
+        # amount: the status names the worst change and counts the rest.
+        config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+        out = tmp_path / "opt.txt"
+        args = ["optimize", "-c", str(config), "-s", "quad.order=32", "-o", str(out)]
+        assert main(args) == EXIT_OK
+        manifest = (tmp_path / "opt.txt.manifest").read_text(encoding="utf-8")
+        (status,) = [line for line in manifest.splitlines()
+                     if line.startswith("manifest.status = ")]
+        assert len(status) < 200
+        assert status.startswith("manifest.status = warning: pointing average did not settle")
+        assert status.count("did not settle") == 1 and "(worst of " in status
+
     def test_bad_bounds(self, tmp_path):
         args = ["optimize", "--lo", "0.03", "--hi", "0.01", "-o",
                 str(tmp_path / "o.txt")]

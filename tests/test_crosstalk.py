@@ -9,6 +9,7 @@ completeness, mirror symmetry, rotation invariance and separability.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -351,6 +352,23 @@ class TestClosedFormProjection:
         assert math.exp(-(200.0 / geom.beam_radius_at_rx) ** 2) == 0.0
         r, got, want = list(self.closed_and_fft(geom))[-1]
         assert r == 200.0 and np.all(got == 0.0) and np.all(want == 0.0)
+
+
+class TestReferenceGridMemory:
+    def test_field_pass_is_blocked(self):
+        # The finest grid exact2d reaches (2048 angles x 512 rings) for four
+        # tx modes: a single field pass over the whole grid holds over
+        # 100 MB; blocks of rings keep the peak to a few MB.
+        geom, rx = default_geom(), default_rx()
+        modes = (-4, -2, 1, 3)
+        point = PointingState(14.0, 0.0)
+        tracemalloc.start()
+        try:
+            _ring_powers(geom, rx, N_M, modes, modes, point, 2048, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
 
 
 class TestDispatchAndBatching:

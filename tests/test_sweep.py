@@ -7,6 +7,7 @@ the acceptance suite.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from oamlink.sweep import (
     mode_set_label,
     optimize_w0,
     rank_mode_sets,
+    warning_status,
 )
 
 
@@ -162,6 +164,29 @@ class TestOptimizeW0:
                 bracket=((0.01, 2.0), (0.02, 2.5), (0.03, 2.2)),
                 boundary=False, evaluations=9, method=Method.RADIAL_SUM, tol=1e-4,
             )
+
+
+class TestWarningStatus:
+    @staticmethod
+    def warn(*texts):
+        def fn():
+            for text in texts:
+                warnings.warn(text)
+            return 7
+        return fn
+
+    def test_single_text_is_kept_byte_for_byte(self):
+        text = "offset radius 0.5 m is below the 1 m validity floor"
+        assert warning_status(self.warn(text)) == (7, f"warning: {text}")
+        assert warning_status(self.warn(text, text)) == (7, f"warning: {text}")
+
+    def test_texts_differing_in_numbers_fold_to_the_worst(self):
+        moved = "moved the BER by {}%"
+        fn = self.warn(moved.format("1.37"), "other", moved.format("12.10"),
+                       moved.format("4.76"), moved.format("1.37"))
+        assert warning_status(fn) == (
+            7, "warning: moved the BER by 12.10% (worst of 4 warnings); other"
+        )
 
 
 class TestRankModeSets:
