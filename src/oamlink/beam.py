@@ -238,6 +238,17 @@ def lg_radial_norm(geom: LinkGeometry, ell: int) -> float:
     )
 
 
+def _coordinates(r, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Polar field coordinates as float arrays: finite, with r >= 0."""
+    r_arr = np.asarray(r, dtype=float)
+    phi_arr = np.asarray(phi, dtype=float)
+    if not (np.all(np.isfinite(r_arr)) and np.all(np.isfinite(phi_arr))):
+        raise ValueError("field coordinates r and phi must be finite")
+    if np.any(r_arr < 0):
+        raise ValueError("radial coordinate must be >= 0")
+    return r_arr, phi_arr
+
+
 def lg_field(geom: LinkGeometry, ell, r, phi, z: float):
     """Complex LG mode field u_{p,ell}(r, phi, z), normalized to unit power.
 
@@ -258,10 +269,7 @@ def lg_field(geom: LinkGeometry, ell, r, phi, z: float):
     for order in orders:
         if abs(order) > MAX_AZIMUTHAL_ORDER:
             raise ValueError(f"azimuthal order |{order}| exceeds guard {MAX_AZIMUTHAL_ORDER}")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0):
-        raise ValueError("radial coordinate must be >= 0")
-    phi_arr = np.asarray(phi, dtype=float)
+    r_arr, phi_arr = _coordinates(r, phi)
 
     w = beam_radius(geom, z)
     curvature = curvature_radius(geom, z)  # raises at z = 0
@@ -312,10 +320,7 @@ def shifted_aperture_field(
     from the quadrant-correct two-argument arctangent so the field stays
     continuous in phi'. Evaluated at the link distance.
     """
-    r_arr = np.asarray(r_prime, dtype=float)
-    if np.any(r_arr < 0):
-        raise ValueError("radial coordinate must be >= 0")
-    phi_arr = np.asarray(phi_prime, dtype=float)
+    r_arr, phi_arr = _coordinates(r_prime, phi_prime)
     x = r_arr * np.cos(phi_arr) + pointing.x_ch
     y = r_arr * np.sin(phi_arr) + pointing.y_ch
     out = lg_field(geom, ell, np.hypot(x, y), np.arctan2(y, x), geom.distance)

@@ -505,6 +505,9 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
     rows = []
     errors = 0
     unconverged = 0
+    # Every simulation here runs mc.trials under one worker setting, so
+    # each has the same thread and chunk layout.
+    layout = {}
     for value, point in zip(grid, points):
         stats = point.pointing_stats()
         for modes in candidates:
@@ -526,6 +529,7 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
                             point.geom, point.rx, modes, stats, trial_cfgs[method]
                         )
                         row.extend([outcome.ber_hat, outcome.ci95_halfwidth])
+                        layout = {"workers": outcome.workers, "chunks": outcome.chunks}
                     except DegradedChannelError as exc:
                         row.extend([math.nan, math.nan])
                         status = f"error: {type(exc).__name__}: {exc}"
@@ -546,6 +550,7 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
             "error_rows": errors,
             "unconverged_rows": unconverged,
             "quad_order": scen.quad_order,
+            **layout,
         },
         f"{len(rows)} rows",
         EXIT_NONCONVERGED if (errors or unconverged) else EXIT_OK,
@@ -568,6 +573,7 @@ def cmd_montecarlo(cfg: RunConfig) -> _Output:
         ),
         {
             "workers": outcome.workers,
+            "chunks": outcome.chunks,
             "seed": trial_cfg.seed,
             "degraded_fraction": repr(outcome.degraded_fraction),
         },

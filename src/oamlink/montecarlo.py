@@ -33,6 +33,7 @@ from oamlink.crosstalk import (
 __all__ = [
     "CHUNK_SIZE",
     "MAX_TRIALS",
+    "MAX_WORKERS",
     "WORKERS_ENV_VAR",
     "DegradedChannelError",
     "TrialConfig",
@@ -48,6 +49,11 @@ CHUNK_SIZE = 1 << 16
 # second, so a mistyped count is refused instead of running for days.
 MAX_TRIALS = 10**9
 
+# Ceiling on worker threads. The threads share the GIL, so past a few per
+# core they add hand-offs, not speed; a run of MAX_TRIALS has 15,259 chunks
+# and would otherwise start one thread per chunk for a mistyped count.
+MAX_WORKERS = 64
+
 WORKERS_ENV_VAR = "OAMLINK_WORKERS"
 
 
@@ -56,17 +62,20 @@ class DegradedChannelError(RuntimeError):
 
 
 def worker_count() -> int:
-    """Worker threads to use: the OAMLINK_WORKERS variable, else CPU count."""
+    """Worker threads to use: the OAMLINK_WORKERS variable, else CPU count,
+    at most MAX_WORKERS."""
     raw = os.environ.get(WORKERS_ENV_VAR)
     if raw is not None:
         try:
             count = int(raw)
         except ValueError:
             count = 0
-        if count < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}")
+        if not 1 <= count <= MAX_WORKERS:
+            raise ValueError(
+                f"{WORKERS_ENV_VAR} must be an integer in [1, {MAX_WORKERS}], got {raw!r}"
+            )
         return count
-    return os.cpu_count() or 1
+    return min(os.cpu_count() or 1, MAX_WORKERS)
 
 
 @dataclass(frozen=True)
@@ -97,7 +106,8 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Estimate with its binomial confidence half-width and diagnostics."""
+    """Estimate with its binomial confidence half-width and diagnostics;
+    ``workers`` and ``chunks`` give the thread and RNG chunk layout."""
 
     errors: int
     trials: int
@@ -106,6 +116,7 @@ class TrialOutcome:
     bit_errors: int = 0
     degraded_fraction: float = 0.0
     workers: int = 1
+    chunks: int = 1
 
     def __post_init__(self) -> None:
         if not (0 <= self.errors <= self.trials):
@@ -238,4 +249,5 @@ def simulate_ber(
         bit_errors=bit_errors,
         degraded_fraction=degraded_fraction,
         workers=workers,
+        chunks=len(sizes),
     )

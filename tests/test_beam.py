@@ -253,6 +253,21 @@ class TestLgField:
             # The curvature phase is singular at the waist plane.
             lg_field(geom, 0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("evaluator", ["lg_field", "shifted_aperture_field"])
+    @pytest.mark.parametrize(
+        "r, phi",
+        [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (np.array([1.0, math.nan]), 0.0)],
+        ids=["nan-radius", "nan-angle", "inf-radius", "nan-in-array"],
+    )
+    def test_rejects_non_finite_coordinates(self, evaluator, r, phi):
+        # Each of these used to come back as nan+nanj.
+        geom = default_geom()
+        with pytest.raises(ValueError, match="finite"):
+            if evaluator == "lg_field":
+                lg_field(geom, 1, r, phi, geom.distance)
+            else:
+                shifted_aperture_field(geom, 1, r, phi, PointingState(1.0, 2.0))
+
     def test_each_order_of_a_sequence_matches_its_single_call(self):
         rng = np.random.default_rng(11)
         r = rng.uniform(0.0, 60.0, (40, 50))

@@ -280,6 +280,7 @@ class TestMainErrors:
              "receiver.aperture_radius_m"),
             (["crosstalk-curve", "--grid", "5", "-s", "pointing.sigma_theta_rad=",
               "-s", "pointing.r_ch_m=7"], None, "sweep.grid and pointing.r_ch_m"),
+            (["monte-carlo"], "100000", "OAMLINK_WORKERS"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):
@@ -561,6 +562,23 @@ class TestMonteCarloCommand:
         assert main(args) == EXIT_NONCONVERGED
         assert "below the" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_manifests_record_the_worker_layout(self, tmp_path, monkeypatch):
+        # 70,000 trials make two RNG chunks, one per worker thread; both
+        # commands write the layout to the manifest and nowhere else.
+        monkeypatch.setenv("OAMLINK_WORKERS", "2")
+        runs = {
+            "monte-carlo": ["monte-carlo", "--trials", "70000"],
+            "ber-curve": ["ber-curve", "--grid", "0.025", "--candidates=-2|1",
+                          "--monte-carlo", "--trials", "70000"],
+        }
+        for name, args in runs.items():
+            out = tmp_path / f"{name}.csv"
+            assert main(args + ["-o", str(out)]) == EXIT_OK
+            lines = Path(f"{out}.manifest").read_text(encoding="utf-8").splitlines()
+            facts = dict(line.split(" = ", 1) for line in lines)
+            assert (facts["manifest.workers"], facts["manifest.chunks"]) == ("2", "2"), name
+            assert not {"workers", "chunks"} & set(read_csv_file(out)[1]), name
 
 
 class TestOptimizeCommand:

@@ -17,6 +17,7 @@ from oamlink.crosstalk import Method, ReceiverConfig
 from oamlink.montecarlo import (
     CHUNK_SIZE,
     MAX_TRIALS,
+    MAX_WORKERS,
     WORKERS_ENV_VAR,
     DegradedChannelError,
     TrialConfig,
@@ -50,6 +51,12 @@ class TestWorkerCount:
         with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
             worker_count()
         monkeypatch.setenv(WORKERS_ENV_VAR, "four")
+        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
+            worker_count()
+        # The ceiling is checked on the number alone; no thread starts.
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(MAX_WORKERS))
+        assert worker_count() == MAX_WORKERS
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(MAX_WORKERS + 1))
         with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
             worker_count()
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import special as sps
 
+from oamlink import numerics
 from oamlink.numerics import (
     BESSEL_MAX_ARG,
     BESSEL_MAX_ORDER,
@@ -165,6 +166,28 @@ class TestBessel:
             for others in ([n + 1], [0, 1, 2, 3, 4], [BESSEL_MAX_ORDER, 16], list(range(17))):
                 together = bessel_j(others + [n], x)[-1]
                 assert np.array_equal(together, alone), (n, others)
+
+    def test_block_size_does_not_move_low_tier_orders(self, monkeypatch):
+        # Monte Carlo sized batches: 65,536 Rayleigh offsets (10, 20 and
+        # 30 urad over 1000 km) times the six bessel-sum sample radii of a
+        # 5 cm aperture, in the kernel argument k r_a r / R. The tier-4
+        # orders come out of a start index that every block of these shares,
+        # so the block size leaves them bit for bit; a tier-16 start index
+        # follows each block's largest argument, so those move by round-off.
+        nodes = 0.05 * np.arange(1, 7) / 6
+        rng = np.random.default_rng(12)
+        shipped = numerics._BLOCK
+        for sigma in (10e-6, 20e-6, 30e-6):
+            offsets = rng.rayleigh(sigma * 1e6, 65536)
+            x = (2 * np.pi / 1.55e-6 * offsets / 1e6)[:, np.newaxis] * nodes
+            tables = []
+            for block in (8192, shipped):
+                monkeypatch.setattr(numerics, "_BLOCK", block)
+                tables.append([bessel_j(n, x) for n in ([1, 2], [1, 2, 3, 4], [6], [8, 12])])
+            (low, mid, six, high), (low2, mid2, six2, high2) = tables
+            assert np.array_equal(low, low2) and np.array_equal(mid, mid2), sigma
+            assert np.allclose(six, six2, rtol=0, atol=5e-16), sigma
+            assert np.allclose(high, high2, rtol=0, atol=5e-16), sigma
 
     def test_exact_at_zero_and_parity_in_x(self):
         assert bessel_j(0, 0.0) == 1.0
