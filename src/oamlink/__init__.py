@@ -8,7 +8,7 @@ validator, together with sweep/optimization drivers and a CLI.
 
 from oamlink.beam import LinkGeometry, ModeSet, PointingState
 from oamlink.crosstalk import CrosstalkMatrix, Method, ReceiverConfig
-from oamlink.ber import BerResult, ChannelVectors, PointingStats
+from oamlink.ber import BerResult, PointingStats
 from oamlink.sweep import Scenario, SweepAxis
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ __all__ = [
     "CrosstalkMatrix",
     "Method",
     "PointingStats",
-    "ChannelVectors",
     "BerResult",
     "Scenario",
     "SweepAxis",

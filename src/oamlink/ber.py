@@ -27,6 +27,7 @@ from oamlink.beam import LinkGeometry, ModeSet, lg_radial_norm
 from oamlink.crosstalk import (
     ApproximationWarning,
     Method,
+    QuadratureConvergenceWarning,
     ReceiverConfig,
     channel_profile,
     mode_envelope,  # noqa: F401  benchmarks/spans.py traces ber.mode_envelope
@@ -35,7 +36,6 @@ from oamlink.numerics import gauss_legendre, laguerre_coefficients, q_function
 
 __all__ = [
     "PointingStats",
-    "ChannelVectors",
     "BerResult",
     "conditional_ber",
     "average_ber",
@@ -87,27 +87,6 @@ class PointingStats:
 
 
 @dataclass(frozen=True)
-class ChannelVectors:
-    """Amplitude gain vectors of the two data streams across the filter bank."""
-
-    h1: np.ndarray
-    h2: np.ndarray
-
-    def __post_init__(self) -> None:
-        h1 = np.asarray(self.h1, dtype=float)
-        h2 = np.asarray(self.h2, dtype=float)
-        if h1.ndim != 1 or h1.shape != h2.shape:
-            raise ValueError(
-                f"h1 and h2 must be 1-d vectors of equal length, got shapes "
-                f"{h1.shape} and {h2.shape}"
-            )
-        if np.any(h1 < 0) or np.any(h2 < 0):
-            raise ValueError("amplitude gains must be non-negative")
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
-
-
-@dataclass(frozen=True)
 class BerResult:
     """Averaged BER with the quadrature audit trail.
 
@@ -131,30 +110,22 @@ class BerResult:
         return min(self.averaged, 0.5)
 
 
-def _four_term_ber(h1: np.ndarray, h2: np.ndarray, n0: float):
-    """Four-Q conditional error probability.
+def conditional_ber(h1: np.ndarray, h2: np.ndarray, n0: float):
+    """Error probability at a fixed pointing offset.
 
-    Operates on arrays whose last axis is the filter bank, broadcasting over
-    any leading axes. The four norms (of h1, h2, h1 + h2 and h1 - h2) go
-    through one ``q_function`` call.
+    Q(|h1|/2sqrt(N0)) + Q(|h2|/2sqrt(N0)) + Q(|h1+h2|/2sqrt(N0))/2
+    + Q(|h1-h2|/2sqrt(N0))/2 for the stream amplitude vectors h1 and h2.
+    The last term floors at 0.25 when the two stream signatures coincide,
+    which is what penalizes symmetric mode pairs. The last axis of h1 and
+    h2 is the filter bank; any leading axes broadcast, and the four norms
+    go through one ``q_function`` call.
     """
+    if not (n0 > 0):
+        raise ValueError(f"noise level must be positive, got {n0!r}")
     scale = 1.0 / math.sqrt(4.0 * n0)
     stacked = np.stack([h1, h2, h1 + h2, h1 - h2])
     q = q_function(np.sqrt(np.add.reduce(stacked * stacked, axis=-1)) * scale)
     return q[0] + q[1] + 0.5 * q[2] + 0.5 * q[3]
-
-
-def conditional_ber(h: ChannelVectors, n0: float) -> float:
-    """Error probability at a fixed pointing offset.
-
-    Q(|h1|/2sqrt(N0)) + Q(|h2|/2sqrt(N0)) + Q(|h1+h2|/2sqrt(N0))/2
-    + Q(|h1-h2|/2sqrt(N0))/2. The last term floors at 0.25 when the two
-    stream signatures coincide, which is what penalizes symmetric mode
-    pairs.
-    """
-    if not (n0 > 0):
-        raise ValueError(f"noise level must be positive, got {n0!r}")
-    return float(_four_term_ber(h.h1, h.h2, n0))
 
 
 def _vectors_from_profile(profile: np.ndarray, modes: ModeSet) -> tuple[np.ndarray, np.ndarray]:
@@ -300,9 +271,11 @@ def average_ber(
     centimeter-scale degeneracy ridge a single global rule would step
     over. The rule at twice the order is the self-check, and both orders
     come from one kernel pass; a relative shift above 1% marks the result
-    as not converged (and is also warned about). A Bessel-based method warns
-    with ``ApproximationWarning`` when the whole domain lies below its
-    validity floor. The mode set must carry exactly two data streams.
+    as not converged and warns with ``QuadratureConvergenceWarning``. A
+    Bessel-based method warns with ``ApproximationWarning`` when the whole
+    domain lies below its validity floor. The mode set must carry exactly
+    two data streams. exact2d has no batched profile and is refused
+    (``channel_profile``).
     """
     if not isinstance(quad_order, (int, np.integer)) or not (16 <= quad_order <= 256):
         raise ValueError(f"quad_order must be an integer in [16, 256], got {quad_order!r}")
@@ -325,7 +298,7 @@ def average_ber(
                                                2 * _WINDOW_ORDER)
     both = np.concatenate([nodes, fine_nodes])
     h1, h2 = _vectors_from_profile(channel_profile(geom, rx, modes, both, method), modes)
-    integrand = stats.pdf(both) * _four_term_ber(h1, h2, rx.noise_level)
+    integrand = stats.pdf(both) * conditional_ber(h1, h2, rx.noise_level)
     base = float(np.dot(weights, integrand[: nodes.size]))
     refined = float(np.dot(fine_weights, integrand[nodes.size :]))
     degraded_fraction = float(np.count_nonzero(nodes < floor)) / nodes.size
@@ -336,7 +309,7 @@ def average_ber(
         warnings.warn(
             f"pointing average did not settle: doubling the quadrature order "
             f"moved the BER by {self_check:.2%}",
-            UserWarning,
+            QuadratureConvergenceWarning,
             stacklevel=2,
         )
     return BerResult(

@@ -18,12 +18,14 @@ quality to cheapest:
   on the k_r sample radii; a closed-form weighted sum of Bessel values.
 - ``asymptotic``: the large-offset limit of the Bessel reduction.
 
-Each method has one kernel, batched over offset radii (``channel_profile``);
-``crosstalk`` and ``crosstalk_matrix`` evaluate it at a single offset. The
-Bessel-based forms (bessel-integral, bessel-sum, asymptotic) assume the
-offset radius is large against the aperture; below ``SMALL_OFFSET_FLOOR``
-(``Method.validity_floor``) those single-offset views still return values
-but flag degraded accuracy with ``ApproximationWarning``.
+Each method has one kernel. exact2d's is ``crosstalk_exact_detailed``, at
+one pointing per call; the other four are batched over offset radii
+(``channel_profile``). ``crosstalk`` and ``crosstalk_matrix`` evaluate the
+kernel at a single offset. The Bessel-based forms (bessel-integral,
+bessel-sum, asymptotic) assume the offset radius is large against the
+aperture; below ``SMALL_OFFSET_FLOOR`` (``Method.validity_floor``) those
+single-offset views still return values but flag degraded accuracy with
+``ApproximationWarning``.
 """
 
 from __future__ import annotations
@@ -53,26 +55,20 @@ from oamlink.numerics import (
 
 __all__ = [
     "SMALL_OFFSET_FLOOR",
-    "SPECTRUM_MAX_ORDER",
     "Method",
     "ReceiverConfig",
     "CrosstalkMatrix",
     "ExactEvaluation",
     "ApproximationWarning",
     "QuadratureConvergenceWarning",
-    "crosstalk_exact",
     "crosstalk_exact_detailed",
     "crosstalk",
     "crosstalk_matrix",
-    "filter_spectrum",
 ]
 
 # Below this offset radius (meters) the Bessel-based approximations degrade;
 # for inter-satellite jitter scales such offsets are rare.
 SMALL_OFFSET_FLOOR = 1.0
-
-# Guard for the azimuthal spectrum instrument.
-SPECTRUM_MAX_ORDER = 20
 
 # Starting grid of the reference integral: equally spaced angles times
 # Gauss-Legendre rings; each doubling doubles both (rings capped at 512).
@@ -466,31 +462,6 @@ def crosstalk_exact_detailed(
     )
 
 
-def crosstalk_exact(
-    geom: LinkGeometry,
-    rx: ReceiverConfig,
-    n_m: int,
-    ell_n,
-    ell_j,
-    pointing: PointingState,
-):
-    """Reference 2D-integral crosstalk coefficient, watts per unit modulation.
-
-    Takes the orders as ``crosstalk_exact_detailed`` does. Warns once with
-    ``QuadratureConvergenceWarning`` if grid doubling still moves a value
-    by more than 0.1%, quoting the largest change.
-    """
-    result = crosstalk_exact_detailed(geom, rx, n_m, ell_n, ell_j, pointing)
-    if not result.converged:
-        warnings.warn(
-            f"crosstalk integral did not settle: last grid doubling changed the "
-            f"value by {result.rel_change:.2%}",
-            QuadratureConvergenceWarning,
-            stacklevel=2,
-        )
-    return result.value
-
-
 def _coefficient_grid(
     geom: LinkGeometry,
     rx: ReceiverConfig,
@@ -499,14 +470,26 @@ def _coefficient_grid(
     pointing: PointingState,
     method: Method,
 ) -> np.ndarray:
-    """One (filter, tx) coefficient grid: the batched kernel at one offset.
+    """One (filter, tx) coefficient grid: the method's kernel at one offset.
 
-    exact2d integrates at the given pointing; the reduced methods depend on
-    the offset radius only. Warns with ``ApproximationWarning`` below the
-    method's ``validity_floor``.
+    exact2d integrates at the given pointing and warns with
+    ``QuadratureConvergenceWarning`` if grid doubling still moves a value by
+    more than 0.1%, quoting the largest change. The reduced methods depend
+    on the offset radius only and warn with ``ApproximationWarning`` below
+    the method's ``validity_floor``.
     """
     if method is Method.EXACT2D:
-        return crosstalk_exact(geom, rx, n_m, modes.tx_modes, modes.filter_modes, pointing)
+        result = crosstalk_exact_detailed(
+            geom, rx, n_m, modes.tx_modes, modes.filter_modes, pointing
+        )
+        if not result.converged:
+            warnings.warn(
+                f"crosstalk integral did not settle: last grid doubling changed the "
+                f"value by {result.rel_change:.2%}",
+                QuadratureConvergenceWarning,
+                stacklevel=3,
+            )
+        return result.value
     r_ch = pointing.r_ch
     if r_ch < method.validity_floor:
         warnings.warn(
@@ -560,30 +543,8 @@ def crosstalk_matrix(
     )
 
 
-def filter_spectrum(
-    geom: LinkGeometry,
-    rx: ReceiverConfig,
-    n_m: int,
-    ell_n: int,
-    pointing: PointingState,
-    ell_j_range: tuple[int, int] = (-SPECTRUM_MAX_ORDER, SPECTRUM_MAX_ORDER),
-) -> list[tuple[int, float]]:
-    """Reference crosstalk across a whole range of filter orders at once.
-
-    Every order in ``ell_j_range`` goes through one ``crosstalk_exact``
-    call, with its grid doubling and its ``QuadratureConvergenceWarning``.
-    """
-    lo, hi = int(ell_j_range[0]), int(ell_j_range[1])
-    if lo > hi:
-        raise ValueError(f"empty filter order range {ell_j_range!r}")
-    if max(abs(lo), abs(hi)) > SPECTRUM_MAX_ORDER:
-        raise ValueError(f"filter orders must satisfy |ell'| <= {SPECTRUM_MAX_ORDER}")
-    orders = list(range(lo, hi + 1))
-    return list(zip(orders, crosstalk_exact(geom, rx, n_m, ell_n, orders, pointing).tolist()))
-
-
 # ---------------------------------------------------------------------------
-# the batched kernel behind every method
+# the batched kernel behind every reduced method
 
 def channel_profile(
     geom: LinkGeometry,
@@ -596,10 +557,18 @@ def channel_profile(
 
     Returns an array of shape (len(r_ch), n_filter, n_tx): the grid
     ``crosstalk_matrix`` gives at pointing (r, 0) for each radius. No
-    degraded-accuracy or convergence warnings are emitted here; callers are
-    expected to account for offsets below the validity floor themselves.
+    degraded-accuracy warnings are emitted here; callers are expected to
+    account for offsets below the validity floor themselves. exact2d has no
+    batched form: its one kernel is ``crosstalk_exact_detailed``, at one
+    pointing per call.
     """
-    return _profile(geom, rx, modes, modes.n_streams, r_ch, Method.parse(method))
+    method = Method.parse(method)
+    if method is Method.EXACT2D:
+        raise ValueError(
+            "exact2d has no batched profile; evaluate it one offset at a time with "
+            "crosstalk_matrix or crosstalk_exact_detailed"
+        )
+    return _profile(geom, rx, modes, modes.n_streams, r_ch, method)
 
 
 def _profile(
@@ -610,24 +579,16 @@ def _profile(
     r_ch: np.ndarray,
     method: Method,
 ) -> np.ndarray:
-    """The one kernel of every method, batched over offset radii.
+    """The one kernel of every reduced method, batched over offset radii.
 
     ``n_m`` is the stream count the coefficients are normalized by. The
-    Bessel-based methods vectorize directly, radial-sum projects the shifted
-    field in closed form, and exact2d loops over the reference integral.
+    Bessel-based methods vectorize directly and radial-sum projects the
+    shifted field in closed form.
     """
     r = np.asarray(r_ch, dtype=float)
     if r.ndim != 1:
         raise ValueError("r_ch must be one-dimensional")
     out = np.empty((r.size, modes.n_filter, modes.n_tx))
-
-    if method is Method.EXACT2D:
-        for idx, radius in enumerate(r):
-            out[idx] = crosstalk_exact_detailed(
-                geom, rx, n_m, modes.tx_modes, modes.filter_modes,
-                PointingState(float(radius), 0.0),
-            ).value
-        return out
 
     if method is Method.RADIAL_SUM:
         # The k_r sample radii with Simpson-type weights, the angle exact;

@@ -237,7 +237,7 @@ def simulate_ber(
             f"{degraded_fraction:.3%} of trials drew offsets below the "
             f"{cfg.crosstalk_method.validity_floor:g} m validity floor of method "
             f"'{Method.parse(cfg.crosstalk_method).value}' (limit 0.1%); "
-            "set allow_degraded=True to accept them or use an exact method"
+            "set mc.allow_degraded = true to accept them or use an exact method"
         )
     p_hat = vec_errors / cfg.trials
     ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / cfg.trials)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -32,7 +31,6 @@ __all__ = [
     "bessel_j",
     "q_function",
     "gauss_legendre",
-    "periodic_trapezoid",
 ]
 
 # Binomials in the Laguerre sum stay exactly representable in float64 up to
@@ -281,10 +279,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, values) -> float | complex:
-        """Dot the rule's weights with integrand values at the nodes."""
-        return np.dot(np.asarray(values), self.weights)
-
 
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -312,20 +306,3 @@ def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     return QuadratureRule(nodes=mid + half * xs, weights=half * ws)
-
-
-def periodic_trapezoid(f: Callable, n_points: int) -> complex:
-    """Integrate a smooth 2*pi-periodic function over one period.
-
-    Equal-weight sum (2*pi/n) * sum_k f(2*pi*k/n); spectrally accurate for
-    smooth periodic integrands and exact for harmonics e^{i m phi} with
-    |m| < n_points.
-    """
-    if not isinstance(n_points, (int, np.integer)) or n_points < 8:
-        raise ValueError(f"n_points must be an integer >= 8, got {n_points!r}")
-    phi = 2.0 * np.pi * np.arange(n_points) / n_points
-    vals = np.asarray(f(phi))
-    if vals.shape != phi.shape:
-        # Allow scalar-only callables.
-        vals = np.asarray([f(p) for p in phi])
-    return (2.0 * np.pi / n_points) * vals.sum()

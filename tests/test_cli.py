@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oamlink.crosstalk
 from oamlink.cli import (
     DEFAULTS,
     EXIT_BOUNDARY,
@@ -441,6 +442,21 @@ class TestCrosstalkCurveCommand:
         assert not any(r[6].startswith("error") or math.isnan(float(r[4])) for r in exact)
         assert all(r[6].startswith("error: ValueError") and r[4] == "nan" for r in asym)
 
+    def test_unsettled_reference_integral_warns_in_status(self, tmp_path, monkeypatch):
+        # No grid doubling settles at a zero tolerance: every exact2d cell
+        # carries the warning text the benchmark checker looks for.
+        monkeypatch.setattr(oamlink.crosstalk, "_EXACT_REL_TOL", 0.0)
+        out = tmp_path / "xt.csv"
+        code = main(["crosstalk-curve", "--method", "exact2d", "--grid", "8",
+                     "-s", "pointing.sigma_theta_rad=", "-o", str(out)])
+        assert code == EXIT_OK
+        _, _, rows = read_csv_file(out)
+        assert len(rows) == 4
+        assert {r[6] for r in rows} == {
+            "warning: crosstalk integral did not settle: last grid doubling changed the "
+            "value by 0.00%"
+        }
+
     def test_single_point_from_pointing_offset(self, tmp_path):
         out = tmp_path / "xt.csv"
         code = main(
@@ -500,6 +516,22 @@ class TestBerCurveCommand:
         assert bessel[2] == "bessel-sum" and 0.0 <= float(bessel[3]) <= 1.5
         assert bessel[5].startswith("warning:") and "validity floor" in bessel[5]
         assert radial[2] == "radial-sum" and radial[5] == "ok"
+
+    def test_degraded_simulation_row_names_the_key(self, tmp_path):
+        # At 1 urad of jitter most draws fall below the bessel-sum validity
+        # floor: the simulation is refused, its cells are nan and the status
+        # names the key that accepts such draws.
+        out = tmp_path / "ber.csv"
+        code = main(["ber-curve", "--grid", "0.02", "--candidates=-2|1", "--monte-carlo",
+                     "--trials", "1000", "-s", "pointing.sigma_theta_rad=1e-6",
+                     "-o", str(out)])
+        assert code == EXIT_NONCONVERGED
+        _, header, rows = read_csv_file(out)
+        assert header[5:] == ["ber_mc", "ci95", "status"]
+        ((*_, ber_mc, ci95, status),) = rows
+        assert ber_mc == ci95 == "nan"
+        assert status.startswith("error: DegradedChannelError: ")
+        assert "mc.allow_degraded" in status
 
     def test_rejects_offset_axis_and_bad_grid(self, tmp_path, capsys):
         out = str(tmp_path / "ber.csv")
@@ -746,6 +778,17 @@ class TestBenchCommand:
         assert "manifest.median_s.exact2d = " in manifest
         assert "manifest.speedup.bessel-sum = " in manifest
         assert "manifest.mc_over_analytic = " in manifest
+
+    def test_accuracy_warnings_stay_off_stderr(self, tmp_path, capsys):
+        # At quadrature order 16 the timed average fails its self-check;
+        # bench suppresses accuracy warnings inside the timed region, so
+        # nothing reaches stderr.
+        args = ["bench", "-s", "quad.order=16", "-o", str(tmp_path / "b.csv")] + self.SETTINGS
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args) == EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
 
     def test_bad_bench_range(self, tmp_path):
         args = ["bench", "-o", str(tmp_path / "b.csv"), "-s", "bench.r_min_m=30"]

@@ -20,7 +20,6 @@ import oamlink.crosstalk
 from oamlink.beam import LinkGeometry, ModeSet, PointingState
 from oamlink.crosstalk import (
     SMALL_OFFSET_FLOOR,
-    SPECTRUM_MAX_ORDER,
     ApproximationWarning,
     CrosstalkMatrix,
     Method,
@@ -28,13 +27,16 @@ from oamlink.crosstalk import (
     ReceiverConfig,
     channel_profile,
     crosstalk,
-    crosstalk_exact,
     crosstalk_exact_detailed,
     crosstalk_matrix,
-    filter_spectrum,
 )
-from oamlink.crosstalk import _ring_powers, _ring_projection
-from oamlink.numerics import gauss_legendre, periodic_trapezoid
+from oamlink.crosstalk import (
+    _ring_powers,
+    _ring_projection,
+    _sample_radii_and_weights,
+    _uniform_panel_weights,
+)
+from oamlink.numerics import gauss_legendre
 
 N_M = 2
 
@@ -103,7 +105,8 @@ class TestReferenceIntegral:
     def test_frozen_values(self):
         geom, rx = default_geom(), default_rx()
         for (ell_n, ell_j, r), expected in FROZEN_EXACT.items():
-            got = crosstalk_exact(geom, rx, N_M, ell_n, ell_j, PointingState(r, 0.0))
+            point = PointingState(r, 0.0)
+            got = crosstalk_exact_detailed(geom, rx, N_M, ell_n, ell_j, point).value
             assert got == pytest.approx(expected, rel=1e-9), (ell_n, ell_j, r)
 
     def test_aligned_fundamental_closed_form(self):
@@ -112,13 +115,13 @@ class TestReferenceIntegral:
         geom, rx = default_geom(), default_rx()
         w = geom.beam_radius_at_rx
         expected = (1.0 - math.exp(-2.0 * rx.aperture_radius**2 / w**2)) / N_M**2
-        got = crosstalk_exact(geom, rx, N_M, 0, 0, PointingState(0.0, 0.0))
+        got = crosstalk_exact_detailed(geom, rx, N_M, 0, 0, PointingState(0.0, 0.0)).value
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_matches_in_test_brute_force(self):
         geom, rx = default_geom(), default_rx()
         brute = brute_force_coefficient(geom, rx, N_M, -2, 1, 8.0)
-        got = crosstalk_exact(geom, rx, N_M, -2, 1, PointingState(8.0, 0.0))
+        got = crosstalk_exact_detailed(geom, rx, N_M, -2, 1, PointingState(8.0, 0.0)).value
         assert got == pytest.approx(brute, rel=1e-4)
 
     def test_detailed_reports_convergence(self):
@@ -132,30 +135,30 @@ class TestReferenceIntegral:
 
     def test_gain_scales_linearly(self):
         geom = default_geom()
-        base = crosstalk_exact(
+        base = crosstalk_exact_detailed(
             geom, default_rx(), N_M, 1, 1, PointingState(5.0, 0.0)
-        )
-        boosted = crosstalk_exact(
+        ).value
+        boosted = crosstalk_exact_detailed(
             geom, default_rx(apd_gain=10.0), N_M, 1, 1, PointingState(5.0, 0.0)
-        )
+        ).value
         assert boosted == pytest.approx(10.0 * base, rel=1e-12)
 
     def test_stream_count_normalization(self):
         geom, rx = default_geom(), default_rx()
         point = PointingState(5.0, 0.0)
-        one = crosstalk_exact(geom, rx, 1, 1, 1, point)
-        four = crosstalk_exact(geom, rx, 4, 1, 1, point)
+        one = crosstalk_exact_detailed(geom, rx, 1, 1, 1, point).value
+        four = crosstalk_exact_detailed(geom, rx, 4, 1, 1, point).value
         assert one == pytest.approx(16.0 * four, rel=1e-12)
 
     def test_validation(self):
         geom, rx = default_geom(), default_rx()
         point = PointingState(5.0, 0.0)
         with pytest.raises(ValueError):
-            crosstalk_exact(geom, rx, 0, 1, 1, point)
+            crosstalk_exact_detailed(geom, rx, 0, 1, 1, point)
         with pytest.raises(ValueError):
-            crosstalk_exact(geom, rx, N_M, 1.5, 1, point)
+            crosstalk_exact_detailed(geom, rx, N_M, 1.5, 1, point)
         with pytest.raises(ValueError):
-            crosstalk_exact(geom, rx, N_M, 1, "0", point)
+            crosstalk_exact_detailed(geom, rx, N_M, 1, "0", point)
 
 
 class TestApproximationChain:
@@ -168,9 +171,9 @@ class TestApproximationChain:
         for r in self.RADII:
             point = PointingState(r, 0.0)
             for ell_n, ell_j in self.PAIRS:
-                table[(ell_n, ell_j, r)] = crosstalk_exact(
+                table[(ell_n, ell_j, r)] = crosstalk_exact_detailed(
                     geom, rx, N_M, ell_n, ell_j, point
-                )
+                ).value
         return geom, rx, table
 
     def test_radial_sum_within_five_percent(self):
@@ -188,6 +191,19 @@ class TestApproximationChain:
                 got = crosstalk(geom, rx, N_M, ell_n, ell_j, PointingState(r, 0.0), method)
                 db = abs(10.0 * math.log10(got / ref))
                 assert db <= 1.0, (method, ell_n, ell_j, r, db)
+
+    @pytest.mark.parametrize("k_r", [3, 5, 7, 9])
+    def test_odd_sample_counts_integrate_cubics(self, k_r):
+        # An odd k_r ends Simpson's rule with a 3/8 panel; both are exact
+        # for cubics, and the k = 0 node dropped from the sample radii
+        # carries no weight for an integrand with a factor r.
+        rx = default_rx(k_r=k_r)
+        r_a = rx.aperture_radius
+        nodes, weights = _sample_radii_and_weights(rx)
+        for power in (1, 2, 3):
+            exact = r_a ** (power + 1) / (power + 1)
+            assert weights @ nodes**power == pytest.approx(exact, rel=1e-14), power
+        assert _uniform_panel_weights(k_r, r_a / k_r).sum() == pytest.approx(r_a, rel=1e-14)
 
     def test_bessel_sum_tracks_bessel_integral(self):
         # Same integrand, k_r-point Simpson grid instead of Gauss-Legendre.
@@ -240,20 +256,19 @@ class TestStructuralInvariants:
         # recovers its gain-weighted power through the aperture.
         geom, rx = default_geom(), default_rx()
         pointing = PointingState(5.0, 0.0)
-        spectrum = filter_spectrum(geom, rx, N_M, 2, pointing)
-        total = sum(value for _, value in spectrum)
+        orders = list(range(-20, 21))
+        total = sum(crosstalk_exact_detailed(geom, rx, N_M, 2, orders, pointing).value)
 
         from oamlink.beam import shifted_aperture_field
 
         rule = gauss_legendre(200, 0.0, rx.aperture_radius)
+        phi = 2.0 * np.pi * np.arange(256) / 256
 
         def ring(r):
-            f = lambda phi: np.abs(
-                shifted_aperture_field(geom, 2, r, phi, pointing)
-            ) ** 2
-            return r * periodic_trapezoid(f, 256).real
+            power = np.abs(shifted_aperture_field(geom, 2, r, phi, pointing)) ** 2
+            return r * ((2.0 * np.pi / 256) * power.sum())
 
-        collected = rule.integrate(np.array([ring(r) for r in rule.nodes]))
+        collected = rule.weights @ np.array([ring(r) for r in rule.nodes])
         assert total == pytest.approx(rx.gain * collected / N_M**2, rel=1e-3)
         # The reference grid's sum over every harmonic is the same power
         # (Parseval); exact2d measures its round-off floor against it.
@@ -263,36 +278,30 @@ class TestStructuralInvariants:
     def test_spectrum_matches_single_projection(self):
         geom, rx = default_geom(), default_rx()
         pointing = PointingState(8.0, 0.0)
-        spectrum = dict(filter_spectrum(geom, rx, N_M, -2, pointing, (-3, 3)))
-        direct = crosstalk_exact(geom, rx, N_M, -2, 1, pointing)
+        orders = list(range(-3, 4))
+        values = crosstalk_exact_detailed(geom, rx, N_M, -2, orders, pointing).value
+        spectrum = dict(zip(orders, values))
+        direct = crosstalk_exact_detailed(geom, rx, N_M, -2, 1, pointing).value
         assert spectrum[1] == pytest.approx(direct, rel=1e-4)
-
-    def test_spectrum_range_guards(self):
-        geom, rx = default_geom(), default_rx()
-        pointing = PointingState(8.0, 0.0)
-        with pytest.raises(ValueError):
-            filter_spectrum(geom, rx, N_M, 0, pointing, (3, -3))
-        with pytest.raises(ValueError):
-            filter_spectrum(geom, rx, N_M, 0, pointing, (0, SPECTRUM_MAX_ORDER + 1))
 
     def test_mirror_symmetry(self):
         # Reflecting the plane flips the sign of every azimuthal order.
         geom, rx = default_geom(), default_rx()
         point = PointingState(8.0, 0.0)
-        plus = crosstalk_exact(geom, rx, N_M, -2, 1, point)
-        minus = crosstalk_exact(geom, rx, N_M, 2, -1, point)
+        plus = crosstalk_exact_detailed(geom, rx, N_M, -2, 1, point).value
+        minus = crosstalk_exact_detailed(geom, rx, N_M, 2, -1, point).value
         assert plus == pytest.approx(minus, rel=1e-12)
 
     def test_rotation_invariance(self):
         # The reference integral sees the full pointing vector; rotating it
         # about the beam axis must not change the coefficient.
         geom, rx = default_geom(), default_rx()
-        aligned = crosstalk_exact(
+        aligned = crosstalk_exact_detailed(
             geom, rx, N_M, -2, 1, PointingState.from_radius(8.0, 0.0)
-        )
-        rotated = crosstalk_exact(
+        ).value
+        rotated = crosstalk_exact_detailed(
             geom, rx, N_M, -2, 1, PointingState.from_radius(8.0, 2.1)
-        )
+        ).value
         assert rotated == pytest.approx(aligned, rel=1e-10)
 
     def test_radial_index_one(self):
@@ -301,7 +310,7 @@ class TestStructuralInvariants:
         geom = default_geom(radial_index=1)
         rx = default_rx(k_r=64)
         point = PointingState(10.0, 0.0)
-        ref = crosstalk_exact(geom, rx, N_M, 2, 0, point)
+        ref = crosstalk_exact_detailed(geom, rx, N_M, 2, 0, point).value
         got = crosstalk(geom, rx, N_M, 2, 0, point, "radial-sum")
         assert got == pytest.approx(ref, rel=1e-2)
 
@@ -378,12 +387,16 @@ class TestDispatchAndBatching:
         point = PointingState(10.0, 0.0)
         modes = ModeSet(tx_modes=(-2, 1))
         for method in Method:
+            if method is Method.EXACT2D:
+                # exact2d's one kernel takes one pointing per call.
+                with pytest.raises(ValueError, match="crosstalk_exact_detailed"):
+                    channel_profile(geom, rx, modes, np.array([point.r_ch]), method)
+                continue
             grid = channel_profile(geom, rx, modes, np.array([point.r_ch]), method)[0]
             got = crosstalk(geom, rx, modes.n_streams, -2, 1, point, method=method.value)
             assert got == pytest.approx(grid[1, 0], rel=1e-12), method
-        assert crosstalk(geom, rx, N_M, -2, 1, point, method="exact2d") == crosstalk_exact(
-            geom, rx, N_M, -2, 1, point
-        )
+        reference = crosstalk_exact_detailed(geom, rx, N_M, -2, 1, point).value
+        assert crosstalk(geom, rx, N_M, -2, 1, point, method="exact2d") == reference
         default = crosstalk(geom, rx, N_M, -2, 1, point)
         assert default == crosstalk(geom, rx, N_M, -2, 1, point, "bessel-sum")
 
@@ -480,7 +493,7 @@ class TestDispatchAndBatching:
             )
 
     @pytest.mark.parametrize(
-        "method", ["exact2d", "radial-sum", "bessel-integral", "bessel-sum"]
+        "method", ["radial-sum", "bessel-integral", "bessel-sum"]
     )
     def test_profile_matches_per_point_evaluation(self, method):
         geom, rx = default_geom(), default_rx()
@@ -542,6 +555,14 @@ class TestWarningsAndGuards:
         # reduction and shares its floor.
         with pytest.warns(ApproximationWarning):
             crosstalk(geom, rx, N_M, 0, 0, near, "asymptotic")
+
+    def test_unsettled_reference_integral_warns(self, monkeypatch):
+        # At a zero tolerance no grid doubling settles a pair.
+        monkeypatch.setattr(oamlink.crosstalk, "_EXACT_REL_TOL", 0.0)
+        geom, rx = default_geom(), default_rx()
+        modes = ModeSet(tx_modes=(-2, 1))
+        with pytest.warns(QuadratureConvergenceWarning, match="crosstalk integral did not settle"):
+            crosstalk_matrix(geom, rx, modes, PointingState(8.0, 0.0), "exact2d")
 
     def test_receiver_config_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oamlink.beam import LinkGeometry, ModeSet
-from oamlink.ber import ChannelVectors, PointingStats, conditional_ber
+from oamlink.ber import PointingStats, conditional_ber
 from oamlink.crosstalk import Method, ReceiverConfig
 from oamlink.montecarlo import (
     CHUNK_SIZE,
@@ -180,9 +180,7 @@ class TestSimulateBer:
         h = np.array([[6.2, 0.0], [0.0, 6.2]])
         cfg = TrialConfig(trials=200_000, seed=31)
         out = simulate_ber(geom, rx, modes, stats, cfg, amplitude_matrix=h)
-        analytic = conditional_ber(
-            ChannelVectors(h1=h[:, 0], h2=h[:, 1]), rx.noise_level
-        )
+        analytic = conditional_ber(h[:, 0], h[:, 1], rx.noise_level)
         assert abs(out.ber_hat - analytic) <= 3.0 * out.ci95_halfwidth
         assert out.degraded_fraction == 0.0
 
@@ -196,9 +194,7 @@ class TestSimulateBer:
         h = np.array([[1.0, 1.0], [0.5, 0.5]])
         cfg = TrialConfig(trials=100_000, seed=8)
         out = simulate_ber(geom, rx, modes, stats, cfg, amplitude_matrix=h)
-        analytic = conditional_ber(
-            ChannelVectors(h1=h[:, 0], h2=h[:, 1]), rx.noise_level
-        )
+        analytic = conditional_ber(h[:, 0], h[:, 1], rx.noise_level)
         assert analytic == pytest.approx(0.25, rel=1e-12)
         assert abs(out.ber_hat - analytic) <= 3.0 * out.ci95_halfwidth
 
