@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ive
 
 from oamlink.beam import (
     LinkGeometry,
@@ -47,6 +46,7 @@ from oamlink.beam import (
 )
 from oamlink.numerics import (
     BESSEL_MAX_ARG,
+    bessel_i_scaled,
     bessel_j,
     gauss_legendre,
     laguerre,
@@ -158,7 +158,8 @@ class ReceiverConfig:
 
     def check_bessel_range(self, geom: LinkGeometry, r_max: float) -> None:
         """Refuses Bessel arguments past ``BESSEL_MAX_ARG`` at offsets up to
-        ``r_max``: |beta| = 2|c| r_a r (``_ring_projection``) bounds k r_a r/R."""
+        ``r_max``, naming the key before a kernel refuses them: |beta| =
+        2|c| r_a r of radial-sum's ``bessel_i_scaled`` table bounds k r_a r/R."""
         c = 1.0 / geom.beam_radius_at_rx**2 + 0.5j * geom.wavenumber / geom.curvature_at_rx
         largest = 2.0 * abs(c) * self.aperture_radius * r_max
         if not largest <= BESSEL_MAX_ARG:
@@ -363,9 +364,10 @@ def _ring_projection(
     L_p^{|ell|}(s^2 + s'^2 + s s' (z + 1/z)), times exp(-c (r^2 + r'^2))
     exp(beta cos phi), where c = 1/w^2 + i k/(2R) and beta = -2 c r r'. By
     the Jacobi-Anger expansion (DLMF 10.35) its projection on
-    e^{i ell_j phi} is 2 pi sum_k P_k I_{ell_j+k}(beta). ``ive`` takes
-    e^{|Re beta|} out of I, leaving the Gaussian the modulus
-    exp(-(r' - r)^2/w^2); the curvature and Gouy phases have unit modulus.
+    e^{i ell_j phi} is 2 pi sum_k P_k I_{ell_j+k}(beta). One backward
+    recurrence (``bessel_i_scaled``) gives the order table with e^{|Re beta|}
+    taken out of I, leaving the Gaussian the modulus exp(-(r' - r)^2/w^2);
+    the curvature and Gouy phases have unit modulus.
     """
     w = geom.beam_radius_at_rx
     c = 1.0 / w**2 + 0.5j * geom.wavenumber / geom.curvature_at_rx
@@ -389,7 +391,7 @@ def _ring_projection(
     # One table of I_n e^{-|Re beta|} for every order a (tx, filter) pair needs.
     orders = sorted({abs(ell_j + lo + k) for coeffs, lo in fields.values()
                      for k in range(len(coeffs)) for ell_j in filter_modes})
-    table = dict(zip(orders, ive(np.reshape(orders, (-1, 1, 1)), -2.0 * c * r * nodes)))
+    table = dict(zip(orders, bessel_i_scaled(orders, -2.0 * c * (r * nodes))))
     out = np.empty((r.shape[0], len(filter_modes), len(tx_modes)))
     for i, ell_n in enumerate(tx_modes):
         coeffs, lo = fields[ell_n]
@@ -591,13 +593,15 @@ def _profile(
     out = np.empty((r.size, modes.n_filter, modes.n_tx))
 
     if method is Method.RADIAL_SUM:
-        # The k_r sample radii with Simpson-type weights, the angle exact;
-        # slices of 1024 radii keep the Bessel table small.
+        # The k_r sample radii with Simpson-type weights, the angle exact.
+        # Slices of 16,384 ring arguments keep the table small and fill one
+        # complex Bessel block, so Monte Carlo threads run it in parallel.
         nodes, weights = _sample_radii_and_weights(rx)
-        for start in range(0, r.size, 1024):
-            out[start : start + 1024] = _ring_projection(
+        step = max(1, 16384 // nodes.size)
+        for start in range(0, r.size, step):
+            out[start : start + step] = _ring_projection(
                 geom, rx, n_m, modes.tx_modes, modes.filter_modes, nodes, weights,
-                r[start : start + 1024],
+                r[start : start + step],
             )
         return out
 

@@ -564,6 +564,18 @@ class TestWarningsAndGuards:
         with pytest.warns(QuadratureConvergenceWarning, match="crosstalk integral did not settle"):
             crosstalk_matrix(geom, rx, modes, PointingState(8.0, 0.0), "exact2d")
 
+    @pytest.mark.parametrize("method", ["radial-sum", "bessel-sum", "bessel-integral"])
+    @pytest.mark.parametrize(
+        "radius, message",
+        [(math.nan, "must be finite"), (math.inf, "must be finite"),
+         (1e5, r"exceeds guard \|x\| <= 1000")],
+    )
+    def test_batched_methods_refuse_radii_past_the_bessel_guards(self, method, radius, message):
+        # 1e5 m takes |beta| = 2|c| r_a r to about 2e4 on the default link.
+        modes = ModeSet((-2, 1), (-2, 1))
+        with pytest.raises(ValueError, match=f"Bessel argument {message}"):
+            channel_profile(default_geom(), default_rx(), modes, np.array([2.0, radius]), method)
+
     def test_receiver_config_validation(self):
         with pytest.raises(ValueError):
             ReceiverConfig(aperture_radius=0.0)

@@ -1,8 +1,9 @@
 """Special-function and quadrature primitives against independent references.
 
 The Laguerre and Bessel evaluators are hand-rolled, so they are checked
-against scipy (and a recurrence or a plain series sum); the Q wrapper
-delegates to scipy, so it is checked against a direct density integral.
+against scipy, mpmath at 30 digits (and a recurrence or a plain series
+sum); the Q wrapper delegates to scipy, so it is checked against a direct
+density integral.
 """
 
 import math
@@ -16,6 +17,7 @@ from oamlink.numerics import (
     BESSEL_MAX_ARG,
     BESSEL_MAX_ORDER,
     LAGUERRE_MAX_ORDER,
+    bessel_i_scaled,
     bessel_j,
     gauss_legendre,
     laguerre,
@@ -204,6 +206,122 @@ class TestBessel:
             bessel_j(0, math.nan)
         with pytest.raises(ValueError):
             bessel_j(0.5, 1.0)
+
+
+def _scaled_i_reference(orders, beta):
+    """e^{-|Re beta|} I_n(beta) from mpmath at 30 digits, one row per order."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return np.array([
+            [complex(mpmath.besseli(n, mpmath.mpc(b.real, b.imag))
+                     * mpmath.exp(-abs(mpmath.mpf(b.real)))) for b in beta]
+            for n in orders
+        ])
+
+
+class TestScaledModifiedBessel:
+    # The radial-sum kernel's order table: beta = -2 c r r' with
+    # c = 1/w^2 + i k/2R, so long links sit near the imaginary axis and
+    # short ones (1/w^2 comparable to k/2R) reach |Re beta| >> 1. The
+    # reference is mpmath at 30 digits; scipy's ive is a second oracle.
+    ORDERS = [0, 1, 2, 3, 5, 16, 17, 40, BESSEL_MAX_ORDER]
+
+    def check(self, beta, tol):
+        got = bessel_i_scaled(self.ORDERS, beta)
+        ref = _scaled_i_reference(self.ORDERS, beta)
+        # Each argument's error on the scale of its largest order value:
+        # tiny high orders carry no absolute weight in a projection sum.
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(got - ref) <= tol * scale), np.max(np.abs(got - ref) / scale)
+
+    def test_near_imaginary_axis(self):
+        rng = np.random.default_rng(21)
+        im = np.concatenate([rng.uniform(-64.0, 64.0, 12), rng.uniform(-1e3, 1e3, 12)])
+        beta = rng.uniform(-1.0, 0.0, im.size) + 1j * im
+        self.check(beta[:12], 1e-14)
+        self.check(beta, 2e-13)
+        self.check(np.array([1j * BESSEL_MAX_ARG, -0.5 - 999.5j]), 2e-13)
+
+    def test_large_real_part(self):
+        rng = np.random.default_rng(22)
+        size = rng.uniform(1.5, BESSEL_MAX_ARG, 16)
+        angle = rng.uniform(0.0, 2.0 * np.pi, 16)
+        beta = size * np.exp(1j * angle)
+        beta = np.concatenate([beta, [-BESSEL_MAX_ARG, -2.0 + 0.5j, -600.0 - 600.0j]])
+        self.check(beta, 5e-15)
+
+    def test_across_the_switch_between_normalisations(self):
+        # A block whose |Re beta| stays <= 1 is normalised by
+        # I_0 - 2 I_2 + 2 I_4 - ... = 1, any other by e^{t beta}: each
+        # argument near |Re beta| = 1 alone, then next to |Re beta| = 3.
+        re = np.array([-1.0 - 1e-12, -1.0, -1.0 + 1e-12, -0.999, -1.001, 1.0, 1.001, 0.0])
+        beta = np.concatenate([re + 30.0j, re - 5.0j, re * 1e-3 + 60.0j])
+        got = np.array([bessel_i_scaled(self.ORDERS, np.array([b]))[:, 0] for b in beta]).T
+        ref = _scaled_i_reference(self.ORDERS, beta)
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale), np.max(np.abs(got - ref) / scale)
+        mixed = bessel_i_scaled(self.ORDERS, np.append(beta, -3.0 + 1.0j))[:, :-1]
+        assert np.all(np.abs(mixed - ref) <= 1e-14 * scale), np.max(np.abs(mixed - ref) / scale)
+
+    def test_around_the_rescaling_threshold(self):
+        # Past |beta| = 64 the recurrence rescales as it descends.
+        beta = -0.01 + 1j * np.array([63.999, 64.0, 64.001, -64.0, -64.001, 63.0, 65.0])
+        self.check(beta, 1e-14)
+        self.check(beta - 5.0, 1e-14)
+
+    def test_matches_scipy_on_link_arguments(self):
+        # The default link's domain: |beta| <= 49, |Re beta| <= 0.57.
+        from scipy.special import ive
+
+        rng = np.random.default_rng(23)
+        beta = rng.uniform(-0.57, 0.0, 4000) + 1j * rng.uniform(-49.0, 49.0, 4000)
+        orders = list(range(0, 17))
+        got = bessel_i_scaled(orders, beta)
+        ref = ive(np.reshape(orders, (-1, 1)), beta)
+        assert np.all(np.abs(got - ref) <= 5e-14 * np.abs(ref).max(axis=0))
+
+    def test_rescaling_keeps_small_arguments_beside_large_ones(self):
+        # One block: |beta| = 1000 sets a start index near 1,100, from
+        # which the recurrence grows past 1e2000 at every argument unless
+        # it is rescaled on the way down.
+        beta = np.array([-BESSEL_MAX_ARG + 0.0j, -1.5 + 0.2j, 3.0 - 70.0j, -1.2 + 0.0j])
+        assert np.all(np.isfinite(bessel_i_scaled(self.ORDERS, beta)))
+        self.check(beta, 5e-15)
+
+    def test_exact_at_zero_and_parity(self):
+        assert bessel_i_scaled(0, 0.0) == 1.0
+        table = bessel_i_scaled([0, 1, -2, 16, 64], np.zeros(3, complex))
+        assert np.array_equal(table, np.outer([1.0, 0.0, 0.0, 0.0, 0.0], np.ones(3)))
+        rng = np.random.default_rng(24)
+        beta = rng.uniform(-30.0, 30.0, 50) + 1j * rng.uniform(-300.0, 300.0, 50)
+        for n in (1, 2, 7, BESSEL_MAX_ORDER):
+            assert np.array_equal(bessel_i_scaled(-n, beta), bessel_i_scaled(n, beta))
+            assert np.allclose(bessel_i_scaled(n, -beta), (-1.0) ** n * bessel_i_scaled(n, beta),
+                               rtol=1e-13, atol=1e-300)
+
+    def test_values_do_not_depend_on_other_orders(self):
+        rng = np.random.default_rng(25)
+        beta = np.concatenate([
+            rng.uniform(-0.6, 0.0, 5000) + 1j * rng.uniform(-49.0, 49.0, 5000),
+            rng.uniform(-400.0, 0.0, 200) + 1j * rng.uniform(-400.0, 400.0, 200),
+            [0.0, 1e-12j, -1.0, -1.0 + 64.0j, 90.0j],
+        ])
+        for n in (0, 1, 2, 7, 16, 40):
+            alone = bessel_i_scaled([n], beta)[0]
+            for others in ([n + 1], [0, 1, 2, 3, 4], [BESSEL_MAX_ORDER, 16], list(range(17))):
+                together = bessel_i_scaled(others + [n], beta)[-1]
+                assert np.array_equal(together, alone), (n, others)
+
+    def test_guards(self):
+        for bad in (math.nan, complex(0.0, math.inf), complex(math.nan, 1.0)):
+            with pytest.raises(ValueError, match="Bessel argument must be finite"):
+                bessel_i_scaled(0, bad)
+        with pytest.raises(ValueError, match=r"exceeds guard \|x\| <= 1000"):
+            bessel_i_scaled([0, 1], np.array([0.0, 1.0j * BESSEL_MAX_ARG * 1.001]))
+        with pytest.raises(ValueError, match="exceeds guard"):
+            bessel_i_scaled(BESSEL_MAX_ORDER + 1, 1.0j)
+        with pytest.raises(ValueError, match="must be an integer"):
+            bessel_i_scaled(0.5, 1.0j)
 
 
 class TestQFunction:
