@@ -9,6 +9,7 @@ All quantities are SI (meters, radians).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -143,12 +144,6 @@ class ModeSet:
         object.__setattr__(self, "tx_modes", tx)
         object.__setattr__(self, "filter_modes", flt)
         object.__setattr__(self, "stream_grouping", grouping)
-        mixing = np.zeros((len(tx), self.n_streams))
-        for k, group in enumerate(self.streams):
-            for mode in group:
-                mixing[tx.index(mode), k] = 1.0 / math.sqrt(len(group))
-        mixing.setflags(write=False)
-        object.__setattr__(self, "_stream_matrix", mixing)
 
     @property
     def n_tx(self) -> int:
@@ -170,16 +165,23 @@ class ModeSet:
         """Number of parallel data channels carried by this mode set."""
         return len(self.streams)
 
-    @property
+    @functools.cached_property
     def stream_matrix(self) -> np.ndarray:
         """Equal-power stream mixing matrix M, n_tx x n_streams, read-only.
 
         M[i, k] is 1/sqrt(modes in stream k) when tx mode i carries stream k
         and 0 otherwise, so every stream spends the same transmit power. The
         element-wise square root of a coefficient grid times M gives the
-        stream amplitude vectors across the filter bank.
+        stream amplitude vectors across the filter bank. It is built on
+        first use: a mode set made only to check a configuration needs none.
         """
-        return self._stream_matrix
+        streams = self.streams
+        mixing = np.array(
+            [[1.0 / math.sqrt(len(g)) if mode in g else 0.0 for g in streams]
+             for mode in self.tx_modes]
+        )
+        mixing.setflags(write=False)
+        return mixing
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ comparable.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -64,7 +65,7 @@ class PointingStats:
         if not (self.distance > 0 and math.isfinite(self.distance)):
             raise ValueError(f"distance must be positive, got {self.distance!r}")
         # The density divides by sigma_r^2, which must be a normal float.
-        if not (np.finfo(float).tiny <= self.rayleigh_scale * self.rayleigh_scale < math.inf):
+        if not (sys.float_info.min <= self.rayleigh_scale * self.rayleigh_scale < math.inf):
             raise ValueError(f"sigma_theta {self.sigma_theta!r} gives a Rayleigh scale "
                              f"{self.rayleigh_scale!r} m whose square is not a normal float")
 

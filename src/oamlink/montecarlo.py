@@ -14,6 +14,7 @@ bit-for-bit regardless of how many workers run the chunks.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -75,6 +76,13 @@ def worker_count() -> int:
                 f"{WORKERS_ENV_VAR} must be an integer in [1, {MAX_WORKERS}], got {raw!r}"
             )
         return count
+    return _cpu_workers()
+
+
+@functools.cache
+def _cpu_workers() -> int:
+    """The default worker count. os.cpu_count makes system calls, so it is
+    read once: the number of CPUs does not change while the process runs."""
     return min(os.cpu_count() or 1, MAX_WORKERS)
 
 

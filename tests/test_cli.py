@@ -25,6 +25,8 @@ from oamlink.cli import (
     ConfigError,
     RunConfig,
     _dbm,
+    _parse_args,
+    build_parser,
     load_config,
     main,
     parse_config_text,
@@ -314,6 +316,28 @@ class TestMainErrors:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("oamlink ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crosstalk-curve", "--grid", "5", "-o", "out.csv"],
+            ["ber-curve", "--method", "radial-sum", "-s", "quad.order=48", "-s", "mc.seed=2",
+             "--axis", "w0", "--grid", "0.02", "--candidates=-2|1", "--monte-carlo",
+             "-o", "out.csv"],
+            ["rank-modes", "-c", "run.cfg", "--candidates=-2|1;-2|2"],
+        ],
+    )
+    def test_command_parser_alone_gives_the_full_parse(self, argv):
+        parser = build_parser()
+        full = vars(parser.parse_args(argv))
+        del full["command_parsers"]
+        assert vars(_parse_args(parser, argv)) == full
+
+    def test_argument_the_command_lacks_keeps_the_top_level_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ber-curve", "--bogus"])
+        assert exc.value.code == 2
+        assert "oamlink: error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 BER = ["-s", "sweep.grid=0.02", "-s", "quad.order=48"]
