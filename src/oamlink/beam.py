@@ -258,9 +258,9 @@ def lg_field(geom: LinkGeometry, ell, r, phi, z: float):
     phase e^{-i ell phi}, the wavefront-curvature phase and the Gouy phase.
     Broadcasts over array-valued r and phi.
 
-    ``ell`` is one order or a sequence, as for ``numerics.bessel_j``: one
-    order gives a complex for scalar r and phi, else an array of their
-    broadcast shape; a sequence stacks the fields on a new first axis. The
+    ``ell`` is one order or a sequence of orders: one order gives a
+    complex for scalar r and phi, else an array of their broadcast shape;
+    a sequence stacks the fields on a new first axis. The
     Gaussian and curvature factor exp(-(1/w^2 + i k/(2R)) r^2) and the step
     (sqrt(2) r/w) e^{-i phi} are computed once for all orders; each order's
     helix is a power of the step (of its conjugate for ell < 0), so its

@@ -19,7 +19,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from oamlink import __version__
@@ -215,6 +215,10 @@ class RunConfig:
             lambda s: tuple(float(tok) for tok in s.split(",")) if s else (),
             "be comma-separated numbers",
         )
+
+    def with_value(self, key: str, value: float) -> "RunConfig":
+        """This config with ``key`` set to ``value``, which reads back exactly."""
+        return replace(self, raw={**self.raw, key: repr(value)})
 
     def _build(self, cls, **fields):
         """``cls`` from one ``(key, parse)`` pair per field; an error the
@@ -490,8 +494,12 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
     )
 
 
+# The config key each sweep axis sets.
+_AXIS_KEYS = {SweepAxis.W0: "geometry.w0_m", SweepAxis.Z: "geometry.distance_m",
+              SweepAxis.SIGMA_THETA: "pointing.sigma_theta_rad"}
+
+
 def cmd_ber_curve(cfg: RunConfig) -> _Output:
-    scen = cfg.scenario()
     methods = cfg.averaged_methods()
     with _config_errors("sweep.axis: "):
         axis = SweepAxis.parse(cfg.text("sweep.axis"))
@@ -500,8 +508,12 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
         raise ConfigError("ber-curve needs sweep.grid values for the chosen axis")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"sweep.grid must be strictly increasing, got {grid}")
-    with _config_errors("sweep.grid: "):
-        points = [scen.with_axis(axis, value) for value in grid]
+    # Each point's scenario is the config with the axis key set to the grid
+    # value, so a base value that the sweep replaces is never checked.
+    key = _AXIS_KEYS[axis]
+    with _config_errors(keys={key: f"sweep.grid value for {key}"}):
+        points = [cfg.with_value(key, value).scenario() for value in grid]
+    scen = points[0]
     candidates = cfg.candidates() or (scen.modes,)
     with_mc = cfg.flag("ber.with_mc")
     trial_cfgs = {method: cfg.trial_config(method) for method in methods} if with_mc else {}
@@ -595,6 +607,10 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
         raise ConfigError(f"need 0 < optimize.lo_m < optimize.hi_m < inf, got {lo}, {hi}")
     if not (0 < tol < hi - lo):
         raise ConfigError(f"optimize.tol_m must be in (0, {hi - lo:g}), got {tol}")
+    # The search evaluates both bounds as waists.
+    for key, bound in (("optimize.lo_m", lo), ("optimize.hi_m", hi)):
+        with _config_errors(keys={"geometry.w0_m": key}):
+            cfg.with_value("geometry.w0_m", bound).geometry()
     result, status = warning_status(optimize_w0, scen, (lo, hi), tol, method)
     (b_lo, b_mid, b_hi) = result.bracket
     boundary = str(result.boundary).lower()

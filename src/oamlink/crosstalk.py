@@ -37,6 +37,7 @@ from enum import Enum
 
 import numpy as np
 
+from oamlink import numerics
 from oamlink.beam import (
     LinkGeometry,
     ModeSet,
@@ -594,10 +595,10 @@ def _profile(
 
     if method is Method.RADIAL_SUM:
         # The k_r sample radii with Simpson-type weights, the angle exact.
-        # Slices of 16,384 ring arguments keep the table small and fill one
-        # complex Bessel block, so Monte Carlo threads run it in parallel.
+        # Slices that fill one complex Bessel block with ring arguments keep
+        # the table small, so Monte Carlo threads run it in parallel.
         nodes, weights = _sample_radii_and_weights(rx)
-        step = max(1, 16384 // nodes.size)
+        step = max(1, numerics._BLOCK // 2 // nodes.size)
         for start in range(0, r.size, step):
             out[start : start + step] = _ring_projection(
                 geom, rx, n_m, modes.tx_modes, modes.filter_modes, nodes, weights,

@@ -3,18 +3,16 @@
 Everything here is a pure function of its arguments (safe to call from any
 number of workers). Associated Laguerre polynomials are evaluated by the
 explicit finite sum. Bessel functions J_n(x), and e^{-|Re beta|} I_n(beta)
-at complex beta for radial-sum, come from one backward recurrence pass that
-yields every requested order; the Gaussian Q-function is backed by
-scipy.special. Each carries the guard rails documented on it.
-
-The Bessel recurrences work through their arguments in blocks sized by two
-limits: the six work arrays of a block stay in one core's L2 cache, and
-each numpy call carries enough work that concurrent worker threads do not
-queue on the GIL (see ``_BLOCK``).
+at complex beta for radial-sum, take distinct, ascending, non-negative
+orders and return one row per order, from one backward recurrence pass per
+order tier and argument block (``_tabulate``, ``_BLOCK``); the Gaussian
+Q-function is backed by scipy.special. Each carries the guard rails
+documented on it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -112,55 +110,49 @@ def laguerre(p: int, alpha: int, x):
     return result
 
 
-def bessel_j(n, x):
+def bessel_j(orders, x):
     """Bessel function of the first kind J_n(x) for integer orders.
 
-    The requested orders of one tier of ``_ORDER_TIERS`` come out of one
-    recurrence pass over ``x`` (see ``_orders_in_tier``), so asking for
-    several orders at once costs little more than asking for one. The value
-    of each order does not depend on which other orders are requested.
+    The orders of one tier of ``_ORDER_TIERS`` come out of one recurrence
+    pass over each block of ``x`` (see ``_tabulate``), so asking for several
+    orders at once costs little more than asking for one. The value of each
+    order does not depend on which other orders are requested.
 
     Parameters
     ----------
-    n : int or sequence of int
-        Order(s) with |n| <= BESSEL_MAX_ORDER; negative orders follow
-        J_{-n} = (-1)^n J_n.
+    orders : sequence of int
+        Distinct, ascending orders 0 <= n <= BESSEL_MAX_ORDER.
     x : float or ndarray
         Argument(s) with |x| <= BESSEL_MAX_ARG; negative arguments follow
         J_n(-x) = (-1)^n J_n(x), and x = 0 gives exact values.
 
     Returns
     -------
-    float or ndarray
-        For one order, a float for scalar ``x`` and otherwise an array of
-        the shape of ``x``; for a sequence, an array of shape
-        ``(len(n), *x.shape)``.
+    ndarray
+        Shape ``(len(orders), *x.shape)``: one row per order.
     """
-    return _tabulate(n, x, float, _orders_in_tier, -1.0)
+    return _tabulate(orders, x, float, _j_block)
 
 
-def bessel_i_scaled(n, beta):
-    """Scaled modified Bessel function e^{-|Re beta|} I_n(beta) for integer
-    orders |n| <= BESSEL_MAX_ORDER (I_{-n} = I_n) and complex arguments
-    |beta| <= BESSEL_MAX_ARG, served and shaped like ``bessel_j``: one
-    recurrence pass per tier (``_scaled_i_in_tier``), each order's value
-    independent of the other orders requested, beta = 0 exact.
-    """
-    return _tabulate(n, beta, complex, _scaled_i_in_tier, 1.0)
+def bessel_i_scaled(orders, beta):
+    """Scaled modified Bessel function e^{-|Re beta|} I_n(beta) at complex
+    arguments |beta| <= BESSEL_MAX_ARG, beta = 0 exact; orders, tiers and
+    output shape as for ``bessel_j``."""
+    return _tabulate(orders, beta, complex, _scaled_i_block)
 
 
-def _tabulate(n, x, dtype, tier_kernel, odd_sign: float):
-    """Guards and order bookkeeping of ``bessel_j`` and ``bessel_i_scaled``:
-    ``tier_kernel`` fills the rows of one tier's non-negative orders, and a
-    negative odd order takes ``odd_sign`` times its positive twin."""
-    single = np.ndim(n) == 0
-    orders = [n] if single else list(n)
-    for order in orders:
-        if not isinstance(order, (int, np.integer)):
-            raise ValueError(f"Bessel order must be an integer, got {order!r}")
-        if abs(order) > BESSEL_MAX_ORDER:
-            raise ValueError(f"Bessel order |{order}| exceeds guard {BESSEL_MAX_ORDER}")
+def _tabulate(orders, x, dtype, block_kernel) -> np.ndarray:
+    """Guards, then tiers, then blocks, of ``bessel_j`` and ``bessel_i_scaled``:
+    ``block_kernel(xb, tier_orders, bound, rows, work)`` fills one tier's
+    rows over one block ``xb``. Complex buffers are twice as wide, so a
+    complex block holds half of ``_BLOCK`` arguments."""
+    if np.ndim(orders) != 1 or not all(isinstance(n, (int, np.integer)) for n in orders):
+        raise ValueError(f"Bessel orders must be a sequence of integers, got {orders!r}")
     orders = [int(order) for order in orders]
+    if orders != sorted(set(orders)) or (orders and orders[0] < 0):
+        raise ValueError(f"Bessel orders must be distinct, ascending and >= 0, got {orders}")
+    if orders and orders[-1] > BESSEL_MAX_ORDER:
+        raise ValueError(f"Bessel order {orders[-1]} exceeds guard {BESSEL_MAX_ORDER}")
     x_arr = np.asarray(x, dtype=dtype)
     if not np.all(np.isfinite(x_arr)):
         raise ValueError("Bessel argument must be finite")
@@ -168,74 +160,55 @@ def _tabulate(n, x, dtype, tier_kernel, odd_sign: float):
         raise ValueError(f"Bessel argument exceeds guard |x| <= {BESSEL_MAX_ARG:g}")
 
     flat = x_arr.ravel()
-    distinct = sorted({abs(order) for order in orders})
-    table = np.empty((len(distinct), flat.size), dtype)
-    low = 0
+    table = np.empty((len(orders), flat.size), dtype)
+    block = _BLOCK // 2 if dtype is complex else _BLOCK
+    work = np.empty((6, min(block, flat.size)), dtype)
+    first = 0
     for bound in _ORDER_TIERS:
-        members = [i for i, order in enumerate(distinct) if low <= order <= bound]
-        if members:
-            tier = slice(members[0], members[-1] + 1)
-            tier_kernel(flat, distinct[tier], bound, table[tier])
-        low = bound + 1
-
-    if orders != distinct:
-        rows = [distinct.index(abs(order)) for order in orders]
-        signs = [odd_sign if order < 0 and order % 2 else 1.0 for order in orders]
-        table = table[rows] * np.array(signs)[:, np.newaxis]
-    out = table.reshape(len(orders), *x_arr.shape)
-    if single:
-        return out[0].item() if x_arr.ndim == 0 else out[0]
-    return out
+        tier = slice(first, bisect.bisect_right(orders, bound))
+        first = tier.stop
+        if orders[tier]:
+            for start in range(0, flat.size, block):
+                xb = flat[start: start + block]
+                block_kernel(xb, orders[tier], bound, table[tier, start: start + xb.size], work)
+    return table.reshape(len(orders), *x_arr.shape)
 
 
-def _orders_in_tier(x: np.ndarray, orders: list[int], bound: int, out: np.ndarray) -> None:
-    """J_n(x) for the non-negative ``orders`` <= ``bound``, into ``out`` rows.
-
-    Works through ``x`` in blocks. Within a block, arguments with
-    |x| <= bound take the backward recurrence and larger ones the forward
-    recurrence, which is stable there because n <= bound < |x|.
-    """
-    work = np.empty((6, min(_BLOCK, x.size)))
-    for start in range(0, x.size, _BLOCK):
-        xb = x[start: start + _BLOCK]
-        rows = out[:, start: start + xb.size]
-        small = np.abs(xb) <= bound
-        if small.all():
-            _backward(xb, orders, bound, rows, work)
-            continue
-        # Index arrays, not boolean masks: a 2-D masked store costs about
-        # as much as the recurrence it feeds.
-        inner, outer = np.flatnonzero(small), np.flatnonzero(~small)
-        part = np.empty((len(orders), inner.size))
-        _backward(xb.take(inner), orders, bound, part, work)
-        for row, values in zip(rows, part):
-            row[inner] = values
-        for row, values in zip(rows, _forward(xb.take(outer), orders)):
-            row[outer] = values
+def _j_block(x, orders, bound, out, work) -> None:
+    """J_n(x) for one block: arguments with |x| <= bound take the backward
+    recurrence and larger ones the forward recurrence, which is stable
+    there because n <= bound < |x|."""
+    small = np.abs(x) <= bound
+    if small.all():
+        _backward(x, orders, bound, out, work)
+        return
+    # Index arrays, not boolean masks: a 2-D masked store costs about
+    # as much as the recurrence it feeds.
+    inner, outer = np.flatnonzero(small), np.flatnonzero(~small)
+    part = np.empty((len(orders), inner.size))
+    _backward(x.take(inner), orders, bound, part, work)
+    for row, values in zip(out, part):
+        row[inner] = values
+    for row, values in zip(out, _forward(x.take(outer), orders)):
+        row[outer] = values
 
 
-def _scaled_i_in_tier(beta: np.ndarray, orders: list[int], bound: int, out: np.ndarray) -> None:
-    """e^{-|Re beta|} I_n(beta) for the non-negative ``orders`` <= ``bound``.
+def _scaled_i_block(beta, orders, bound, out, work) -> None:
+    """e^{-|Re beta|} I_n(beta) for one block.
 
     ``_backward`` at x = i beta, where J_k(i beta) = i^k I_k(beta). Its sum
     J_0 + 2 sum_j J_2j = I_0 - 2 I_2 + 2 I_4 - ... = 1 cancels terms of size
     e^{|Re beta|}, so a block reaching |Re beta| > 1 is normalised by
     I_0 + 2 sum_k t^k I_k = e^{t beta}, t = sign(Re beta) (DLMF 10.35.1),
-    and the phase e^{i t Im beta} leaves e^{-|Re beta|} I_k. Complex
-    buffers are twice as wide: a block holds half of ``_BLOCK``."""
-    block = _BLOCK // 2
-    work = np.empty((6, min(block, beta.size)), complex)
-    for start in range(0, beta.size, block):
-        b = beta[start: start + block]
-        rows = out[:, start: start + b.size]
-        if np.max(np.abs(b.real)) <= 1.0:
-            horner, factor = None, np.exp(-np.abs(b.real))
-        else:
-            half_t = np.copysign(0.5, b.real)
-            horner, factor = half_t * b, np.exp(2j * half_t * b.imag)
-        _backward(1j * b, orders, bound, rows, work, horner)
-        for k, row in zip(orders, rows):
-            row *= factor * (-1j) ** k
+    and the phase e^{i t Im beta} leaves e^{-|Re beta|} I_k."""
+    if np.max(np.abs(beta.real)) <= 1.0:
+        horner, factor = None, np.exp(-np.abs(beta.real))
+    else:
+        half_t = np.copysign(0.5, beta.real)
+        horner, factor = half_t * beta, np.exp(2j * half_t * beta.imag)
+    _backward(1j * beta, orders, bound, out, work, horner)
+    for k, row in zip(orders, out):
+        row *= factor * (-1j) ** k
 
 
 def _backward(

@@ -79,16 +79,6 @@ class Scenario:
         """Jitter statistics tied to the current link distance."""
         return PointingStats(self.sigma_theta, self.geom.distance)
 
-    def with_axis(self, axis: "SweepAxis | str", value: float) -> "Scenario":
-        """Copy of this scenario with one swept parameter replaced."""
-        axis = SweepAxis.parse(axis)
-        value = float(value)
-        if axis is SweepAxis.W0:
-            return replace(self, geom=replace(self.geom, waist=value))
-        if axis is SweepAxis.Z:
-            return replace(self, geom=replace(self.geom, distance=value))
-        return replace(self, sigma_theta=value)
-
 
 def mode_set_label(modes: ModeSet) -> str:
     """Canonical short name: modes comma-joined, streams separated by '|'."""

@@ -34,6 +34,7 @@ from oamlink.cli import (
     write_csv,
     write_manifest,
 )
+from oamlink.ber import BerResult
 from oamlink.crosstalk import Method
 
 
@@ -253,7 +254,8 @@ class TestMainErrors:
              "noise_level"),
             (["ber-curve", "--grid", "0.02", "-s", "receiver.noise_level=inf"], None,
              "receiver.noise_level"),
-            (["ber-curve", "--grid", "0.02", "-s", "geometry.w0_m=-1"], None, "geometry.w0_m"),
+            (["ber-curve", "--axis", "Z", "--grid", "1e6", "-s", "geometry.w0_m=-1"], None,
+             "geometry.w0_m"),
             (["ber-curve", "--grid", "0.02", "-s", "pointing.sigma_theta_rad=-1"], None,
              "pointing.sigma_theta_rad"),
             (["ber-curve", "--grid", "0.02", "-s", "geometry.distance_m=0"], None,
@@ -284,6 +286,10 @@ class TestMainErrors:
             (["crosstalk-curve", "--grid", "5", "-s", "pointing.sigma_theta_rad=",
               "-s", "pointing.r_ch_m=7"], None, "sweep.grid and pointing.r_ch_m"),
             (["monte-carlo"], "100000", "OAMLINK_WORKERS"),
+            (["optimize", "--lo", "1e-300", "--hi", "1e-299", "--tol", "1e-301"], None,
+             "optimize.lo_m"),
+            (["optimize", "--lo", "0.01", "--hi", "1e300", "--tol", "0.001"], None,
+             "optimize.hi_m"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):
@@ -575,6 +581,39 @@ class TestBerCurveCommand:
             assert main(base + args) == EXIT_CONFIG, args
             assert key in capsys.readouterr().err, args
         assert not (tmp_path / "ber.csv").exists()
+
+    def test_base_value_the_sweep_replaces_is_not_checked(self, tmp_path):
+        # A base jitter of 1 mrad would take the Bessel arguments past their
+        # guard, but the sweep replaces it: the rows are those of a base
+        # equal to the grid value.
+        rows = []
+        for base in ("1e-3", "1e-5"):
+            out = tmp_path / f"ber-{base}.csv"
+            assert main(["ber-curve", "--method", "bessel-sum", "--candidates=-2|1",
+                         "-s", "quad.order=48", "-s", f"pointing.sigma_theta_rad={base}",
+                         "--axis", "sigma_theta", "--grid", "1e-5", "-o", str(out)]) == EXIT_OK
+            rows.append(read_csv_file(out)[2])
+        assert rows[0] == rows[1] and len(rows[0]) == 1
+
+    @pytest.mark.parametrize("axis, value, expected", [
+        ("w0", "0.015", (0.015, 1.0e6, 3.0e-5, 30.0)),
+        ("Z", "5e5", (0.025, 5.0e5, 3.0e-5, 15.0)),
+        ("sigma_theta", "2e-5", (0.025, 1.0e6, 2.0e-5, 20.0)),
+    ])
+    def test_each_axis_sets_its_parameter(self, axis, value, expected, tmp_path, monkeypatch):
+        # The grid value replaces its one parameter, the others keep their
+        # base values, and the jitter's offset scale follows the distance:
+        # (waist, distance, sigma_theta, Rayleigh scale) of each average.
+        seen = []
+
+        def record(geom, rx, modes, stats, method, quad_order):
+            seen.append((geom.waist, geom.distance, stats.sigma_theta, stats.rayleigh_scale))
+            return BerResult(0.1, method)
+
+        monkeypatch.setattr("oamlink.cli.average_ber", record)
+        assert main(["ber-curve", "--axis", axis, "--grid", value, "--candidates=-2|1",
+                     "-o", str(tmp_path / "ber.csv")]) == EXIT_OK
+        assert seen == [pytest.approx(expected)]
 
 
 class TestMonteCarloCommand:

@@ -101,23 +101,18 @@ class TestBessel:
         # good to ~1e-10 relative at x ~ 10.
         for n in (0, 1, 2, 5):
             for x in (0.0, 0.3, 1.7, 4.2, 9.9):
-                assert bessel_j(n, x) == pytest.approx(
+                assert bessel_j([n], x)[0] == pytest.approx(
                     _bessel_series(n, x), rel=1e-9, abs=1e-14
                 ), (n, x)
 
     def test_first_zero_of_j0(self):
-        assert bessel_j(0, J0_FIRST_ZERO) == pytest.approx(0.0, abs=1e-14)
+        assert bessel_j([0], J0_FIRST_ZERO)[0] == pytest.approx(0.0, abs=1e-14)
         # And it is a sign change, not a tangency.
-        assert bessel_j(0, J0_FIRST_ZERO - 1e-3) > 0
-        assert bessel_j(0, J0_FIRST_ZERO + 1e-3) < 0
-
-    def test_negative_order_symmetry(self):
-        x = np.linspace(0.0, 20.0, 41)
-        for n in (1, 2, 3, 7):
-            assert np.allclose(bessel_j(-n, x), (-1.0) ** n * bessel_j(n, x))
+        assert bessel_j([0], J0_FIRST_ZERO - 1e-3)[0] > 0
+        assert bessel_j([0], J0_FIRST_ZERO + 1e-3)[0] < 0
 
     def test_against_scipy(self):
-        orders = list(range(-16, 17))
+        orders = list(range(17))
         zeros = sps.jn_zeros(0, 25)
         x = np.concatenate(
             [np.linspace(0.0, 80.0, 8001), zeros, zeros * (1 + 1e-12), zeros * (1 - 1e-9)]
@@ -128,7 +123,7 @@ class TestBessel:
     def test_relative_accuracy_below_turning_point(self):
         # Where 0 < x < |n| the values are tiny, so absolute error says
         # nothing; the recurrence must keep their leading digits.
-        orders = list(range(-16, 17))
+        orders = list(range(17))
         x = np.concatenate([[1e-12], np.geomspace(1e-12, 16.0, 2001)])
         ref = np.array([sps.jv(n, x) for n in orders])
         below = x[np.newaxis, :] < np.abs(np.array(orders))[:, np.newaxis]
@@ -142,19 +137,20 @@ class TestBessel:
         # at order 64 and x = 1e3, so the reference is mpmath at 30 digits.
         mpmath = pytest.importorskip("mpmath")
         x = np.array([65.0, -100.0, 234.5, 487.654321, -750.0, BESSEL_MAX_ARG])
-        for n in (0, 1, -2, 16, BESSEL_MAX_ORDER):
+        orders = [0, 1, 2, 16, BESSEL_MAX_ORDER]
+        for n, row in zip(orders, bessel_j(orders, x)):
             with mpmath.workdps(30):
                 ref = [float(mpmath.besselj(n, v)) for v in x]
-            assert np.allclose(bessel_j(n, x), ref, rtol=0.0, atol=1e-14), n
+            assert np.allclose(row, ref, rtol=0.0, atol=1e-14), n
 
     def test_sequence_matches_single_orders(self):
         rng = np.random.default_rng(9)
         x = rng.rayleigh(6.0, size=(300, 7)) * rng.choice([-1.0, 1.0], size=(300, 7))
-        orders = [3, -2, 0, 64, -17, 3, 16]
+        orders = [0, 2, 3, 16, 17, 64]
         table = bessel_j(orders, x)
         assert table.shape == (len(orders), *x.shape)
         for row, n in zip(table, orders):
-            assert np.array_equal(row, bessel_j(n, x)), n
+            assert np.array_equal(row, bessel_j([n], x)[0]), n
         for bad in ([1, BESSEL_MAX_ORDER + 1], [1, 0.5]):
             with pytest.raises(ValueError):
                 bessel_j(bad, x)
@@ -165,7 +161,8 @@ class TestBessel:
         for n in (0, 1, 2, 7, 16, 40):
             alone = bessel_j([n], x)[0]
             for others in ([n + 1], [0, 1, 2, 3, 4], [BESSEL_MAX_ORDER, 16], list(range(17))):
-                together = bessel_j(others + [n], x)[-1]
+                orders = sorted({*others, n})
+                together = bessel_j(orders, x)[orders.index(n)]
                 assert np.array_equal(together, alone), (n, others)
 
     def test_block_size_does_not_move_low_tier_orders(self, monkeypatch):
@@ -191,21 +188,22 @@ class TestBessel:
             assert np.allclose(high, high2, rtol=0, atol=5e-16), sigma
 
     def test_exact_at_zero_and_parity_in_x(self):
-        assert bessel_j(0, 0.0) == 1.0
-        assert np.array_equal(bessel_j([0, 1, -2, 16, 64], 0.0), [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert bessel_j([0], 0.0)[0] == 1.0
+        assert np.array_equal(bessel_j([0, 1, 2, 16, 64], 0.0), [1.0, 0.0, 0.0, 0.0, 0.0])
         x = np.linspace(0.1, 30.0, 59)
-        for n in (0, 1, 2, 5):
-            assert np.allclose(bessel_j(n, -x), (-1.0) ** n * bessel_j(n, x), rtol=1e-15, atol=0)
+        orders = [0, 1, 2, 5]
+        for n, neg, pos in zip(orders, bessel_j(orders, -x), bessel_j(orders, x)):
+            assert np.allclose(neg, (-1.0) ** n * pos, rtol=1e-15, atol=0), n
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            bessel_j(BESSEL_MAX_ORDER + 1, 1.0)
+            bessel_j([BESSEL_MAX_ORDER + 1], 1.0)
         with pytest.raises(ValueError):
-            bessel_j(0, BESSEL_MAX_ARG * 2)
+            bessel_j([0], BESSEL_MAX_ARG * 2)
         with pytest.raises(ValueError):
-            bessel_j(0, math.nan)
+            bessel_j([0], math.nan)
         with pytest.raises(ValueError):
-            bessel_j(0.5, 1.0)
+            bessel_j([0.5], 1.0)
 
 
 def _scaled_i_reference(orders, beta):
@@ -289,15 +287,15 @@ class TestScaledModifiedBessel:
         self.check(beta, 5e-15)
 
     def test_exact_at_zero_and_parity(self):
-        assert bessel_i_scaled(0, 0.0) == 1.0
-        table = bessel_i_scaled([0, 1, -2, 16, 64], np.zeros(3, complex))
+        assert bessel_i_scaled([0], 0.0)[0] == 1.0
+        table = bessel_i_scaled([0, 1, 2, 16, 64], np.zeros(3, complex))
         assert np.array_equal(table, np.outer([1.0, 0.0, 0.0, 0.0, 0.0], np.ones(3)))
         rng = np.random.default_rng(24)
         beta = rng.uniform(-30.0, 30.0, 50) + 1j * rng.uniform(-300.0, 300.0, 50)
-        for n in (1, 2, 7, BESSEL_MAX_ORDER):
-            assert np.array_equal(bessel_i_scaled(-n, beta), bessel_i_scaled(n, beta))
-            assert np.allclose(bessel_i_scaled(n, -beta), (-1.0) ** n * bessel_i_scaled(n, beta),
-                               rtol=1e-13, atol=1e-300)
+        orders = [1, 2, 7, BESSEL_MAX_ORDER]
+        table, mirrored = bessel_i_scaled(orders, beta), bessel_i_scaled(orders, -beta)
+        for n, neg, pos in zip(orders, mirrored, table):
+            assert np.allclose(neg, (-1.0) ** n * pos, rtol=1e-13, atol=1e-300), n
 
     def test_values_do_not_depend_on_other_orders(self):
         rng = np.random.default_rng(25)
@@ -309,19 +307,27 @@ class TestScaledModifiedBessel:
         for n in (0, 1, 2, 7, 16, 40):
             alone = bessel_i_scaled([n], beta)[0]
             for others in ([n + 1], [0, 1, 2, 3, 4], [BESSEL_MAX_ORDER, 16], list(range(17))):
-                together = bessel_i_scaled(others + [n], beta)[-1]
+                orders = sorted({*others, n})
+                together = bessel_i_scaled(orders, beta)[orders.index(n)]
                 assert np.array_equal(together, alone), (n, others)
 
     def test_guards(self):
         for bad in (math.nan, complex(0.0, math.inf), complex(math.nan, 1.0)):
             with pytest.raises(ValueError, match="Bessel argument must be finite"):
-                bessel_i_scaled(0, bad)
+                bessel_i_scaled([0], bad)
         with pytest.raises(ValueError, match=r"exceeds guard \|x\| <= 1000"):
             bessel_i_scaled([0, 1], np.array([0.0, 1.0j * BESSEL_MAX_ARG * 1.001]))
         with pytest.raises(ValueError, match="exceeds guard"):
-            bessel_i_scaled(BESSEL_MAX_ORDER + 1, 1.0j)
-        with pytest.raises(ValueError, match="must be an integer"):
-            bessel_i_scaled(0.5, 1.0j)
+            bessel_i_scaled([BESSEL_MAX_ORDER + 1], 1.0j)
+        with pytest.raises(ValueError, match="integers"):
+            bessel_i_scaled([0.5], 1.0j)
+
+
+@pytest.mark.parametrize("kernel", [bessel_j, bessel_i_scaled])
+@pytest.mark.parametrize("orders", [[-1, 0], [0, 2, 2], [2, 1], [0, 3, 2], 3, [[0, 1]]])
+def test_refuses_orders_that_are_not_distinct_ascending_and_non_negative(kernel, orders):
+    with pytest.raises(ValueError, match="Bessel orders must be"):
+        kernel(orders, np.ones(3))
 
 
 class TestQFunction:

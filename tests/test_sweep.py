@@ -58,24 +58,9 @@ class TestAxisAndScenario:
         with pytest.raises(ValueError):
             SweepAxis.parse("r_ch")
 
-    def test_with_axis(self):
-        scen = default_scenario()
-        assert scen.with_axis("w0", 0.015).geom.waist == 0.015
-        assert scen.with_axis("Z", 5.0e5).geom.distance == 5.0e5
-        assert scen.with_axis("sigma_theta", 2.0e-5).sigma_theta == 2.0e-5
-        # The original is untouched.
-        assert scen.geom.waist == 0.025
-
-    def test_pointing_stats_follow_distance(self):
-        scen = default_scenario()
-        moved = scen.with_axis("Z", 5.0e5)
-        assert moved.pointing_stats().rayleigh_scale == pytest.approx(15.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             default_scenario(sigma_theta=0.0)
-        with pytest.raises(ValueError):
-            default_scenario().with_axis("w0", math.nan)
 
 
 class TestModeSetLabel:
