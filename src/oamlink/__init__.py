@@ -7,9 +7,9 @@ validator, together with sweep/optimization drivers and a CLI.
 """
 
 from oamlink.beam import LinkGeometry, ModeSet, PointingState
-from oamlink.crosstalk import CrosstalkMatrix, Method, ReceiverConfig
+from oamlink.crosstalk import Method, ReceiverConfig
 from oamlink.ber import BerResult, PointingStats
-from oamlink.sweep import Scenario, SweepAxis
+from oamlink.sweep import Scenario
 
 __version__ = "0.1.0"
 
@@ -18,11 +18,9 @@ __all__ = [
     "ModeSet",
     "PointingState",
     "ReceiverConfig",
-    "CrosstalkMatrix",
     "Method",
     "PointingStats",
     "BerResult",
     "Scenario",
-    "SweepAxis",
     "__version__",
 ]

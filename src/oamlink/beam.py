@@ -1,9 +1,10 @@
 """Link geometry and Laguerre-Gaussian field evaluation.
 
 Holds the value types describing one optical link (geometry, mode sets,
-instantaneous pointing offset) and the two field evaluators: the on-axis LG
-mode and its pointing-shifted version seen from the receiver aperture.
-All quantities are SI (meters, radians).
+instantaneous pointing offset) and the two field evaluators at the
+receiver plane Z: the on-axis LG modes and one mode's pointing-shifted
+version seen from the receiver aperture. All quantities are SI (meters,
+radians).
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ __all__ = [
     "LinkGeometry",
     "ModeSet",
     "PointingState",
-    "beam_radius",
-    "curvature_radius",
-    "gouy_phase",
     "lg_field",
     "lg_radial_norm",
     "shifted_aperture_field",
@@ -90,11 +88,13 @@ class LinkGeometry:
 
     @property
     def beam_radius_at_rx(self) -> float:
-        return beam_radius(self, self.distance)
+        """w(Z) = w0 * sqrt(1 + (Z/z_R)^2), meters."""
+        return self.waist * math.sqrt(1.0 + (self.distance / self.rayleigh_range) ** 2)
 
     @property
     def curvature_at_rx(self) -> float:
-        return curvature_radius(self, self.distance)
+        """Wavefront curvature radius R(Z) = Z * (1 + (z_R/Z)^2), meters."""
+        return self.distance * (1.0 + (self.rayleigh_range / self.distance) ** 2)
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,8 @@ class ModeSet:
     ``stream_grouping`` partitions ``tx_modes`` into data streams for the
     multi-mode configurations in which several modes carry one stream; when
     absent every mode is its own stream. ``stream_matrix`` mixes the modes
-    into streams.
+    into streams. Each order list is pairwise distinct: a repeated filter
+    would count its branch twice in the detection.
     """
 
     tx_modes: tuple[int, ...]
@@ -126,6 +127,8 @@ class ModeSet:
         )
         if len(set(tx)) != len(tx):
             raise ValueError(f"tx modes must be pairwise distinct, got {tx}")
+        if len(set(flt)) != len(flt):
+            raise ValueError(f"filter modes must be pairwise distinct, got {flt}")
         if not tx:
             raise ValueError("need at least one tx mode")
         for m in tx + flt:
@@ -207,31 +210,6 @@ class PointingState:
         return cls(r_ch * math.cos(angle), r_ch * math.sin(angle))
 
 
-def beam_radius(geom: LinkGeometry, z: float) -> float:
-    """Beam radius w(z) = w0 * sqrt(1 + (z/z_R)^2)."""
-    if z < 0:
-        raise ValueError(f"propagation distance must be >= 0, got {z!r}")
-    return geom.waist * math.sqrt(1.0 + (z / geom.rayleigh_range) ** 2)
-
-
-def curvature_radius(geom: LinkGeometry, z: float) -> float:
-    """Wavefront curvature radius R(z) = z * (1 + (z_R/z)^2).
-
-    Singular at the waist; z = 0 is rejected because every link in scope is
-    far field.
-    """
-    if z <= 0:
-        raise ValueError(f"curvature radius requires z > 0, got {z!r}")
-    return z * (1.0 + (geom.rayleigh_range / z) ** 2)
-
-
-def gouy_phase(geom: LinkGeometry, ell: int, z: float) -> float:
-    """Gouy phase (2p + |ell| + 1) * arctan(z / z_R)."""
-    if z < 0:
-        raise ValueError(f"propagation distance must be >= 0, got {z!r}")
-    return (2 * geom.radial_index + abs(ell) + 1) * math.atan2(z, geom.rayleigh_range)
-
-
 def lg_radial_norm(geom: LinkGeometry, ell: int) -> float:
     """Unit-power normalisation sqrt(2 p! / (pi (p + |ell|)!)) of the LG mode."""
     p = geom.radial_index
@@ -251,34 +229,30 @@ def _coordinates(r, phi) -> tuple[np.ndarray, np.ndarray]:
     return r_arr, phi_arr
 
 
-def lg_field(geom: LinkGeometry, ell, r, phi, z: float):
-    """Complex LG mode field u_{p,ell}(r, phi, z), normalized to unit power.
+def lg_field(geom: LinkGeometry, orders: Sequence[int], r, phi) -> np.ndarray:
+    """Complex LG mode fields u_{p,ell}(r, phi) at the receiver plane Z,
+    each normalized to unit power, shape ``(len(orders), *broadcast(r, phi))``.
 
     Includes the radial envelope, the associated Laguerre factor, the helical
-    phase e^{-i ell phi}, the wavefront-curvature phase and the Gouy phase.
-    Broadcasts over array-valued r and phi.
-
-    ``ell`` is one order or a sequence of orders: one order gives a
-    complex for scalar r and phi, else an array of their broadcast shape;
-    a sequence stacks the fields on a new first axis. The
-    Gaussian and curvature factor exp(-(1/w^2 + i k/(2R)) r^2) and the step
-    (sqrt(2) r/w) e^{-i phi} are computed once for all orders; each order's
-    helix is a power of the step (of its conjugate for ell < 0), so its
-    field does not depend on which other orders are requested.
+    phase e^{-i ell phi}, the wavefront-curvature phase and the Gouy phase
+    (2p + |ell| + 1) atan(Z/z_R). The Gaussian and curvature factor
+    exp(-(1/w^2 + i k/(2R)) r^2) and the step (sqrt(2) r/w) e^{-i phi} are
+    computed once for all orders; each order's helix is a power of the step
+    (of its conjugate for ell < 0), so its field does not depend on which
+    other orders are requested.
     """
-    single = np.ndim(ell) == 0
-    orders = [ell] if single else list(ell)
+    orders = list(orders)
     for order in orders:
         if abs(order) > MAX_AZIMUTHAL_ORDER:
             raise ValueError(f"azimuthal order |{order}| exceeds guard {MAX_AZIMUTHAL_ORDER}")
     r_arr, phi_arr = _coordinates(r, phi)
 
-    w = beam_radius(geom, z)
-    curvature = curvature_radius(geom, z)  # raises at z = 0
+    w = geom.beam_radius_at_rx
     p = geom.radial_index
+    gouy = math.atan2(geom.distance, geom.rayleigh_range)
 
     r2 = np.square(r_arr)
-    shared = np.exp(-(1.0 / w**2 + 0.5j * geom.wavenumber / curvature) * r2)
+    shared = np.exp(-(1.0 / w**2 + 0.5j * geom.wavenumber / geom.curvature_at_rx) * r2)
     step = np.empty(np.broadcast_shapes(r_arr.shape, phi_arr.shape), dtype=complex)
     np.cos(phi_arr, out=step.real)
     np.sin(-phi_arr, out=step.imag)
@@ -294,17 +268,13 @@ def lg_field(geom: LinkGeometry, ell, r, phi, z: float):
     out = np.empty((len(orders),) + step.shape, dtype=complex)
     for idx, order in enumerate(orders):
         field, n = out[idx, ...], abs(order)
-        scalar = cmath.rect(lg_radial_norm(geom, order) / w, gouy_phase(geom, order, z))
+        scalar = cmath.rect(lg_radial_norm(geom, order) / w, (2 * p + n + 1) * gouy)
         np.multiply(shared, scalar, out=field)
         if n:
             field *= helix[n] if order > 0 else np.conj(helix[n])
         if p:
             field *= laguerre(p, n, 2.0 * r2 / w**2)
-    if not single:
-        return out
-    if np.isscalar(r) and np.isscalar(phi):
-        return complex(out[0])
-    return out[0]
+    return out
 
 
 def shifted_aperture_field(
@@ -313,19 +283,16 @@ def shifted_aperture_field(
     r_prime,
     phi_prime,
     pointing: PointingState,
-):
+) -> np.ndarray:
     """LG field seen at aperture coordinates (r', phi') when the beam center
-    is displaced by the pointing offset.
+    is displaced by the pointing offset, shape ``broadcast(r', phi')``.
 
-    This is the on-axis field evaluated at the shifted Cartesian point
-    (r' cos phi' + x_ch, r' sin phi' + y_ch), with the helical phase taken
-    from the quadrant-correct two-argument arctangent so the field stays
-    continuous in phi'. Evaluated at the link distance.
+    This is the on-axis field ``lg_field`` evaluated at the shifted Cartesian
+    point (r' cos phi' + x_ch, r' sin phi' + y_ch), with the helical phase
+    taken from the quadrant-correct two-argument arctangent so the field
+    stays continuous in phi'.
     """
     r_arr, phi_arr = _coordinates(r_prime, phi_prime)
     x = r_arr * np.cos(phi_arr) + pointing.x_ch
     y = r_arr * np.sin(phi_arr) + pointing.y_ch
-    out = lg_field(geom, ell, np.hypot(x, y), np.arctan2(y, x), geom.distance)
-    if np.isscalar(r_prime) and np.isscalar(phi_prime):
-        return complex(out)
-    return out
+    return lg_field(geom, [ell], np.hypot(x, y), np.arctan2(y, x))[0]

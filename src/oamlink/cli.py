@@ -34,7 +34,6 @@ from oamlink.montecarlo import (
 )
 from oamlink.sweep import (
     Scenario,
-    SweepAxis,
     bench_methods,
     mode_set_label,
     optimize_w0,
@@ -274,6 +273,19 @@ class RunConfig:
             raise ConfigError(f"modes.candidates lists a mode set twice: {raw!r}")
         return sets
 
+    def two_stream_sets(self, candidates: Sequence[ModeSet] = ()) -> tuple[ModeSet, ...]:
+        """``candidates``, or else the one set of ``modes.tx``; refused before
+        any work, naming the key, unless each has the averaged BER's 2 streams."""
+        sets, key = tuple(candidates), "modes.candidates"
+        if not sets:
+            sets = (self.mode_set(),)
+            key = "modes.grouping" if self.is_set("modes.grouping") else "modes.tx"
+        for modes in sets:
+            if modes.n_streams != 2:
+                raise ConfigError(f"{key}: the averaged BER needs exactly 2 data streams, "
+                                  f"{mode_set_label(modes)!r} has {modes.n_streams}")
+        return sets
+
     def methods(self) -> tuple[Method, ...]:
         with _config_errors():
             parsed = tuple(Method.parse(tok) for tok in self.text("method").split(","))
@@ -469,8 +481,7 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
     for r in radii:
         point = PointingState.from_radius(r)
         for method in methods:
-            matrix, status = _capture(crosstalk_matrix, geom, rx, modes, point, method)
-            evaluated[(r, method)] = (None if matrix is None else matrix.values, status)
+            evaluated[(r, method)] = _capture(crosstalk_matrix, geom, rx, modes, point, method)
 
     rows = []
     errors = 0
@@ -494,15 +505,18 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
     )
 
 
-# The config key each sweep axis sets.
-_AXIS_KEYS = {SweepAxis.W0: "geometry.w0_m", SweepAxis.Z: "geometry.distance_m",
-              SweepAxis.SIGMA_THETA: "pointing.sigma_theta_rad"}
+# The config key each sweep axis sets, by the axis name the schema line spells.
+_AXIS_KEYS = {"w0": "geometry.w0_m", "sigma_theta": "pointing.sigma_theta_rad",
+              "Z": "geometry.distance_m"}
 
 
 def cmd_ber_curve(cfg: RunConfig) -> _Output:
     methods = cfg.averaged_methods()
-    with _config_errors("sweep.axis: "):
-        axis = SweepAxis.parse(cfg.text("sweep.axis"))
+    axes = {name.lower(): name for name in _AXIS_KEYS}
+    axis = axes.get(cfg.text("sweep.axis").strip().lower())
+    if axis is None:
+        raise ConfigError(f"sweep.axis: unknown sweep axis {cfg.text('sweep.axis')!r}; "
+                          f"expected one of: {', '.join(_AXIS_KEYS)}")
     grid = cfg.numbers("sweep.grid")
     if not grid:
         raise ConfigError("ber-curve needs sweep.grid values for the chosen axis")
@@ -514,7 +528,7 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
     with _config_errors(keys={key: f"sweep.grid value for {key}"}):
         points = [cfg.with_value(key, value).scenario() for value in grid]
     scen = points[0]
-    candidates = cfg.candidates() or (scen.modes,)
+    candidates = cfg.two_stream_sets(cfg.candidates())
     with_mc = cfg.flag("ber.with_mc")
     trial_cfgs = {method: cfg.trial_config(method) for method in methods} if with_mc else {}
 
@@ -555,7 +569,7 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
     mc_columns = ["ber_mc", "ci95"] if with_mc else []
     return _Output(
         (
-            f"oamlink/ber-curve v1; axis={axis.value} (SI units); ber columns are "
+            f"oamlink/ber-curve v1; axis={axis} (SI units); ber columns are "
             "probabilities",
             ["axis_value", "mode_set_id", "method", "ber_avg_raw", "ber_avg_clamped",
              *mc_columns, "status"],
@@ -599,7 +613,6 @@ def cmd_montecarlo(cfg: RunConfig) -> _Output:
 
 
 def cmd_optimize(cfg: RunConfig) -> _Output:
-    scen = cfg.scenario()
     method = cfg.single_method()
     lo, hi = cfg.number("optimize.lo_m"), cfg.number("optimize.hi_m")
     tol = cfg.number("optimize.tol_m")
@@ -607,10 +620,12 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
         raise ConfigError(f"need 0 < optimize.lo_m < optimize.hi_m < inf, got {lo}, {hi}")
     if not (0 < tol < hi - lo):
         raise ConfigError(f"optimize.tol_m must be in (0, {hi - lo:g}), got {tol}")
-    # The search evaluates both bounds as waists.
+    # The search replaces the waist, so its scenario is the config with each
+    # bound, which it evaluates, as the waist; geometry.w0_m is never checked.
     for key, bound in (("optimize.lo_m", lo), ("optimize.hi_m", hi)):
         with _config_errors(keys={"geometry.w0_m": key}):
-            cfg.with_value("geometry.w0_m", bound).geometry()
+            scen = cfg.with_value("geometry.w0_m", bound).scenario()
+    cfg.two_stream_sets()
     result, status = warning_status(optimize_w0, scen, (lo, hi), tol, method)
     (b_lo, b_mid, b_hi) = result.bracket
     boundary = str(result.boundary).lower()
@@ -646,6 +661,7 @@ def cmd_rank_modes(cfg: RunConfig) -> _Output:
     candidates = cfg.candidates()
     if not candidates:
         raise ConfigError("rank-modes needs modes.candidates, e.g. '-2|1;-2|2'")
+    cfg.two_stream_sets(candidates)
     ranking = rank_mode_sets(candidates, scen, method)
     rows = [
         (
@@ -674,6 +690,7 @@ def cmd_rank_modes(cfg: RunConfig) -> _Output:
 
 def cmd_bench(cfg: RunConfig) -> _Output:
     scen = cfg.scenario()
+    cfg.two_stream_sets()
     methods = list(cfg.methods())
     if Method.EXACT2D not in methods:
         methods.insert(0, Method.EXACT2D)

@@ -58,7 +58,6 @@ __all__ = [
     "SMALL_OFFSET_FLOOR",
     "Method",
     "ReceiverConfig",
-    "CrosstalkMatrix",
     "ExactEvaluation",
     "ApproximationWarning",
     "QuadratureConvergenceWarning",
@@ -174,37 +173,11 @@ class ReceiverConfig:
 class ExactEvaluation:
     """Reference-integral result with its convergence audit trail."""
 
-    value: float | np.ndarray
+    value: np.ndarray
     converged: bool
     rel_change: float
     phi_points: int
     radial_order: int
-
-
-@dataclass(frozen=True)
-class CrosstalkMatrix:
-    """Grid of crosstalk coefficients, rows indexed by filter mode.
-
-    ``values[j, i]`` is C for transmitted mode ``tx_modes[i]`` seen through
-    the filter matched to ``filter_modes[j]``; the element-wise square root
-    is the amplitude-domain channel matrix.
-    """
-
-    values: np.ndarray
-    tx_modes: tuple[int, ...]
-    filter_modes: tuple[int, ...]
-    method: Method
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (len(self.filter_modes), len(self.tx_modes)):
-            raise ValueError(
-                f"values shape {vals.shape} does not match "
-                f"{len(self.filter_modes)} filters x {len(self.tx_modes)} tx modes"
-            )
-        if np.any(vals < 0):
-            raise ValueError("crosstalk coefficients must be non-negative")
-        object.__setattr__(self, "values", vals)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +300,7 @@ def _ring_powers(
         ring = rule.nodes[start : start + rows, np.newaxis]
         x = ring * cos_phi + pointing.x_ch
         y = ring * sin_phi + pointing.y_ch
-        fields = lg_field(geom, tx_modes, np.hypot(x, y), np.arctan2(y, x), geom.distance)
+        fields = lg_field(geom, tx_modes, np.hypot(x, y), np.arctan2(y, x))
         # ifft index m holds (1/n) sum_k u_k e^{+i m phi_k}; the projection
         # is 2 pi times it, and (2 pi)^2 goes into ``scale``.
         power = np.square(np.abs(np.fft.ifft(fields, axis=-1)))
@@ -403,14 +376,13 @@ def _ring_projection(
     return out
 
 
-def _validate_pair(n_m: int, ell_n, ell_j) -> None:
-    """Checks the stream count and every order of one or a sequence of them."""
+def _validate_orders(n_m: int, orders) -> None:
+    """Checks the stream count and every mode order."""
     if not isinstance(n_m, (int, np.integer)) or n_m < 1:
         raise ValueError(f"n_m must be a positive integer, got {n_m!r}")
-    for orders in (ell_n, ell_j):
-        for ell in np.atleast_1d(np.asarray(orders, dtype=object)):
-            if not isinstance(ell, (int, np.integer)):
-                raise ValueError(f"mode order must be an integer, got {ell!r}")
+    for ell in orders:
+        if not isinstance(ell, (int, np.integer)):
+            raise ValueError(f"mode order must be an integer, got {ell!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +392,15 @@ def crosstalk_exact_detailed(
     geom: LinkGeometry,
     rx: ReceiverConfig,
     n_m: int,
-    ell_n,
-    ell_j,
+    tx_modes,
+    filter_modes,
     pointing: PointingState,
 ) -> ExactEvaluation:
     """Reference 2D-integral crosstalk with an explicit convergence record.
 
-    ``ell_n`` and ``ell_j`` are one order or a sequence each; the value has
-    shape ``(len(ell_j), len(ell_n))``, without the axis of a single order,
-    and is a float for one pair. Every pair is evaluated on the starting
+    The value has shape ``(len(filter_modes), len(tx_modes))``: row j, column
+    i is the coefficient of ``tx_modes[i]`` through the filter matched to
+    ``filter_modes[j]``. Every pair is evaluated on the starting
     grid (``_EXACT_PHI_POINTS`` x ``_EXACT_RADIAL_ORDER``) and on a doubled
     grid; pairs that differ by more than ``_EXACT_REL_TOL`` take one more
     doubling (radial order is capped at 512). A pair whose values on both
@@ -439,15 +411,15 @@ def crosstalk_exact_detailed(
     The record reports the finest grid used and the largest relative
     change among the pairs' last doublings.
     """
-    _validate_pair(n_m, ell_n, ell_j)
-    tx, flt = np.atleast_1d(ell_n), np.atleast_1d(ell_j)
+    _validate_orders(n_m, (*tx_modes, *filter_modes))
+    pair_grid = (geom, rx, n_m, tx_modes, filter_modes, pointing)
     n_phi, n_rad = _EXACT_PHI_POINTS, _EXACT_RADIAL_ORDER
-    value, _ = _ring_powers(geom, rx, n_m, tx, flt, pointing, n_phi, n_rad)
+    value, _ = _ring_powers(*pair_grid, n_phi, n_rad)
     rel_change = np.full(value.shape, math.inf)
     while True:
         unsettled = rel_change > _EXACT_REL_TOL
         n_phi, n_rad = 2 * n_phi, min(2 * n_rad, 512)
-        refined, captured = _ring_powers(geom, rx, n_m, tx, flt, pointing, n_phi, n_rad)
+        refined, captured = _ring_powers(*pair_grid, n_phi, n_rad)
         size = np.maximum(np.abs(value), np.abs(refined))
         size = np.where(size < 1e-13 * captured, captured, size)
         change = np.abs(refined - value) / np.where(size == 0.0, 1.0, size)
@@ -455,9 +427,8 @@ def crosstalk_exact_detailed(
         value = np.where(unsettled, refined, value)
         if np.all(rel_change <= _EXACT_REL_TOL) or n_rad >= 512:
             break
-    value = value.reshape(np.shape(ell_j) + np.shape(ell_n))
     return ExactEvaluation(
-        value=float(value) if value.ndim == 0 else value,
+        value=value,
         converged=bool(np.all(rel_change <= _EXACT_REL_TOL)),
         rel_change=float(rel_change.max()),
         phi_points=n_phi,
@@ -518,7 +489,7 @@ def crosstalk(
     ``n_m`` is the number of data streams the coefficient is normalized by.
     """
     method = Method.parse(method)
-    _validate_pair(n_m, ell_n, ell_j)
+    _validate_orders(n_m, (ell_n, ell_j))
     pair = ModeSet((ell_n,), (ell_j,))
     return float(_coefficient_grid(geom, rx, pair, n_m, pointing, method)[0, 0])
 
@@ -529,8 +500,11 @@ def crosstalk_matrix(
     modes: ModeSet,
     pointing: PointingState,
     method: Method | str = Method.BESSEL_SUM,
-) -> CrosstalkMatrix:
-    """The full filter-by-tx coefficient grid at one pointing offset.
+) -> np.ndarray:
+    """The full coefficient grid at one pointing offset, shape (n_filter,
+    n_tx): row j, column i is C for ``tx_modes[i]`` through the filter
+    matched to ``filter_modes[j]``. Its element-wise square root is the
+    amplitude-domain channel matrix.
 
     The channel-count normalization inside each coefficient counts parallel
     data channels (streams), not physical modes, so a stream-grouped set keeps
@@ -538,12 +512,7 @@ def crosstalk_matrix(
     total power budget.
     """
     method = Method.parse(method)
-    return CrosstalkMatrix(
-        values=_coefficient_grid(geom, rx, modes, modes.n_streams, pointing, method),
-        tx_modes=modes.tx_modes,
-        filter_modes=modes.filter_modes,
-        method=method,
-    )
+    return _coefficient_grid(geom, rx, modes, modes.n_streams, pointing, method)
 
 
 # ---------------------------------------------------------------------------

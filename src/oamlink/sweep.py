@@ -15,7 +15,6 @@ import statistics
 import time
 import warnings
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -36,25 +35,6 @@ GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Coarse scan used to seed the golden-section bracket.
 PRE_GRID_POINTS = 8
-
-
-class SweepAxis(str, Enum):
-    """Link parameter varied along the sweep grid."""
-
-    W0 = "w0"
-    SIGMA_THETA = "sigma_theta"
-    Z = "Z"
-
-    @classmethod
-    def parse(cls, name: "SweepAxis | str") -> "SweepAxis":
-        if isinstance(name, cls):
-            return name
-        key = str(name).strip().lower()
-        for axis in cls:
-            if axis.value.lower() == key:
-                return axis
-        valid = ", ".join(a.value for a in cls)
-        raise ValueError(f"unknown sweep axis {name!r}; expected one of: {valid}")
 
 
 @dataclass(frozen=True)

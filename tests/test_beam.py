@@ -16,9 +16,6 @@ from oamlink.beam import (
     LinkGeometry,
     ModeSet,
     PointingState,
-    beam_radius,
-    curvature_radius,
-    gouy_phase,
     lg_field,
     shifted_aperture_field,
 )
@@ -52,37 +49,39 @@ class TestLinkGeometry:
         assert geom.beam_radius_at_rx > default_geom().beam_radius_at_rx
 
     def test_beam_radius_limits(self):
-        geom = default_geom()
-        assert beam_radius(geom, 0.0) == pytest.approx(geom.waist, rel=1e-15)
-        # Far field: w(z) approaches w0 * z / z_R.
-        z = 500.0 * geom.rayleigh_range
-        assert beam_radius(geom, z) == pytest.approx(
-            geom.waist * z / geom.rayleigh_range, rel=1e-5
+        z_r = default_geom().rayleigh_range
+        # Next to the waist plane w(Z) is w0.
+        near = default_geom(distance=1e-9)
+        assert near.beam_radius_at_rx == pytest.approx(near.waist, rel=1e-15)
+        # Far field: w(Z) approaches w0 * Z / z_R.
+        far = default_geom(distance=500.0 * z_r)
+        assert far.beam_radius_at_rx == pytest.approx(
+            far.waist * far.distance / z_r, rel=1e-5
         )
-        with pytest.raises(ValueError):
-            beam_radius(geom, -1.0)
 
     def test_curvature_radius(self):
-        geom = default_geom()
-        z_r = geom.rayleigh_range
-        # R is minimal at z = z_R where it equals 2 z_R.
-        assert curvature_radius(geom, z_r) == pytest.approx(2.0 * z_r, rel=1e-14)
-        assert curvature_radius(geom, 0.5 * z_r) > 2.0 * z_r
-        assert curvature_radius(geom, 2.0 * z_r) > 2.0 * z_r
-        with pytest.raises(ValueError):
-            curvature_radius(geom, 0.0)
+        z_r = default_geom().rayleigh_range
+        # R is minimal at Z = z_R where it equals 2 z_R.
+        at_z_r = default_geom(distance=z_r).curvature_at_rx
+        assert at_z_r == pytest.approx(2.0 * z_r, rel=1e-14)
+        assert default_geom(distance=0.5 * z_r).curvature_at_rx > 2.0 * z_r
+        assert default_geom(distance=2.0 * z_r).curvature_at_rx > 2.0 * z_r
 
     def test_gouy_phase(self):
-        geom = default_geom()
-        z_r = geom.rayleigh_range
-        # (2p + |ell| + 1) * arctan(z/z_R); at z = z_R the arctan is pi/4.
-        assert gouy_phase(geom, 2, z_r) == pytest.approx(3.0 * math.pi / 4.0)
-        assert gouy_phase(geom, -2, z_r) == gouy_phase(geom, 2, z_r)
-        geom_p1 = default_geom(radial_index=1)
-        assert gouy_phase(geom_p1, 0, z_r) == pytest.approx(3.0 * math.pi / 4.0)
-        assert gouy_phase(geom, 0, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            gouy_phase(geom, 0, -1.0)
+        # (2p + |ell| + 1) * arctan(Z/z_R); at Z = z_R the arctan is pi/4.
+        # It is the phase of the field on the +x axis next to the beam axis,
+        # where the helical and curvature phases vanish (k r^2/2R < 1e-15).
+        z_r = default_geom().rayleigh_range
+
+        def on_axis_phase(geom, ell):
+            return np.angle(lg_field(geom, [ell], 1e-6, 0.0)[0])
+
+        geom = default_geom(distance=z_r)
+        assert on_axis_phase(geom, 2) == pytest.approx(3.0 * math.pi / 4.0)
+        assert on_axis_phase(geom, -2) == on_axis_phase(geom, 2)
+        geom_p1 = default_geom(radial_index=1, distance=z_r)
+        assert on_axis_phase(geom_p1, 0) == pytest.approx(3.0 * math.pi / 4.0)
+        assert on_axis_phase(default_geom(distance=1e-9), 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -147,6 +146,9 @@ class TestModeSet:
             ModeSet(tx_modes=(MAX_AZIMUTHAL_ORDER + 1,))
         with pytest.raises(ValueError):
             ModeSet(tx_modes=(1,), filter_modes=(-MAX_AZIMUTHAL_ORDER - 1,))
+        # A repeated filter would count its branch twice in the detection.
+        with pytest.raises(ValueError, match="filter modes must be pairwise distinct"):
+            ModeSet(tx_modes=(-2, 1), filter_modes=(-2, 1, 1))
         # Grouping must partition the tx set exactly.
         with pytest.raises(ValueError):
             ModeSet(tx_modes=(-2, 1), stream_grouping=((-2,),))
@@ -177,81 +179,76 @@ class TestPointingState:
             PointingState(x_ch=0.0, y_ch=math.inf)
 
 
-def radial_power(geom, ell, z, order=200):
+def radial_power(geom, ell, order=200):
     """2*pi * integral of |u|^2 r dr; |u| has no phi dependence."""
-    w = beam_radius(geom, z)
+    w = geom.beam_radius_at_rx
     rule = gauss_legendre(order, 0.0, 10.0 * w)
-    intensity = np.abs(lg_field(geom, ell, rule.nodes, 0.0, z)) ** 2
+    intensity = np.abs(lg_field(geom, [ell], rule.nodes, 0.0)[0]) ** 2
     return 2.0 * math.pi * (rule.weights @ (intensity * rule.nodes))
 
 
 class TestLgField:
     def test_unit_power(self):
         for p in (0, 1):
-            geom = default_geom(radial_index=p)
             for ell in (0, 1, -3, 4):
                 for z in (5.0e5, 1.0e6):
-                    assert radial_power(geom, ell, z) == pytest.approx(
+                    geom = default_geom(radial_index=p, distance=z)
+                    assert radial_power(geom, ell) == pytest.approx(
                         1.0, rel=1e-10
                     ), (p, ell, z)
 
     def test_radial_orthogonality_across_p(self):
         # Same ell, different p: the radial profiles are orthogonal, and the
         # curvature phase is common so it cancels in the overlap.
-        ell, z = 2, 1.0e6
+        ell = 2
         geom0 = default_geom(radial_index=0)
         geom1 = default_geom(radial_index=1)
-        w = beam_radius(geom0, z)
+        w = geom0.beam_radius_at_rx
         rule = gauss_legendre(240, 0.0, 10.0 * w)
-        u0 = lg_field(geom0, ell, rule.nodes, 0.0, z)
-        u1 = lg_field(geom1, ell, rule.nodes, 0.0, z)
+        u0 = lg_field(geom0, [ell], rule.nodes, 0.0)[0]
+        u1 = lg_field(geom1, [ell], rule.nodes, 0.0)[0]
         overlap = 2.0 * math.pi * (rule.weights @ (u0 * np.conj(u1) * rule.nodes))
         assert abs(overlap) < 1e-10
 
     def test_helical_phase(self):
         geom = default_geom()
         r = 12.0
-        base = lg_field(geom, -2, r, 0.0, geom.distance)
+        base = lg_field(geom, [-2], r, 0.0)[0]
         for phi in (0.3, 2.0, -1.1):
-            rotated = lg_field(geom, -2, r, phi, geom.distance)
+            rotated = lg_field(geom, [-2], r, phi)[0]
             assert rotated == pytest.approx(base * np.exp(1j * 2 * phi), rel=1e-12)
 
     def test_on_axis_value(self):
         geom = default_geom()
-        z = geom.distance
-        w = beam_radius(geom, z)
+        w = geom.beam_radius_at_rx
         # ell != 0 vanishes on axis; ell = 0 has |u| = sqrt(2/pi)/w there.
-        assert lg_field(geom, 3, 0.0, 0.0, z) == 0.0
-        assert abs(lg_field(geom, 0, 0.0, 0.0, z)) == pytest.approx(
+        assert lg_field(geom, [3], 0.0, 0.0)[0] == 0.0
+        assert abs(lg_field(geom, [0], 0.0, 0.0)[0]) == pytest.approx(
             math.sqrt(2.0 / math.pi) / w, rel=1e-12
         )
 
     def test_peak_of_fundamental(self):
         # Gaussian intensity falls to e^-2 of the axial value at r = w.
         geom = default_geom()
-        z = geom.distance
-        w = beam_radius(geom, z)
-        ratio = abs(lg_field(geom, 0, w, 0.0, z)) / abs(lg_field(geom, 0, 0.0, 0.0, z))
+        w = geom.beam_radius_at_rx
+        ratio = abs(lg_field(geom, [0], w, 0.0)[0]) / abs(lg_field(geom, [0], 0.0, 0.0)[0])
         assert ratio == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_scalar_and_array_forms(self):
         geom = default_geom()
-        out = lg_field(geom, 1, 5.0, 0.2, geom.distance)
-        assert isinstance(out, complex)
+        out = lg_field(geom, [1], 5.0, 0.2)
+        assert out.shape == (1,)
         r = np.array([1.0, 5.0, 9.0])
-        arr = lg_field(geom, 1, r, 0.2, geom.distance)
+        arr = lg_field(geom, [1], r, 0.2)[0]
         assert arr.shape == (3,)
-        assert arr[1] == pytest.approx(out, rel=1e-15)
+        assert arr[1] == pytest.approx(out[0], rel=1e-15)
 
     def test_guards(self):
         geom = default_geom()
         with pytest.raises(ValueError):
-            lg_field(geom, MAX_AZIMUTHAL_ORDER + 1, 1.0, 0.0, geom.distance)
+            lg_field(geom, [MAX_AZIMUTHAL_ORDER + 1], 1.0, 0.0)
         with pytest.raises(ValueError):
-            lg_field(geom, 0, -1.0, 0.0, geom.distance)
-        with pytest.raises(ValueError):
-            # The curvature phase is singular at the waist plane.
-            lg_field(geom, 0, 1.0, 0.0, 0.0)
+            lg_field(geom, [0], -1.0, 0.0)
 
     @pytest.mark.parametrize("evaluator", ["lg_field", "shifted_aperture_field"])
     @pytest.mark.parametrize(
@@ -264,7 +261,7 @@ class TestLgField:
         geom = default_geom()
         with pytest.raises(ValueError, match="finite"):
             if evaluator == "lg_field":
-                lg_field(geom, 1, r, phi, geom.distance)
+                lg_field(geom, [1], r, phi)
             else:
                 shifted_aperture_field(geom, 1, r, phi, PointingState(1.0, 2.0))
 
@@ -275,10 +272,10 @@ class TestLgField:
         orders = (-16, -4, -1, 0, 2, 3, 16)
         for p in (0, 2):
             geom = default_geom(radial_index=p)
-            many = lg_field(geom, orders, r, phi, geom.distance)
+            many = lg_field(geom, orders, r, phi)
             assert many.shape == (len(orders), 40, 50)
             for field, ell in zip(many, orders):
-                one = lg_field(geom, ell, r, phi, geom.distance)
+                one = lg_field(geom, [ell], r, phi)[0]
                 np.testing.assert_allclose(field, one, rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_values_do_not_depend_on_other_orders(self):
@@ -287,9 +284,9 @@ class TestLgField:
         r = np.concatenate([rng.rayleigh(20.0, 5000), [0.0, 1e-9, 150.0]])
         phi = rng.uniform(-7.0, 7.0, r.size)
         for ell in (-5, 0, 1, 16):
-            alone = lg_field(geom, [ell], r, phi, geom.distance)[0]
+            alone = lg_field(geom, [ell], r, phi)[0]
             for others in ([ell], [ell - 1], [-16, 16], list(range(-16, 17))):
-                together = lg_field(geom, others + [ell], r, phi, geom.distance)[-1]
+                together = lg_field(geom, others + [ell], r, phi)[-1]
                 assert np.array_equal(together, alone), (ell, others)
 
     def test_guard_fires_for_any_order_of_a_sequence(self):
@@ -297,18 +294,17 @@ class TestLgField:
         too_high = MAX_AZIMUTHAL_ORDER + 1
         for orders in ([too_high], [0, 1, -too_high], (2, too_high, 3)):
             with pytest.raises(ValueError, match="exceeds guard"):
-                lg_field(geom, orders, 1.0, 0.0, geom.distance)
+                lg_field(geom, orders, 1.0, 0.0)
 
     def test_sequence_forms(self):
         geom = default_geom()
-        z = geom.distance
-        pair = lg_field(geom, [1, -2], 5.0, 0.2, z)
+        pair = lg_field(geom, [1, -2], 5.0, 0.2)
         assert isinstance(pair, np.ndarray) and pair.shape == (2,)
-        assert pair.dtype == complex and pair[0] == lg_field(geom, 1, 5.0, 0.2, z)
+        assert pair.dtype == complex and pair[0] == lg_field(geom, [1], 5.0, 0.2)[0]
         r = np.array([1.0, 5.0, 9.0])
-        assert lg_field(geom, (1,), r, 0.2, z).shape == (1, 3)
-        assert lg_field(geom, np.array([0, 3]), r[:, None], r, z).shape == (2, 3, 3)
-        assert lg_field(geom, [], r, 0.2, z).shape == (0, 3)
+        assert lg_field(geom, (1,), r, 0.2).shape == (1, 3)
+        assert lg_field(geom, np.array([0, 3]), r[:, None], r).shape == (2, 3, 3)
+        assert lg_field(geom, [], r, 0.2).shape == (0, 3)
 
 
 class TestShiftedApertureField:
@@ -318,7 +314,7 @@ class TestShiftedApertureField:
         r = np.linspace(0.5, 30.0, 7)
         for phi in (0.0, 1.0, 2.5, 4.0):
             shifted = shifted_aperture_field(geom, -2, r, phi, origin)
-            direct = lg_field(geom, -2, r, phi, geom.distance)
+            direct = lg_field(geom, [-2], r, phi)[0]
             assert np.allclose(shifted, direct, rtol=1e-12)
 
     def test_matches_field_at_displaced_point(self):
@@ -327,9 +323,7 @@ class TestShiftedApertureField:
         for r_p, phi_p in ((0.0, 0.0), (6.0, 1.2), (15.0, 3.9), (22.0, 5.8)):
             x = r_p * math.cos(phi_p) + pointing.x_ch
             y = r_p * math.sin(phi_p) + pointing.y_ch
-            expected = lg_field(
-                geom, 1, math.hypot(x, y), math.atan2(y, x), geom.distance
-            )
+            expected = lg_field(geom, [1], math.hypot(x, y), math.atan2(y, x))[0]
             got = shifted_aperture_field(geom, 1, r_p, phi_p, pointing)
             assert got == pytest.approx(expected, rel=1e-12)
 
@@ -352,7 +346,7 @@ class TestShiftedApertureField:
         geom = default_geom()
         pointing = PointingState(1.0, 2.0)
         out = shifted_aperture_field(geom, 0, 3.0, 0.5, pointing)
-        assert isinstance(out, complex)
+        assert out.shape == () and out.dtype == complex
         with pytest.raises(ValueError):
             shifted_aperture_field(geom, MAX_AZIMUTHAL_ORDER + 1, 1.0, 0.0, pointing)
         with pytest.raises(ValueError):

@@ -290,6 +290,20 @@ class TestMainErrors:
              "optimize.lo_m"),
             (["optimize", "--lo", "0.01", "--hi", "1e300", "--tol", "0.001"], None,
              "optimize.hi_m"),
+            # A repeated filter would count its branch twice.
+            (["ber-curve", "--grid", "0.025", "-s", "modes.candidates=",
+              "-s", "modes.filter=-2,1,1"], None, "modes.filter"),
+            (["crosstalk-curve", "--grid", "5", "-s", "modes.filter=-2,1,1"], None,
+             "modes.filter"),
+            # The averaged BER needs exactly two streams; no set is evaluated.
+            (["rank-modes", "--candidates=-2|1;-2|1|3"], None, "modes.candidates"),
+            (["optimize", "-s", "modes.tx=-2,1,3"], None, "modes.tx"),
+            (["bench", "-s", "modes.tx=-2,1,3"], None, "modes.tx"),
+            (["ber-curve", "--grid", "0.025", "--candidates=-2|1|3"], None, "modes.candidates"),
+            (["ber-curve", "--grid", "0.025", "-s", "modes.candidates=", "-s", "modes.tx=0"],
+             None, "modes.tx"),
+            (["optimize", "-s", "modes.tx=-4,-2,1,3", "-s", "modes.grouping=-4|-2|1,3"], None,
+             "modes.grouping"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):
@@ -582,6 +596,25 @@ class TestBerCurveCommand:
             assert key in capsys.readouterr().err, args
         assert not (tmp_path / "ber.csv").exists()
 
+    def test_axis_parse(self, tmp_path, monkeypatch, capsys):
+        # Axis names are matched stripped and case-insensitively, and the
+        # schema line spells the axis as the schema does.
+        monkeypatch.setattr("oamlink.cli.average_ber",
+                            lambda geom, rx, modes, stats, method, q: BerResult(0.1, method))
+        out = tmp_path / "ber.csv"
+        base = ["ber-curve", "--candidates=-2|1", "-o", str(out), "--axis"]
+        for spelling, axis, value in ((" W0 ", "w0", "0.02"), ("sigma_theta", "sigma_theta",
+                                      "2e-5"), ("z", "Z", "5e5")):
+            assert main(base + [spelling, "--grid", value]) == EXIT_OK, spelling
+            assert f"axis={axis} (SI units)" in read_csv_file(out)[0]
+        # A waist is not spelled "waist", and a fixed offset is not an axis
+        # of the jitter-averaged scenario.
+        capsys.readouterr()
+        for name in ("waist", "r_ch"):
+            assert main(base + [name, "--grid", "1"]) == EXIT_CONFIG
+            assert (f"sweep.axis: unknown sweep axis {name!r}; expected one of: w0, "
+                    "sigma_theta, Z") in capsys.readouterr().err
+
     def test_base_value_the_sweep_replaces_is_not_checked(self, tmp_path):
         # A base jitter of 1 mrad would take the Bessel arguments past their
         # guard, but the sweep replaces it: the rows are those of a base
@@ -641,6 +674,14 @@ class TestMonteCarloCommand:
         out2 = tmp_path / "mc2.csv"
         assert main(self.ARGS + ["-o", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("tx", ["0", "-2,1,3"])
+    def test_any_stream_count_is_simulated(self, tx, tmp_path):
+        # Unlike the averaged BER, the simulator takes any number of streams.
+        out = tmp_path / "mc.csv"
+        assert main(self.ARGS + ["-s", f"modes.tx={tx}", "-o", str(out)]) == EXIT_OK
+        ((trials, errors, *_),) = read_csv_file(out)[2]
+        assert trials == "20000" and int(errors) > 0
 
     def test_manifest_reruns_byte_identical(self, tmp_path):
         out1 = tmp_path / "mc1.csv"
@@ -759,6 +800,16 @@ class TestOptimizeCommand:
         assert len(status) < 200
         assert status.startswith("manifest.status = warning: pointing average did not settle")
         assert status.count("did not settle") == 1 and "(worst of " in status
+
+    @pytest.mark.parametrize("waist", ["-1", "1e-300"])
+    def test_base_waist_the_search_replaces_is_not_checked(self, waist, tmp_path):
+        # The search sets the waist itself, so a base waist that is no
+        # valid waist changes nothing in the report.
+        args = ["optimize", "-s", "quad.order=48", "-o"]
+        assert main(args + [str(tmp_path / "base.txt")]) == EXIT_OK
+        replaced = tmp_path / "replaced.txt"
+        assert main(args + [str(replaced), "-s", f"geometry.w0_m={waist}"]) == EXIT_OK
+        assert replaced.read_bytes() == (tmp_path / "base.txt").read_bytes()
 
     def test_bad_bounds(self, tmp_path):
         args = ["optimize", "--lo", "0.03", "--hi", "0.01", "-o",

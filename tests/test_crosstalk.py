@@ -21,7 +21,6 @@ from oamlink.beam import LinkGeometry, ModeSet, PointingState
 from oamlink.crosstalk import (
     SMALL_OFFSET_FLOOR,
     ApproximationWarning,
-    CrosstalkMatrix,
     Method,
     QuadratureConvergenceWarning,
     ReceiverConfig,
@@ -106,8 +105,9 @@ class TestReferenceIntegral:
         geom, rx = default_geom(), default_rx()
         for (ell_n, ell_j, r), expected in FROZEN_EXACT.items():
             point = PointingState(r, 0.0)
-            got = crosstalk_exact_detailed(geom, rx, N_M, ell_n, ell_j, point).value
-            assert got == pytest.approx(expected, rel=1e-9), (ell_n, ell_j, r)
+            got = crosstalk_exact_detailed(geom, rx, N_M, [ell_n], [ell_j], point).value
+            assert got.shape == (1, 1)
+            assert got[0, 0] == pytest.approx(expected, rel=1e-9), (ell_n, ell_j, r)
 
     def test_aligned_fundamental_closed_form(self):
         # At zero offset the ell = 0 diagonal is the encircled Gaussian power
@@ -115,50 +115,52 @@ class TestReferenceIntegral:
         geom, rx = default_geom(), default_rx()
         w = geom.beam_radius_at_rx
         expected = (1.0 - math.exp(-2.0 * rx.aperture_radius**2 / w**2)) / N_M**2
-        got = crosstalk_exact_detailed(geom, rx, N_M, 0, 0, PointingState(0.0, 0.0)).value
+        origin = PointingState(0.0, 0.0)
+        got = crosstalk_exact_detailed(geom, rx, N_M, [0], [0], origin).value[0, 0]
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_matches_in_test_brute_force(self):
         geom, rx = default_geom(), default_rx()
         brute = brute_force_coefficient(geom, rx, N_M, -2, 1, 8.0)
-        got = crosstalk_exact_detailed(geom, rx, N_M, -2, 1, PointingState(8.0, 0.0)).value
+        point = PointingState(8.0, 0.0)
+        got = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], point).value[0, 0]
         assert got == pytest.approx(brute, rel=1e-4)
 
     def test_detailed_reports_convergence(self):
         geom, rx = default_geom(), default_rx()
         result = crosstalk_exact_detailed(
-            geom, rx, N_M, -2, 1, PointingState(8.0, 0.0)
+            geom, rx, N_M, [-2], [1], PointingState(8.0, 0.0)
         )
         assert result.converged
         assert result.rel_change <= 1e-3
-        assert result.value == pytest.approx(FROZEN_EXACT[(-2, 1, 8.0)], rel=1e-9)
+        assert result.value[0, 0] == pytest.approx(FROZEN_EXACT[(-2, 1, 8.0)], rel=1e-9)
 
     def test_gain_scales_linearly(self):
         geom = default_geom()
         base = crosstalk_exact_detailed(
-            geom, default_rx(), N_M, 1, 1, PointingState(5.0, 0.0)
-        ).value
+            geom, default_rx(), N_M, [1], [1], PointingState(5.0, 0.0)
+        ).value[0, 0]
         boosted = crosstalk_exact_detailed(
-            geom, default_rx(apd_gain=10.0), N_M, 1, 1, PointingState(5.0, 0.0)
-        ).value
+            geom, default_rx(apd_gain=10.0), N_M, [1], [1], PointingState(5.0, 0.0)
+        ).value[0, 0]
         assert boosted == pytest.approx(10.0 * base, rel=1e-12)
 
     def test_stream_count_normalization(self):
         geom, rx = default_geom(), default_rx()
         point = PointingState(5.0, 0.0)
-        one = crosstalk_exact_detailed(geom, rx, 1, 1, 1, point).value
-        four = crosstalk_exact_detailed(geom, rx, 4, 1, 1, point).value
+        one = crosstalk_exact_detailed(geom, rx, 1, [1], [1], point).value[0, 0]
+        four = crosstalk_exact_detailed(geom, rx, 4, [1], [1], point).value[0, 0]
         assert one == pytest.approx(16.0 * four, rel=1e-12)
 
     def test_validation(self):
         geom, rx = default_geom(), default_rx()
         point = PointingState(5.0, 0.0)
         with pytest.raises(ValueError):
-            crosstalk_exact_detailed(geom, rx, 0, 1, 1, point)
+            crosstalk_exact_detailed(geom, rx, 0, [1], [1], point)
         with pytest.raises(ValueError):
-            crosstalk_exact_detailed(geom, rx, N_M, 1.5, 1, point)
+            crosstalk_exact_detailed(geom, rx, N_M, [1.5], [1], point)
         with pytest.raises(ValueError):
-            crosstalk_exact_detailed(geom, rx, N_M, 1, "0", point)
+            crosstalk_exact_detailed(geom, rx, N_M, [1], ["0"], point)
 
 
 class TestApproximationChain:
@@ -172,8 +174,8 @@ class TestApproximationChain:
             point = PointingState(r, 0.0)
             for ell_n, ell_j in self.PAIRS:
                 table[(ell_n, ell_j, r)] = crosstalk_exact_detailed(
-                    geom, rx, N_M, ell_n, ell_j, point
-                ).value
+                    geom, rx, N_M, [ell_n], [ell_j], point
+                ).value[0, 0]
         return geom, rx, table
 
     def test_radial_sum_within_five_percent(self):
@@ -257,7 +259,7 @@ class TestStructuralInvariants:
         geom, rx = default_geom(), default_rx()
         pointing = PointingState(5.0, 0.0)
         orders = list(range(-20, 21))
-        total = sum(crosstalk_exact_detailed(geom, rx, N_M, 2, orders, pointing).value)
+        total = sum(crosstalk_exact_detailed(geom, rx, N_M, [2], orders, pointing).value[:, 0])
 
         from oamlink.beam import shifted_aperture_field
 
@@ -279,17 +281,17 @@ class TestStructuralInvariants:
         geom, rx = default_geom(), default_rx()
         pointing = PointingState(8.0, 0.0)
         orders = list(range(-3, 4))
-        values = crosstalk_exact_detailed(geom, rx, N_M, -2, orders, pointing).value
+        values = crosstalk_exact_detailed(geom, rx, N_M, [-2], orders, pointing).value[:, 0]
         spectrum = dict(zip(orders, values))
-        direct = crosstalk_exact_detailed(geom, rx, N_M, -2, 1, pointing).value
+        direct = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], pointing).value[0, 0]
         assert spectrum[1] == pytest.approx(direct, rel=1e-4)
 
     def test_mirror_symmetry(self):
         # Reflecting the plane flips the sign of every azimuthal order.
         geom, rx = default_geom(), default_rx()
         point = PointingState(8.0, 0.0)
-        plus = crosstalk_exact_detailed(geom, rx, N_M, -2, 1, point).value
-        minus = crosstalk_exact_detailed(geom, rx, N_M, 2, -1, point).value
+        plus = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], point).value[0, 0]
+        minus = crosstalk_exact_detailed(geom, rx, N_M, [2], [-1], point).value[0, 0]
         assert plus == pytest.approx(minus, rel=1e-12)
 
     def test_rotation_invariance(self):
@@ -297,11 +299,11 @@ class TestStructuralInvariants:
         # about the beam axis must not change the coefficient.
         geom, rx = default_geom(), default_rx()
         aligned = crosstalk_exact_detailed(
-            geom, rx, N_M, -2, 1, PointingState.from_radius(8.0, 0.0)
-        ).value
+            geom, rx, N_M, [-2], [1], PointingState.from_radius(8.0, 0.0)
+        ).value[0, 0]
         rotated = crosstalk_exact_detailed(
-            geom, rx, N_M, -2, 1, PointingState.from_radius(8.0, 2.1)
-        ).value
+            geom, rx, N_M, [-2], [1], PointingState.from_radius(8.0, 2.1)
+        ).value[0, 0]
         assert rotated == pytest.approx(aligned, rel=1e-10)
 
     def test_radial_index_one(self):
@@ -310,7 +312,7 @@ class TestStructuralInvariants:
         geom = default_geom(radial_index=1)
         rx = default_rx(k_r=64)
         point = PointingState(10.0, 0.0)
-        ref = crosstalk_exact_detailed(geom, rx, N_M, 2, 0, point).value
+        ref = crosstalk_exact_detailed(geom, rx, N_M, [2], [0], point).value[0, 0]
         got = crosstalk(geom, rx, N_M, 2, 0, point, "radial-sum")
         assert got == pytest.approx(ref, rel=1e-2)
 
@@ -395,7 +397,7 @@ class TestDispatchAndBatching:
             grid = channel_profile(geom, rx, modes, np.array([point.r_ch]), method)[0]
             got = crosstalk(geom, rx, modes.n_streams, -2, 1, point, method=method.value)
             assert got == pytest.approx(grid[1, 0], rel=1e-12), method
-        reference = crosstalk_exact_detailed(geom, rx, N_M, -2, 1, point).value
+        reference = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], point).value[0, 0]
         assert crosstalk(geom, rx, N_M, -2, 1, point, method="exact2d") == reference
         default = crosstalk(geom, rx, N_M, -2, 1, point)
         assert default == crosstalk(geom, rx, N_M, -2, 1, point, "bessel-sum")
@@ -411,13 +413,13 @@ class TestDispatchAndBatching:
         modes = ModeSet(tx_modes=(-2, 1), filter_modes=(-2, 0, 1))
         point = PointingState(6.0, 0.0)
         matrix = crosstalk_matrix(geom, rx, modes, point, Method.BESSEL_SUM)
-        assert matrix.values.shape == (3, 2)
+        assert matrix.shape == (3, 2)
         for j, ell_j in enumerate(modes.filter_modes):
             for i, ell_n in enumerate(modes.tx_modes):
                 want = crosstalk(
                     geom, rx, modes.n_streams, ell_n, ell_j, point, "bessel-sum"
                 )
-                assert matrix.values[j, i] == want
+                assert matrix[j, i] == want
 
         # exact2d doubles one grid for the whole matrix, and each pair keeps
         # the value of the first doubling that settled it.
@@ -431,12 +433,12 @@ class TestDispatchAndBatching:
             whole = crosstalk_exact_detailed(
                 geom, rx, n_m, modes.tx_modes, modes.filter_modes, point
             )
-            assert np.array_equal(whole.value, matrix.values)
+            assert np.array_equal(whole.value, matrix)
             pairs = []
             for j, ell_j in enumerate(modes.filter_modes):
                 for i, ell_n in enumerate(modes.tx_modes):
-                    pair = crosstalk_exact_detailed(geom, rx, n_m, ell_n, ell_j, point)
-                    assert matrix.values[j, i] == pair.value, (point, ell_n, ell_j)
+                    pair = crosstalk_exact_detailed(geom, rx, n_m, [ell_n], [ell_j], point)
+                    assert matrix[j, i] == pair.value[0, 0], (point, ell_n, ell_j)
                     pairs.append(pair)
             assert whole.rel_change == max(p.rel_change for p in pairs)
             assert whole.phi_points == max(p.phi_points for p in pairs)
@@ -456,11 +458,11 @@ class TestDispatchAndBatching:
             geom, rx, n_m, modes.tx_modes, modes.filter_modes, point
         )
         pairs = [
-            crosstalk_exact_detailed(geom, rx, n_m, ell_n, ell_j, point)
+            crosstalk_exact_detailed(geom, rx, n_m, [ell_n], [ell_j], point)
             for ell_j in modes.filter_modes
             for ell_n in modes.tx_modes
         ]
-        assert whole.value.ravel().tolist() == [p.value for p in pairs]
+        assert whole.value.ravel().tolist() == [p.value[0, 0] for p in pairs]
         assert min(p.phi_points for p in pairs) < whole.phi_points
 
     def test_matrix_normalizes_by_stream_count(self):
@@ -474,23 +476,7 @@ class TestDispatchAndBatching:
         flat = ModeSet(tx_modes=(-4, -2, 1, 3))
         g = crosstalk_matrix(geom, rx, grouped, point, Method.BESSEL_SUM)
         f = crosstalk_matrix(geom, rx, flat, point, Method.BESSEL_SUM)
-        assert np.allclose(g.values, 4.0 * f.values, rtol=1e-12)
-
-    def test_matrix_validation(self):
-        with pytest.raises(ValueError):
-            CrosstalkMatrix(
-                values=np.ones((2, 3)),
-                tx_modes=(-2, 1),
-                filter_modes=(-2, 1),
-                method=Method.BESSEL_SUM,
-            )
-        with pytest.raises(ValueError):
-            CrosstalkMatrix(
-                values=np.array([[1.0, -0.5], [0.2, 1.0]]),
-                tx_modes=(-2, 1),
-                filter_modes=(-2, 1),
-                method=Method.BESSEL_SUM,
-            )
+        assert np.allclose(g, 4.0 * f, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "method", ["radial-sum", "bessel-integral", "bessel-sum"]
@@ -502,9 +488,7 @@ class TestDispatchAndBatching:
         profile = channel_profile(geom, rx, modes, radii, method)
         assert profile.shape == (3, 2, 2)
         for idx, r in enumerate(radii):
-            expected = crosstalk_matrix(
-                geom, rx, modes, PointingState(r, 0.0), method
-            ).values
+            expected = crosstalk_matrix(geom, rx, modes, PointingState(r, 0.0), method)
             assert np.allclose(profile[idx], expected, rtol=1e-12), (method, r)
 
     @pytest.mark.parametrize("tx_modes", [(-2, 1), (0, 2, 4)])

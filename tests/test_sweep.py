@@ -21,7 +21,6 @@ from oamlink.sweep import (
     BenchReport,
     OptimizeResult,
     Scenario,
-    SweepAxis,
     bench_methods,
     mode_set_label,
     optimize_w0,
@@ -48,16 +47,6 @@ def default_scenario(**overrides):
 
 
 class TestAxisAndScenario:
-    def test_axis_parse(self):
-        assert SweepAxis.parse(" W0 ") is SweepAxis.W0
-        assert SweepAxis.parse("sigma_theta") is SweepAxis.SIGMA_THETA
-        assert SweepAxis.parse(SweepAxis.Z) is SweepAxis.Z
-        with pytest.raises(ValueError):
-            SweepAxis.parse("waist")
-        # A fixed offset is not an axis of the jitter-averaged scenario.
-        with pytest.raises(ValueError):
-            SweepAxis.parse("r_ch")
-
     def test_validation(self):
         with pytest.raises(ValueError):
             default_scenario(sigma_theta=0.0)
