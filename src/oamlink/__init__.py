@@ -9,7 +9,6 @@ validator, together with sweep/optimization drivers and a CLI.
 from oamlink.beam import LinkGeometry, ModeSet, PointingState
 from oamlink.crosstalk import Method, ReceiverConfig
 from oamlink.ber import BerResult, PointingStats
-from oamlink.sweep import Scenario
 
 __version__ = "0.1.0"
 
@@ -21,6 +20,5 @@ __all__ = [
     "Method",
     "PointingStats",
     "BerResult",
-    "Scenario",
     "__version__",
 ]

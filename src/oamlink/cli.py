@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from oamlink import __version__
 from oamlink.beam import LinkGeometry, ModeSet, PointingState
-from oamlink.ber import average_ber
+from oamlink.ber import PointingStats, average_ber
 from oamlink.crosstalk import Method, ReceiverConfig, crosstalk_matrix
 from oamlink.montecarlo import (
     DegradedChannelError,
@@ -33,7 +33,6 @@ from oamlink.montecarlo import (
     worker_count,
 )
 from oamlink.sweep import (
-    Scenario,
     bench_methods,
     mode_set_label,
     optimize_w0,
@@ -320,24 +319,31 @@ class RunConfig:
                 "may be set; clear the other (e.g. --set pointing.r_ch_m=)"
             )
 
-    def scenario(self) -> Scenario:
-        """Scenario for the jitter-averaged commands; needs sigma_theta."""
+    def link(self) -> tuple[LinkGeometry, ReceiverConfig, PointingStats]:
+        """Link and jitter of the commands that draw or average over the
+        pointing jitter; refuses Bessel arguments past their range at
+        offsets out to 8 sigma_r."""
         self.validate_pointing()
         if not self.is_set("pointing.sigma_theta_rad"):
             raise ConfigError(
                 "this command averages over pointing jitter; set "
                 "pointing.sigma_theta_rad"
             )
-        quad_order = self.integer("quad.order")
-        if not (16 <= quad_order <= 256):
-            raise ConfigError(f"quad.order must be in [16, 256], got {quad_order}")
-        geom, rx, modes = self.geometry(), self.receiver(), self.mode_set()
+        geom, rx = self.geometry(), self.receiver()
         sigma_theta = self.number("pointing.sigma_theta_rad")
-        seed = self.integer("mc.seed")
         keys = {"sigma_theta": "pointing.sigma_theta_rad",
                 "aperture_radius": "receiver.aperture_radius_m"}
         with _config_errors(keys=keys):
-            return Scenario(geom, rx, modes, sigma_theta, quad_order, seed)
+            stats = PointingStats(sigma_theta, geom.distance)
+            rx.check_bessel_range(geom, stats.reach)
+        return geom, rx, stats
+
+    def quad_order(self) -> int:
+        """Gauss-Legendre order of the jitter average."""
+        quad_order = self.integer("quad.order")
+        if not (16 <= quad_order <= 256):
+            raise ConfigError(f"quad.order must be in [16, 256], got {quad_order}")
+        return quad_order
 
     def trial_config(self, method: Method) -> TrialConfig:
         """Monte Carlo settings for runs with one crosstalk method."""
@@ -522,12 +528,12 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
         raise ConfigError("ber-curve needs sweep.grid values for the chosen axis")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"sweep.grid must be strictly increasing, got {grid}")
-    # Each point's scenario is the config with the axis key set to the grid
+    quad_order = cfg.quad_order()
+    # Each point's link is the config with the axis key set to the grid
     # value, so a base value that the sweep replaces is never checked.
     key = _AXIS_KEYS[axis]
     with _config_errors(keys={key: f"sweep.grid value for {key}"}):
-        points = [cfg.with_value(key, value).scenario() for value in grid]
-    scen = points[0]
+        points = [cfg.with_value(key, value).link() for value in grid]
     candidates = cfg.two_stream_sets(cfg.candidates())
     with_mc = cfg.flag("ber.with_mc")
     trial_cfgs = {method: cfg.trial_config(method) for method in methods} if with_mc else {}
@@ -538,14 +544,11 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
     # Every simulation here runs mc.trials under one worker setting, so
     # each has the same thread and chunk layout.
     layout = {}
-    for value, point in zip(grid, points):
-        stats = point.pointing_stats()
+    for value, (geom, rx, stats) in zip(grid, points):
         for modes in candidates:
             label = mode_set_label(modes)
             for method in methods:
-                res, status = _capture(
-                    average_ber, point.geom, point.rx, modes, stats, method, point.quad_order
-                )
+                res, status = _capture(average_ber, geom, rx, modes, stats, method, quad_order)
                 if res is None:
                     raw = clamped = math.nan
                     errors += 1
@@ -555,9 +558,7 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
                 row = [value, label, method.value, raw, clamped]
                 if with_mc:
                     try:
-                        outcome = simulate_ber(
-                            point.geom, point.rx, modes, stats, trial_cfgs[method]
-                        )
+                        outcome = simulate_ber(geom, rx, modes, stats, trial_cfgs[method])
                         row.extend([outcome.ber_hat, outcome.ci95_halfwidth])
                         layout = {"workers": outcome.workers, "chunks": outcome.chunks}
                     except DegradedChannelError as exc:
@@ -579,7 +580,7 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
             "rows": len(rows),
             "error_rows": errors,
             "unconverged_rows": unconverged,
-            "quad_order": scen.quad_order,
+            "quad_order": quad_order,
             **layout,
         },
         f"{len(rows)} rows",
@@ -588,10 +589,11 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
 
 
 def cmd_montecarlo(cfg: RunConfig) -> _Output:
-    scen = cfg.scenario()
+    geom, rx, stats = cfg.link()
+    modes = cfg.mode_set()
     method = cfg.single_method()
     trial_cfg = cfg.trial_config(method)
-    outcome = simulate_ber(scen.geom, scen.rx, scen.modes, scen.pointing_stats(), trial_cfg)
+    outcome = simulate_ber(geom, rx, modes, stats, trial_cfg)
     return _Output(
         (
             "oamlink/monte-carlo v1; ber_mc and ci95 are probabilities",
@@ -620,13 +622,16 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
         raise ConfigError(f"need 0 < optimize.lo_m < optimize.hi_m < inf, got {lo}, {hi}")
     if not (0 < tol < hi - lo):
         raise ConfigError(f"optimize.tol_m must be in (0, {hi - lo:g}), got {tol}")
-    # The search replaces the waist, so its scenario is the config with each
+    quad_order = cfg.quad_order()
+    # The search replaces the waist, so its link is the config with each
     # bound, which it evaluates, as the waist; geometry.w0_m is never checked.
     for key, bound in (("optimize.lo_m", lo), ("optimize.hi_m", hi)):
         with _config_errors(keys={"geometry.w0_m": key}):
-            scen = cfg.with_value("geometry.w0_m", bound).scenario()
-    cfg.two_stream_sets()
-    result, status = warning_status(optimize_w0, scen, (lo, hi), tol, method)
+            geom, rx, stats = cfg.with_value("geometry.w0_m", bound).link()
+    (modes,) = cfg.two_stream_sets()
+    result, status = warning_status(
+        optimize_w0, geom, rx, modes, stats, (lo, hi), tol, method, quad_order
+    )
     (b_lo, b_mid, b_hi) = result.bracket
     boundary = str(result.boundary).lower()
     # Floats print in their shortest round-trip form, as in the CSVs.
@@ -647,7 +652,7 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
     flag = " (boundary)" if result.boundary else ""
     return _Output(
         "".join(f"optimize.{key} = {_fmt(value)}\n" for key, value in report.items()),
-        {"boundary": boundary, "evaluations": result.evaluations, "quad_order": scen.quad_order,
+        {"boundary": boundary, "evaluations": result.evaluations, "quad_order": quad_order,
          "status": status},
         f"w0*={result.w0_opt:.6g} m, ber*={result.ber_opt:.6g}{flag} "
         f"[{result.evaluations} evaluations]",
@@ -656,13 +661,14 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
 
 
 def cmd_rank_modes(cfg: RunConfig) -> _Output:
-    scen = cfg.scenario()
+    quad_order = cfg.quad_order()
+    geom, rx, stats = cfg.link()
     method = cfg.single_method()
     candidates = cfg.candidates()
     if not candidates:
         raise ConfigError("rank-modes needs modes.candidates, e.g. '-2|1;-2|2'")
     cfg.two_stream_sets(candidates)
-    ranking = rank_mode_sets(candidates, scen, method)
+    ranking = rank_mode_sets(candidates, geom, rx, stats, method, quad_order)
     rows = [
         (
             r.rank,
@@ -682,15 +688,16 @@ def cmd_rank_modes(cfg: RunConfig) -> _Output:
             ("rank", "mode_set_id", "ber_avg", "method", "converged", "status"),
             rows,
         ),
-        {"candidates": len(candidates), "unconverged": unconverged, "quad_order": scen.quad_order},
+        {"candidates": len(candidates), "unconverged": unconverged, "quad_order": quad_order},
         f"best {best.label} at ber={best.ber:.6g} ({len(ranking)} candidates)",
         EXIT_NONCONVERGED if unconverged else EXIT_OK,
     )
 
 
 def cmd_bench(cfg: RunConfig) -> _Output:
-    scen = cfg.scenario()
-    cfg.two_stream_sets()
+    quad_order = cfg.quad_order()
+    geom, rx, stats = cfg.link()
+    (modes,) = cfg.two_stream_sets()
     methods = list(cfg.methods())
     if Method.EXACT2D not in methods:
         methods.insert(0, Method.EXACT2D)
@@ -699,6 +706,7 @@ def cmd_bench(cfg: RunConfig) -> _Output:
     n_points = cfg.integer("bench.grid_points")
     repetitions = cfg.integer("bench.repetitions")
     mc_trials = cfg.integer("bench.mc_trials")
+    seed = cfg.integer("mc.seed")
     if not (0 < r_min < r_max < math.inf):
         raise ConfigError(
             f"need 0 < bench.r_min_m < bench.r_max_m < inf, got {r_min}, {r_max}"
@@ -710,15 +718,17 @@ def cmd_bench(cfg: RunConfig) -> _Output:
         raise ConfigError(f"bench.repetitions must be in [3, 20], got {repetitions}")
     with _config_errors(keys={"trials": "bench.mc_trials", "seed": "mc.seed",
                               "aperture_radius": "receiver.aperture_radius_m"}):
-        TrialConfig(mc_trials, scen.seed)
-        scen.rx.check_bessel_range(scen.geom, r_max)
+        TrialConfig(mc_trials, seed)
+        rx.check_bessel_range(geom, r_max)
 
     # Shared grid: radii evenly spaced, mode pairs cycling through the
     # full tx-by-filter product so off-diagonal costs are represented.
-    pairs = [(ell_n, ell_j) for ell_j in scen.modes.filter_modes for ell_n in scen.modes.tx_modes]
+    pairs = [(ell_n, ell_j) for ell_j in modes.filter_modes for ell_n in modes.tx_modes]
     step = (r_max - r_min) / (n_points - 1) if n_points > 1 else 0.0
     grid = [(r_min + i * step, pairs[i % len(pairs)]) for i in range(n_points)]
-    report = bench_methods(scen, grid, repetitions, methods, mc_trials)
+    report = bench_methods(
+        geom, rx, modes, stats, grid, repetitions, methods, mc_trials, seed, quad_order
+    )
 
     # Wall times vary run to run, so they go to the manifest and stdout;
     # the CSV records only what was benchmarked, keeping reruns
@@ -754,10 +764,9 @@ def cmd_bench(cfg: RunConfig) -> _Output:
 # Dedicated flags as (flag, config key it overrides, help). The parser
 # stores each under its key; a key whose default is true/false makes the
 # flag a switch that stores "true".
-_COMMON_FLAGS = [
-    ("--method", "method", "crosstalk method(s), comma-separated"),
-    ("--seed", "mc.seed", "Monte Carlo seed"),
-]
+_COMMON_FLAGS = [("--method", "method", "crosstalk method(s), comma-separated")]
+# Only the commands that read mc.seed offer it.
+_SEED = ("--seed", "mc.seed", "Monte Carlo seed")
 
 # command: (handler, help, dedicated flags)
 _COMMANDS = {
@@ -775,6 +784,7 @@ _COMMANDS = {
             ("--candidates", "modes.candidates", "mode sets to draw, e.g. '-2|1;-4,-2|1,3'"),
             ("--monte-carlo", "ber.with_mc", "add ber_mc and ci95 columns"),
             ("--trials", "mc.trials", "Monte Carlo trials per point"),
+            _SEED,
         ],
     ),
     "monte-carlo": (
@@ -784,6 +794,7 @@ _COMMANDS = {
             ("--trials", "mc.trials", "number of trials"),
             ("--allow-degraded", "mc.allow_degraded",
              "accept draws below the approximation validity floor"),
+            _SEED,
         ],
     ),
     "optimize": (
@@ -804,7 +815,7 @@ _COMMANDS = {
     "bench": (
         cmd_bench,
         "time the evaluators on a shared grid",
-        [("--repetitions", "bench.repetitions", "timing repetitions (median kept)")],
+        [("--repetitions", "bench.repetitions", "timing repetitions (median kept)"), _SEED],
     ),
 }
 

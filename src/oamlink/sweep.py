@@ -1,10 +1,11 @@
-"""Link scenarios, beam-waist optimization, mode-set ranking, and method benchmarks.
+"""Beam-waist optimization, mode-set ranking, and method benchmarks.
 
-Holds the scenario a command varies one link parameter of, searches for
-the BER-minimizing beam waist with a bracketed golden-section routine,
-orders candidate mode sets by averaged BER under an equal total power
-budget, and times the crosstalk evaluators against the reference integral
-and the Monte Carlo validator.
+Each driver re-runs the jitter-averaged BER and takes its arguments in
+``average_ber``'s order (geometry, receiver, mode set, pointing
+statistics). It searches for the BER-minimizing beam waist with a
+bracketed golden-section routine, orders candidate mode sets by averaged
+BER under an equal total power budget, or times the crosstalk evaluators
+against the reference integral and the Monte Carlo validator.
 """
 
 from __future__ import annotations
@@ -35,29 +36,6 @@ GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Coarse scan used to seed the golden-section bracket.
 PRE_GRID_POINTS = 8
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Complete jitter-averaged link configuration a sweep varies one parameter of.
-
-    ``sigma_theta`` feeds the Rayleigh average and the Monte Carlo draw;
-    ``seed`` seeds the Monte Carlo runs of the method benchmark.
-    """
-
-    geom: LinkGeometry
-    rx: ReceiverConfig
-    modes: ModeSet
-    sigma_theta: float
-    quad_order: int = 64
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        self.rx.check_bessel_range(self.geom, self.pointing_stats().reach)
-
-    def pointing_stats(self) -> PointingStats:
-        """Jitter statistics tied to the current link distance."""
-        return PointingStats(self.sigma_theta, self.geom.distance)
 
 
 def mode_set_label(modes: ModeSet) -> str:
@@ -101,10 +79,14 @@ class OptimizeResult:
 
 
 def optimize_w0(
-    scenario: Scenario,
+    geom: LinkGeometry,
+    rx: ReceiverConfig,
+    modes: ModeSet,
+    stats: PointingStats,
     bounds: tuple[float, float],
     tol: float,
     method: "Method | str" = Method.BESSEL_SUM,
+    quad_order: int = 64,
 ) -> OptimizeResult:
     """Golden-section search for the beam waist minimizing averaged BER.
 
@@ -124,13 +106,11 @@ def optimize_w0(
             f"tol must be in (0, {w_hi - w_lo:g}) for these bounds, got {tol!r}"
         )
     method = Method.parse(method)
-    stats = scenario.pointing_stats()
     memo: dict[float, float] = {}
 
     def evaluate(x: float) -> float:
         if x not in memo:
-            geom = replace(scenario.geom, waist=x)
-            res = average_ber(geom, scenario.rx, scenario.modes, stats, method, scenario.quad_order)
+            res = average_ber(replace(geom, waist=x), rx, modes, stats, method, quad_order)
             y = float(res.averaged)
             if not math.isfinite(y):
                 raise ValueError(f"objective returned non-finite value {y!r} at {x!r}")
@@ -224,12 +204,15 @@ class RankedModeSet:
 
 def rank_mode_sets(
     candidates: Sequence[ModeSet],
-    scenario: Scenario,
+    geom: LinkGeometry,
+    rx: ReceiverConfig,
+    stats: PointingStats,
     method: "Method | str" = Method.BESSEL_SUM,
+    quad_order: int = 64,
 ) -> tuple[RankedModeSet, ...]:
     """Order candidate mode sets by Rayleigh-averaged BER, best first.
 
-    Every candidate runs under the same scenario and the same total power
+    Every candidate runs on the same link and the same total power
     budget: stream amplitudes carry the 1/sqrt(modes-per-stream) split and
     the coefficient normalization counts streams, so grouped and plain sets
     are directly comparable. Ties sort by label, which together with the
@@ -242,12 +225,9 @@ def rank_mode_sets(
     labels = [mode_set_label(m) for m in candidates]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate candidate mode sets: {sorted(labels)}")
-    stats = scenario.pointing_stats()
     scored = []
     for label, modes in zip(labels, candidates):
-        res, status = warning_status(
-            average_ber, scenario.geom, scenario.rx, modes, stats, method, scenario.quad_order
-        )
+        res, status = warning_status(average_ber, geom, rx, modes, stats, method, quad_order)
         scored.append((res.averaged, label, res.quad_converged, status))
     scored.sort(key=lambda item: (item[0], item[1]))
     return tuple(
@@ -308,7 +288,10 @@ def _median_wall_time(fn: Callable[[], object], repetitions: int) -> float:
 
 
 def bench_methods(
-    scenario: Scenario,
+    geom: LinkGeometry,
+    rx: ReceiverConfig,
+    modes: ModeSet,
+    stats: PointingStats,
     grid: Sequence[tuple[float, tuple[int, int]]],
     repetitions: int = 5,
     methods: Sequence["Method | str"] = (
@@ -317,18 +300,20 @@ def bench_methods(
         Method.BESSEL_SUM,
     ),
     mc_trials: int = 1_000_000,
+    seed: int = 0,
+    quad_order: int = 64,
 ) -> BenchReport:
     """Time each evaluator over one shared coefficient grid.
 
     ``grid`` lists (offset radius, (tx order, filter order)) evaluation
     points; every method runs the identical list and the median of
     ``repetitions`` passes is kept. The Monte Carlo versus analytic-average
-    comparison runs the estimator at ``mc_trials`` trials pinned to a
-    single worker against one quadrature average, both with bessel-sum
-    whatever ``methods`` lists. Accuracy warnings are suppressed inside the
-    timed region so console I/O does not leak into the wall times; the
-    benchmark grid should sit inside every method's validity range
-    regardless.
+    comparison runs the estimator at ``mc_trials`` trials from ``seed``,
+    pinned to a single worker, against one quadrature average of order
+    ``quad_order``, both with bessel-sum whatever ``methods`` lists.
+    Accuracy warnings are suppressed inside the timed region so console
+    I/O does not leak into the wall times; the benchmark grid should sit
+    inside every method's validity range regardless.
     """
     if repetitions < 3:
         raise ValueError(f"repetitions must be >= 3, got {repetitions}")
@@ -340,7 +325,7 @@ def bench_methods(
     parsed = [Method.parse(m) for m in methods]
     if Method.EXACT2D not in parsed:
         raise ValueError("benchmark must include the reference method exact2d")
-    n_m = scenario.modes.n_streams
+    n_m = modes.n_streams
 
     method_times: dict[str, float] = {}
     with warnings.catch_warnings():
@@ -349,39 +334,20 @@ def bench_methods(
         for method in parsed:
             def one_pass(method: Method = method) -> None:
                 for r, (ell_n, ell_j) in entries:
-                    crosstalk(
-                        scenario.geom,
-                        scenario.rx,
-                        n_m,
-                        ell_n,
-                        ell_j,
-                        PointingState.from_radius(r),
-                        method,
-                    )
+                    crosstalk(geom, rx, n_m, ell_n, ell_j, PointingState.from_radius(r), method)
             method_times[method.value] = _median_wall_time(one_pass, repetitions)
 
-        stats = scenario.pointing_stats()
         cfg = TrialConfig(
             trials=mc_trials,
-            seed=scenario.seed,
+            seed=seed,
             crosstalk_method=Method.BESSEL_SUM,
             allow_degraded=True,
         )
         mc_time = _median_wall_time(
-            lambda: simulate_ber(
-                scenario.geom, scenario.rx, scenario.modes, stats, cfg, max_workers=1
-            ),
-            repetitions,
+            lambda: simulate_ber(geom, rx, modes, stats, cfg, max_workers=1), repetitions
         )
         analytic_time = _median_wall_time(
-            lambda: average_ber(
-                scenario.geom,
-                scenario.rx,
-                scenario.modes,
-                stats,
-                Method.BESSEL_SUM,
-                scenario.quad_order,
-            ),
+            lambda: average_ber(geom, rx, modes, stats, Method.BESSEL_SUM, quad_order),
             repetitions,
         )
 

@@ -23,7 +23,7 @@ from oamlink.cli import main
 from oamlink.crosstalk import Method, ReceiverConfig, crosstalk, crosstalk_exact_detailed
 from oamlink.montecarlo import TrialConfig, simulate_ber
 from oamlink.numerics import gauss_legendre
-from oamlink.sweep import Scenario, bench_methods, optimize_w0
+from oamlink.sweep import bench_methods, optimize_w0
 
 N_STREAMS = 2
 RX = ReceiverConfig(aperture_radius=0.05, noise_level=6.35e-16, k_r=6)
@@ -238,10 +238,10 @@ def test_08_interior_waist_optimum():
     results = {}
     with quiet():
         for sigma in (1.0e-5, 2.0e-5, 3.0e-5):
-            scen = Scenario(
-                geom=make_geom(), rx=RX, modes=A2, sigma_theta=sigma, quad_order=96
+            results[sigma] = optimize_w0(
+                make_geom(), RX, A2, PointingStats(sigma, 1.0e6), (0.005, 0.06), 5.0e-4,
+                Method.RADIAL_SUM, 96,
             )
-            results[sigma] = optimize_w0(scen, (0.005, 0.06), 5.0e-4, Method.RADIAL_SUM)
         cross = average_ber(
             make_geom(0.01), RX, A2, PointingStats(1.0e-5, 1.0e6),
             Method.RADIAL_SUM, 96,
@@ -274,11 +274,11 @@ def test_09_distance_trend():
         ]
         optima = []
         for z in distances:
-            scen = Scenario(
-                geom=make_geom(0.025, z), rx=RX, modes=A2,
-                sigma_theta=3.0e-5, quad_order=96,
+            res = optimize_w0(
+                make_geom(0.025, z), RX, A2, PointingStats(3.0e-5, z), (0.005, 0.06), 5.0e-4,
+                Method.RADIAL_SUM, 96,
             )
-            optima.append(optimize_w0(scen, (0.005, 0.06), 5.0e-4, Method.RADIAL_SUM).w0_opt)
+            optima.append(res.w0_opt)
     increasing = trend[0] < trend[1] < trend[2]
     spread = max(optima) / min(optima)
     check(
@@ -294,7 +294,6 @@ def test_10_speedups():
     # 5x and the closed Bessel sum at least 50x faster than the reference
     # integral; the quadrature average must beat a million-trial simulation
     # by at least 100x.
-    scen = Scenario(geom=make_geom(), rx=RX, modes=A2, sigma_theta=3.0e-5)
     pairs = [
         (ell_n, ell_j)
         for ell_j in A2.filter_modes
@@ -304,7 +303,10 @@ def test_10_speedups():
         (2.0 + i * 18.0 / 49.0, pairs[i % len(pairs)]) for i in range(50)
     ]
     report = bench_methods(
-        scen,
+        make_geom(),
+        RX,
+        A2,
+        PointingStats(3.0e-5, 1.0e6),
         grid,
         repetitions=3,
         methods=(Method.EXACT2D, Method.RADIAL_SUM, Method.BESSEL_SUM),

@@ -178,15 +178,15 @@ class TestModeSpecAndAccessors:
         with pytest.raises(ConfigError):
             cfg_with(method="fft").methods()
 
-    def test_pointing_and_scenario(self):
+    def test_pointing_and_link(self):
         with pytest.raises(ConfigError, match="exactly one of"):
             cfg_with(pointing__r_ch_m="5").validate_pointing()
         with pytest.raises(ConfigError, match="sigma_theta"):
-            cfg_with(pointing__sigma_theta_rad="", pointing__r_ch_m="5").scenario()
+            cfg_with(pointing__sigma_theta_rad="", pointing__r_ch_m="5").link()
         with pytest.raises(ConfigError, match="quad.order"):
-            cfg_with(quad__order="8").scenario()
-        scen = cfg_with().scenario()
-        assert scen.sigma_theta == 3e-5
+            cfg_with(quad__order="8").quad_order()
+        geom, _, stats = cfg_with().link()
+        assert (stats.sigma_theta, stats.distance) == (3e-5, geom.distance)
         trial_cfg = cfg_with().trial_config(Method.RADIAL_SUM)
         assert trial_cfg.trials == 1_000_000
         assert trial_cfg.crosstalk_method is Method.RADIAL_SUM
@@ -304,6 +304,13 @@ class TestMainErrors:
              None, "modes.tx"),
             (["optimize", "-s", "modes.tx=-4,-2,1,3", "-s", "modes.grouping=-4|-2|1,3"], None,
              "modes.grouping"),
+            # Keys these runs read still refuse them (see TestUnreadKeys).
+            (["ber-curve", "--grid", "0.02", "-s", "modes.candidates=", "-s", "modes.tx=1,1"],
+             None, "modes.tx"),
+            (["bench", "-s", "mc.seed=abc"], None, "mc.seed"),
+            (["ber-curve", "--grid", "0.02", "--monte-carlo", "-s", "mc.seed=abc"], None,
+             "mc.seed"),
+            (["rank-modes", "-s", "quad.order=8"], None, "quad.order"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):
@@ -372,7 +379,8 @@ class TestFlagKeys:
     CASES = [
         (["crosstalk-curve", "--grid", "5"], "sweep.grid", "5"),
         (["crosstalk-curve", "--method", "radial-sum", "-s", "sweep.grid=5"], "method", "radial-sum"),
-        (["crosstalk-curve", "--seed", "7", "-s", "sweep.grid=5"], "mc.seed", "7"),
+        (["monte-carlo", "--seed", "7", "-s", "mc.trials=1000", "-s", "mc.allow_degraded=true"],
+         "mc.seed", "7"),
         (["ber-curve", "--axis", "sigma_theta", "-s", "sweep.grid=2e-5", "-s",
           "quad.order=48", "-s", "modes.candidates=-2|1"], "sweep.axis", "sigma_theta"),
         (["ber-curve", "--grid", "0.03", "-s", "quad.order=48", "-s", "modes.candidates=-2|1"],
@@ -406,6 +414,35 @@ class TestFlagKeys:
         expected.update(argv[i + 1].split("=", 1) for i, arg in enumerate(argv) if arg == "-s")
         expected.update({"output.path": str(out), key: value})
         assert echoed == expected
+
+
+class TestUnreadKeys:
+    # Each command parses only the keys it evaluates: a bad value of a key
+    # it never reads changes neither its exit code nor its output bytes.
+    RUNS = [
+        (["rank-modes", "--candidates=-2|1;-1|1", "-s", "quad.order=16"], "modes.tx=1,1"),
+        (["ber-curve", "--grid", "0.02", "--candidates=-2|1", "-s", "quad.order=16"],
+         "modes.tx=1,1"),
+        (["rank-modes", "--candidates=-2|1;-1|1", "-s", "quad.order=16"], "mc.seed=abc"),
+        (["optimize", "-s", "quad.order=16"], "mc.seed=abc"),
+        (["ber-curve", "--grid", "0.02", "--candidates=-2|1", "-s", "quad.order=16"],
+         "mc.seed=abc"),
+        (["monte-carlo", "--trials", "1000", "--allow-degraded"], "quad.order=8"),
+    ]
+
+    @pytest.mark.parametrize("argv, unread", RUNS)
+    def test_unread_key_cannot_refuse(self, argv, unread, tmp_path):
+        clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+        code = main(argv + ["-o", str(clean)])
+        assert main(argv + ["-s", unread, "-o", str(dirty)]) == code
+        assert dirty.read_bytes() == clean.read_bytes()
+
+    @pytest.mark.parametrize("command", ["crosstalk-curve", "optimize", "rank-modes"])
+    def test_seed_flag_only_where_a_seed_is_read(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "7", "-o", "unused.csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 class TestCrosstalkCurveCommand:
@@ -608,7 +645,7 @@ class TestBerCurveCommand:
             assert main(base + [spelling, "--grid", value]) == EXIT_OK, spelling
             assert f"axis={axis} (SI units)" in read_csv_file(out)[0]
         # A waist is not spelled "waist", and a fixed offset is not an axis
-        # of the jitter-averaged scenario.
+        # of the jitter average.
         capsys.readouterr()
         for name in ("waist", "r_ch"):
             assert main(base + [name, "--grid", "1"]) == EXIT_CONFIG

@@ -1,4 +1,4 @@
-"""Sweep scenarios, waist optimizer, mode-set ranking and method benchmarks.
+"""Waist optimizer, mode-set ranking and method benchmarks.
 
 The optimizer is checked against closed-form objectives with known minima
 and the ranking for permutation stability. Benchmark checks stick to
@@ -15,12 +15,12 @@ import pytest
 
 import oamlink.sweep
 from oamlink.beam import LinkGeometry, ModeSet
+from oamlink.ber import PointingStats
 from oamlink.crosstalk import Method, ReceiverConfig
 from oamlink.sweep import (
     PRE_GRID_POINTS,
     BenchReport,
     OptimizeResult,
-    Scenario,
     bench_methods,
     mode_set_label,
     optimize_w0,
@@ -29,27 +29,11 @@ from oamlink.sweep import (
 )
 
 
-def default_scenario(**overrides):
-    geom = LinkGeometry(
-        wavelength=1.55e-6, waist=0.025, radial_index=0, distance=1.0e6
-    )
-    rx = ReceiverConfig(aperture_radius=0.05, noise_level=6.35e-16, k_r=6)
-    kwargs = dict(
-        geom=geom,
-        rx=rx,
-        modes=ModeSet(tx_modes=(-2, 1)),
-        sigma_theta=3.0e-5,
-        quad_order=48,
-        seed=77,
-    )
-    kwargs.update(overrides)
-    return Scenario(**kwargs)
-
-
-class TestAxisAndScenario:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            default_scenario(sigma_theta=0.0)
+GEOM = LinkGeometry(wavelength=1.55e-6, waist=0.025, radial_index=0, distance=1.0e6)
+RX = ReceiverConfig(aperture_radius=0.05, noise_level=6.35e-16, k_r=6)
+A2 = ModeSet(tx_modes=(-2, 1))
+STATS = PointingStats(sigma_theta=3.0e-5, distance=GEOM.distance)
+LINK = (GEOM, RX, A2, STATS)
 
 
 class TestModeSetLabel:
@@ -78,7 +62,7 @@ class TestOptimizeW0:
             return (w - 0.02) ** 2 + 0.3
 
         use_objective(monkeypatch, objective)
-        res = optimize_w0(default_scenario(), bounds=(0.005, 0.06), tol=1e-4)
+        res = optimize_w0(*LINK, bounds=(0.005, 0.06), tol=1e-4, quad_order=48)
         assert not res.boundary
         assert res.w0_opt == pytest.approx(0.02, abs=1e-4)
         assert res.ber_opt == pytest.approx(0.3, abs=1e-8)
@@ -93,7 +77,7 @@ class TestOptimizeW0:
                              ids=["lower", "upper"])
     def test_boundary_minimum_is_flagged(self, sign, edge, monkeypatch):
         use_objective(monkeypatch, lambda w: sign * w)
-        res = optimize_w0(default_scenario(), bounds=(0.01, 0.02), tol=1e-4)
+        res = optimize_w0(*LINK, bounds=(0.01, 0.02), tol=1e-4, quad_order=48)
         pre = np.linspace(0.01, 0.02, PRE_GRID_POINTS)[edge]
         assert res.boundary
         assert res.w0_opt == (0.01 if sign > 0 else 0.02)
@@ -101,24 +85,22 @@ class TestOptimizeW0:
         assert res.bracket == tuple((x, sign * x) for x in pre.tolist())
 
     def test_real_objective_interior_optimum(self):
-        scen = default_scenario()
-        res = optimize_w0(scen, bounds=(0.008, 0.03), tol=2e-3)
+        res = optimize_w0(*LINK, bounds=(0.008, 0.03), tol=2e-3, quad_order=48)
         assert not res.boundary
         assert 0.009 < res.w0_opt < 0.016
         assert res.ber_opt < 5e-3
         assert res.method is Method.BESSEL_SUM
 
     def test_validation(self, monkeypatch):
-        scen = default_scenario()
         with pytest.raises(ValueError):
-            optimize_w0(scen, bounds=(0.03, 0.01), tol=1e-4)
+            optimize_w0(*LINK, bounds=(0.03, 0.01), tol=1e-4, quad_order=48)
         with pytest.raises(ValueError):
-            optimize_w0(scen, bounds=(0.01, 0.03), tol=0.5)
+            optimize_w0(*LINK, bounds=(0.01, 0.03), tol=0.5, quad_order=48)
         with pytest.raises(ValueError):
-            optimize_w0(scen, bounds=(-0.01, 0.03), tol=1e-4)
+            optimize_w0(*LINK, bounds=(-0.01, 0.03), tol=1e-4, quad_order=48)
         use_objective(monkeypatch, lambda w: math.nan)
         with pytest.raises(ValueError):
-            optimize_w0(scen, bounds=(0.01, 0.03), tol=1e-4)
+            optimize_w0(*LINK, bounds=(0.01, 0.03), tol=1e-4, quad_order=48)
 
     def test_result_validation(self):
         good = ((0.01, 2.0), (0.02, 1.0), (0.03, 3.0))
@@ -171,9 +153,9 @@ class TestRankModeSets:
     )
 
     def test_ordering_and_permutation_stability(self):
-        scen = default_scenario()
-        forward = rank_mode_sets(self.CANDIDATES, scen)
-        backward = rank_mode_sets(tuple(reversed(self.CANDIDATES)), scen)
+        forward = rank_mode_sets(self.CANDIDATES, GEOM, RX, STATS, quad_order=48)
+        backward = rank_mode_sets(tuple(reversed(self.CANDIDATES)), GEOM, RX, STATS,
+                                  quad_order=48)
         assert [r.label for r in forward] == [r.label for r in backward]
         assert [r.ber for r in forward] == [r.ber for r in backward]
         assert [r.rank for r in forward] == [1, 2, 3]
@@ -182,20 +164,18 @@ class TestRankModeSets:
         assert all(r.converged for r in forward)
 
     def test_duplicate_candidates_rejected(self):
-        scen = default_scenario()
         with pytest.raises(ValueError):
-            rank_mode_sets(
-                (ModeSet(tx_modes=(-2, 1)), ModeSet(tx_modes=(-2, 1))), scen
-            )
+            rank_mode_sets((ModeSet(tx_modes=(-2, 1)), ModeSet(tx_modes=(-2, 1))),
+                           GEOM, RX, STATS, quad_order=48)
         with pytest.raises(ValueError):
-            rank_mode_sets((), scen)
+            rank_mode_sets((), GEOM, RX, STATS, quad_order=48)
 
 
 class TestBench:
     def test_small_benchmark_structure(self):
-        scen = default_scenario()
         grid = [(5.0, (-2, 1)), (10.0, (0, 0))]
-        report = bench_methods(scen, grid, repetitions=3, mc_trials=1000)
+        report = bench_methods(*LINK, grid, repetitions=3, mc_trials=1000, seed=77,
+                               quad_order=48)
         assert set(report.method_times) == {
             "exact2d", "bessel-integral", "bessel-sum",
         }
@@ -209,19 +189,16 @@ class TestBench:
         )
 
     def test_bench_guards(self):
-        scen = default_scenario()
         grid = [(5.0, (-2, 1))]
+        common = dict(mc_trials=1000, seed=77, quad_order=48)
         with pytest.raises(ValueError):
-            bench_methods(scen, [], repetitions=3, mc_trials=1000)
+            bench_methods(*LINK, [], repetitions=3, **common)
         with pytest.raises(ValueError):
-            bench_methods(scen, [(0.0, (0, 0))], repetitions=3, mc_trials=1000)
+            bench_methods(*LINK, [(0.0, (0, 0))], repetitions=3, **common)
         with pytest.raises(ValueError):
-            bench_methods(scen, grid, repetitions=2, mc_trials=1000)
+            bench_methods(*LINK, grid, repetitions=2, **common)
         with pytest.raises(ValueError):
-            bench_methods(
-                scen, grid, repetitions=3,
-                methods=["bessel-sum"], mc_trials=1000,
-            )
+            bench_methods(*LINK, grid, repetitions=3, methods=["bessel-sum"], **common)
 
     def test_report_validation(self):
         times = {"exact2d": 1.0, "bessel-sum": 0.1}
