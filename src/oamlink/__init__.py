@@ -6,7 +6,7 @@ analytical bit-error rates under joint ML detection, and a Monte Carlo
 validator, together with sweep/optimization drivers and a CLI.
 """
 
-from oamlink.beam import LinkGeometry, ModeSet, PointingState
+from oamlink.beam import LinkGeometry, ModeSet
 from oamlink.crosstalk import Method, ReceiverConfig
 from oamlink.ber import BerResult, PointingStats
 
@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LinkGeometry",
     "ModeSet",
-    "PointingState",
     "ReceiverConfig",
     "Method",
     "PointingStats",

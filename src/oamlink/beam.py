@@ -1,10 +1,10 @@
 """Link geometry and Laguerre-Gaussian field evaluation.
 
-Holds the value types describing one optical link (geometry, mode sets,
-instantaneous pointing offset) and the two field evaluators at the
-receiver plane Z: the on-axis LG modes and one mode's pointing-shifted
-version seen from the receiver aperture. All quantities are SI (meters,
-radians).
+Holds the value types describing one optical link (geometry and mode
+sets) and the two field evaluators at the receiver plane Z: the on-axis
+LG modes and one mode's version seen from the receiver aperture when the
+beam center is displaced by the offset radius r_ch. All quantities are SI
+(meters, radians).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ __all__ = [
     "MAX_AZIMUTHAL_ORDER",
     "LinkGeometry",
     "ModeSet",
-    "PointingState",
+    "check_offset_radius",
     "lg_field",
     "lg_radial_norm",
     "shifted_aperture_field",
@@ -187,27 +187,13 @@ class ModeSet:
         return mixing
 
 
-@dataclass(frozen=True)
-class PointingState:
-    """Instantaneous transverse displacement of the beam center at the aperture."""
-
-    x_ch: float
-    y_ch: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x_ch) and math.isfinite(self.y_ch)):
-            raise ValueError("pointing offsets must be finite")
-
-    @property
-    def r_ch(self) -> float:
-        return math.hypot(self.x_ch, self.y_ch)
-
-    @classmethod
-    def from_radius(cls, r_ch: float, angle: float = 0.0) -> "PointingState":
-        """Offset of magnitude r_ch along the given direction (radians)."""
-        if r_ch < 0:
-            raise ValueError(f"offset radius must be >= 0, got {r_ch!r}")
-        return cls(r_ch * math.cos(angle), r_ch * math.sin(angle))
+def check_offset_radius(r_ch) -> None:
+    """Refuses an offset radius, or an array of them, unless each is >= 0
+    (nan fails too); each evaluator's own guards refuse an infinite one."""
+    r = np.asarray(r_ch)
+    bad = ~(r >= 0)
+    if np.any(bad):
+        raise ValueError(f"offset radius r_ch must be >= 0, got {float(r[bad][0])!r}")
 
 
 def lg_radial_norm(geom: LinkGeometry, ell: int) -> float:
@@ -282,17 +268,20 @@ def shifted_aperture_field(
     ell: int,
     r_prime,
     phi_prime,
-    pointing: PointingState,
+    r_ch: float,
 ) -> np.ndarray:
     """LG field seen at aperture coordinates (r', phi') when the beam center
-    is displaced by the pointing offset, shape ``broadcast(r', phi')``.
+    is displaced by the offset radius r_ch along +x, shape
+    ``broadcast(r', phi')``.
 
     This is the on-axis field ``lg_field`` evaluated at the shifted Cartesian
-    point (r' cos phi' + x_ch, r' sin phi' + y_ch), with the helical phase
-    taken from the quadrant-correct two-argument arctangent so the field
-    stays continuous in phi'.
+    point (r' cos phi' + r_ch, r' sin phi'), with the helical phase taken
+    from the quadrant-correct two-argument arctangent so the field stays
+    continuous in phi'. The crosstalk depends on the offset radius alone, so
+    the direction of the shift is fixed.
     """
+    check_offset_radius(r_ch)
     r_arr, phi_arr = _coordinates(r_prime, phi_prime)
-    x = r_arr * np.cos(phi_arr) + pointing.x_ch
-    y = r_arr * np.sin(phi_arr) + pointing.y_ch
+    x = r_arr * np.cos(phi_arr) + r_ch
+    y = r_arr * np.sin(phi_arr)
     return lg_field(geom, [ell], np.hypot(x, y), np.arctan2(y, x))[0]

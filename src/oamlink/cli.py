@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from oamlink import __version__
-from oamlink.beam import LinkGeometry, ModeSet, PointingState
+from oamlink.beam import LinkGeometry, ModeSet
 from oamlink.ber import PointingStats, average_ber
 from oamlink.crosstalk import Method, ReceiverConfig, crosstalk_matrix
 from oamlink.montecarlo import (
@@ -312,18 +312,17 @@ class RunConfig:
             )
         return self.averaged_methods()[0]
 
-    def validate_pointing(self) -> None:
-        if self.is_set("pointing.sigma_theta_rad") and self.is_set("pointing.r_ch_m"):
-            raise ConfigError(
-                "exactly one of pointing.sigma_theta_rad and pointing.r_ch_m "
-                "may be set; clear the other (e.g. --set pointing.r_ch_m=)"
-            )
-
     def link(self) -> tuple[LinkGeometry, ReceiverConfig, PointingStats]:
         """Link and jitter of the commands that draw or average over the
         pointing jitter; refuses Bessel arguments past their range at
         offsets out to 8 sigma_r."""
-        self.validate_pointing()
+        geom, rx, stats = self._link()
+        with _config_errors(keys={"aperture_radius": "receiver.aperture_radius_m"}):
+            rx.check_bessel_range(geom, stats.reach)
+        return geom, rx, stats
+
+    def _link(self) -> tuple[LinkGeometry, ReceiverConfig, PointingStats]:
+        """``link()`` without the Bessel range check."""
         if not self.is_set("pointing.sigma_theta_rad"):
             raise ConfigError(
                 "this command averages over pointing jitter; set "
@@ -331,11 +330,8 @@ class RunConfig:
             )
         geom, rx = self.geometry(), self.receiver()
         sigma_theta = self.number("pointing.sigma_theta_rad")
-        keys = {"sigma_theta": "pointing.sigma_theta_rad",
-                "aperture_radius": "receiver.aperture_radius_m"}
-        with _config_errors(keys=keys):
+        with _config_errors(keys={"sigma_theta": "pointing.sigma_theta_rad"}):
             stats = PointingStats(sigma_theta, geom.distance)
-            rx.check_bessel_range(geom, stats.reach)
         return geom, rx, stats
 
     def quad_order(self) -> int:
@@ -452,7 +448,6 @@ class _Output(NamedTuple):
 
 
 def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
-    cfg.validate_pointing()
     geom = cfg.geometry()
     rx = cfg.receiver()
     modes = cfg.mode_set()
@@ -485,9 +480,8 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
     # lines. A failed matrix leaves nan cells and its error as the status.
     evaluated = {}
     for r in radii:
-        point = PointingState.from_radius(r)
         for method in methods:
-            evaluated[(r, method)] = _capture(crosstalk_matrix, geom, rx, modes, point, method)
+            evaluated[(r, method)] = _capture(crosstalk_matrix, geom, rx, modes, r, method)
 
     rows = []
     errors = 0
@@ -530,10 +524,17 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
         raise ConfigError(f"sweep.grid must be strictly increasing, got {grid}")
     quad_order = cfg.quad_order()
     # Each point's link is the config with the axis key set to the grid
-    # value, so a base value that the sweep replaces is never checked.
+    # value, so a base value that the sweep replaces is never checked. The
+    # grid value moves the offsets' reach, so the range refusal names it.
     key = _AXIS_KEYS[axis]
-    with _config_errors(keys={key: f"sweep.grid value for {key}"}):
-        points = [cfg.with_value(key, value).link() for value in grid]
+    points = []
+    for value in grid:
+        with _config_errors(keys={key: f"sweep.grid value for {key}"}):
+            geom, rx, stats = cfg.with_value(key, value)._link()
+        at = f"at sweep.grid value {value!r} for {key}, receiver.aperture_radius_m"
+        with _config_errors(keys={"aperture_radius": at}):
+            rx.check_bessel_range(geom, stats.reach)
+        points.append((geom, rx, stats))
     candidates = cfg.two_stream_sets(cfg.candidates())
     with_mc = cfg.flag("ber.with_mc")
     trial_cfgs = {method: cfg.trial_config(method) for method in methods} if with_mc else {}

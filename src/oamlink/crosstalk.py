@@ -18,14 +18,16 @@ quality to cheapest:
   on the k_r sample radii; a closed-form weighted sum of Bessel values.
 - ``asymptotic``: the large-offset limit of the Bessel reduction.
 
-Each method has one kernel. exact2d's is ``crosstalk_exact_detailed``, at
-one pointing per call; the other four are batched over offset radii
-(``channel_profile``). ``crosstalk`` and ``crosstalk_matrix`` evaluate the
-kernel at a single offset. The Bessel-based forms (bessel-integral,
-bessel-sum, asymptotic) assume the offset radius is large against the
-aperture; below ``SMALL_OFFSET_FLOOR`` (``Method.validity_floor``) those
-single-offset views still return values but flag degraded accuracy with
-``ApproximationWarning``.
+Every evaluator takes the offset radius r_ch, the only quantity of the
+pointing error the crosstalk depends on, and refuses one that is negative
+or not finite. Each method has one kernel. exact2d's is
+``crosstalk_exact_detailed``, at one offset per call; the other four are
+batched over offset radii (``channel_profile``). ``crosstalk`` and
+``crosstalk_matrix`` evaluate the kernel at a single offset. The
+Bessel-based forms (bessel-integral, bessel-sum, asymptotic) assume the
+offset radius is large against the aperture; below ``SMALL_OFFSET_FLOOR``
+(``Method.validity_floor``) those single-offset views still return values
+but flag degraded accuracy with ``ApproximationWarning``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from oamlink import numerics
 from oamlink.beam import (
     LinkGeometry,
     ModeSet,
-    PointingState,
+    check_offset_radius,
     lg_field,
     shifted_aperture_field,  # noqa: F401  benchmarks/spans.py traces crosstalk.shifted_aperture_field
 )
@@ -270,13 +272,14 @@ def _ring_powers(
     n_m: int,
     tx_modes,
     filter_modes,
-    pointing: PointingState,
+    r_ch: float,
     phi_points: int,
     radial_order: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The reference integral's grid, independent of the closed form: a
     Gauss-Legendre rule of ``radial_order`` rings over the aperture radius
-    times ``phi_points`` equally spaced angles.
+    times ``phi_points`` equally spaced angles, with the beam center
+    displaced by r_ch along +x.
 
     The rings are walked in blocks of about ``_EXACT_BLOCK_POINTS`` grid
     points. For each block one shared-factor ``lg_field`` pass samples the
@@ -298,8 +301,8 @@ def _ring_powers(
     rows = max(1, _EXACT_BLOCK_POINTS // phi_points)
     for start in range(0, radial_order, rows):
         ring = rule.nodes[start : start + rows, np.newaxis]
-        x = ring * cos_phi + pointing.x_ch
-        y = ring * sin_phi + pointing.y_ch
+        x = ring * cos_phi + r_ch
+        y = ring * sin_phi
         fields = lg_field(geom, tx_modes, np.hypot(x, y), np.arctan2(y, x))
         # ifft index m holds (1/n) sum_k u_k e^{+i m phi_k}; the projection
         # is 2 pi times it, and (2 pi)^2 goes into ``scale``.
@@ -394,7 +397,7 @@ def crosstalk_exact_detailed(
     n_m: int,
     tx_modes,
     filter_modes,
-    pointing: PointingState,
+    r_ch: float,
 ) -> ExactEvaluation:
     """Reference 2D-integral crosstalk with an explicit convergence record.
 
@@ -411,8 +414,9 @@ def crosstalk_exact_detailed(
     The record reports the finest grid used and the largest relative
     change among the pairs' last doublings.
     """
+    check_offset_radius(r_ch)
     _validate_orders(n_m, (*tx_modes, *filter_modes))
-    pair_grid = (geom, rx, n_m, tx_modes, filter_modes, pointing)
+    pair_grid = (geom, rx, n_m, tx_modes, filter_modes, r_ch)
     n_phi, n_rad = _EXACT_PHI_POINTS, _EXACT_RADIAL_ORDER
     value, _ = _ring_powers(*pair_grid, n_phi, n_rad)
     rel_change = np.full(value.shape, math.inf)
@@ -441,20 +445,19 @@ def _coefficient_grid(
     rx: ReceiverConfig,
     modes: ModeSet,
     n_m: int,
-    pointing: PointingState,
+    r_ch: float,
     method: Method,
 ) -> np.ndarray:
     """One (filter, tx) coefficient grid: the method's kernel at one offset.
 
-    exact2d integrates at the given pointing and warns with
+    exact2d integrates at the given offset and warns with
     ``QuadratureConvergenceWarning`` if grid doubling still moves a value by
-    more than 0.1%, quoting the largest change. The reduced methods depend
-    on the offset radius only and warn with ``ApproximationWarning`` below
-    the method's ``validity_floor``.
+    more than 0.1%, quoting the largest change. The reduced methods warn
+    with ``ApproximationWarning`` below the method's ``validity_floor``.
     """
     if method is Method.EXACT2D:
         result = crosstalk_exact_detailed(
-            geom, rx, n_m, modes.tx_modes, modes.filter_modes, pointing
+            geom, rx, n_m, modes.tx_modes, modes.filter_modes, r_ch
         )
         if not result.converged:
             warnings.warn(
@@ -464,7 +467,7 @@ def _coefficient_grid(
                 stacklevel=3,
             )
         return result.value
-    r_ch = pointing.r_ch
+    grid = _profile(geom, rx, modes, n_m, np.array([r_ch]), method)[0]
     if r_ch < method.validity_floor:
         warnings.warn(
             f"offset radius {r_ch:.3g} m is below the {method.validity_floor:g} m validity "
@@ -472,7 +475,7 @@ def _coefficient_grid(
             ApproximationWarning,
             stacklevel=3,
         )
-    return _profile(geom, rx, modes, n_m, np.array([r_ch]), method)[0]
+    return grid
 
 
 def crosstalk(
@@ -481,7 +484,7 @@ def crosstalk(
     n_m: int,
     ell_n: int,
     ell_j: int,
-    pointing: PointingState,
+    r_ch: float,
     method: Method | str = Method.BESSEL_SUM,
 ) -> float:
     """One coefficient, watts per unit modulation, with the selected method.
@@ -491,17 +494,17 @@ def crosstalk(
     method = Method.parse(method)
     _validate_orders(n_m, (ell_n, ell_j))
     pair = ModeSet((ell_n,), (ell_j,))
-    return float(_coefficient_grid(geom, rx, pair, n_m, pointing, method)[0, 0])
+    return float(_coefficient_grid(geom, rx, pair, n_m, r_ch, method)[0, 0])
 
 
 def crosstalk_matrix(
     geom: LinkGeometry,
     rx: ReceiverConfig,
     modes: ModeSet,
-    pointing: PointingState,
+    r_ch: float,
     method: Method | str = Method.BESSEL_SUM,
 ) -> np.ndarray:
-    """The full coefficient grid at one pointing offset, shape (n_filter,
+    """The full coefficient grid at offset radius r_ch, shape (n_filter,
     n_tx): row j, column i is C for ``tx_modes[i]`` through the filter
     matched to ``filter_modes[j]``. Its element-wise square root is the
     amplitude-domain channel matrix.
@@ -512,7 +515,7 @@ def crosstalk_matrix(
     total power budget.
     """
     method = Method.parse(method)
-    return _coefficient_grid(geom, rx, modes, modes.n_streams, pointing, method)
+    return _coefficient_grid(geom, rx, modes, modes.n_streams, r_ch, method)
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +531,11 @@ def channel_profile(
     """Coefficient grids for a whole batch of offset radii at once.
 
     Returns an array of shape (len(r_ch), n_filter, n_tx): the grid
-    ``crosstalk_matrix`` gives at pointing (r, 0) for each radius. No
+    ``crosstalk_matrix`` gives for each radius. No
     degraded-accuracy warnings are emitted here; callers are expected to
     account for offsets below the validity floor themselves. exact2d has no
     batched form: its one kernel is ``crosstalk_exact_detailed``, at one
-    pointing per call.
+    offset per call.
     """
     method = Method.parse(method)
     if method is Method.EXACT2D:
@@ -560,6 +563,7 @@ def _profile(
     r = np.asarray(r_ch, dtype=float)
     if r.ndim != 1:
         raise ValueError("r_ch must be one-dimensional")
+    check_offset_radius(r)
     out = np.empty((r.size, modes.n_filter, modes.n_tx))
 
     if method is Method.RADIAL_SUM:

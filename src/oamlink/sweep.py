@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from oamlink.beam import LinkGeometry, ModeSet, PointingState
+from oamlink.beam import LinkGeometry, ModeSet
 from oamlink.ber import PointingStats, average_ber
 from oamlink.crosstalk import (
     ApproximationWarning,
@@ -334,7 +334,7 @@ def bench_methods(
         for method in parsed:
             def one_pass(method: Method = method) -> None:
                 for r, (ell_n, ell_j) in entries:
-                    crosstalk(geom, rx, n_m, ell_n, ell_j, PointingState.from_radius(r), method)
+                    crosstalk(geom, rx, n_m, ell_n, ell_j, r, method)
             method_times[method.value] = _median_wall_time(one_pass, repetitions)
 
         cfg = TrialConfig(

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from oamlink.beam import LinkGeometry, ModeSet, PointingState, shifted_aperture_field
+from oamlink.beam import LinkGeometry, ModeSet, shifted_aperture_field
 from oamlink.ber import PointingStats, average_ber, conditional_ber
 from oamlink.cli import main
 from oamlink.crosstalk import Method, ReceiverConfig, crosstalk, crosstalk_exact_detailed
@@ -58,20 +58,19 @@ def test_01_zero_offset_orthogonality():
     # matched-filter diagonal, for both radial orders, inside a minute.
     t0 = time.perf_counter()
     orders = range(-4, 5)
-    center = PointingState.from_radius(0.0)
     worst = 0.0
     with quiet():
         for p in (0, 1):
             geom = make_geom(p=p)
             diag = {
-                ell: crosstalk(geom, RX, N_STREAMS, ell, ell, center, Method.EXACT2D)
+                ell: crosstalk(geom, RX, N_STREAMS, ell, ell, 0.0, Method.EXACT2D)
                 for ell in orders
             }
             for ell_n, ell_j in itertools.product(orders, repeat=2):
                 if ell_n == ell_j:
                     continue
                 off = crosstalk(
-                    geom, RX, N_STREAMS, ell_n, ell_j, center, Method.EXACT2D
+                    geom, RX, N_STREAMS, ell_n, ell_j, 0.0, Method.EXACT2D
                 )
                 worst = max(worst, off / min(diag[ell_n], diag[ell_j]))
     elapsed = time.perf_counter() - t0
@@ -91,10 +90,9 @@ def test_02_reduced_methods_track_reference():
     worst_rel, worst_db = 0.0, 0.0
     for ell_n, ell_j in itertools.product((0, 2, 4), repeat=2):
         for r in (4.0, 8.0, 12.0, 18.0, 25.0):
-            pt = PointingState.from_radius(r)
-            ex = crosstalk(geom, RX, N_STREAMS, ell_n, ell_j, pt, Method.EXACT2D)
-            rs = crosstalk(geom, RX, N_STREAMS, ell_n, ell_j, pt, Method.RADIAL_SUM)
-            bs = crosstalk(geom, RX, N_STREAMS, ell_n, ell_j, pt, Method.BESSEL_SUM)
+            ex = crosstalk(geom, RX, N_STREAMS, ell_n, ell_j, r, Method.EXACT2D)
+            rs = crosstalk(geom, RX, N_STREAMS, ell_n, ell_j, r, Method.RADIAL_SUM)
+            bs = crosstalk(geom, RX, N_STREAMS, ell_n, ell_j, r, Method.BESSEL_SUM)
             worst_rel = max(worst_rel, abs(rs - ex) / ex)
             worst_db = max(worst_db, abs(10.0 * math.log10(bs / ex)))
     elapsed = time.perf_counter() - t0
@@ -117,12 +115,11 @@ def test_03_filter_bank_conserves_captured_power():
     with quiet():
         for ell_n in (0, 2, 4):
             for r_ch in (0.0, 5.0, 15.0):
-                pt = PointingState.from_radius(r_ch)
-                exact = crosstalk_exact_detailed(geom, RX, N_STREAMS, [ell_n], orders, pt)
+                exact = crosstalk_exact_detailed(geom, RX, N_STREAMS, [ell_n], orders, r_ch)
                 total = sum(exact.value[:, 0].tolist())
 
                 def ring(r):
-                    power = np.abs(shifted_aperture_field(geom, ell_n, r, phi, pt)) ** 2
+                    power = np.abs(shifted_aperture_field(geom, ell_n, r, phi, r_ch)) ** 2
                     return r * ((2.0 * np.pi / 256) * power.sum())
 
                 collected = rule.weights @ np.array([ring(r) for r in rule.nodes])
@@ -138,14 +135,13 @@ def test_04_sign_flip_symmetry():
     worst = 0.0
     with quiet():
         for r in (2.0, 12.0, 25.0):
-            pt = PointingState.from_radius(r)
             values = {}
             for ell in (1, 2, 3, 4):
                 for ell_j in (-3, 0, 2):
                     for signed in (ell, -ell):
                         if (signed, ell_j) not in values:
                             values[(signed, ell_j)] = crosstalk(
-                                geom, RX, N_STREAMS, signed, ell_j, pt, Method.EXACT2D
+                                geom, RX, N_STREAMS, signed, ell_j, r, Method.EXACT2D
                             )
             scale = max(values.values())
             for ell in (1, 2, 3, 4):
@@ -162,15 +158,14 @@ def test_05_large_offset_asymptote_and_flattening():
         aperture_radius=0.05, noise_level=RX.noise_level, k_r=64
     )
     geom = make_geom()
-    far = PointingState.from_radius(100.0)
-    bs = crosstalk(geom, rx64, N_STREAMS, 0, 0, far, Method.BESSEL_SUM)
-    asym = crosstalk(geom, rx64, N_STREAMS, 0, 0, far, Method.ASYMPTOTIC)
+    bs = crosstalk(geom, rx64, N_STREAMS, 0, 0, 100.0, Method.BESSEL_SUM)
+    asym = crosstalk(geom, rx64, N_STREAMS, 0, 0, 100.0, Method.ASYMPTOTIC)
     ratio = bs / asym
     spreads = []
     with quiet():
         for r in (10.0, 30.0, 100.0):
             vals = crosstalk_exact_detailed(
-                geom, RX, N_STREAMS, [0], list(range(5)), PointingState.from_radius(r)
+                geom, RX, N_STREAMS, [0], list(range(5)), r
             ).value[:, 0].tolist()
             spreads.append((max(vals) - min(vals)) / float(np.mean(vals)))
     flattening = spreads[0] > spreads[1] > spreads[2]

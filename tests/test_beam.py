@@ -15,7 +15,6 @@ from oamlink.beam import (
     MAX_AZIMUTHAL_ORDER,
     LinkGeometry,
     ModeSet,
-    PointingState,
     lg_field,
     shifted_aperture_field,
 )
@@ -158,27 +157,6 @@ class TestModeSet:
             ModeSet(tx_modes=(-2, 1), stream_grouping=((-2, 1), ()))
 
 
-class TestPointingState:
-    def test_radius_is_euclidean_norm(self):
-        state = PointingState(x_ch=3.0, y_ch=4.0)
-        assert state.r_ch == pytest.approx(5.0, rel=1e-15)
-        assert PointingState(0.0, 0.0).r_ch == 0.0
-
-    def test_from_radius(self):
-        state = PointingState.from_radius(2.0, angle=math.pi / 2.0)
-        assert state.x_ch == pytest.approx(0.0, abs=1e-15)
-        assert state.y_ch == pytest.approx(2.0, rel=1e-15)
-        assert PointingState.from_radius(7.0).x_ch == 7.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PointingState.from_radius(-1.0)
-        with pytest.raises(ValueError):
-            PointingState(x_ch=math.nan, y_ch=0.0)
-        with pytest.raises(ValueError):
-            PointingState(x_ch=0.0, y_ch=math.inf)
-
-
 def radial_power(geom, ell, order=200):
     """2*pi * integral of |u|^2 r dr; |u| has no phi dependence."""
     w = geom.beam_radius_at_rx
@@ -263,7 +241,7 @@ class TestLgField:
             if evaluator == "lg_field":
                 lg_field(geom, [1], r, phi)
             else:
-                shifted_aperture_field(geom, 1, r, phi, PointingState(1.0, 2.0))
+                shifted_aperture_field(geom, 1, r, phi, math.sqrt(5.0))
 
     def test_each_order_of_a_sequence_matches_its_single_call(self):
         rng = np.random.default_rng(11)
@@ -310,33 +288,32 @@ class TestLgField:
 class TestShiftedApertureField:
     def test_zero_offset_matches_on_axis_field(self):
         geom = default_geom()
-        origin = PointingState(0.0, 0.0)
         r = np.linspace(0.5, 30.0, 7)
         for phi in (0.0, 1.0, 2.5, 4.0):
-            shifted = shifted_aperture_field(geom, -2, r, phi, origin)
+            shifted = shifted_aperture_field(geom, -2, r, phi, 0.0)
             direct = lg_field(geom, [-2], r, phi)[0]
             assert np.allclose(shifted, direct, rtol=1e-12)
 
     def test_matches_field_at_displaced_point(self):
         geom = default_geom()
-        pointing = PointingState(x_ch=4.0, y_ch=-3.0)
+        r_ch = 5.0
         for r_p, phi_p in ((0.0, 0.0), (6.0, 1.2), (15.0, 3.9), (22.0, 5.8)):
-            x = r_p * math.cos(phi_p) + pointing.x_ch
-            y = r_p * math.sin(phi_p) + pointing.y_ch
+            x = r_p * math.cos(phi_p) + r_ch
+            y = r_p * math.sin(phi_p)
             expected = lg_field(geom, [1], math.hypot(x, y), math.atan2(y, x))[0]
-            got = shifted_aperture_field(geom, 1, r_p, phi_p, pointing)
+            got = shifted_aperture_field(geom, 1, r_p, phi_p, r_ch)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_power_conserved_under_shift(self):
         # Translation moves the intensity pattern without changing its total.
         geom = default_geom(radial_index=1)
-        pointing = PointingState.from_radius(8.0, angle=0.7)
+        r_ch = 8.0
         w = geom.beam_radius_at_rx
-        rule = gauss_legendre(220, 0.0, pointing.r_ch + 10.0 * w)
+        rule = gauss_legendre(220, 0.0, r_ch + 10.0 * w)
         phi = 2.0 * np.pi * np.arange(256) / 256
 
         def ring_power(r_p):
-            power = np.abs(shifted_aperture_field(geom, 2, r_p, phi, pointing)) ** 2
+            power = np.abs(shifted_aperture_field(geom, 2, r_p, phi, r_ch)) ** 2
             return r_p * ((2.0 * np.pi / 256) * power.sum())
 
         total = rule.weights @ np.array([ring_power(r_p) for r_p in rule.nodes])
@@ -344,10 +321,10 @@ class TestShiftedApertureField:
 
     def test_scalar_and_guard_behavior(self):
         geom = default_geom()
-        pointing = PointingState(1.0, 2.0)
-        out = shifted_aperture_field(geom, 0, 3.0, 0.5, pointing)
+        r_ch = math.sqrt(5.0)
+        out = shifted_aperture_field(geom, 0, 3.0, 0.5, r_ch)
         assert out.shape == () and out.dtype == complex
         with pytest.raises(ValueError):
-            shifted_aperture_field(geom, MAX_AZIMUTHAL_ORDER + 1, 1.0, 0.0, pointing)
+            shifted_aperture_field(geom, MAX_AZIMUTHAL_ORDER + 1, 1.0, 0.0, r_ch)
         with pytest.raises(ValueError):
-            shifted_aperture_field(geom, 0, -0.5, 0.0, pointing)
+            shifted_aperture_field(geom, 0, -0.5, 0.0, r_ch)

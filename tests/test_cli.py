@@ -179,8 +179,6 @@ class TestModeSpecAndAccessors:
             cfg_with(method="fft").methods()
 
     def test_pointing_and_link(self):
-        with pytest.raises(ConfigError, match="exactly one of"):
-            cfg_with(pointing__r_ch_m="5").validate_pointing()
         with pytest.raises(ConfigError, match="sigma_theta"):
             cfg_with(pointing__sigma_theta_rad="", pointing__r_ch_m="5").link()
         with pytest.raises(ConfigError, match="quad.order"):
@@ -311,6 +309,10 @@ class TestMainErrors:
             (["ber-curve", "--grid", "0.02", "--monte-carlo", "-s", "mc.seed=abc"], None,
              "mc.seed"),
             (["rank-modes", "-s", "quad.order=8"], None, "quad.order"),
+            # The grid value, not only the aperture, takes the offsets past
+            # the Bessel range.
+            (["ber-curve", "--axis", "sigma_theta", "--grid", "1e-5,1e-3"], None,
+             "sweep.grid value 0.001"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):
@@ -428,6 +430,16 @@ class TestUnreadKeys:
         (["ber-curve", "--grid", "0.02", "--candidates=-2|1", "-s", "quad.order=16"],
          "mc.seed=abc"),
         (["monte-carlo", "--trials", "1000", "--allow-degraded"], "quad.order=8"),
+        # The jitter commands read pointing.sigma_theta_rad alone ...
+        (["ber-curve", "--grid", "0.02", "--candidates=-2|1", "-s", "quad.order=16"],
+         "pointing.r_ch_m=5"),
+        (["rank-modes", "--candidates=-2|1;-1|1", "-s", "quad.order=16"], "pointing.r_ch_m=5"),
+        (["optimize", "-s", "quad.order=16"], "pointing.r_ch_m=5"),
+        (["monte-carlo", "--trials", "1000", "--allow-degraded"], "pointing.r_ch_m=5"),
+        (["bench", "--repetitions", "3", *BENCH], "pointing.r_ch_m=5"),
+        # ... and crosstalk-curve its offset radii alone, so the shipped
+        # sigma_theta cannot refuse it either.
+        (["crosstalk-curve", "-s", "pointing.r_ch_m=5"], "pointing.sigma_theta_rad=abc"),
     ]
 
     @pytest.mark.parametrize("argv, unread", RUNS)

@@ -5,7 +5,7 @@ brute-force computation (dense trapezoid grids, scipy Laguerre, no package
 code) and, for one case, against a compact in-test version of that oracle.
 The approximation chain is then checked against the reference within its
 documented accuracy budget, plus structural invariants: filter-order
-completeness, mirror symmetry, rotation invariance and separability.
+completeness, mirror symmetry and separability.
 """
 
 import math
@@ -17,7 +17,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 import oamlink.crosstalk
-from oamlink.beam import LinkGeometry, ModeSet, PointingState
+from oamlink.beam import LinkGeometry, ModeSet, shifted_aperture_field
 from oamlink.crosstalk import (
     SMALL_OFFSET_FLOOR,
     ApproximationWarning,
@@ -104,8 +104,7 @@ class TestReferenceIntegral:
     def test_frozen_values(self):
         geom, rx = default_geom(), default_rx()
         for (ell_n, ell_j, r), expected in FROZEN_EXACT.items():
-            point = PointingState(r, 0.0)
-            got = crosstalk_exact_detailed(geom, rx, N_M, [ell_n], [ell_j], point).value
+            got = crosstalk_exact_detailed(geom, rx, N_M, [ell_n], [ell_j], r).value
             assert got.shape == (1, 1)
             assert got[0, 0] == pytest.approx(expected, rel=1e-9), (ell_n, ell_j, r)
 
@@ -115,21 +114,20 @@ class TestReferenceIntegral:
         geom, rx = default_geom(), default_rx()
         w = geom.beam_radius_at_rx
         expected = (1.0 - math.exp(-2.0 * rx.aperture_radius**2 / w**2)) / N_M**2
-        origin = PointingState(0.0, 0.0)
-        got = crosstalk_exact_detailed(geom, rx, N_M, [0], [0], origin).value[0, 0]
+        got = crosstalk_exact_detailed(geom, rx, N_M, [0], [0], 0.0).value[0, 0]
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_matches_in_test_brute_force(self):
         geom, rx = default_geom(), default_rx()
         brute = brute_force_coefficient(geom, rx, N_M, -2, 1, 8.0)
-        point = PointingState(8.0, 0.0)
-        got = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], point).value[0, 0]
+        r_ch = 8.0
+        got = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], r_ch).value[0, 0]
         assert got == pytest.approx(brute, rel=1e-4)
 
     def test_detailed_reports_convergence(self):
         geom, rx = default_geom(), default_rx()
         result = crosstalk_exact_detailed(
-            geom, rx, N_M, [-2], [1], PointingState(8.0, 0.0)
+            geom, rx, N_M, [-2], [1], 8.0
         )
         assert result.converged
         assert result.rel_change <= 1e-3
@@ -138,29 +136,29 @@ class TestReferenceIntegral:
     def test_gain_scales_linearly(self):
         geom = default_geom()
         base = crosstalk_exact_detailed(
-            geom, default_rx(), N_M, [1], [1], PointingState(5.0, 0.0)
+            geom, default_rx(), N_M, [1], [1], 5.0
         ).value[0, 0]
         boosted = crosstalk_exact_detailed(
-            geom, default_rx(apd_gain=10.0), N_M, [1], [1], PointingState(5.0, 0.0)
+            geom, default_rx(apd_gain=10.0), N_M, [1], [1], 5.0
         ).value[0, 0]
         assert boosted == pytest.approx(10.0 * base, rel=1e-12)
 
     def test_stream_count_normalization(self):
         geom, rx = default_geom(), default_rx()
-        point = PointingState(5.0, 0.0)
-        one = crosstalk_exact_detailed(geom, rx, 1, [1], [1], point).value[0, 0]
-        four = crosstalk_exact_detailed(geom, rx, 4, [1], [1], point).value[0, 0]
+        r_ch = 5.0
+        one = crosstalk_exact_detailed(geom, rx, 1, [1], [1], r_ch).value[0, 0]
+        four = crosstalk_exact_detailed(geom, rx, 4, [1], [1], r_ch).value[0, 0]
         assert one == pytest.approx(16.0 * four, rel=1e-12)
 
     def test_validation(self):
         geom, rx = default_geom(), default_rx()
-        point = PointingState(5.0, 0.0)
+        r_ch = 5.0
         with pytest.raises(ValueError):
-            crosstalk_exact_detailed(geom, rx, 0, [1], [1], point)
+            crosstalk_exact_detailed(geom, rx, 0, [1], [1], r_ch)
         with pytest.raises(ValueError):
-            crosstalk_exact_detailed(geom, rx, N_M, [1.5], [1], point)
+            crosstalk_exact_detailed(geom, rx, N_M, [1.5], [1], r_ch)
         with pytest.raises(ValueError):
-            crosstalk_exact_detailed(geom, rx, N_M, [1], ["0"], point)
+            crosstalk_exact_detailed(geom, rx, N_M, [1], ["0"], r_ch)
 
 
 class TestApproximationChain:
@@ -171,10 +169,9 @@ class TestApproximationChain:
         geom, rx = default_geom(), default_rx()
         table = {}
         for r in self.RADII:
-            point = PointingState(r, 0.0)
             for ell_n, ell_j in self.PAIRS:
                 table[(ell_n, ell_j, r)] = crosstalk_exact_detailed(
-                    geom, rx, N_M, [ell_n], [ell_j], point
+                    geom, rx, N_M, [ell_n], [ell_j], r
                 ).value[0, 0]
         return geom, rx, table
 
@@ -182,7 +179,7 @@ class TestApproximationChain:
         geom, rx, table = self.exact_grid()
         for (ell_n, ell_j, r), ref in table.items():
             got = crosstalk(
-                geom, rx, N_M, ell_n, ell_j, PointingState(r, 0.0), "radial-sum"
+                geom, rx, N_M, ell_n, ell_j, r, "radial-sum"
             )
             assert abs(got - ref) <= 0.05 * ref, (ell_n, ell_j, r, got, ref)
 
@@ -190,7 +187,7 @@ class TestApproximationChain:
         geom, rx, table = self.exact_grid()
         for method in ("bessel-integral", "bessel-sum"):
             for (ell_n, ell_j, r), ref in table.items():
-                got = crosstalk(geom, rx, N_M, ell_n, ell_j, PointingState(r, 0.0), method)
+                got = crosstalk(geom, rx, N_M, ell_n, ell_j, r, method)
                 db = abs(10.0 * math.log10(got / ref))
                 assert db <= 1.0, (method, ell_n, ell_j, r, db)
 
@@ -210,40 +207,40 @@ class TestApproximationChain:
     def test_bessel_sum_tracks_bessel_integral(self):
         # Same integrand, k_r-point Simpson grid instead of Gauss-Legendre.
         geom, rx = default_geom(), default_rx()
-        point = PointingState(10.0, 0.0)
-        fine = crosstalk(geom, rx, N_M, 2, 0, point, "bessel-integral")
-        coarse = crosstalk(geom, rx, N_M, 2, 0, point, "bessel-sum")
+        r_ch = 10.0
+        fine = crosstalk(geom, rx, N_M, 2, 0, r_ch, "bessel-integral")
+        coarse = crosstalk(geom, rx, N_M, 2, 0, r_ch, "bessel-sum")
         assert coarse == pytest.approx(fine, rel=5e-3)
-        dense = crosstalk(geom, default_rx(k_r=64), N_M, 2, 0, point, "bessel-sum")
+        dense = crosstalk(geom, default_rx(k_r=64), N_M, 2, 0, r_ch, "bessel-sum")
         assert dense == pytest.approx(fine, rel=1e-6)
 
     def test_asymptotic_is_filter_independent(self):
         geom, rx = default_geom(), default_rx()
-        point = PointingState(100.0, 0.0)
+        r_ch = 100.0
         values = {
-            ell_j: crosstalk(geom, rx, N_M, 0, ell_j, point, "asymptotic")
+            ell_j: crosstalk(geom, rx, N_M, 0, ell_j, r_ch, "asymptotic")
             for ell_j in (-3, 0, 2)
         }
         assert len(set(values.values())) == 1
         with pytest.raises(ValueError, match="strictly positive offset radius"):
-            crosstalk(geom, rx, N_M, 0, 0, PointingState(0.0, 0.0), "asymptotic")
+            crosstalk(geom, rx, N_M, 0, 0, 0.0, "asymptotic")
 
     def test_asymptotic_approaches_bessel_integral_far_out(self):
         geom = default_geom()
         rx = default_rx(k_r=64)
-        point = PointingState(100.0, 0.0)
-        ref = crosstalk(geom, rx, N_M, 0, 0, point, "bessel-integral")
-        got = crosstalk(geom, rx, N_M, 0, 0, point, "asymptotic")
+        r_ch = 100.0
+        ref = crosstalk(geom, rx, N_M, 0, 0, r_ch, "bessel-integral")
+        got = crosstalk(geom, rx, N_M, 0, 0, r_ch, "asymptotic")
         assert got == pytest.approx(ref, rel=0.1)
 
     def test_separability_of_reduced_forms(self):
         # The Bessel reductions factor into envelope(tx) * radial(filter),
         # so cross products of coefficients must match.
         geom, rx = default_geom(), default_rx()
-        point = PointingState(10.0, 0.0)
+        r_ch = 10.0
         for method in ("bessel-integral", "bessel-sum", "asymptotic"):
             c = {
-                (n, j): crosstalk(geom, rx, N_M, n, j, point, method)
+                (n, j): crosstalk(geom, rx, N_M, n, j, r_ch, method)
                 for n in (0, 2)
                 for j in (0, 2)
             }
@@ -257,63 +254,50 @@ class TestStructuralInvariants:
         # Summing the coefficients of one transmitted mode over filter orders
         # recovers its gain-weighted power through the aperture.
         geom, rx = default_geom(), default_rx()
-        pointing = PointingState(5.0, 0.0)
+        r_ch = 5.0
         orders = list(range(-20, 21))
-        total = sum(crosstalk_exact_detailed(geom, rx, N_M, [2], orders, pointing).value[:, 0])
+        total = sum(crosstalk_exact_detailed(geom, rx, N_M, [2], orders, r_ch).value[:, 0])
 
-        from oamlink.beam import shifted_aperture_field
 
         rule = gauss_legendre(200, 0.0, rx.aperture_radius)
         phi = 2.0 * np.pi * np.arange(256) / 256
 
         def ring(r):
-            power = np.abs(shifted_aperture_field(geom, 2, r, phi, pointing)) ** 2
+            power = np.abs(shifted_aperture_field(geom, 2, r, phi, r_ch)) ** 2
             return r * ((2.0 * np.pi / 256) * power.sum())
 
         collected = rule.weights @ np.array([ring(r) for r in rule.nodes])
         assert total == pytest.approx(rx.gain * collected / N_M**2, rel=1e-3)
         # The reference grid's sum over every harmonic is the same power
         # (Parseval); exact2d measures its round-off floor against it.
-        _, captured = _ring_powers(geom, rx, N_M, [2], [2], pointing, 512, 128)
+        _, captured = _ring_powers(geom, rx, N_M, [2], [2], r_ch, 512, 128)
         assert captured[0] == pytest.approx(rx.gain * collected / N_M**2, rel=1e-9)
 
     def test_spectrum_matches_single_projection(self):
         geom, rx = default_geom(), default_rx()
-        pointing = PointingState(8.0, 0.0)
+        r_ch = 8.0
         orders = list(range(-3, 4))
-        values = crosstalk_exact_detailed(geom, rx, N_M, [-2], orders, pointing).value[:, 0]
+        values = crosstalk_exact_detailed(geom, rx, N_M, [-2], orders, r_ch).value[:, 0]
         spectrum = dict(zip(orders, values))
-        direct = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], pointing).value[0, 0]
+        direct = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], r_ch).value[0, 0]
         assert spectrum[1] == pytest.approx(direct, rel=1e-4)
 
     def test_mirror_symmetry(self):
         # Reflecting the plane flips the sign of every azimuthal order.
         geom, rx = default_geom(), default_rx()
-        point = PointingState(8.0, 0.0)
-        plus = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], point).value[0, 0]
-        minus = crosstalk_exact_detailed(geom, rx, N_M, [2], [-1], point).value[0, 0]
+        r_ch = 8.0
+        plus = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], r_ch).value[0, 0]
+        minus = crosstalk_exact_detailed(geom, rx, N_M, [2], [-1], r_ch).value[0, 0]
         assert plus == pytest.approx(minus, rel=1e-12)
-
-    def test_rotation_invariance(self):
-        # The reference integral sees the full pointing vector; rotating it
-        # about the beam axis must not change the coefficient.
-        geom, rx = default_geom(), default_rx()
-        aligned = crosstalk_exact_detailed(
-            geom, rx, N_M, [-2], [1], PointingState.from_radius(8.0, 0.0)
-        ).value[0, 0]
-        rotated = crosstalk_exact_detailed(
-            geom, rx, N_M, [-2], [1], PointingState.from_radius(8.0, 2.1)
-        ).value[0, 0]
-        assert rotated == pytest.approx(aligned, rel=1e-10)
 
     def test_radial_index_one(self):
         # p = 1 puts a ring node in the envelope; the dense-k_r radial sum
         # must still track the reference integral.
         geom = default_geom(radial_index=1)
         rx = default_rx(k_r=64)
-        point = PointingState(10.0, 0.0)
-        ref = crosstalk_exact_detailed(geom, rx, N_M, [2], [0], point).value[0, 0]
-        got = crosstalk(geom, rx, N_M, 2, 0, point, "radial-sum")
+        r_ch = 10.0
+        ref = crosstalk_exact_detailed(geom, rx, N_M, [2], [0], r_ch).value[0, 0]
+        got = crosstalk(geom, rx, N_M, 2, 0, r_ch, "radial-sum")
         assert got == pytest.approx(ref, rel=1e-2)
 
 
@@ -332,7 +316,7 @@ class TestClosedFormProjection:
         )
         for got, r in zip(closed, self.RADII):
             want, _ = _ring_powers(
-                geom, rx, N_M, self.ORDERS, self.ORDERS, PointingState(r, 0.0), 1024,
+                geom, rx, N_M, self.ORDERS, self.ORDERS, r, 1024,
                 radial_order,
             )
             yield r, got, want
@@ -372,10 +356,10 @@ class TestReferenceGridMemory:
         # 100 MB; blocks of rings keep the peak to a few MB.
         geom, rx = default_geom(), default_rx()
         modes = (-4, -2, 1, 3)
-        point = PointingState(14.0, 0.0)
+        r_ch = 14.0
         tracemalloc.start()
         try:
-            _ring_powers(geom, rx, N_M, modes, modes, point, 2048, 512)
+            _ring_powers(geom, rx, N_M, modes, modes, r_ch, 2048, 512)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -386,21 +370,21 @@ class TestDispatchAndBatching:
     def test_dispatch_matches_direct_calls(self):
         # One coefficient is the batched kernel of its method at one radius.
         geom, rx = default_geom(), default_rx()
-        point = PointingState(10.0, 0.0)
+        r_ch = 10.0
         modes = ModeSet(tx_modes=(-2, 1))
         for method in Method:
             if method is Method.EXACT2D:
-                # exact2d's one kernel takes one pointing per call.
+                # exact2d's one kernel takes one offset per call.
                 with pytest.raises(ValueError, match="crosstalk_exact_detailed"):
-                    channel_profile(geom, rx, modes, np.array([point.r_ch]), method)
+                    channel_profile(geom, rx, modes, np.array([r_ch]), method)
                 continue
-            grid = channel_profile(geom, rx, modes, np.array([point.r_ch]), method)[0]
-            got = crosstalk(geom, rx, modes.n_streams, -2, 1, point, method=method.value)
+            grid = channel_profile(geom, rx, modes, np.array([r_ch]), method)[0]
+            got = crosstalk(geom, rx, modes.n_streams, -2, 1, r_ch, method=method.value)
             assert got == pytest.approx(grid[1, 0], rel=1e-12), method
-        reference = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], point).value[0, 0]
-        assert crosstalk(geom, rx, N_M, -2, 1, point, method="exact2d") == reference
-        default = crosstalk(geom, rx, N_M, -2, 1, point)
-        assert default == crosstalk(geom, rx, N_M, -2, 1, point, "bessel-sum")
+        reference = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], r_ch).value[0, 0]
+        assert crosstalk(geom, rx, N_M, -2, 1, r_ch, method="exact2d") == reference
+        default = crosstalk(geom, rx, N_M, -2, 1, r_ch)
+        assert default == crosstalk(geom, rx, N_M, -2, 1, r_ch, "bessel-sum")
 
     def test_method_parse(self):
         assert Method.parse(" Bessel-Sum ") is Method.BESSEL_SUM
@@ -411,13 +395,13 @@ class TestDispatchAndBatching:
     def test_matrix_matches_elementwise_calls(self, monkeypatch):
         geom, rx = default_geom(), default_rx()
         modes = ModeSet(tx_modes=(-2, 1), filter_modes=(-2, 0, 1))
-        point = PointingState(6.0, 0.0)
-        matrix = crosstalk_matrix(geom, rx, modes, point, Method.BESSEL_SUM)
+        r_ch = 6.0
+        matrix = crosstalk_matrix(geom, rx, modes, r_ch, Method.BESSEL_SUM)
         assert matrix.shape == (3, 2)
         for j, ell_j in enumerate(modes.filter_modes):
             for i, ell_n in enumerate(modes.tx_modes):
                 want = crosstalk(
-                    geom, rx, modes.n_streams, ell_n, ell_j, point, "bessel-sum"
+                    geom, rx, modes.n_streams, ell_n, ell_j, r_ch, "bessel-sum"
                 )
                 assert matrix[j, i] == want
 
@@ -425,26 +409,25 @@ class TestDispatchAndBatching:
         # the value of the first doubling that settled it.
         modes = ModeSet(tx_modes=(-4, -2, 1, 3))
         n_m = modes.n_streams
-        points = [PointingState(r, 0.0) for r in (0.0, 1.5, 8.0)]
-        for point in points + [PointingState.from_radius(8.0, 2.1)]:
+        for r_ch in (0.0, 1.5, 8.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", QuadratureConvergenceWarning)
-                matrix = crosstalk_matrix(geom, rx, modes, point, Method.EXACT2D)
+                matrix = crosstalk_matrix(geom, rx, modes, r_ch, Method.EXACT2D)
             whole = crosstalk_exact_detailed(
-                geom, rx, n_m, modes.tx_modes, modes.filter_modes, point
+                geom, rx, n_m, modes.tx_modes, modes.filter_modes, r_ch
             )
             assert np.array_equal(whole.value, matrix)
             pairs = []
             for j, ell_j in enumerate(modes.filter_modes):
                 for i, ell_n in enumerate(modes.tx_modes):
-                    pair = crosstalk_exact_detailed(geom, rx, n_m, [ell_n], [ell_j], point)
-                    assert matrix[j, i] == pair.value[0, 0], (point, ell_n, ell_j)
+                    pair = crosstalk_exact_detailed(geom, rx, n_m, [ell_n], [ell_j], r_ch)
+                    assert matrix[j, i] == pair.value[0, 0], (r_ch, ell_n, ell_j)
                     pairs.append(pair)
             assert whole.rel_change == max(p.rel_change for p in pairs)
             assert whole.phi_points == max(p.phi_points for p in pairs)
             assert whole.radial_order == max(p.radial_order for p in pairs)
             assert whole.converged == all(p.converged for p in pairs)
-            if point.r_ch == 0.0:
+            if r_ch == 0.0:
                 # The off-diagonals are FFT round-off, far below the round-off
                 # floor of their mode's captured power, so they settle after
                 # one doubling with the diagonal instead of doubling on.
@@ -453,12 +436,12 @@ class TestDispatchAndBatching:
         # so a matrix that kept doubling settled pairs would differ from
         # the one-pair calls.
         monkeypatch.setattr(oamlink.crosstalk, "_EXACT_REL_TOL", 1e-13)
-        point = PointingState(1.5, 0.0)
+        r_ch = 1.5
         whole = crosstalk_exact_detailed(
-            geom, rx, n_m, modes.tx_modes, modes.filter_modes, point
+            geom, rx, n_m, modes.tx_modes, modes.filter_modes, r_ch
         )
         pairs = [
-            crosstalk_exact_detailed(geom, rx, n_m, [ell_n], [ell_j], point)
+            crosstalk_exact_detailed(geom, rx, n_m, [ell_n], [ell_j], r_ch)
             for ell_j in modes.filter_modes
             for ell_n in modes.tx_modes
         ]
@@ -469,13 +452,13 @@ class TestDispatchAndBatching:
         # Grouping four modes into two streams keeps the per-channel scale of
         # the two-stream set instead of dividing by sixteen.
         geom, rx = default_geom(), default_rx()
-        point = PointingState(6.0, 0.0)
+        r_ch = 6.0
         grouped = ModeSet(
             tx_modes=(-4, -2, 1, 3), stream_grouping=((-4, -2), (1, 3))
         )
         flat = ModeSet(tx_modes=(-4, -2, 1, 3))
-        g = crosstalk_matrix(geom, rx, grouped, point, Method.BESSEL_SUM)
-        f = crosstalk_matrix(geom, rx, flat, point, Method.BESSEL_SUM)
+        g = crosstalk_matrix(geom, rx, grouped, r_ch, Method.BESSEL_SUM)
+        f = crosstalk_matrix(geom, rx, flat, r_ch, Method.BESSEL_SUM)
         assert np.allclose(g, 4.0 * f, rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -488,7 +471,7 @@ class TestDispatchAndBatching:
         profile = channel_profile(geom, rx, modes, radii, method)
         assert profile.shape == (3, 2, 2)
         for idx, r in enumerate(radii):
-            expected = crosstalk_matrix(geom, rx, modes, PointingState(r, 0.0), method)
+            expected = crosstalk_matrix(geom, rx, modes, r, method)
             assert np.allclose(profile[idx], expected, rtol=1e-12), (method, r)
 
     @pytest.mark.parametrize("tx_modes", [(-2, 1), (0, 2, 4)])
@@ -516,7 +499,7 @@ class TestDispatchAndBatching:
 class TestWarningsAndGuards:
     def test_small_offset_warns(self):
         geom, rx = default_geom(), default_rx()
-        near = PointingState(0.5 * SMALL_OFFSET_FLOOR, 0.0)
+        near = 0.5 * SMALL_OFFSET_FLOOR
         modes = ModeSet(tx_modes=(-2, 1))
         for method in ("bessel-integral", "bessel-sum"):
             with pytest.warns(ApproximationWarning):
@@ -526,14 +509,14 @@ class TestWarningsAndGuards:
 
     def test_no_warning_above_floor(self):
         geom, rx = default_geom(), default_rx()
-        point = PointingState(2.0 * SMALL_OFFSET_FLOOR, 0.0)
+        r_ch = 2.0 * SMALL_OFFSET_FLOOR
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            crosstalk(geom, rx, N_M, 0, 0, point, "bessel-integral")
-            crosstalk(geom, rx, N_M, 0, 0, point, "bessel-sum")
-            crosstalk(geom, rx, N_M, 0, 0, point, "asymptotic")
+            crosstalk(geom, rx, N_M, 0, 0, r_ch, "bessel-integral")
+            crosstalk(geom, rx, N_M, 0, 0, r_ch, "bessel-sum")
+            crosstalk(geom, rx, N_M, 0, 0, r_ch, "asymptotic")
             # radial-sum keeps the angle exact and carries no validity floor.
-            near = PointingState(0.5 * SMALL_OFFSET_FLOOR, 0.0)
+            near = 0.5 * SMALL_OFFSET_FLOOR
             crosstalk(geom, rx, N_M, 0, 0, near, "radial-sum")
         # The asymptotic form is the large-offset limit of the Bessel
         # reduction and shares its floor.
@@ -546,13 +529,36 @@ class TestWarningsAndGuards:
         geom, rx = default_geom(), default_rx()
         modes = ModeSet(tx_modes=(-2, 1))
         with pytest.warns(QuadratureConvergenceWarning, match="crosstalk integral did not settle"):
-            crosstalk_matrix(geom, rx, modes, PointingState(8.0, 0.0), "exact2d")
+            crosstalk_matrix(geom, rx, modes, 8.0, "exact2d")
+
+    # Each evaluator at offset radius r: the four batched methods with r
+    # beside a valid radius, then the single-offset forms.
+    OFFSET_EVALUATORS = {
+        **{f"channel_profile-{method}": lambda geom, rx, modes, r, method=method:
+           channel_profile(geom, rx, modes, np.array([2.0, r]), method)
+           for method in ("radial-sum", "bessel-sum", "bessel-integral", "asymptotic")},
+        "crosstalk": lambda geom, rx, modes, r: crosstalk(geom, rx, N_M, -2, 1, r),
+        "crosstalk_matrix": lambda geom, rx, modes, r: crosstalk_matrix(
+            geom, rx, modes, r, "exact2d"),
+        "crosstalk_exact_detailed": lambda geom, rx, modes, r: crosstalk_exact_detailed(
+            geom, rx, N_M, [-2], [1], r),
+        "shifted_aperture_field": lambda geom, rx, modes, r: shifted_aperture_field(
+            geom, 1, 1.0, 0.0, r),
+    }
+
+    @pytest.mark.parametrize("radius", [-5.0, math.nan])
+    @pytest.mark.parametrize("evaluator", OFFSET_EVALUATORS)
+    def test_evaluators_refuse_negative_and_nan_offsets(self, evaluator, radius):
+        # channel_profile used to return a value at -5 m: radial-sum's
+        # differed from the +5 m one, the Bessel forms repeated it.
+        modes = ModeSet((-2, 1), (-2, 1))
+        with pytest.raises(ValueError, match="offset radius r_ch must be >= 0"):
+            self.OFFSET_EVALUATORS[evaluator](default_geom(), default_rx(), modes, radius)
 
     @pytest.mark.parametrize("method", ["radial-sum", "bessel-sum", "bessel-integral"])
     @pytest.mark.parametrize(
         "radius, message",
-        [(math.nan, "must be finite"), (math.inf, "must be finite"),
-         (1e5, r"exceeds guard \|x\| <= 1000")],
+        [(math.inf, "must be finite"), (1e5, r"exceeds guard \|x\| <= 1000")],
     )
     def test_batched_methods_refuse_radii_past_the_bessel_guards(self, method, radius, message):
         # 1e5 m takes |beta| = 2|c| r_a r to about 2e4 on the default link.

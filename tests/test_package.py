@@ -1,6 +1,10 @@
-"""Public names: every module's ``__all__`` resolves and star-imports."""
+"""Public names: every module's ``__all__`` resolves and star-imports, and
+every import is used."""
 
+import ast
 import importlib
+import pathlib
+import symtable
 
 import pytest
 
@@ -16,3 +20,62 @@ def test_all_names_resolve_and_star_import(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+# The imports that only give benchmarks/spans.py a name to rebind; each
+# carries "# noqa: F401" on its line.
+TRACER_IMPORTS = {"ber.mode_envelope", "crosstalk.shifted_aperture_field",
+                  "sweep.crosstalk_matrix"}
+
+
+def _module_names_read(table: symtable.SymbolTable) -> set[str]:
+    """Module-level names read in ``table``'s scope or in any scope below it
+    that does not bind them itself."""
+    names = {sym.get_name() for sym in table.get_symbols()
+             if sym.is_referenced() and (table.get_type() == "module" or sym.is_global()
+                                         or sym.is_free())}
+    for child in table.get_children():
+        names |= _module_names_read(child)
+    return names
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """Names in annotations, which the symbol table skips under
+    ``from __future__ import annotations``; quoted ones are parsed."""
+    notes = [getattr(node, attr) for node in ast.walk(tree)
+             for attr in ("annotation", "returns") if getattr(node, attr, None) is not None]
+    names = set()
+    for note in notes:
+        for node in ast.walk(note):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= _annotation_names(ast.parse(f"x: {node.value}"))
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+    return names
+
+
+def test_every_import_is_used():
+    # A deletion that leaves its import behind, or a new import that only a
+    # tracer reads, shows here; no linter is needed.
+    package = pathlib.Path(importlib.import_module("oamlink").__file__).parent
+    unused, tracer = [], set()
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = _module_names_read(symtable.symtable(source, str(path), "exec"))
+        used |= _annotation_names(tree)
+        module = "oamlink" if path.stem == "__init__" else f"oamlink.{path.stem}"
+        used |= set(getattr(importlib.import_module(module), "__all__", ()))
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        for node in imports:
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    tracer.add(f"{path.stem}.{name}")
+                elif name not in used:
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []
+    assert tracer == TRACER_IMPORTS
