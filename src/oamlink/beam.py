@@ -188,12 +188,14 @@ class ModeSet:
 
 
 def check_offset_radius(r_ch) -> None:
-    """Refuses an offset radius, or an array of them, unless each is >= 0
-    (nan fails too); each evaluator's own guards refuse an infinite one."""
+    """Refuses an offset radius, or an array of them, unless each is finite
+    and >= 0 (nan fails too)."""
     r = np.asarray(r_ch)
-    bad = ~(r >= 0)
+    bad = ~((r >= 0) & (r < np.inf))
     if np.any(bad):
-        raise ValueError(f"offset radius r_ch must be >= 0, got {float(r[bad][0])!r}")
+        raise ValueError(
+            f"offset radius r_ch must be finite and >= 0, got {float(r[bad][0])!r}"
+        )
 
 
 def lg_radial_norm(geom: LinkGeometry, ell: int) -> float:

@@ -316,13 +316,6 @@ class RunConfig:
         """Link and jitter of the commands that draw or average over the
         pointing jitter; refuses Bessel arguments past their range at
         offsets out to 8 sigma_r."""
-        geom, rx, stats = self._link()
-        with _config_errors(keys={"aperture_radius": "receiver.aperture_radius_m"}):
-            rx.check_bessel_range(geom, stats.reach)
-        return geom, rx, stats
-
-    def _link(self) -> tuple[LinkGeometry, ReceiverConfig, PointingStats]:
-        """``link()`` without the Bessel range check."""
         if not self.is_set("pointing.sigma_theta_rad"):
             raise ConfigError(
                 "this command averages over pointing jitter; set "
@@ -332,6 +325,17 @@ class RunConfig:
         sigma_theta = self.number("pointing.sigma_theta_rad")
         with _config_errors(keys={"sigma_theta": "pointing.sigma_theta_rad"}):
             stats = PointingStats(sigma_theta, geom.distance)
+        # The jitter sets the offsets' reach and the beam at Z sets c, so the
+        # range refusal names their keys beside the aperture's.
+        try:
+            rx.check_bessel_range(geom, stats.reach)
+        except ValueError as exc:
+            named = str(exc).replace("aperture_radius", "receiver.aperture_radius_m", 1)
+            raise ConfigError(
+                f"{named} (at pointing.sigma_theta_rad={sigma_theta!r}, "
+                f"geometry.distance_m={geom.distance!r}, geometry.w0_m={geom.waist!r}, "
+                f"geometry.wavelength_m={geom.wavelength!r})"
+            ) from None
         return geom, rx, stats
 
     def quad_order(self) -> int:
@@ -524,17 +528,11 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
         raise ConfigError(f"sweep.grid must be strictly increasing, got {grid}")
     quad_order = cfg.quad_order()
     # Each point's link is the config with the axis key set to the grid
-    # value, so a base value that the sweep replaces is never checked. The
-    # grid value moves the offsets' reach, so the range refusal names it.
+    # value, so a base value that the sweep replaces is never checked, and a
+    # refusal that names the axis key names it as the sweep.grid value.
     key = _AXIS_KEYS[axis]
-    points = []
-    for value in grid:
-        with _config_errors(keys={key: f"sweep.grid value for {key}"}):
-            geom, rx, stats = cfg.with_value(key, value)._link()
-        at = f"at sweep.grid value {value!r} for {key}, receiver.aperture_radius_m"
-        with _config_errors(keys={"aperture_radius": at}):
-            rx.check_bessel_range(geom, stats.reach)
-        points.append((geom, rx, stats))
+    with _config_errors(keys={key: f"sweep.grid value for {key}"}):
+        points = [cfg.with_value(key, value).link() for value in grid]
     candidates = cfg.two_stream_sets(cfg.candidates())
     with_mc = cfg.flag("ber.with_mc")
     trial_cfgs = {method: cfg.trial_config(method) for method in methods} if with_mc else {}

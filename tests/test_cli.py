@@ -310,9 +310,11 @@ class TestMainErrors:
              "mc.seed"),
             (["rank-modes", "-s", "quad.order=8"], None, "quad.order"),
             # The grid value, not only the aperture, takes the offsets past
-            # the Bessel range.
+            # the Bessel range, and so can the base jitter.
             (["ber-curve", "--axis", "sigma_theta", "--grid", "1e-5,1e-3"], None,
-             "sweep.grid value 0.001"),
+             "sweep.grid value for pointing.sigma_theta_rad=0.001"),
+            (["monte-carlo", "-s", "pointing.sigma_theta_rad=1e-3"], None,
+             "pointing.sigma_theta_rad=0.001"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):

@@ -546,25 +546,21 @@ class TestWarningsAndGuards:
             geom, 1, 1.0, 0.0, r),
     }
 
-    @pytest.mark.parametrize("radius", [-5.0, math.nan])
+    @pytest.mark.parametrize("radius", [-5.0, math.nan, math.inf])
     @pytest.mark.parametrize("evaluator", OFFSET_EVALUATORS)
-    def test_evaluators_refuse_negative_and_nan_offsets(self, evaluator, radius):
+    def test_evaluators_refuse_negative_and_non_finite_offsets(self, evaluator, radius):
         # channel_profile used to return a value at -5 m: radial-sum's
         # differed from the +5 m one, the Bessel forms repeated it.
         modes = ModeSet((-2, 1), (-2, 1))
-        with pytest.raises(ValueError, match="offset radius r_ch must be >= 0"):
+        with pytest.raises(ValueError, match="offset radius r_ch must be finite and >= 0"):
             self.OFFSET_EVALUATORS[evaluator](default_geom(), default_rx(), modes, radius)
 
     @pytest.mark.parametrize("method", ["radial-sum", "bessel-sum", "bessel-integral"])
-    @pytest.mark.parametrize(
-        "radius, message",
-        [(math.inf, "must be finite"), (1e5, r"exceeds guard \|x\| <= 1000")],
-    )
-    def test_batched_methods_refuse_radii_past_the_bessel_guards(self, method, radius, message):
+    def test_batched_methods_refuse_radii_past_the_bessel_guards(self, method):
         # 1e5 m takes |beta| = 2|c| r_a r to about 2e4 on the default link.
         modes = ModeSet((-2, 1), (-2, 1))
-        with pytest.raises(ValueError, match=f"Bessel argument {message}"):
-            channel_profile(default_geom(), default_rx(), modes, np.array([2.0, radius]), method)
+        with pytest.raises(ValueError, match=r"Bessel argument exceeds guard \|x\| <= 1000"):
+            channel_profile(default_geom(), default_rx(), modes, np.array([2.0, 1e5]), method)
 
     def test_receiver_config_validation(self):
         with pytest.raises(ValueError):
