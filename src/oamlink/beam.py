@@ -2,9 +2,10 @@
 
 Holds the value types describing one optical link (geometry and mode
 sets) and the two field evaluators at the receiver plane Z: the on-axis
-LG modes and one mode's version seen from the receiver aperture when the
-beam center is displaced by the offset radius r_ch. All quantities are SI
-(meters, radians).
+LG modes at Cartesian points (x, y), and one mode's version seen from the
+receiver aperture at polar coordinates (r', phi') when the beam center is
+displaced by the offset radius r_ch. All quantities are SI (meters,
+radians).
 """
 
 from __future__ import annotations
@@ -206,45 +207,39 @@ def lg_radial_norm(geom: LinkGeometry, ell: int) -> float:
     )
 
 
-def _coordinates(r, phi) -> tuple[np.ndarray, np.ndarray]:
-    """Polar field coordinates as float arrays: finite, with r >= 0."""
-    r_arr = np.asarray(r, dtype=float)
-    phi_arr = np.asarray(phi, dtype=float)
-    if not (np.all(np.isfinite(r_arr)) and np.all(np.isfinite(phi_arr))):
-        raise ValueError("field coordinates r and phi must be finite")
-    if np.any(r_arr < 0):
-        raise ValueError("radial coordinate must be >= 0")
-    return r_arr, phi_arr
-
-
-def lg_field(geom: LinkGeometry, orders: Sequence[int], r, phi) -> np.ndarray:
-    """Complex LG mode fields u_{p,ell}(r, phi) at the receiver plane Z,
-    each normalized to unit power, shape ``(len(orders), *broadcast(r, phi))``.
+def lg_field(geom: LinkGeometry, orders: Sequence[int], x, y) -> np.ndarray:
+    """Complex LG mode fields u_{p,ell} at Cartesian points (x, y) of the
+    receiver plane Z, each normalized to unit power, shape
+    ``(len(orders), *broadcast(x, y))``.
 
     Includes the radial envelope, the associated Laguerre factor, the helical
     phase e^{-i ell phi}, the wavefront-curvature phase and the Gouy phase
     (2p + |ell| + 1) atan(Z/z_R). The Gaussian and curvature factor
-    exp(-(1/w^2 + i k/(2R)) r^2) and the step (sqrt(2) r/w) e^{-i phi} are
-    computed once for all orders; each order's helix is a power of the step
-    (of its conjugate for ell < 0), so its field does not depend on which
-    other orders are requested.
+    exp(-(1/w^2 + i k/(2R)) r^2), with r^2 = x^2 + y^2, and the step
+    (sqrt(2)/w)(x - i y) = (sqrt(2) r/w) e^{-i phi} are computed once for all
+    orders; each order's helix is a power of the step (of its conjugate for
+    ell < 0), so its field does not depend on which other orders are
+    requested. No angle is formed, so the field is continuous everywhere.
     """
     orders = list(orders)
     for order in orders:
+        if not isinstance(order, (int, np.integer)):
+            raise ValueError(f"azimuthal order must be an integer, got {order!r}")
         if abs(order) > MAX_AZIMUTHAL_ORDER:
             raise ValueError(f"azimuthal order |{order}| exceeds guard {MAX_AZIMUTHAL_ORDER}")
-    r_arr, phi_arr = _coordinates(r, phi)
+    x_arr, y_arr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x_arr)) and np.all(np.isfinite(y_arr))):
+        raise ValueError("field coordinates x and y must be finite")
 
     w = geom.beam_radius_at_rx
     p = geom.radial_index
     gouy = math.atan2(geom.distance, geom.rayleigh_range)
 
-    r2 = np.square(r_arr)
+    r2 = np.square(x_arr) + np.square(y_arr)
     shared = np.exp(-(1.0 / w**2 + 0.5j * geom.wavenumber / geom.curvature_at_rx) * r2)
-    step = np.empty(np.broadcast_shapes(r_arr.shape, phi_arr.shape), dtype=complex)
-    np.cos(phi_arr, out=step.real)
-    np.sin(-phi_arr, out=step.imag)
-    step *= math.sqrt(2.0) / w * r_arr
+    step = np.empty(r2.shape, dtype=complex)
+    np.multiply(x_arr, math.sqrt(2.0) / w, out=step.real)
+    np.multiply(y_arr, -math.sqrt(2.0) / w, out=step.imag)
     # step^n by the same chain of products whatever orders are requested.
     needed = {abs(order) for order in orders}
     helix, power = {}, step
@@ -277,13 +272,11 @@ def shifted_aperture_field(
     ``broadcast(r', phi')``.
 
     This is the on-axis field ``lg_field`` evaluated at the shifted Cartesian
-    point (r' cos phi' + r_ch, r' sin phi'), with the helical phase taken
-    from the quadrant-correct two-argument arctangent so the field stays
-    continuous in phi'. The crosstalk depends on the offset radius alone, so
-    the direction of the shift is fixed.
+    point (r' cos phi' + r_ch, r' sin phi'). The crosstalk depends on the
+    offset radius alone, so the direction of the shift is fixed.
     """
     check_offset_radius(r_ch)
-    r_arr, phi_arr = _coordinates(r_prime, phi_prime)
-    x = r_arr * np.cos(phi_arr) + r_ch
-    y = r_arr * np.sin(phi_arr)
-    return lg_field(geom, [ell], np.hypot(x, y), np.arctan2(y, x))[0]
+    r_arr, phi_arr = np.asarray(r_prime, dtype=float), np.asarray(phi_prime, dtype=float)
+    if not (np.all((r_arr >= 0) & (r_arr < np.inf)) and np.all(np.isfinite(phi_arr))):
+        raise ValueError("aperture coordinates r' and phi' must be finite, with r' >= 0")
+    return lg_field(geom, [ell], r_arr * np.cos(phi_arr) + r_ch, r_arr * np.sin(phi_arr))[0]

@@ -7,8 +7,9 @@ quality to cheapest:
 - ``exact2d``: the full 2D aperture integral (azimuthal projection of the
   shifted field, then a weighted radial integral), with a grid-doubling
   convergence check. Its grid is walked block by block of rings, with one
-  shared-factor field pass for every tx mode and one FFT per block. This is
-  the oracle the others are judged against.
+  shared-factor field pass for every tx mode, on the block's Cartesian
+  points, and one FFT per block. This is the oracle the others are judged
+  against.
 - ``radial-sum``: keeps the azimuthal integral exact (in closed form) but
   evaluates the radial integral on k_r uniformly spaced sample radii.
 - ``bessel-integral``: freezes the slowly varying envelope at the offset
@@ -283,7 +284,8 @@ def _ring_powers(
 
     The rings are walked in blocks of about ``_EXACT_BLOCK_POINTS`` grid
     points. For each block one shared-factor ``lg_field`` pass samples the
-    displaced field of every tx mode, one FFT projects each on every filter
+    displaced field of every tx mode at the block's points (x, y) =
+    (ring cos phi + r_ch, ring sin phi), one FFT projects each on every filter
     harmonic, and ``|projection|^2`` times the ring weights is added to a
     running sum per (filter, tx) pair, each pair with its own reduction so
     its value does not depend on the other pairs. Returns the coefficients,
@@ -303,7 +305,7 @@ def _ring_powers(
         ring = rule.nodes[start : start + rows, np.newaxis]
         x = ring * cos_phi + r_ch
         y = ring * sin_phi
-        fields = lg_field(geom, tx_modes, np.hypot(x, y), np.arctan2(y, x))
+        fields = lg_field(geom, tx_modes, x, y)
         # ifft index m holds (1/n) sum_k u_k e^{+i m phi_k}; the projection
         # is 2 pi times it, and (2 pi)^2 goes into ``scale``.
         power = np.square(np.abs(np.fft.ifft(fields, axis=-1)))

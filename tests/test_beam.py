@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 from oamlink.beam import (
     MAX_AZIMUTHAL_ORDER,
@@ -157,6 +158,18 @@ class TestModeSet:
             ModeSet(tx_modes=(-2, 1), stream_grouping=((-2, 1), ()))
 
 
+def polar_closed_form(geom, ell, r, phi):
+    """u_{p,ell}(r, phi) at Z written out in polar form, independently of
+    ``lg_field``: C/w (sqrt(2) r/w)^|ell| L_p^|ell|(2 r^2/w^2)
+    exp(-r^2/w^2 - i k r^2/(2R) - i ell phi + i (2p + |ell| + 1) atan(Z/z_R))."""
+    w, p, n = geom.beam_radius_at_rx, geom.radial_index, abs(ell)
+    norm = math.sqrt(2.0 * math.factorial(p) / (math.pi * math.factorial(p + n)))
+    phase = (-geom.wavenumber * r**2 / (2.0 * geom.curvature_at_rx) - ell * phi
+             + (2 * p + n + 1) * math.atan(geom.distance / geom.rayleigh_range))
+    return (norm / w * (math.sqrt(2.0) * r / w) ** n * eval_genlaguerre(p, n, 2.0 * r**2 / w**2)
+            * np.exp(-(r**2) / w**2 + 1j * phase))
+
+
 def radial_power(geom, ell, order=200):
     """2*pi * integral of |u|^2 r dr; |u| has no phi dependence."""
     w = geom.beam_radius_at_rx
@@ -193,7 +206,7 @@ class TestLgField:
         r = 12.0
         base = lg_field(geom, [-2], r, 0.0)[0]
         for phi in (0.3, 2.0, -1.1):
-            rotated = lg_field(geom, [-2], r, phi)[0]
+            rotated = lg_field(geom, [-2], r * math.cos(phi), r * math.sin(phi))[0]
             assert rotated == pytest.approx(base * np.exp(1j * 2 * phi), rel=1e-12)
 
     def test_on_axis_value(self):
@@ -216,8 +229,8 @@ class TestLgField:
         geom = default_geom()
         out = lg_field(geom, [1], 5.0, 0.2)
         assert out.shape == (1,)
-        r = np.array([1.0, 5.0, 9.0])
-        arr = lg_field(geom, [1], r, 0.2)[0]
+        x = np.array([1.0, 5.0, 9.0])
+        arr = lg_field(geom, [1], x, 0.2)[0]
         assert arr.shape == (3,)
         assert arr[1] == pytest.approx(out[0], rel=1e-15)
 
@@ -225,35 +238,59 @@ class TestLgField:
         geom = default_geom()
         with pytest.raises(ValueError):
             lg_field(geom, [MAX_AZIMUTHAL_ORDER + 1], 1.0, 0.0)
-        with pytest.raises(ValueError):
-            lg_field(geom, [0], -1.0, 0.0)
+
+    @pytest.mark.parametrize("order", [1.5, 2.0, "1", None])
+    def test_refuses_a_non_integer_order(self, order):
+        # Refused by name, not by a TypeError from the helix power loop.
+        geom = default_geom()
+        with pytest.raises(ValueError, match=f"order must be an integer, got {order!r}"):
+            lg_field(geom, [0, order], 1.0, 0.0)
+        with pytest.raises(ValueError, match=f"order must be an integer, got {order!r}"):
+            shifted_aperture_field(geom, order, 1.0, 0.0, 2.0)
 
     @pytest.mark.parametrize("evaluator", ["lg_field", "shifted_aperture_field"])
     @pytest.mark.parametrize(
-        "r, phi",
-        [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (np.array([1.0, math.nan]), 0.0)],
-        ids=["nan-radius", "nan-angle", "inf-radius", "nan-in-array"],
+        "first, second",
+        [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (1.0, -math.inf),
+         (np.array([1.0, math.nan]), 0.0)],
+        ids=["nan-first", "nan-second", "inf-first", "inf-second", "nan-in-array"],
     )
-    def test_rejects_non_finite_coordinates(self, evaluator, r, phi):
-        # Each of these used to come back as nan+nanj.
+    def test_rejects_non_finite_coordinates(self, evaluator, first, second):
+        # Each of these used to come back as nan+nanj. The coordinates are
+        # (x, y) for lg_field and (r', phi') for the shifted field.
         geom = default_geom()
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="must be finite"):
             if evaluator == "lg_field":
-                lg_field(geom, [1], r, phi)
+                lg_field(geom, [1], first, second)
             else:
-                shifted_aperture_field(geom, 1, r, phi, math.sqrt(5.0))
+                shifted_aperture_field(geom, 1, first, second, math.sqrt(5.0))
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_matches_the_polar_closed_form(self, p):
+        # Every quadrant, both axes, the negative x-axis from y = +0 and from
+        # y = -0 (where atan2 jumps between +pi and -pi), and the origin.
+        geom = default_geom(radial_index=p)
+        x = np.array([12.0, -7.0, -20.0, 3.0, 0.0, 0.0, 9.0, -15.0, -15.0, -1e-9, 0.0])
+        y = np.array([5.0, 18.0, -6.0, -25.0, 11.0, -4.0, 0.0, 0.0, -0.0, 0.0, 0.0])
+        r, phi = np.hypot(x, y), np.arctan2(y, x)
+        assert phi[7] == math.pi and phi[8] == -math.pi
+        orders = (-16, -3, -1, 0, 1, 2, 5, 16)
+        fields = lg_field(geom, orders, x, y)
+        for field, ell in zip(fields, orders):
+            np.testing.assert_allclose(field, polar_closed_form(geom, ell, r, phi), rtol=1e-12)
+            assert field[7] == field[8]
+            assert (field[-1] == 0.0) == (ell != 0)
 
     def test_each_order_of_a_sequence_matches_its_single_call(self):
         rng = np.random.default_rng(11)
-        r = rng.uniform(0.0, 60.0, (40, 50))
-        phi = rng.uniform(-4.0, 4.0, (40, 50))
+        x, y = rng.uniform(-60.0, 60.0, (2, 40, 50))
         orders = (-16, -4, -1, 0, 2, 3, 16)
         for p in (0, 2):
             geom = default_geom(radial_index=p)
-            many = lg_field(geom, orders, r, phi)
+            many = lg_field(geom, orders, x, y)
             assert many.shape == (len(orders), 40, 50)
             for field, ell in zip(many, orders):
-                one = lg_field(geom, [ell], r, phi)[0]
+                one = lg_field(geom, [ell], x, y)[0]
                 np.testing.assert_allclose(field, one, rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_values_do_not_depend_on_other_orders(self):
@@ -261,10 +298,11 @@ class TestLgField:
         rng = np.random.default_rng(12)
         r = np.concatenate([rng.rayleigh(20.0, 5000), [0.0, 1e-9, 150.0]])
         phi = rng.uniform(-7.0, 7.0, r.size)
+        x, y = r * np.cos(phi), r * np.sin(phi)
         for ell in (-5, 0, 1, 16):
-            alone = lg_field(geom, [ell], r, phi)[0]
+            alone = lg_field(geom, [ell], x, y)[0]
             for others in ([ell], [ell - 1], [-16, 16], list(range(-16, 17))):
-                together = lg_field(geom, others + [ell], r, phi)[-1]
+                together = lg_field(geom, others + [ell], x, y)[-1]
                 assert np.array_equal(together, alone), (ell, others)
 
     def test_guard_fires_for_any_order_of_a_sequence(self):
@@ -279,10 +317,10 @@ class TestLgField:
         pair = lg_field(geom, [1, -2], 5.0, 0.2)
         assert isinstance(pair, np.ndarray) and pair.shape == (2,)
         assert pair.dtype == complex and pair[0] == lg_field(geom, [1], 5.0, 0.2)[0]
-        r = np.array([1.0, 5.0, 9.0])
-        assert lg_field(geom, (1,), r, 0.2).shape == (1, 3)
-        assert lg_field(geom, np.array([0, 3]), r[:, None], r).shape == (2, 3, 3)
-        assert lg_field(geom, [], r, 0.2).shape == (0, 3)
+        x = np.array([1.0, 5.0, 9.0])
+        assert lg_field(geom, (1,), x, 0.2).shape == (1, 3)
+        assert lg_field(geom, np.array([0, 3]), x[:, None], x).shape == (2, 3, 3)
+        assert lg_field(geom, [], x, 0.2).shape == (0, 3)
 
 
 class TestShiftedApertureField:
@@ -291,7 +329,7 @@ class TestShiftedApertureField:
         r = np.linspace(0.5, 30.0, 7)
         for phi in (0.0, 1.0, 2.5, 4.0):
             shifted = shifted_aperture_field(geom, -2, r, phi, 0.0)
-            direct = lg_field(geom, [-2], r, phi)[0]
+            direct = lg_field(geom, [-2], r * math.cos(phi), r * math.sin(phi))[0]
             assert np.allclose(shifted, direct, rtol=1e-12)
 
     def test_matches_field_at_displaced_point(self):
@@ -300,7 +338,7 @@ class TestShiftedApertureField:
         for r_p, phi_p in ((0.0, 0.0), (6.0, 1.2), (15.0, 3.9), (22.0, 5.8)):
             x = r_p * math.cos(phi_p) + r_ch
             y = r_p * math.sin(phi_p)
-            expected = lg_field(geom, [1], math.hypot(x, y), math.atan2(y, x))[0]
+            expected = polar_closed_form(geom, 1, math.hypot(x, y), math.atan2(y, x))
             got = shifted_aperture_field(geom, 1, r_p, phi_p, r_ch)
             assert got == pytest.approx(expected, rel=1e-12)
 

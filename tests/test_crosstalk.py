@@ -17,7 +17,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 import oamlink.crosstalk
-from oamlink.beam import LinkGeometry, ModeSet, shifted_aperture_field
+from oamlink.beam import LinkGeometry, ModeSet, lg_field, shifted_aperture_field
 from oamlink.crosstalk import (
     SMALL_OFFSET_FLOOR,
     ApproximationWarning,
@@ -364,6 +364,25 @@ class TestReferenceGridMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16e6, peak
+
+    def test_field_pass_passes_the_block_points_positionally(self, monkeypatch):
+        # benchmarks/spans.py counts lg_field points as
+        # broadcast(args[2], args[3]): each block's x and y go in those
+        # slots, whole rings at a time, with no keyword arguments.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return lg_field(*args, **kwargs)
+
+        monkeypatch.setattr("oamlink.crosstalk.lg_field", counting)
+        geom, rx = default_geom(), default_rx()
+        # 16,384-point blocks of 512-angle rings: 32 rings, then the last 8.
+        _ring_powers(geom, rx, N_M, [-2, 1], [-2, 1], 6.0, 512, 40)
+        assert [len(args) for args, _ in calls] == [4, 4]
+        assert [kwargs for _, kwargs in calls] == [{}, {}]
+        sizes = [np.broadcast(args[2], args[3]).size for args, _ in calls]
+        assert sizes == [32 * 512, 8 * 512]
 
 
 class TestDispatchAndBatching:
