@@ -106,7 +106,11 @@ class ModeSet:
     multi-mode configurations in which several modes carry one stream; when
     absent every mode is its own stream. ``stream_matrix`` mixes the modes
     into streams. Each order list is pairwise distinct: a repeated filter
-    would count its branch twice in the detection.
+    would count its branch twice in the detection. Every order is an
+    integer (``int`` or ``np.integer``) within ``MAX_AZIMUTHAL_ORDER``, as
+    ``lg_field`` requires; a float or a string is refused by name, never
+    truncated. The crosstalk layer normalises each coefficient grid by
+    ``n_streams``.
     """
 
     tx_modes: tuple[int, ...]
@@ -119,12 +123,12 @@ class ModeSet:
         filter_modes: Optional[Sequence[int]] = None,
         stream_grouping: Optional[Sequence[Sequence[int]]] = None,
     ) -> None:
-        tx = tuple(int(m) for m in tx_modes)
-        flt = tx if filter_modes is None else tuple(int(m) for m in filter_modes)
+        tx = _checked_orders("tx mode", tx_modes)
+        flt = tx if filter_modes is None else _checked_orders("filter mode", filter_modes)
         grouping = (
             None
             if stream_grouping is None
-            else tuple(tuple(int(m) for m in g) for g in stream_grouping)
+            else tuple(_checked_orders("stream grouping", g) for g in stream_grouping)
         )
         if len(set(tx)) != len(tx):
             raise ValueError(f"tx modes must be pairwise distinct, got {tx}")
@@ -132,11 +136,6 @@ class ModeSet:
             raise ValueError(f"filter modes must be pairwise distinct, got {flt}")
         if not tx:
             raise ValueError("need at least one tx mode")
-        for m in tx + flt:
-            if abs(m) > MAX_AZIMUTHAL_ORDER:
-                raise ValueError(
-                    f"azimuthal order |{m}| exceeds guard {MAX_AZIMUTHAL_ORDER}"
-                )
         if grouping is not None:
             flat = [m for g in grouping for m in g]
             if sorted(flat) != sorted(tx):
@@ -188,6 +187,18 @@ class ModeSet:
         return mixing
 
 
+def _checked_orders(kind: str, orders: Sequence[int]) -> tuple[int, ...]:
+    """``orders`` as ints; refuses, naming ``kind``, one that is not an
+    ``int`` or ``np.integer``, and one past ``MAX_AZIMUTHAL_ORDER``."""
+    orders = tuple(orders)
+    for order in orders:
+        if not isinstance(order, (int, np.integer)):
+            raise ValueError(f"{kind} order must be an integer, got {order!r}")
+        if abs(order) > MAX_AZIMUTHAL_ORDER:
+            raise ValueError(f"azimuthal order |{order}| exceeds guard {MAX_AZIMUTHAL_ORDER}")
+    return tuple(int(order) for order in orders)
+
+
 def check_offset_radius(r_ch) -> None:
     """Refuses an offset radius, or an array of them, unless each is finite
     and >= 0 (nan fails too)."""
@@ -221,12 +232,7 @@ def lg_field(geom: LinkGeometry, orders: Sequence[int], x, y) -> np.ndarray:
     ell < 0), so its field does not depend on which other orders are
     requested. No angle is formed, so the field is continuous everywhere.
     """
-    orders = list(orders)
-    for order in orders:
-        if not isinstance(order, (int, np.integer)):
-            raise ValueError(f"azimuthal order must be an integer, got {order!r}")
-        if abs(order) > MAX_AZIMUTHAL_ORDER:
-            raise ValueError(f"azimuthal order |{order}| exceeds guard {MAX_AZIMUTHAL_ORDER}")
+    orders = _checked_orders("azimuthal", orders)
     x_arr, y_arr = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(x_arr)) and np.all(np.isfinite(y_arr))):
         raise ValueError("field coordinates x and y must be finite")

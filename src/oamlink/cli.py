@@ -89,15 +89,13 @@ class ConfigError(ValueError):
 
 
 @contextlib.contextmanager
-def _config_errors(
-    prefix: str = "", message: str = "", keys: Optional[Mapping[str, str]] = None
-) -> Iterator[None]:
+def _config_errors(prefix: str = "", keys: Optional[Mapping[str, str]] = None) -> Iterator[None]:
     """Re-raise a ValueError from the block as a ConfigError.
 
-    The new message is ``message`` when given, else the error's own text
-    after ``prefix``, which names the key or section at fault. ``keys``
-    maps the fields of a typed object built in the block to their config
-    keys: an error text that names such fields names their keys instead.
+    The new message is the error's own text after ``prefix``, which names
+    the key or section at fault. ``keys`` maps the fields of a typed object
+    built in the block to their config keys: an error text that names such
+    fields names their keys instead.
     """
     try:
         yield
@@ -107,7 +105,24 @@ def _config_errors(
             named = re.sub(r"\b(" + "|".join(keys) + r")\b", lambda m: keys[m[0]], named)
         if named != str(exc):
             raise ConfigError(named) from None
-        raise ConfigError(message or f"{prefix}{exc}") from None
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+def _check_bessel_range(
+    geom: LinkGeometry, rx: ReceiverConfig, r_max: float, key: str, value: float
+) -> None:
+    """Refuses Bessel arguments past their range at offsets up to ``r_max``.
+    The offsets' reach comes from ``key`` (at ``value``) and the beam at Z
+    sets c, so the refusal names their keys beside the aperture's."""
+    try:
+        rx.check_bessel_range(geom, r_max)
+    except ValueError as exc:
+        named = str(exc).replace("aperture_radius", "receiver.aperture_radius_m", 1)
+        raise ConfigError(
+            f"{named} (at {key}={value!r}, "
+            f"geometry.distance_m={geom.distance!r}, geometry.w0_m={geom.waist!r}, "
+            f"geometry.wavelength_m={geom.wavelength!r})"
+        ) from None
 
 
 def _key_values(entries, missing_equals: str, from_file: bool = False) -> dict[str, str]:
@@ -325,17 +340,7 @@ class RunConfig:
         sigma_theta = self.number("pointing.sigma_theta_rad")
         with _config_errors(keys={"sigma_theta": "pointing.sigma_theta_rad"}):
             stats = PointingStats(sigma_theta, geom.distance)
-        # The jitter sets the offsets' reach and the beam at Z sets c, so the
-        # range refusal names their keys beside the aperture's.
-        try:
-            rx.check_bessel_range(geom, stats.reach)
-        except ValueError as exc:
-            named = str(exc).replace("aperture_radius", "receiver.aperture_radius_m", 1)
-            raise ConfigError(
-                f"{named} (at pointing.sigma_theta_rad={sigma_theta!r}, "
-                f"geometry.distance_m={geom.distance!r}, geometry.w0_m={geom.waist!r}, "
-                f"geometry.wavelength_m={geom.wavelength!r})"
-            ) from None
+        _check_bessel_range(geom, rx, stats.reach, "pointing.sigma_theta_rad", sigma_theta)
         return geom, rx, stats
 
     def quad_order(self) -> int:
@@ -460,6 +465,7 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
     if not (0.0 < tx_power < math.inf):
         raise ConfigError(f"receiver.tx_power_w must be finite and > 0, got {tx_power!r}")
     radii = cfg.numbers("sweep.grid")
+    key = "sweep.grid value"
     if cfg.is_set("pointing.r_ch_m"):
         if radii:
             raise ConfigError(
@@ -467,6 +473,7 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
                 "(e.g. --set pointing.r_ch_m=)"
             )
         radii = (cfg.number("pointing.r_ch_m"),)
+        key = "pointing.r_ch_m"
     if not radii:
         raise ConfigError(
             "crosstalk-curve needs offset radii: set sweep.grid (meters) or "
@@ -476,8 +483,7 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
         raise ConfigError(
             f"offset radii (sweep.grid or pointing.r_ch_m) must be finite and >= 0, got {radii}"
         )
-    with _config_errors(keys={"aperture_radius": "receiver.aperture_radius_m"}):
-        rx.check_bessel_range(geom, max(radii))
+    _check_bessel_range(geom, rx, max(radii), key, max(radii))
 
     # Evaluate one matrix per (radius, method), then emit rows with the
     # method innermost so the per-pair method comparison sits on adjacent
@@ -715,10 +721,9 @@ def cmd_bench(cfg: RunConfig) -> _Output:
         raise ConfigError(f"bench.grid_points must be in [1, 1000], got {n_points}")
     if not 3 <= repetitions <= 20:
         raise ConfigError(f"bench.repetitions must be in [3, 20], got {repetitions}")
-    with _config_errors(keys={"trials": "bench.mc_trials", "seed": "mc.seed",
-                              "aperture_radius": "receiver.aperture_radius_m"}):
+    with _config_errors(keys={"trials": "bench.mc_trials", "seed": "mc.seed"}):
         TrialConfig(mc_trials, seed)
-        rx.check_bessel_range(geom, r_max)
+    _check_bessel_range(geom, rx, r_max, "bench.r_max_m", r_max)
 
     # Shared grid: radii evenly spaced, mode pairs cycling through the
     # full tx-by-filter product so off-diagonal costs are represented.

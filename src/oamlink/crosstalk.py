@@ -21,12 +21,15 @@ quality to cheapest:
 
 Every evaluator takes the offset radius r_ch, the only quantity of the
 pointing error the crosstalk depends on, and refuses one that is negative
-or not finite. Each method has one kernel. exact2d's is
-``crosstalk_exact_detailed``, at one offset per call; the other four are
-batched over offset radii (``channel_profile``). ``crosstalk`` and
-``crosstalk_matrix`` evaluate the kernel at a single offset. The
-Bessel-based forms (bessel-integral, bessel-sum, asymptotic) assume the
-offset radius is large against the aperture; below ``SMALL_OFFSET_FLOOR``
+or not finite. Every grid evaluator takes the ``ModeSet`` and normalises
+its coefficients by the set's stream count, ``modes.n_streams``. Each
+method has one kernel. exact2d's is ``crosstalk_exact_detailed``, at one
+offset per call; the other four are batched over offset radii
+(``channel_profile``). ``crosstalk_matrix`` evaluates the kernel at a
+single offset, and ``crosstalk`` is one of its cells for a one-mode pair
+under an explicit stream count ``n_m``. The Bessel-based forms
+(bessel-integral, bessel-sum, asymptotic) assume the offset radius is
+large against the aperture; below ``SMALL_OFFSET_FLOOR``
 (``Method.validity_floor``) those single-offset views still return values
 but flag degraded accuracy with ``ApproximationWarning``.
 """
@@ -270,9 +273,7 @@ def _sample_radii_and_weights(rx: ReceiverConfig) -> tuple[np.ndarray, np.ndarra
 def _ring_powers(
     geom: LinkGeometry,
     rx: ReceiverConfig,
-    n_m: int,
-    tx_modes,
-    filter_modes,
+    modes: ModeSet,
     r_ch: float,
     phi_points: int,
     radial_order: int,
@@ -297,15 +298,15 @@ def _ring_powers(
     phi = 2.0 * np.pi * np.arange(phi_points) / phi_points
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     weighted = rule.weights * rule.nodes
-    harmonics = [ell_j % phi_points for ell_j in filter_modes]
-    out = np.zeros((len(filter_modes), len(tx_modes)))
-    captured = np.zeros(len(tx_modes))
+    harmonics = [ell_j % phi_points for ell_j in modes.filter_modes]
+    out = np.zeros((modes.n_filter, modes.n_tx))
+    captured = np.zeros(modes.n_tx)
     rows = max(1, _EXACT_BLOCK_POINTS // phi_points)
     for start in range(0, radial_order, rows):
         ring = rule.nodes[start : start + rows, np.newaxis]
         x = ring * cos_phi + r_ch
         y = ring * sin_phi
-        fields = lg_field(geom, tx_modes, x, y)
+        fields = lg_field(geom, modes.tx_modes, x, y)
         # ifft index m holds (1/n) sum_k u_k e^{+i m phi_k}; the projection
         # is 2 pi times it, and (2 pi)^2 goes into ``scale``.
         power = np.square(np.abs(np.fft.ifft(fields, axis=-1)))
@@ -314,7 +315,7 @@ def _ring_powers(
             for j, m in enumerate(harmonics):
                 out[j, i] += tx_power[:, m] @ block
             captured[i] += tx_power.sum(axis=1) @ block
-    scale = 2.0 * math.pi * rx.gain / n_m**2
+    scale = 2.0 * math.pi * rx.gain / modes.n_streams**2
     return scale * out, scale * captured
 
 
@@ -327,9 +328,7 @@ def _laurent_product(a: list, b: list) -> list:
 def _ring_projection(
     geom: LinkGeometry,
     rx: ReceiverConfig,
-    n_m: int,
-    tx_modes,
-    filter_modes,
+    modes: ModeSet,
     nodes: np.ndarray,
     weights: np.ndarray,
     r_ch: np.ndarray,
@@ -355,7 +354,7 @@ def _ring_projection(
     gauss = np.exp(-(((nodes - r) / w) ** 2))
     p = geom.radial_index
     fields = {}  # ell_n: (P_k from the lowest power of z up, that power)
-    for ell_n in tx_modes:
+    for ell_n in modes.tx_modes:
         n = abs(ell_n)
         # Horner on the explicit Laguerre sum, in z.
         lag = laguerre_coefficients(p, n)
@@ -369,25 +368,16 @@ def _ring_projection(
         fields[ell_n] = (_laurent_product(poly, helix), -p - n * (ell_n > 0))
     # One table of I_n e^{-|Re beta|} for every order a (tx, filter) pair needs.
     orders = sorted({abs(ell_j + lo + k) for coeffs, lo in fields.values()
-                     for k in range(len(coeffs)) for ell_j in filter_modes})
+                     for k in range(len(coeffs)) for ell_j in modes.filter_modes})
     table = dict(zip(orders, bessel_i_scaled(orders, -2.0 * c * (r * nodes))))
-    out = np.empty((r.shape[0], len(filter_modes), len(tx_modes)))
-    for i, ell_n in enumerate(tx_modes):
+    out = np.empty((r.shape[0], modes.n_filter, modes.n_tx))
+    for i, ell_n in enumerate(modes.tx_modes):
         coeffs, lo = fields[ell_n]
-        scale = (2.0 * math.pi) ** 2 * _envelope_prefactor(geom, rx, n_m, ell_n)
-        for j, ell_j in enumerate(filter_modes):
+        scale = (2.0 * math.pi) ** 2 * _envelope_prefactor(geom, rx, modes.n_streams, ell_n)
+        for j, ell_j in enumerate(modes.filter_modes):
             proj = sum(a * table[abs(ell_j + lo + k)] for k, a in enumerate(coeffs))
             out[:, j, i] = np.square(gauss * np.abs(proj)) @ (scale * weights * nodes)
     return out
-
-
-def _validate_orders(n_m: int, orders) -> None:
-    """Checks the stream count and every mode order."""
-    if not isinstance(n_m, (int, np.integer)) or n_m < 1:
-        raise ValueError(f"n_m must be a positive integer, got {n_m!r}")
-    for ell in orders:
-        if not isinstance(ell, (int, np.integer)):
-            raise ValueError(f"mode order must be an integer, got {ell!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +386,14 @@ def _validate_orders(n_m: int, orders) -> None:
 def crosstalk_exact_detailed(
     geom: LinkGeometry,
     rx: ReceiverConfig,
-    n_m: int,
-    tx_modes,
-    filter_modes,
+    modes: ModeSet,
     r_ch: float,
 ) -> ExactEvaluation:
     """Reference 2D-integral crosstalk with an explicit convergence record.
 
-    The value has shape ``(len(filter_modes), len(tx_modes))``: row j, column
-    i is the coefficient of ``tx_modes[i]`` through the filter matched to
-    ``filter_modes[j]``. Every pair is evaluated on the starting
+    The value has shape ``(n_filter, n_tx)``: row j, column i is the
+    coefficient of ``modes.tx_modes[i]`` through the filter matched to
+    ``modes.filter_modes[j]``. Every pair is evaluated on the starting
     grid (``_EXACT_PHI_POINTS`` x ``_EXACT_RADIAL_ORDER``) and on a doubled
     grid; pairs that differ by more than ``_EXACT_REL_TOL`` take one more
     doubling (radial order is capped at 512). A pair whose values on both
@@ -417,15 +405,13 @@ def crosstalk_exact_detailed(
     change among the pairs' last doublings.
     """
     check_offset_radius(r_ch)
-    _validate_orders(n_m, (*tx_modes, *filter_modes))
-    pair_grid = (geom, rx, n_m, tx_modes, filter_modes, r_ch)
     n_phi, n_rad = _EXACT_PHI_POINTS, _EXACT_RADIAL_ORDER
-    value, _ = _ring_powers(*pair_grid, n_phi, n_rad)
+    value, _ = _ring_powers(geom, rx, modes, r_ch, n_phi, n_rad)
     rel_change = np.full(value.shape, math.inf)
     while True:
         unsettled = rel_change > _EXACT_REL_TOL
         n_phi, n_rad = 2 * n_phi, min(2 * n_rad, 512)
-        refined, captured = _ring_powers(*pair_grid, n_phi, n_rad)
+        refined, captured = _ring_powers(geom, rx, modes, r_ch, n_phi, n_rad)
         size = np.maximum(np.abs(value), np.abs(refined))
         size = np.where(size < 1e-13 * captured, captured, size)
         change = np.abs(refined - value) / np.where(size == 0.0, 1.0, size)
@@ -442,44 +428,6 @@ def crosstalk_exact_detailed(
     )
 
 
-def _coefficient_grid(
-    geom: LinkGeometry,
-    rx: ReceiverConfig,
-    modes: ModeSet,
-    n_m: int,
-    r_ch: float,
-    method: Method,
-) -> np.ndarray:
-    """One (filter, tx) coefficient grid: the method's kernel at one offset.
-
-    exact2d integrates at the given offset and warns with
-    ``QuadratureConvergenceWarning`` if grid doubling still moves a value by
-    more than 0.1%, quoting the largest change. The reduced methods warn
-    with ``ApproximationWarning`` below the method's ``validity_floor``.
-    """
-    if method is Method.EXACT2D:
-        result = crosstalk_exact_detailed(
-            geom, rx, n_m, modes.tx_modes, modes.filter_modes, r_ch
-        )
-        if not result.converged:
-            warnings.warn(
-                f"crosstalk integral did not settle: last grid doubling changed the "
-                f"value by {result.rel_change:.2%}",
-                QuadratureConvergenceWarning,
-                stacklevel=3,
-            )
-        return result.value
-    grid = _profile(geom, rx, modes, n_m, np.array([r_ch]), method)[0]
-    if r_ch < method.validity_floor:
-        warnings.warn(
-            f"offset radius {r_ch:.3g} m is below the {method.validity_floor:g} m validity "
-            "floor of the Bessel-based approximations; accuracy is degraded",
-            ApproximationWarning,
-            stacklevel=3,
-        )
-    return grid
-
-
 def crosstalk(
     geom: LinkGeometry,
     rx: ReceiverConfig,
@@ -489,14 +437,14 @@ def crosstalk(
     r_ch: float,
     method: Method | str = Method.BESSEL_SUM,
 ) -> float:
-    """One coefficient, watts per unit modulation, with the selected method.
-
-    ``n_m`` is the number of data streams the coefficient is normalized by.
+    """One coefficient, watts per unit modulation, with the selected method:
+    the one-stream ``crosstalk_matrix`` cell of the pair, normalized by
+    ``n_m`` data streams instead.
     """
-    method = Method.parse(method)
-    _validate_orders(n_m, (ell_n, ell_j))
+    if not isinstance(n_m, (int, np.integer)) or n_m < 1:
+        raise ValueError(f"n_m must be a positive integer, got {n_m!r}")
     pair = ModeSet((ell_n,), (ell_j,))
-    return float(_coefficient_grid(geom, rx, pair, n_m, r_ch, method)[0, 0])
+    return float(crosstalk_matrix(geom, rx, pair, r_ch, method)[0, 0] / n_m**2)
 
 
 def crosstalk_matrix(
@@ -515,9 +463,33 @@ def crosstalk_matrix(
     data channels (streams), not physical modes, so a stream-grouped set keeps
     the same per-channel scale as its ungrouped counterpart under an equal
     total power budget.
+
+    exact2d integrates at the given offset and warns with
+    ``QuadratureConvergenceWarning`` if grid doubling still moves a value by
+    more than 0.1%, quoting the largest change. The other methods are
+    ``channel_profile`` at the one radius and warn with
+    ``ApproximationWarning`` below the method's ``validity_floor``.
     """
     method = Method.parse(method)
-    return _coefficient_grid(geom, rx, modes, modes.n_streams, r_ch, method)
+    if method is Method.EXACT2D:
+        result = crosstalk_exact_detailed(geom, rx, modes, r_ch)
+        if not result.converged:
+            warnings.warn(
+                f"crosstalk integral did not settle: last grid doubling changed the "
+                f"value by {result.rel_change:.2%}",
+                QuadratureConvergenceWarning,
+                stacklevel=2,
+            )
+        return result.value
+    grid = channel_profile(geom, rx, modes, np.array([r_ch]), method)[0]
+    if r_ch < method.validity_floor:
+        warnings.warn(
+            f"offset radius {r_ch:.3g} m is below the {method.validity_floor:g} m validity "
+            "floor of the Bessel-based approximations; accuracy is degraded",
+            ApproximationWarning,
+            stacklevel=2,
+        )
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +502,16 @@ def channel_profile(
     r_ch: np.ndarray,
     method: Method | str = Method.BESSEL_SUM,
 ) -> np.ndarray:
-    """Coefficient grids for a whole batch of offset radii at once.
+    """The one kernel of every reduced method: coefficient grids for a whole
+    batch of offset radii at once, normalized by ``modes.n_streams``.
 
     Returns an array of shape (len(r_ch), n_filter, n_tx): the grid
-    ``crosstalk_matrix`` gives for each radius. No
-    degraded-accuracy warnings are emitted here; callers are expected to
-    account for offsets below the validity floor themselves. exact2d has no
-    batched form: its one kernel is ``crosstalk_exact_detailed``, at one
-    offset per call.
+    ``crosstalk_matrix`` gives for each radius. The Bessel-based methods
+    vectorize directly and radial-sum projects the shifted field in closed
+    form. No degraded-accuracy warnings are emitted here; callers are
+    expected to account for offsets below the validity floor themselves.
+    exact2d has no batched form: its one kernel is
+    ``crosstalk_exact_detailed``, at one offset per call.
     """
     method = Method.parse(method)
     if method is Method.EXACT2D:
@@ -545,23 +519,6 @@ def channel_profile(
             "exact2d has no batched profile; evaluate it one offset at a time with "
             "crosstalk_matrix or crosstalk_exact_detailed"
         )
-    return _profile(geom, rx, modes, modes.n_streams, r_ch, method)
-
-
-def _profile(
-    geom: LinkGeometry,
-    rx: ReceiverConfig,
-    modes: ModeSet,
-    n_m: int,
-    r_ch: np.ndarray,
-    method: Method,
-) -> np.ndarray:
-    """The one kernel of every reduced method, batched over offset radii.
-
-    ``n_m`` is the stream count the coefficients are normalized by. The
-    Bessel-based methods vectorize directly and radial-sum projects the
-    shifted field in closed form.
-    """
     r = np.asarray(r_ch, dtype=float)
     if r.ndim != 1:
         raise ValueError("r_ch must be one-dimensional")
@@ -576,8 +533,7 @@ def _profile(
         step = max(1, numerics._BLOCK // 2 // nodes.size)
         for start in range(0, r.size, step):
             out[start : start + step] = _ring_projection(
-                geom, rx, n_m, modes.tx_modes, modes.filter_modes, nodes, weights,
-                r[start : start + step],
+                geom, rx, modes, nodes, weights, r[start : start + step]
             )
         return out
 
@@ -605,7 +561,7 @@ def _profile(
     # Envelope factor: depends only on the tx order (through |ell_n|).
     envelope = {}
     for ell_n in set(abs(m) for m in modes.tx_modes):
-        envelope[ell_n] = mode_envelope(geom, rx, n_m, ell_n, r)
+        envelope[ell_n] = mode_envelope(geom, rx, modes.n_streams, ell_n, r)
 
     for j, ell_j in enumerate(modes.filter_modes):
         for i, ell_n in enumerate(modes.tx_modes):

@@ -244,7 +244,7 @@ def simulate_ber(
         raise DegradedChannelError(
             f"{degraded_fraction:.3%} of trials drew offsets below the "
             f"{cfg.crosstalk_method.validity_floor:g} m validity floor of method "
-            f"'{Method.parse(cfg.crosstalk_method).value}' (limit 0.1%); "
+            f"'{cfg.crosstalk_method.value}' (limit 0.1%); "
             "set mc.allow_degraded = true to accept them or use an exact method"
         )
     p_hat = vec_errors / cfg.trials

@@ -7,6 +7,7 @@ helical phase, translation) that do not depend on the implementation.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,8 @@ class TestModeSet:
         modes = ModeSet(tx_modes=(-2, 1), filter_modes=(-4, -2, 1, 3))
         assert modes.n_filter == 4
         assert modes.tx_modes == (-2, 1)
+        # NumPy integers are orders too.
+        assert ModeSet(np.array([-2, 1]), [np.int64(1)]).filter_modes == (1,)
 
     def test_streams_default_to_singletons(self):
         modes = ModeSet(tx_modes=(-2, 1))
@@ -156,6 +159,21 @@ class TestModeSet:
             ModeSet(tx_modes=(-2, 1), stream_grouping=((-2, 1), (1,)))
         with pytest.raises(ValueError):
             ModeSet(tx_modes=(-2, 1), stream_grouping=((-2, 1), ()))
+
+    @pytest.mark.parametrize(
+        "args, refusal",
+        [
+            (((1.9, -2),), "tx mode order must be an integer, got 1.9"),
+            (((2.0, -2),), "tx mode order must be an integer, got 2.0"),
+            (((1, -2), ("0", 1)), "filter mode order must be an integer, got '0'"),
+            (((1, -2), None, [[1.5], [-2]]), "stream grouping order must be an integer, got 1.5"),
+        ],
+    )
+    def test_refuses_a_non_integer_order(self, args, refusal):
+        # Refused by name, as lg_field refuses them, not truncated to the
+        # integer set nobody asked for.
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            ModeSet(*args)
 
 
 def polar_closed_form(geom, ell, r, phi):

@@ -315,6 +315,14 @@ class TestMainErrors:
              "sweep.grid value for pointing.sigma_theta_rad=0.001"),
             (["monte-carlo", "-s", "pointing.sigma_theta_rad=1e-3"], None,
              "pointing.sigma_theta_rad=0.001"),
+            # So can a crosstalk-curve radius or the bench's top radius: the
+            # refusal names that key and the link keys beside the aperture.
+            (["crosstalk-curve", "--grid", "1e5"], None,
+             "sweep.grid value=100000.0, geometry.distance_m=1000000.0, geometry.w0_m=0.025"),
+            (["crosstalk-curve", "-s", "pointing.r_ch_m=1e5"], None,
+             "pointing.r_ch_m=100000.0, geometry.distance_m=1000000.0, geometry.w0_m=0.025"),
+            (["bench", "-s", "bench.r_max_m=1e5"], None,
+             "bench.r_max_m=100000.0, geometry.distance_m=1000000.0, geometry.w0_m=0.025"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):

@@ -17,7 +17,13 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 import oamlink.crosstalk
-from oamlink.beam import LinkGeometry, ModeSet, lg_field, shifted_aperture_field
+from oamlink.beam import (
+    MAX_AZIMUTHAL_ORDER,
+    LinkGeometry,
+    ModeSet,
+    lg_field,
+    shifted_aperture_field,
+)
 from oamlink.crosstalk import (
     SMALL_OFFSET_FLOOR,
     ApproximationWarning,
@@ -100,13 +106,19 @@ def brute_force_coefficient(geom, rx, n_m, ell_n, ell_j, r_ch, n_phi=768, n_rad=
     return rx.gain / n_m**2 * 2.0 * math.pi * radial
 
 
+def pair(ell_n, ell_j):
+    """The one-stream mode set of a single (tx, filter) pair."""
+    return ModeSet((ell_n,), (ell_j,))
+
+
 class TestReferenceIntegral:
     def test_frozen_values(self):
+        # The frozen values carry N_M streams; a pair set carries one.
         geom, rx = default_geom(), default_rx()
         for (ell_n, ell_j, r), expected in FROZEN_EXACT.items():
-            got = crosstalk_exact_detailed(geom, rx, N_M, [ell_n], [ell_j], r).value
+            got = crosstalk_exact_detailed(geom, rx, pair(ell_n, ell_j), r).value
             assert got.shape == (1, 1)
-            assert got[0, 0] == pytest.approx(expected, rel=1e-9), (ell_n, ell_j, r)
+            assert got[0, 0] / N_M**2 == pytest.approx(expected, rel=1e-9), (ell_n, ell_j, r)
 
     def test_aligned_fundamental_closed_form(self):
         # At zero offset the ell = 0 diagonal is the encircled Gaussian power
@@ -114,51 +126,52 @@ class TestReferenceIntegral:
         geom, rx = default_geom(), default_rx()
         w = geom.beam_radius_at_rx
         expected = (1.0 - math.exp(-2.0 * rx.aperture_radius**2 / w**2)) / N_M**2
-        got = crosstalk_exact_detailed(geom, rx, N_M, [0], [0], 0.0).value[0, 0]
+        got = crosstalk(geom, rx, N_M, 0, 0, 0.0, "exact2d")
         assert got == pytest.approx(expected, rel=1e-10)
 
     def test_matches_in_test_brute_force(self):
         geom, rx = default_geom(), default_rx()
         brute = brute_force_coefficient(geom, rx, N_M, -2, 1, 8.0)
         r_ch = 8.0
-        got = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], r_ch).value[0, 0]
+        got = crosstalk(geom, rx, N_M, -2, 1, r_ch, "exact2d")
         assert got == pytest.approx(brute, rel=1e-4)
 
     def test_detailed_reports_convergence(self):
         geom, rx = default_geom(), default_rx()
-        result = crosstalk_exact_detailed(
-            geom, rx, N_M, [-2], [1], 8.0
-        )
+        result = crosstalk_exact_detailed(geom, rx, pair(-2, 1), 8.0)
         assert result.converged
         assert result.rel_change <= 1e-3
-        assert result.value[0, 0] == pytest.approx(FROZEN_EXACT[(-2, 1, 8.0)], rel=1e-9)
+        assert result.value[0, 0] / N_M**2 == pytest.approx(FROZEN_EXACT[(-2, 1, 8.0)], rel=1e-9)
 
     def test_gain_scales_linearly(self):
         geom = default_geom()
-        base = crosstalk_exact_detailed(
-            geom, default_rx(), N_M, [1], [1], 5.0
-        ).value[0, 0]
+        base = crosstalk_exact_detailed(geom, default_rx(), pair(1, 1), 5.0).value[0, 0]
         boosted = crosstalk_exact_detailed(
-            geom, default_rx(apd_gain=10.0), N_M, [1], [1], 5.0
+            geom, default_rx(apd_gain=10.0), pair(1, 1), 5.0
         ).value[0, 0]
         assert boosted == pytest.approx(10.0 * base, rel=1e-12)
 
     def test_stream_count_normalization(self):
+        # The grid is normalized by the mode set's stream count, the single
+        # coefficient by its explicit n_m.
         geom, rx = default_geom(), default_rx()
         r_ch = 5.0
-        one = crosstalk_exact_detailed(geom, rx, 1, [1], [1], r_ch).value[0, 0]
-        four = crosstalk_exact_detailed(geom, rx, 4, [1], [1], r_ch).value[0, 0]
-        assert one == pytest.approx(16.0 * four, rel=1e-12)
+        one = crosstalk_exact_detailed(geom, rx, pair(1, 1), r_ch).value[0, 0]
+        four = crosstalk_exact_detailed(geom, rx, ModeSet((1, -4, -2, 3), (1,)), r_ch).value
+        assert one == pytest.approx(16.0 * four[0, 0], rel=1e-12)
+        assert crosstalk(geom, rx, 4, 1, 1, r_ch, "exact2d") == four[0, 0]
 
     def test_validation(self):
         geom, rx = default_geom(), default_rx()
         r_ch = 5.0
-        with pytest.raises(ValueError):
-            crosstalk_exact_detailed(geom, rx, 0, [1], [1], r_ch)
-        with pytest.raises(ValueError):
-            crosstalk_exact_detailed(geom, rx, N_M, [1.5], [1], r_ch)
-        with pytest.raises(ValueError):
-            crosstalk_exact_detailed(geom, rx, N_M, [1], ["0"], r_ch)
+        for n_m in (0, 2.0):
+            with pytest.raises(ValueError, match="n_m must be a positive integer"):
+                crosstalk(geom, rx, n_m, 1, 1, r_ch, "exact2d")
+        # Mode orders are checked by the mode set.
+        with pytest.raises(ValueError, match="tx mode order must be an integer, got 1.5"):
+            crosstalk(geom, rx, N_M, 1.5, 1, r_ch, "exact2d")
+        with pytest.raises(ValueError, match="filter mode order must be an integer, got '0'"):
+            crosstalk(geom, rx, N_M, 1, "0", r_ch, "exact2d")
 
 
 class TestApproximationChain:
@@ -170,9 +183,7 @@ class TestApproximationChain:
         table = {}
         for r in self.RADII:
             for ell_n, ell_j in self.PAIRS:
-                table[(ell_n, ell_j, r)] = crosstalk_exact_detailed(
-                    geom, rx, N_M, [ell_n], [ell_j], r
-                ).value[0, 0]
+                table[(ell_n, ell_j, r)] = crosstalk(geom, rx, N_M, ell_n, ell_j, r, "exact2d")
         return geom, rx, table
 
     def test_radial_sum_within_five_percent(self):
@@ -252,11 +263,12 @@ class TestApproximationChain:
 class TestStructuralInvariants:
     def test_filter_orders_sum_to_collected_power(self):
         # Summing the coefficients of one transmitted mode over filter orders
-        # recovers its gain-weighted power through the aperture.
+        # recovers its gain-weighted power through the aperture. Orders past
+        # the mode-set guard carry below 1e-22 of it.
         geom, rx = default_geom(), default_rx()
         r_ch = 5.0
-        orders = list(range(-20, 21))
-        total = sum(crosstalk_exact_detailed(geom, rx, N_M, [2], orders, r_ch).value[:, 0])
+        orders = list(range(-MAX_AZIMUTHAL_ORDER, MAX_AZIMUTHAL_ORDER + 1))
+        total = sum(crosstalk_exact_detailed(geom, rx, ModeSet((2,), orders), r_ch).value[:, 0])
 
 
         rule = gauss_legendre(200, 0.0, rx.aperture_radius)
@@ -267,27 +279,27 @@ class TestStructuralInvariants:
             return r * ((2.0 * np.pi / 256) * power.sum())
 
         collected = rule.weights @ np.array([ring(r) for r in rule.nodes])
-        assert total == pytest.approx(rx.gain * collected / N_M**2, rel=1e-3)
+        assert total == pytest.approx(rx.gain * collected, rel=1e-3)
         # The reference grid's sum over every harmonic is the same power
         # (Parseval); exact2d measures its round-off floor against it.
-        _, captured = _ring_powers(geom, rx, N_M, [2], [2], r_ch, 512, 128)
-        assert captured[0] == pytest.approx(rx.gain * collected / N_M**2, rel=1e-9)
+        _, captured = _ring_powers(geom, rx, pair(2, 2), r_ch, 512, 128)
+        assert captured[0] == pytest.approx(rx.gain * collected, rel=1e-9)
 
     def test_spectrum_matches_single_projection(self):
         geom, rx = default_geom(), default_rx()
         r_ch = 8.0
         orders = list(range(-3, 4))
-        values = crosstalk_exact_detailed(geom, rx, N_M, [-2], orders, r_ch).value[:, 0]
+        values = crosstalk_exact_detailed(geom, rx, ModeSet((-2,), orders), r_ch).value[:, 0]
         spectrum = dict(zip(orders, values))
-        direct = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], r_ch).value[0, 0]
+        direct = crosstalk_exact_detailed(geom, rx, pair(-2, 1), r_ch).value[0, 0]
         assert spectrum[1] == pytest.approx(direct, rel=1e-4)
 
     def test_mirror_symmetry(self):
         # Reflecting the plane flips the sign of every azimuthal order.
         geom, rx = default_geom(), default_rx()
         r_ch = 8.0
-        plus = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], r_ch).value[0, 0]
-        minus = crosstalk_exact_detailed(geom, rx, N_M, [2], [-1], r_ch).value[0, 0]
+        plus = crosstalk_exact_detailed(geom, rx, pair(-2, 1), r_ch).value[0, 0]
+        minus = crosstalk_exact_detailed(geom, rx, pair(2, -1), r_ch).value[0, 0]
         assert plus == pytest.approx(minus, rel=1e-12)
 
     def test_radial_index_one(self):
@@ -296,7 +308,7 @@ class TestStructuralInvariants:
         geom = default_geom(radial_index=1)
         rx = default_rx(k_r=64)
         r_ch = 10.0
-        ref = crosstalk_exact_detailed(geom, rx, N_M, [2], [0], r_ch).value[0, 0]
+        ref = crosstalk(geom, rx, N_M, 2, 0, r_ch, "exact2d")
         got = crosstalk(geom, rx, N_M, 2, 0, r_ch, "radial-sum")
         assert got == pytest.approx(ref, rel=1e-2)
 
@@ -310,15 +322,12 @@ class TestClosedFormProjection:
     def closed_and_fft(self, geom, radial_order=24):
         rx = default_rx()
         rule = gauss_legendre(radial_order, 0.0, rx.aperture_radius)
+        modes = ModeSet(self.ORDERS)
         closed = _ring_projection(
-            geom, rx, N_M, self.ORDERS, self.ORDERS, rule.nodes, rule.weights,
-            np.array(self.RADII),
+            geom, rx, modes, rule.nodes, rule.weights, np.array(self.RADII)
         )
         for got, r in zip(closed, self.RADII):
-            want, _ = _ring_powers(
-                geom, rx, N_M, self.ORDERS, self.ORDERS, r, 1024,
-                radial_order,
-            )
+            want, _ = _ring_powers(geom, rx, modes, r, 1024, radial_order)
             yield r, got, want
 
     @pytest.mark.parametrize("distance", [5.0e5, 1.0e6])
@@ -355,11 +364,11 @@ class TestReferenceGridMemory:
         # tx modes: a single field pass over the whole grid holds over
         # 100 MB; blocks of rings keep the peak to a few MB.
         geom, rx = default_geom(), default_rx()
-        modes = (-4, -2, 1, 3)
+        modes = ModeSet((-4, -2, 1, 3))
         r_ch = 14.0
         tracemalloc.start()
         try:
-            _ring_powers(geom, rx, N_M, modes, modes, r_ch, 2048, 512)
+            _ring_powers(geom, rx, modes, r_ch, 2048, 512)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -378,7 +387,7 @@ class TestReferenceGridMemory:
         monkeypatch.setattr("oamlink.crosstalk.lg_field", counting)
         geom, rx = default_geom(), default_rx()
         # 16,384-point blocks of 512-angle rings: 32 rings, then the last 8.
-        _ring_powers(geom, rx, N_M, [-2, 1], [-2, 1], 6.0, 512, 40)
+        _ring_powers(geom, rx, ModeSet((-2, 1)), 6.0, 512, 40)
         assert [len(args) for args, _ in calls] == [4, 4]
         assert [kwargs for _, kwargs in calls] == [{}, {}]
         sizes = [np.broadcast(args[2], args[3]).size for args, _ in calls]
@@ -400,8 +409,8 @@ class TestDispatchAndBatching:
             grid = channel_profile(geom, rx, modes, np.array([r_ch]), method)[0]
             got = crosstalk(geom, rx, modes.n_streams, -2, 1, r_ch, method=method.value)
             assert got == pytest.approx(grid[1, 0], rel=1e-12), method
-        reference = crosstalk_exact_detailed(geom, rx, N_M, [-2], [1], r_ch).value[0, 0]
-        assert crosstalk(geom, rx, N_M, -2, 1, r_ch, method="exact2d") == reference
+        reference = crosstalk_exact_detailed(geom, rx, pair(-2, 1), r_ch).value[0, 0]
+        assert crosstalk(geom, rx, N_M, -2, 1, r_ch, method="exact2d") == reference / N_M**2
         default = crosstalk(geom, rx, N_M, -2, 1, r_ch)
         assert default == crosstalk(geom, rx, N_M, -2, 1, r_ch, "bessel-sum")
 
@@ -412,17 +421,20 @@ class TestDispatchAndBatching:
             Method.parse("bessel")
 
     def test_matrix_matches_elementwise_calls(self, monkeypatch):
+        # Two and four streams: the single coefficient divides its one-stream
+        # value by n_m^2 exactly.
         geom, rx = default_geom(), default_rx()
-        modes = ModeSet(tx_modes=(-2, 1), filter_modes=(-2, 0, 1))
         r_ch = 6.0
-        matrix = crosstalk_matrix(geom, rx, modes, r_ch, Method.BESSEL_SUM)
-        assert matrix.shape == (3, 2)
-        for j, ell_j in enumerate(modes.filter_modes):
-            for i, ell_n in enumerate(modes.tx_modes):
-                want = crosstalk(
-                    geom, rx, modes.n_streams, ell_n, ell_j, r_ch, "bessel-sum"
-                )
-                assert matrix[j, i] == want
+        for tx_modes in ((-2, 1), (-4, -2, 1, 3)):
+            modes = ModeSet(tx_modes=tx_modes, filter_modes=(-2, 0, 1))
+            matrix = crosstalk_matrix(geom, rx, modes, r_ch, Method.BESSEL_SUM)
+            assert matrix.shape == (3, len(tx_modes))
+            for j, ell_j in enumerate(modes.filter_modes):
+                for i, ell_n in enumerate(modes.tx_modes):
+                    want = crosstalk(
+                        geom, rx, modes.n_streams, ell_n, ell_j, r_ch, "bessel-sum"
+                    )
+                    assert matrix[j, i] == want
 
         # exact2d doubles one grid for the whole matrix, and each pair keeps
         # the value of the first doubling that settled it.
@@ -432,16 +444,14 @@ class TestDispatchAndBatching:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", QuadratureConvergenceWarning)
                 matrix = crosstalk_matrix(geom, rx, modes, r_ch, Method.EXACT2D)
-            whole = crosstalk_exact_detailed(
-                geom, rx, n_m, modes.tx_modes, modes.filter_modes, r_ch
-            )
+            whole = crosstalk_exact_detailed(geom, rx, modes, r_ch)
             assert np.array_equal(whole.value, matrix)
             pairs = []
             for j, ell_j in enumerate(modes.filter_modes):
                 for i, ell_n in enumerate(modes.tx_modes):
-                    pair = crosstalk_exact_detailed(geom, rx, n_m, [ell_n], [ell_j], r_ch)
-                    assert matrix[j, i] == pair.value[0, 0], (r_ch, ell_n, ell_j)
-                    pairs.append(pair)
+                    one = crosstalk_exact_detailed(geom, rx, pair(ell_n, ell_j), r_ch)
+                    assert matrix[j, i] == one.value[0, 0] / n_m**2, (r_ch, ell_n, ell_j)
+                    pairs.append(one)
             assert whole.rel_change == max(p.rel_change for p in pairs)
             assert whole.phi_points == max(p.phi_points for p in pairs)
             assert whole.radial_order == max(p.radial_order for p in pairs)
@@ -456,15 +466,13 @@ class TestDispatchAndBatching:
         # the one-pair calls.
         monkeypatch.setattr(oamlink.crosstalk, "_EXACT_REL_TOL", 1e-13)
         r_ch = 1.5
-        whole = crosstalk_exact_detailed(
-            geom, rx, n_m, modes.tx_modes, modes.filter_modes, r_ch
-        )
+        whole = crosstalk_exact_detailed(geom, rx, modes, r_ch)
         pairs = [
-            crosstalk_exact_detailed(geom, rx, n_m, [ell_n], [ell_j], r_ch)
+            crosstalk_exact_detailed(geom, rx, pair(ell_n, ell_j), r_ch)
             for ell_j in modes.filter_modes
             for ell_n in modes.tx_modes
         ]
-        assert whole.value.ravel().tolist() == [p.value[0, 0] for p in pairs]
+        assert whole.value.ravel().tolist() == [p.value[0, 0] / n_m**2 for p in pairs]
         assert min(p.phi_points for p in pairs) < whole.phi_points
 
     def test_matrix_normalizes_by_stream_count(self):
@@ -560,7 +568,7 @@ class TestWarningsAndGuards:
         "crosstalk_matrix": lambda geom, rx, modes, r: crosstalk_matrix(
             geom, rx, modes, r, "exact2d"),
         "crosstalk_exact_detailed": lambda geom, rx, modes, r: crosstalk_exact_detailed(
-            geom, rx, N_M, [-2], [1], r),
+            geom, rx, modes, r),
         "shifted_aperture_field": lambda geom, rx, modes, r: shifted_aperture_field(
             geom, 1, 1.0, 0.0, r),
     }

@@ -1,8 +1,10 @@
-"""Public names: every module's ``__all__`` resolves and star-imports, and
-every import is used."""
+"""Public names: every module's ``__all__`` resolves and star-imports,
+every import is used, and the argument slots the span tracer reads keep
+their parameters."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import symtable
 
@@ -20,6 +22,25 @@ def test_all_names_resolve_and_star_import(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+# The positional slots benchmarks/spans.py reads its counts and method
+# suffixes from, by parameter name.
+TRACED_SLOTS = {
+    "oamlink.crosstalk.channel_profile": {3: "r_ch", 4: "method"},
+    "oamlink.crosstalk.crosstalk_matrix": {4: "method"},
+    "oamlink.beam.lg_field": {2: "x", 3: "y"},
+    "oamlink.numerics.bessel_j": {1: "x"},
+}
+
+
+@pytest.mark.parametrize("name", TRACED_SLOTS)
+def test_traced_argument_slots_keep_their_parameters(name):
+    # A signature change that shifted one of these slots would make the
+    # tracer miscount radii or points, or misname a method, without failing.
+    module, _, attr = name.rpartition(".")
+    params = list(inspect.signature(getattr(importlib.import_module(module), attr)).parameters)
+    assert {slot: params[slot] for slot in TRACED_SLOTS[name]} == TRACED_SLOTS[name]
 
 
 # The imports that only give benchmarks/spans.py a name to rebind; each
