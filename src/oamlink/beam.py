@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -97,25 +98,45 @@ class LinkGeometry:
         """Wavefront curvature radius R(Z) = Z * (1 + (z_R/Z)^2), meters."""
         return self.distance * (1.0 + (self.rayleigh_range / self.distance) ** 2)
 
+    @property
+    def gaussian_coefficient(self) -> complex:
+        """c = 1/w(Z)^2 + i k/(2 R(Z)), 1/m^2: the field at Z carries
+        exp(-c r^2)."""
+        return 1.0 / self.beam_radius_at_rx**2 + 0.5j * self.wavenumber / self.curvature_at_rx
+
+    def rayleigh_scale(self, sigma_theta: float) -> float:
+        """Scale sigma_theta * Z, meters, of the Rayleigh offset radius that
+        the per-axis angular jitter sigma_theta (radians) gives at Z; refused
+        unless sigma_theta is positive and the scale's square, which the
+        density divides by, is a normal float."""
+        if not (sigma_theta > 0 and math.isfinite(sigma_theta)):
+            raise ValueError(f"sigma_theta must be positive, got {sigma_theta!r}")
+        scale = sigma_theta * self.distance
+        if not (sys.float_info.min <= scale * scale < math.inf):
+            raise ValueError(f"sigma_theta {sigma_theta!r} gives a Rayleigh scale "
+                             f"{scale!r} m whose square is not a normal float")
+        return scale
+
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Transmitted OAM orders, receiver filter orders, and optional stream grouping.
+    """Transmitted OAM orders, receiver filter orders, and their data streams.
 
-    ``stream_grouping`` partitions ``tx_modes`` into data streams for the
-    multi-mode configurations in which several modes carry one stream; when
-    absent every mode is its own stream. ``stream_matrix`` mixes the modes
-    into streams. Each order list is pairwise distinct: a repeated filter
-    would count its branch twice in the detection. Every order is an
-    integer (``int`` or ``np.integer``) within ``MAX_AZIMUTHAL_ORDER``, as
-    ``lg_field`` requires; a float or a string is refused by name, never
-    truncated. The crosstalk layer normalises each coefficient grid by
-    ``n_streams``.
+    ``streams`` partitions ``tx_modes`` into data streams. The constructor's
+    ``stream_grouping`` gives it for the multi-mode configurations in which
+    several modes carry one stream; when absent every mode is its own
+    stream, so one set has one stored form. ``stream_matrix`` mixes the
+    modes into streams. Neither order list is empty, and each is pairwise
+    distinct: a repeated filter would count its branch twice in the
+    detection. Every order is an integer (``int`` or ``np.integer``) within
+    ``MAX_AZIMUTHAL_ORDER``, as ``lg_field`` requires; a float or a string
+    is refused by name, never truncated. The crosstalk layer normalises
+    each coefficient grid by ``n_streams``.
     """
 
     tx_modes: tuple[int, ...]
     filter_modes: tuple[int, ...]
-    stream_grouping: Optional[tuple[tuple[int, ...], ...]] = None
+    streams: tuple[tuple[int, ...], ...]
 
     def __init__(
         self,
@@ -125,28 +146,25 @@ class ModeSet:
     ) -> None:
         tx = _checked_orders("tx mode", tx_modes)
         flt = tx if filter_modes is None else _checked_orders("filter mode", filter_modes)
-        grouping = (
-            None
-            if stream_grouping is None
-            else tuple(_checked_orders("stream grouping", g) for g in stream_grouping)
-        )
+        if stream_grouping is None:
+            streams = tuple((m,) for m in tx)
+        else:
+            streams = tuple(_checked_orders("stream grouping", g) for g in stream_grouping)
         if len(set(tx)) != len(tx):
             raise ValueError(f"tx modes must be pairwise distinct, got {tx}")
         if len(set(flt)) != len(flt):
             raise ValueError(f"filter modes must be pairwise distinct, got {flt}")
         if not tx:
             raise ValueError("need at least one tx mode")
-        if grouping is not None:
-            flat = [m for g in grouping for m in g]
-            if sorted(flat) != sorted(tx):
-                raise ValueError(
-                    f"stream grouping {grouping} does not partition tx modes {tx}"
-                )
-            if any(len(g) == 0 for g in grouping):
-                raise ValueError("stream grouping must not contain empty streams")
+        if not flt:
+            raise ValueError("need at least one filter mode")
+        if sorted(m for g in streams for m in g) != sorted(tx):
+            raise ValueError(f"stream grouping {streams} does not partition tx modes {tx}")
+        if any(len(g) == 0 for g in streams):
+            raise ValueError("stream grouping must not contain empty streams")
         object.__setattr__(self, "tx_modes", tx)
         object.__setattr__(self, "filter_modes", flt)
-        object.__setattr__(self, "stream_grouping", grouping)
+        object.__setattr__(self, "streams", streams)
 
     @property
     def n_tx(self) -> int:
@@ -155,13 +173,6 @@ class ModeSet:
     @property
     def n_filter(self) -> int:
         return len(self.filter_modes)
-
-    @property
-    def streams(self) -> tuple[tuple[int, ...], ...]:
-        """Stream partition; defaults to one mode per stream."""
-        if self.stream_grouping is not None:
-            return self.stream_grouping
-        return tuple((m,) for m in self.tx_modes)
 
     @property
     def n_streams(self) -> int:
@@ -242,7 +253,7 @@ def lg_field(geom: LinkGeometry, orders: Sequence[int], x, y) -> np.ndarray:
     gouy = math.atan2(geom.distance, geom.rayleigh_range)
 
     r2 = np.square(x_arr) + np.square(y_arr)
-    shared = np.exp(-(1.0 / w**2 + 0.5j * geom.wavenumber / geom.curvature_at_rx) * r2)
+    shared = np.exp(-geom.gaussian_coefficient * r2)
     step = np.empty(r2.shape, dtype=complex)
     np.multiply(x_arr, math.sqrt(2.0) / w, out=step.real)
     np.multiply(y_arr, -math.sqrt(2.0) / w, out=step.imag)

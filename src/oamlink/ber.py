@@ -5,8 +5,10 @@ where H is the element-wise square root of the crosstalk coefficient grid
 and A is the on/off symbol vector. For two streams the average error
 probability conditioned on the pointing offset is a four-term sum of
 Q-functions over the stream amplitude vectors h1 and h2 (a union-style
-bound, so it ranges up to 1.5 rather than 0.5). Averaging over the Rayleigh
-law of the offset radius gives the link-level figure of merit.
+bound, so it ranges up to 1.5 rather than 0.5). The pointing error is one
+number, the per-axis angular jitter sigma_theta: the offset radius at the
+receiver is Rayleigh with scale sigma_theta Z, Z the geometry's link
+distance, and averaging over it gives the link-level figure of merit.
 
 The conditional expression counts symbol-vector errors, one term per wrong
 hypothesis, and is not divided by the two bits per symbol interval; the
@@ -17,7 +19,6 @@ comparable.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,7 +37,8 @@ from oamlink.crosstalk import (
 from oamlink.numerics import gauss_legendre, laguerre_coefficients, q_function
 
 __all__ = [
-    "PointingStats",
+    "REACH_SIGMAS",
+    "rayleigh_pdf",
     "BerResult",
     "conditional_ber",
     "average_ber",
@@ -46,45 +48,17 @@ __all__ = [
 # with the base order by the convergence self-check).
 _WINDOW_ORDER = 48
 
+# The Rayleigh average covers offset radii up to this many sigma_r; the
+# excluded tail carries less than 1.3e-14 of the probability mass.
+REACH_SIGMAS = 8.0
 
-@dataclass(frozen=True)
-class PointingStats:
-    """Per-axis tracking jitter and the induced radial offset law.
 
-    Each transverse displacement component is theta * distance with
-    theta ~ N(0, sigma_theta^2), so the offset radius r_ch is Rayleigh
-    with scale sigma_theta * distance.
-    """
-
-    sigma_theta: float
-    distance: float
-
-    def __post_init__(self) -> None:
-        if not (self.sigma_theta > 0 and math.isfinite(self.sigma_theta)):
-            raise ValueError(f"sigma_theta must be positive, got {self.sigma_theta!r}")
-        if not (self.distance > 0 and math.isfinite(self.distance)):
-            raise ValueError(f"distance must be positive, got {self.distance!r}")
-        # The density divides by sigma_r^2, which must be a normal float.
-        if not (sys.float_info.min <= self.rayleigh_scale * self.rayleigh_scale < math.inf):
-            raise ValueError(f"sigma_theta {self.sigma_theta!r} gives a Rayleigh scale "
-                             f"{self.rayleigh_scale!r} m whose square is not a normal float")
-
-    @property
-    def rayleigh_scale(self) -> float:
-        """Scale sigma_r of the Rayleigh offset-radius distribution, meters."""
-        return self.sigma_theta * self.distance
-
-    @property
-    def reach(self) -> float:
-        """Largest offset radius the Rayleigh average covers, 8 sigma_r, m;
-        the excluded tail carries less than 1.3e-14 of the probability mass."""
-        return 8.0 * self.rayleigh_scale
-
-    def pdf(self, r) -> np.ndarray:
-        """Rayleigh density (r/sigma_r^2) exp(-r^2 / (2 sigma_r^2))."""
-        r_arr = np.asarray(r, dtype=float)
-        s2 = self.rayleigh_scale**2
-        return r_arr / s2 * np.exp(-(r_arr**2) / (2.0 * s2))
+def rayleigh_pdf(r, scale: float) -> np.ndarray:
+    """Rayleigh density (r/sigma_r^2) exp(-r^2 / (2 sigma_r^2)) of the offset
+    radius, with the scale sigma_r = ``LinkGeometry.rayleigh_scale``."""
+    r_arr = np.asarray(r, dtype=float)
+    s2 = scale**2
+    return r_arr / s2 * np.exp(-(r_arr**2) / (2.0 * s2))
 
 
 @dataclass(frozen=True)
@@ -97,7 +71,6 @@ class BerResult:
     """
 
     averaged: float
-    method: Method
     quad_self_check_rel: float = 0.0
     quad_converged: bool = True
     degraded_node_fraction: float = 0.0
@@ -260,14 +233,15 @@ def average_ber(
     geom: LinkGeometry,
     rx: ReceiverConfig,
     modes: ModeSet,
-    stats: PointingStats,
+    sigma_theta: float,
     method: Method | str = Method.BESSEL_SUM,
     quad_order: int = 64,
 ) -> BerResult:
     """Rayleigh-averaged error probability over the pointing distribution.
 
     Gauss-Legendre integration of conditional BER times the Rayleigh
-    density on [0, 8 sigma_r] (``PointingStats.reach``). The rule is
+    density of scale sigma_r = sigma_theta Z (``rayleigh_pdf``) on
+    [0, 8 sigma_r] (``REACH_SIGMAS``). The rule is
     composed piecewise around each stream-amplitude crossing, whose
     centimeter-scale degeneracy ridge a single global rule would step
     over. The rule at twice the order is the self-check, and both orders
@@ -278,12 +252,13 @@ def average_ber(
     two data streams. exact2d has no batched profile and is refused
     (``channel_profile``).
     """
+    scale = geom.rayleigh_scale(sigma_theta)
     if not isinstance(quad_order, (int, np.integer)) or not (16 <= quad_order <= 256):
         raise ValueError(f"quad_order must be an integer in [16, 256], got {quad_order!r}")
     method = Method.parse(method)
     if modes.n_streams != 2:
         raise ValueError(f"need exactly 2 data streams, got {modes.n_streams}")
-    upper = stats.reach
+    upper = REACH_SIGMAS * scale
     floor = method.validity_floor
     if upper < floor:
         warnings.warn(
@@ -299,7 +274,7 @@ def average_ber(
                                                2 * _WINDOW_ORDER)
     both = np.concatenate([nodes, fine_nodes])
     h1, h2 = _vectors_from_profile(channel_profile(geom, rx, modes, both, method), modes)
-    integrand = stats.pdf(both) * conditional_ber(h1, h2, rx.noise_level)
+    integrand = rayleigh_pdf(both, scale) * conditional_ber(h1, h2, rx.noise_level)
     base = float(np.dot(weights, integrand[: nodes.size]))
     refined = float(np.dot(fine_weights, integrand[nodes.size :]))
     degraded_fraction = float(np.count_nonzero(nodes < floor)) / nodes.size
@@ -315,7 +290,6 @@ def average_ber(
         )
     return BerResult(
         averaged=base,
-        method=method,
         quad_self_check_rel=self_check,
         quad_converged=converged,
         degraded_node_fraction=degraded_fraction,

@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from oamlink import __version__
 from oamlink.beam import LinkGeometry, ModeSet
-from oamlink.ber import PointingStats, average_ber
+from oamlink.ber import REACH_SIGMAS, average_ber
 from oamlink.crosstalk import Method, ReceiverConfig, crosstalk_matrix
 from oamlink.montecarlo import (
     DegradedChannelError,
@@ -327,10 +327,10 @@ class RunConfig:
             )
         return self.averaged_methods()[0]
 
-    def link(self) -> tuple[LinkGeometry, ReceiverConfig, PointingStats]:
-        """Link and jitter of the commands that draw or average over the
-        pointing jitter; refuses Bessel arguments past their range at
-        offsets out to 8 sigma_r."""
+    def link(self) -> tuple[LinkGeometry, ReceiverConfig, float]:
+        """Link and angular jitter sigma_theta of the commands that draw or
+        average over the pointing jitter; refuses Bessel arguments past
+        their range at offsets out to 8 sigma_r (``REACH_SIGMAS``)."""
         if not self.is_set("pointing.sigma_theta_rad"):
             raise ConfigError(
                 "this command averages over pointing jitter; set "
@@ -339,9 +339,9 @@ class RunConfig:
         geom, rx = self.geometry(), self.receiver()
         sigma_theta = self.number("pointing.sigma_theta_rad")
         with _config_errors(keys={"sigma_theta": "pointing.sigma_theta_rad"}):
-            stats = PointingStats(sigma_theta, geom.distance)
-        _check_bessel_range(geom, rx, stats.reach, "pointing.sigma_theta_rad", sigma_theta)
-        return geom, rx, stats
+            reach = REACH_SIGMAS * geom.rayleigh_scale(sigma_theta)
+        _check_bessel_range(geom, rx, reach, "pointing.sigma_theta_rad", sigma_theta)
+        return geom, rx, sigma_theta
 
     def quad_order(self) -> int:
         """Gauss-Legendre order of the jitter average."""
@@ -549,11 +549,11 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
     # Every simulation here runs mc.trials under one worker setting, so
     # each has the same thread and chunk layout.
     layout = {}
-    for value, (geom, rx, stats) in zip(grid, points):
+    for value, (geom, rx, sigma_theta) in zip(grid, points):
         for modes in candidates:
             label = mode_set_label(modes)
             for method in methods:
-                res, status = _capture(average_ber, geom, rx, modes, stats, method, quad_order)
+                res, status = _capture(average_ber, geom, rx, modes, sigma_theta, method, quad_order)
                 if res is None:
                     raw = clamped = math.nan
                     errors += 1
@@ -563,7 +563,7 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
                 row = [value, label, method.value, raw, clamped]
                 if with_mc:
                     try:
-                        outcome = simulate_ber(geom, rx, modes, stats, trial_cfgs[method])
+                        outcome = simulate_ber(geom, rx, modes, sigma_theta, trial_cfgs[method])
                         row.extend([outcome.ber_hat, outcome.ci95_halfwidth])
                         layout = {"workers": outcome.workers, "chunks": outcome.chunks}
                     except DegradedChannelError as exc:
@@ -594,11 +594,11 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
 
 
 def cmd_montecarlo(cfg: RunConfig) -> _Output:
-    geom, rx, stats = cfg.link()
+    geom, rx, sigma_theta = cfg.link()
     modes = cfg.mode_set()
     method = cfg.single_method()
     trial_cfg = cfg.trial_config(method)
-    outcome = simulate_ber(geom, rx, modes, stats, trial_cfg)
+    outcome = simulate_ber(geom, rx, modes, sigma_theta, trial_cfg)
     return _Output(
         (
             "oamlink/monte-carlo v1; ber_mc and ci95 are probabilities",
@@ -632,10 +632,10 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
     # bound, which it evaluates, as the waist; geometry.w0_m is never checked.
     for key, bound in (("optimize.lo_m", lo), ("optimize.hi_m", hi)):
         with _config_errors(keys={"geometry.w0_m": key}):
-            geom, rx, stats = cfg.with_value("geometry.w0_m", bound).link()
+            geom, rx, sigma_theta = cfg.with_value("geometry.w0_m", bound).link()
     (modes,) = cfg.two_stream_sets()
     result, status = warning_status(
-        optimize_w0, geom, rx, modes, stats, (lo, hi), tol, method, quad_order
+        optimize_w0, geom, rx, modes, sigma_theta, (lo, hi), tol, method, quad_order
     )
     (b_lo, b_mid, b_hi) = result.bracket
     boundary = str(result.boundary).lower()
@@ -645,8 +645,8 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
         "ber_opt": result.ber_opt,
         "boundary": boundary,
         "evaluations": result.evaluations,
-        "method": result.method.value,
-        "tol_m": result.tol,
+        "method": method.value,
+        "tol_m": tol,
         "bracket_lo_m": b_lo[0],
         "bracket_lo_ber": b_lo[1],
         "bracket_mid_m": b_mid[0],
@@ -667,19 +667,19 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
 
 def cmd_rank_modes(cfg: RunConfig) -> _Output:
     quad_order = cfg.quad_order()
-    geom, rx, stats = cfg.link()
+    geom, rx, sigma_theta = cfg.link()
     method = cfg.single_method()
     candidates = cfg.candidates()
     if not candidates:
         raise ConfigError("rank-modes needs modes.candidates, e.g. '-2|1;-2|2'")
     cfg.two_stream_sets(candidates)
-    ranking = rank_mode_sets(candidates, geom, rx, stats, method, quad_order)
+    ranking = rank_mode_sets(candidates, geom, rx, sigma_theta, method, quad_order)
     rows = [
         (
             r.rank,
             r.label,
             r.ber,
-            r.method.value,
+            method.value,
             str(r.converged).lower(),
             r.status,
         )
@@ -701,7 +701,7 @@ def cmd_rank_modes(cfg: RunConfig) -> _Output:
 
 def cmd_bench(cfg: RunConfig) -> _Output:
     quad_order = cfg.quad_order()
-    geom, rx, stats = cfg.link()
+    geom, rx, sigma_theta = cfg.link()
     (modes,) = cfg.two_stream_sets()
     methods = list(cfg.methods())
     if Method.EXACT2D not in methods:
@@ -731,7 +731,7 @@ def cmd_bench(cfg: RunConfig) -> _Output:
     step = (r_max - r_min) / (n_points - 1) if n_points > 1 else 0.0
     grid = [(r_min + i * step, pairs[i % len(pairs)]) for i in range(n_points)]
     report = bench_methods(
-        geom, rx, modes, stats, grid, repetitions, methods, mc_trials, seed, quad_order
+        geom, rx, modes, sigma_theta, grid, repetitions, methods, mc_trials, seed, quad_order
     )
 
     # Wall times vary run to run, so they go to the manifest and stdout;

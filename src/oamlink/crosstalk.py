@@ -166,8 +166,7 @@ class ReceiverConfig:
         """Refuses Bessel arguments past ``BESSEL_MAX_ARG`` at offsets up to
         ``r_max``, naming the key before a kernel refuses them: |beta| =
         2|c| r_a r of radial-sum's ``bessel_i_scaled`` table bounds k r_a r/R."""
-        c = 1.0 / geom.beam_radius_at_rx**2 + 0.5j * geom.wavenumber / geom.curvature_at_rx
-        largest = 2.0 * abs(c) * self.aperture_radius * r_max
+        largest = 2.0 * abs(geom.gaussian_coefficient) * self.aperture_radius * r_max
         if not largest <= BESSEL_MAX_ARG:
             raise ValueError(
                 f"aperture_radius {self.aperture_radius!r} m takes Bessel arguments up to "
@@ -348,7 +347,7 @@ def _ring_projection(
     the curvature and Gouy phases have unit modulus.
     """
     w = geom.beam_radius_at_rx
-    c = 1.0 / w**2 + 0.5j * geom.wavenumber / geom.curvature_at_rx
+    c = geom.gaussian_coefficient
     r = np.reshape(r_ch, (-1, 1))
     s, s_ring = math.sqrt(2.0) / w * r, math.sqrt(2.0) / w * nodes
     gauss = np.exp(-(((nodes - r) / w) ** 2))

@@ -1,11 +1,13 @@
 """Monte Carlo BER estimation by direct simulation of the detection chain.
 
-Serves as the stochastic cross-check for the analytical average: draw a
-pointing offset, build the amplitude matrix with the selected crosstalk
-method, draw on/off symbols per stream, add real Gaussian noise, run joint
-ML detection over all symbol hypotheses, and count symbol-vector errors
-(the same error unit the analytical conditional expression bounds). A
-per-bit error count is kept alongside for diagnostics.
+Serves as the stochastic cross-check for the analytical average, so it
+imports nothing from ``oamlink.ber``: draw a pointing offset (each axis
+theta Z with theta ~ N(0, sigma_theta^2), Z the geometry's link distance),
+build the amplitude matrix with the selected crosstalk method, draw on/off
+symbols per stream, add real Gaussian noise, run joint ML detection over
+all symbol hypotheses, and count symbol-vector errors (the same error unit
+the analytical conditional expression bounds). A per-bit error count is
+kept alongside for diagnostics.
 
 Trials are processed in fixed-size chunks and every chunk seeds its own
 generator from (seed, chunk_index), so the estimate is reproducible
@@ -24,7 +26,6 @@ from itertools import product
 import numpy as np
 
 from oamlink.beam import LinkGeometry, ModeSet
-from oamlink.ber import PointingStats
 from oamlink.crosstalk import (
     Method,
     ReceiverConfig,
@@ -149,7 +150,7 @@ def _run_chunk(
     geom: LinkGeometry,
     rx: ReceiverConfig,
     modes: ModeSet,
-    stats: PointingStats,
+    sigma_theta: float,
     cfg: TrialConfig,
     fixed_amplitude: np.ndarray | None,
 ) -> tuple[int, int, int]:
@@ -165,8 +166,8 @@ def _run_chunk(
     if fixed_amplitude is not None:
         amp = np.broadcast_to(fixed_amplitude, (n, *fixed_amplitude.shape))
     else:
-        theta = rng.normal(0.0, stats.sigma_theta, size=(n, 2))
-        offsets = theta * stats.distance
+        theta = rng.normal(0.0, sigma_theta, size=(n, 2))
+        offsets = theta * geom.distance
         r_ch = np.hypot(offsets[:, 0], offsets[:, 1])
         degraded = int(np.count_nonzero(r_ch < cfg.crosstalk_method.validity_floor))
         amp = np.sqrt(channel_profile(geom, rx, modes, r_ch, cfg.crosstalk_method))
@@ -192,13 +193,15 @@ def simulate_ber(
     geom: LinkGeometry,
     rx: ReceiverConfig,
     modes: ModeSet,
-    stats: PointingStats,
+    sigma_theta: float,
     cfg: TrialConfig,
     *,
     amplitude_matrix: np.ndarray | None = None,
     max_workers: int | None = None,
 ) -> TrialOutcome:
-    """Estimate the symbol-vector error rate of the simulated link.
+    """Estimate the symbol-vector error rate of the simulated link under
+    the per-axis angular jitter ``sigma_theta`` (radians); a jitter that
+    ``LinkGeometry.rayleigh_scale`` refuses is refused before any trial.
 
     ``amplitude_matrix`` replaces the pointing-dependent channel with a
     fixed matrix (filter rows by tx columns) for synthetic audits such as
@@ -210,6 +213,7 @@ def simulate_ber(
     draws fall below the approximation validity floor, unless the config
     sets ``allow_degraded``.
     """
+    geom.rayleigh_scale(sigma_theta)
     fixed = None
     if amplitude_matrix is not None:
         fixed = np.asarray(amplitude_matrix, dtype=float)
@@ -228,13 +232,10 @@ def simulate_ber(
 
     def run(idx_size: tuple[int, int]) -> tuple[int, int, int]:
         idx, size = idx_size
-        return _run_chunk(idx, size, geom, rx, modes, stats, cfg, fixed)
+        return _run_chunk(idx, size, geom, rx, modes, sigma_theta, cfg, fixed)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, enumerate(sizes)))
-    else:
-        results = [run(pair) for pair in enumerate(sizes)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(run, enumerate(sizes)))
 
     vec_errors = sum(r[0] for r in results)
     bit_errors = sum(r[1] for r in results)

@@ -1,11 +1,11 @@
 """Beam-waist optimization, mode-set ranking, and method benchmarks.
 
 Each driver re-runs the jitter-averaged BER and takes its arguments in
-``average_ber``'s order (geometry, receiver, mode set, pointing
-statistics). It searches for the BER-minimizing beam waist with a
-bracketed golden-section routine, orders candidate mode sets by averaged
-BER under an equal total power budget, or times the crosstalk evaluators
-against the reference integral and the Monte Carlo validator.
+``average_ber``'s order (geometry, receiver, mode set, angular jitter
+sigma_theta in radians). It searches for the BER-minimizing beam waist
+with a bracketed golden-section routine, orders candidate mode sets by
+averaged BER under an equal total power budget, or times the crosstalk
+evaluators against the reference integral and the Monte Carlo validator.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from oamlink.beam import LinkGeometry, ModeSet
-from oamlink.ber import PointingStats, average_ber
+from oamlink.ber import average_ber
 from oamlink.crosstalk import (
     ApproximationWarning,
     Method,
@@ -62,8 +62,6 @@ class OptimizeResult:
     bracket: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     boundary: bool
     evaluations: int
-    method: Method
-    tol: float
 
     def __post_init__(self) -> None:
         xs = [p[0] for p in self.bracket]
@@ -82,7 +80,7 @@ def optimize_w0(
     geom: LinkGeometry,
     rx: ReceiverConfig,
     modes: ModeSet,
-    stats: PointingStats,
+    sigma_theta: float,
     bounds: tuple[float, float],
     tol: float,
     method: "Method | str" = Method.BESSEL_SUM,
@@ -105,12 +103,11 @@ def optimize_w0(
         raise ValueError(
             f"tol must be in (0, {w_hi - w_lo:g}) for these bounds, got {tol!r}"
         )
-    method = Method.parse(method)
     memo: dict[float, float] = {}
 
     def evaluate(x: float) -> float:
         if x not in memo:
-            res = average_ber(replace(geom, waist=x), rx, modes, stats, method, quad_order)
+            res = average_ber(replace(geom, waist=x), rx, modes, sigma_theta, method, quad_order)
             y = float(res.averaged)
             if not math.isfinite(y):
                 raise ValueError(f"objective returned non-finite value {y!r} at {x!r}")
@@ -151,8 +148,6 @@ def optimize_w0(
         bracket=certificate,
         boundary=boundary,
         evaluations=len(memo),
-        method=method,
-        tol=float(tol),
     )
 
 
@@ -197,7 +192,6 @@ class RankedModeSet:
     rank: int
     label: str
     ber: float
-    method: Method
     converged: bool
     status: str
 
@@ -206,7 +200,7 @@ def rank_mode_sets(
     candidates: Sequence[ModeSet],
     geom: LinkGeometry,
     rx: ReceiverConfig,
-    stats: PointingStats,
+    sigma_theta: float,
     method: "Method | str" = Method.BESSEL_SUM,
     quad_order: int = 64,
 ) -> tuple[RankedModeSet, ...]:
@@ -221,13 +215,12 @@ def rank_mode_sets(
     """
     if not candidates:
         raise ValueError("need at least one candidate mode set")
-    method = Method.parse(method)
     labels = [mode_set_label(m) for m in candidates]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate candidate mode sets: {sorted(labels)}")
     scored = []
     for label, modes in zip(labels, candidates):
-        res, status = warning_status(average_ber, geom, rx, modes, stats, method, quad_order)
+        res, status = warning_status(average_ber, geom, rx, modes, sigma_theta, method, quad_order)
         scored.append((res.averaged, label, res.quad_converged, status))
     scored.sort(key=lambda item: (item[0], item[1]))
     return tuple(
@@ -235,7 +228,6 @@ def rank_mode_sets(
             rank=i + 1,
             label=label,
             ber=ber,
-            method=method,
             converged=converged,
             status=status,
         )
@@ -291,7 +283,7 @@ def bench_methods(
     geom: LinkGeometry,
     rx: ReceiverConfig,
     modes: ModeSet,
-    stats: PointingStats,
+    sigma_theta: float,
     grid: Sequence[tuple[float, tuple[int, int]]],
     repetitions: int = 5,
     methods: Sequence["Method | str"] = (
@@ -315,6 +307,7 @@ def bench_methods(
     I/O does not leak into the wall times; the benchmark grid should sit
     inside every method's validity range regardless.
     """
+    geom.rayleigh_scale(sigma_theta)
     if repetitions < 3:
         raise ValueError(f"repetitions must be >= 3, got {repetitions}")
     entries = [(float(r), (int(pair[0]), int(pair[1]))) for r, pair in grid]
@@ -344,10 +337,10 @@ def bench_methods(
             allow_degraded=True,
         )
         mc_time = _median_wall_time(
-            lambda: simulate_ber(geom, rx, modes, stats, cfg, max_workers=1), repetitions
+            lambda: simulate_ber(geom, rx, modes, sigma_theta, cfg, max_workers=1), repetitions
         )
         analytic_time = _median_wall_time(
-            lambda: average_ber(geom, rx, modes, stats, Method.BESSEL_SUM, quad_order),
+            lambda: average_ber(geom, rx, modes, sigma_theta, Method.BESSEL_SUM, quad_order),
             repetitions,
         )
 

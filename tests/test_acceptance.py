@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from oamlink.beam import MAX_AZIMUTHAL_ORDER, LinkGeometry, ModeSet, shifted_aperture_field
-from oamlink.ber import PointingStats, average_ber, conditional_ber
+from oamlink.ber import average_ber, conditional_ber
 from oamlink.cli import main
 from oamlink.crosstalk import Method, ReceiverConfig, crosstalk, crosstalk_exact_detailed
 from oamlink.montecarlo import TrialConfig, simulate_ber
@@ -183,19 +183,19 @@ def test_06_average_matches_simulation():
     # The quadrature average and a million-trial simulation agree within
     # three 95% confidence halfwidths at five waists, within 15 minutes.
     t0 = time.perf_counter()
-    stats = PointingStats(2.0e-5, 1.0e6)
+    sigma_theta = 2.0e-5
     margins = []
     with quiet():
         for w0 in (0.013, 0.014, 0.015, 0.016, 0.017):
             geom = make_geom(w0)
-            analytic = average_ber(geom, RX, A2, stats, Method.BESSEL_SUM, 192).averaged
+            analytic = average_ber(geom, RX, A2, sigma_theta, Method.BESSEL_SUM, 192).averaged
             cfg = TrialConfig(
                 trials=1_000_000,
                 seed=12345,
                 crosstalk_method=Method.BESSEL_SUM,
                 allow_degraded=True,
             )
-            out = simulate_ber(geom, RX, A2, stats, cfg)
+            out = simulate_ber(geom, RX, A2, sigma_theta, cfg)
             margins.append(abs(analytic - out.ber_hat) / (3.0 * out.ci95_halfwidth))
     elapsed = time.perf_counter() - t0
     check(
@@ -209,14 +209,14 @@ def test_06_average_matches_simulation():
 def test_07_asymmetric_mode_sets_win():
     # Averaged BER ranking: the grouped four-mode set beats {-2,1}, which
     # beats both symmetric sets, across the waist range.
-    stats = PointingStats(3.0e-5, 1.0e6)
+    sigma_theta = 3.0e-5
     ok = True
     gaps = []
     with quiet():
         for w0 in np.linspace(0.015, 0.05, 5):
             geom = make_geom(w0)
             ber = {
-                name: average_ber(geom, RX, ms, stats, Method.RADIAL_SUM, 96).averaged
+                name: average_ber(geom, RX, ms, sigma_theta, Method.RADIAL_SUM, 96).averaged
                 for name, ms in (("g4", G4), ("a2", A2), ("s2", S2), ("s1", S1))
             }
             ok = ok and ber["g4"] < ber["a2"] < min(ber["s2"], ber["s1"])
@@ -236,11 +236,11 @@ def test_08_interior_waist_optimum():
     with quiet():
         for sigma in (1.0e-5, 2.0e-5, 3.0e-5):
             results[sigma] = optimize_w0(
-                make_geom(), RX, A2, PointingStats(sigma, 1.0e6), (0.005, 0.06), 5.0e-4,
+                make_geom(), RX, A2, sigma, (0.005, 0.06), 5.0e-4,
                 Method.RADIAL_SUM, 96,
             )
         cross = average_ber(
-            make_geom(0.01), RX, A2, PointingStats(1.0e-5, 1.0e6),
+            make_geom(0.01), RX, A2, 1.0e-5,
             Method.RADIAL_SUM, 96,
         ).averaged
     interior = all(
@@ -264,7 +264,7 @@ def test_09_distance_trend():
     with quiet():
         trend = [
             average_ber(
-                make_geom(0.0115, z), RX, A2, PointingStats(3.0e-5, z),
+                make_geom(0.0115, z), RX, A2, 3.0e-5,
                 Method.RADIAL_SUM, 96,
             ).averaged
             for z in distances
@@ -272,7 +272,7 @@ def test_09_distance_trend():
         optima = []
         for z in distances:
             res = optimize_w0(
-                make_geom(0.025, z), RX, A2, PointingStats(3.0e-5, z), (0.005, 0.06), 5.0e-4,
+                make_geom(0.025, z), RX, A2, 3.0e-5, (0.005, 0.06), 5.0e-4,
                 Method.RADIAL_SUM, 96,
             )
             optima.append(res.w0_opt)
@@ -303,7 +303,7 @@ def test_10_speedups():
         make_geom(),
         RX,
         A2,
-        PointingStats(3.0e-5, 1.0e6),
+        3.0e-5,
         grid,
         repetitions=3,
         methods=(Method.EXACT2D, Method.RADIAL_SUM, Method.BESSEL_SUM),
@@ -328,7 +328,7 @@ def test_11_identical_signature_floor():
     floor = float(conditional_ber(h[:, 0], h[:, 1], 1.0e-12))
     cfg = TrialConfig(trials=100_000, seed=7, crosstalk_method=Method.BESSEL_SUM)
     out = simulate_ber(
-        make_geom(), RX, A2, PointingStats(2.0e-5, 1.0e6), cfg, amplitude_matrix=h
+        make_geom(), RX, A2, 2.0e-5, cfg, amplitude_matrix=h
     )
     mc_gap = abs(out.ber_hat - 0.25)
     check(

@@ -134,6 +134,14 @@ class TestModeSet:
         assert modes.streams == ((-2,), (1,))
         assert modes.n_streams == 2
 
+    def test_one_set_has_one_stored_form(self):
+        # Singleton streams given explicitly, or not at all, are one set.
+        plain = ModeSet(tx_modes=(-2, 1))
+        for same in (ModeSet((-2, 1), stream_grouping=((-2,), (1,))),
+                     ModeSet([np.int64(-2), 1], filter_modes=(-2, 1), stream_grouping=[[-2], [1]])):
+            assert same == plain and hash(same) == hash(plain)
+        assert ModeSet((-2, 1), stream_grouping=((-2, 1),)) != plain
+
     def test_grouped_streams(self):
         modes = ModeSet(tx_modes=(-4, -2, 1, 3), stream_grouping=((-4, -2), (1, 3)))
         assert modes.streams == ((-4, -2), (1, 3))
@@ -152,6 +160,9 @@ class TestModeSet:
         # A repeated filter would count its branch twice in the detection.
         with pytest.raises(ValueError, match="filter modes must be pairwise distinct"):
             ModeSet(tx_modes=(-2, 1), filter_modes=(-2, 1, 1))
+        # An empty filter bank has no detector branch to decide from.
+        with pytest.raises(ValueError, match="need at least one filter mode"):
+            ModeSet(tx_modes=(-2, 1), filter_modes=())
         # Grouping must partition the tx set exactly.
         with pytest.raises(ValueError):
             ModeSet(tx_modes=(-2, 1), stream_grouping=((-2,),))

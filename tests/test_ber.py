@@ -16,10 +16,10 @@ from scipy.special import erfc
 from oamlink.beam import LinkGeometry, ModeSet
 from oamlink.ber import (
     BerResult,
-    PointingStats,
     _degeneracy_windows,
     average_ber,
     conditional_ber,
+    rayleigh_pdf,
 )
 from oamlink.crosstalk import (
     Method,
@@ -68,33 +68,44 @@ def conditional_profile(geom, rx, radii, method):
     return four_term_ref(amp[:, :, 0], amp[:, :, 1], rx.noise_level)
 
 
-class TestPointingStats:
+class TestRayleighOffset:
     def test_rayleigh_scale(self):
-        stats = PointingStats(sigma_theta=3.0e-5, distance=1.0e6)
-        assert stats.rayleigh_scale == pytest.approx(30.0, rel=1e-15)
+        assert default_geom().rayleigh_scale(3.0e-5) == pytest.approx(30.0, rel=1e-15)
 
     def test_pdf_is_normalized_density(self):
-        stats = PointingStats(sigma_theta=3.0e-5, distance=1.0e6)
-        rule = gauss_legendre(256, 0.0, 8.0 * stats.rayleigh_scale)
-        mass = rule.weights @ stats.pdf(rule.nodes)
+        s = default_geom().rayleigh_scale(3.0e-5)
+        rule = gauss_legendre(256, 0.0, 8.0 * s)
+        mass = rule.weights @ rayleigh_pdf(rule.nodes, s)
         assert mass == pytest.approx(1.0, rel=1e-12)
-        mean = rule.weights @ (stats.pdf(rule.nodes) * rule.nodes)
-        assert mean == pytest.approx(
-            stats.rayleigh_scale * math.sqrt(math.pi / 2.0), rel=1e-10
-        )
+        mean = rule.weights @ (rayleigh_pdf(rule.nodes, s) * rule.nodes)
+        assert mean == pytest.approx(s * math.sqrt(math.pi / 2.0), rel=1e-10)
 
     def test_pdf_mode_at_scale(self):
-        stats = PointingStats(sigma_theta=2.0e-5, distance=1.0e6)
-        s = stats.rayleigh_scale
-        assert stats.pdf(s) == pytest.approx(math.exp(-0.5) / s, rel=1e-14)
-        assert stats.pdf(s) > stats.pdf(0.7 * s)
-        assert stats.pdf(s) > stats.pdf(1.3 * s)
+        s = default_geom().rayleigh_scale(2.0e-5)
+        assert rayleigh_pdf(s, s) == pytest.approx(math.exp(-0.5) / s, rel=1e-14)
+        assert rayleigh_pdf(s, s) > rayleigh_pdf(0.7 * s, s)
+        assert rayleigh_pdf(s, s) > rayleigh_pdf(1.3 * s, s)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PointingStats(sigma_theta=0.0, distance=1e6)
-        with pytest.raises(ValueError):
-            PointingStats(sigma_theta=1e-5, distance=-1.0)
+        for bad in (0.0, -1e-5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma_theta must be positive"):
+                default_geom().rayleigh_scale(bad)
+        for bad in (1e-300, 1e300):
+            with pytest.raises(ValueError, match="whose square is not a normal float"):
+                default_geom().rayleigh_scale(bad)
+        with pytest.raises(ValueError, match="distance must be positive"):
+            default_geom(distance=-1.0)
+
+    def test_bad_jitter_is_refused_before_any_kernel_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr("oamlink.ber.channel_profile", refuse)
+        geom, rx, modes = default_geom(), default_rx(), ModeSet(tx_modes=(-2, 1))
+        with pytest.raises(ValueError, match="sigma_theta must be positive, got 0.0"):
+            average_ber(geom, rx, modes, 0.0)
+        with pytest.raises(ValueError, match="sigma_theta 1e-300 gives a Rayleigh scale"):
+            average_ber(geom, rx, modes, 1e-300)
 
 
 class TestStreamVectors:
@@ -190,17 +201,18 @@ class TestAverageBer:
         # stream-amplitude crossing at the received beam radius, must agree
         # with the quadrature average.
         geom, rx = default_geom(), default_rx()
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
+        sigma_theta = 3.0e-5
         modes = ModeSet(tx_modes=(-2, 1))
-        result = average_ber(geom, rx, modes, stats, Method.RADIAL_SUM, quad_order=96)
+        result = average_ber(geom, rx, modes, sigma_theta, Method.RADIAL_SUM, quad_order=96)
         assert result.quad_converged
 
         w_rx = geom.beam_radius_at_rx
-        coarse = np.linspace(0.0, 8.0 * stats.rayleigh_scale, 3001)[1:]
+        scale = geom.rayleigh_scale(sigma_theta)
+        coarse = np.linspace(0.0, 8.0 * scale, 3001)[1:]
         fine = np.linspace(w_rx - 1.0, w_rx + 1.0, 20001)
         radii = np.unique(np.concatenate([coarse, fine]))
         cond = conditional_profile(geom, rx, radii, Method.RADIAL_SUM)
-        dense = np.trapezoid(stats.pdf(radii) * cond, radii)
+        dense = np.trapezoid(rayleigh_pdf(radii, scale) * cond, radii)
         assert result.averaged == pytest.approx(dense, rel=1e-3)
 
     def test_small_jitter_average_includes_near_degenerate_spike(self):
@@ -208,13 +220,14 @@ class TestAverageBer:
         # its spike still carries a few percent of the whole average, so the
         # quadrature must not step over it.
         geom, rx = default_geom(), default_rx()
-        stats = PointingStats(sigma_theta=1.0e-5, distance=geom.distance)
+        sigma_theta = 1.0e-5
         modes = ModeSet(tx_modes=(-2, 1))
-        result = average_ber(geom, rx, modes, stats, Method.RADIAL_SUM, quad_order=192)
+        result = average_ber(geom, rx, modes, sigma_theta, Method.RADIAL_SUM, quad_order=192)
         assert result.quad_converged
 
         w_rx = geom.beam_radius_at_rx
-        upper = 8.0 * stats.rayleigh_scale
+        scale = geom.rayleigh_scale(sigma_theta)
+        upper = 8.0 * scale
         segments = (
             (np.linspace(0.0, w_rx - 1.0, 8001)[1:]),
             (np.linspace(w_rx - 1.0, w_rx + 1.0, 20001)),
@@ -223,7 +236,7 @@ class TestAverageBer:
         parts = []
         for radii in segments:
             cond = conditional_profile(geom, rx, radii, Method.RADIAL_SUM)
-            parts.append(np.trapezoid(stats.pdf(radii) * cond, radii))
+            parts.append(np.trapezoid(rayleigh_pdf(radii, scale) * cond, radii))
         dense = sum(parts)
         assert result.averaged == pytest.approx(dense, rel=1e-3)
         assert parts[1] > 0.03 * dense
@@ -232,7 +245,7 @@ class TestAverageBer:
         # At this waist the two stream envelopes cross inside the averaging
         # domain, where the separable forms make h1 = h2 exactly.
         geom, rx = default_geom(waist=0.015), default_rx()
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
+        sigma_theta = 3.0e-5
 
         # Locate the crossing from the public envelope factor; for orders
         # |l| = 2 and 1 it must sit at the received beam radius.
@@ -262,19 +275,20 @@ class TestAverageBer:
         assert np.all(off < 1e-6)
 
         result = average_ber(
-            geom, rx, modes=ModeSet(tx_modes=(-2, 1)), stats=stats,
+            geom, rx, modes=ModeSet(tx_modes=(-2, 1)), sigma_theta=sigma_theta,
             method=Method.BESSEL_SUM, quad_order=192,
         )
         assert result.quad_converged
 
         # The dense oracle needs refinement in two places: across the ridge
         # and in the near-zero layer where this method loses all signal.
-        coarse = np.linspace(0.0, 8.0 * stats.rayleigh_scale, 4001)[1:]
+        scale = geom.rayleigh_scale(sigma_theta)
+        coarse = np.linspace(0.0, 8.0 * scale, 4001)[1:]
         near_zero = np.linspace(1e-4, 5.0, 5001)
         near_ridge = np.linspace(r_star - 1.0, r_star + 1.0, 20001)
         radii = np.unique(np.concatenate([coarse, near_zero, near_ridge]))
         cond = conditional_profile(geom, rx, radii, Method.BESSEL_SUM)
-        dense = np.trapezoid(stats.pdf(radii) * cond, radii)
+        dense = np.trapezoid(rayleigh_pdf(radii, scale) * cond, radii)
         assert result.averaged == pytest.approx(dense, rel=1e-3)
 
     @pytest.mark.parametrize("radial_index", [0, 1, 2])
@@ -340,9 +354,10 @@ class TestAverageBer:
         # The base and doubled rules share one channel_profile call; the only
         # other calls are the one-radius slope probes, one per crossing.
         geom, rx = default_geom(), default_rx()
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
+        sigma_theta = 3.0e-5
         modes = ModeSet(tx_modes=tx, stream_grouping=grouping)
-        env = [np.sqrt(mode_envelope(geom, rx, 2, ell, np.linspace(0.0, stats.reach, 4097)[1:]))
+        probe = np.linspace(0.0, 8.0 * geom.rayleigh_scale(sigma_theta), 4097)[1:]
+        env = [np.sqrt(mode_envelope(geom, rx, 2, ell, probe))
                for ell in tx]
         gap = np.einsum("tn,tk->kn", env, modes.stream_matrix)
         gap = gap[0] - gap[1]
@@ -354,7 +369,7 @@ class TestAverageBer:
             return channel_profile(geom, rx, modes, r_ch, method)
 
         monkeypatch.setattr("oamlink.ber.channel_profile", counting)
-        average_ber(geom, rx, modes, stats, Method.BESSEL_SUM, quad_order=64)
+        average_ber(geom, rx, modes, sigma_theta, Method.BESSEL_SUM, quad_order=64)
         assert len(sizes) == 1 + crossings, sizes
         assert sorted(sizes)[:-1] == [1] * crossings, sizes
 
@@ -372,17 +387,17 @@ class TestAverageBer:
         # Frozen from a bisection that runs all of its 60 steps: stopping
         # once no float lies between the bracket ends must not move a bit.
         geom, rx = default_geom(radial_index=radial_index), default_rx()
-        upper = PointingStats(sigma_theta=3.0e-5, distance=geom.distance).reach
+        upper = 8.0 * geom.rayleigh_scale(3.0e-5)
         modes = ModeSet(tx_modes=tuple(int(t) for t in label.split("|")))
         assert repr(_degeneracy_windows(geom, rx, modes, Method.BESSEL_SUM, upper)) == frozen
 
     def test_degraded_node_fraction_bookkeeping(self):
         geom, rx = default_geom(), default_rx()
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
+        sigma_theta = 3.0e-5
         modes = ModeSet(tx_modes=(-2, 1))
-        full_rank = average_ber(geom, rx, modes, stats, Method.RADIAL_SUM, quad_order=48)
+        full_rank = average_ber(geom, rx, modes, sigma_theta, Method.RADIAL_SUM, quad_order=48)
         assert full_rank.degraded_node_fraction == 0.0
-        reduced = average_ber(geom, rx, modes, stats, Method.BESSEL_SUM, quad_order=48)
+        reduced = average_ber(geom, rx, modes, sigma_theta, Method.BESSEL_SUM, quad_order=48)
         # Some quadrature nodes fall below the approximation validity floor.
         assert reduced.degraded_node_fraction > 0.0
         assert reduced.degraded_node_fraction < 0.05
@@ -391,11 +406,11 @@ class TestAverageBer:
         geom, rx = default_geom(), default_rx()
         modes = ModeSet(tx_modes=(-2, 1))
         small = average_ber(
-            geom, rx, modes, PointingStats(1.0e-5, geom.distance),
+            geom, rx, modes, 1.0e-5,
             Method.RADIAL_SUM, quad_order=96,
         )
         large = average_ber(
-            geom, rx, modes, PointingStats(5.0e-5, geom.distance),
+            geom, rx, modes, 5.0e-5,
             Method.RADIAL_SUM, quad_order=96,
         )
         assert small.quad_converged and large.quad_converged
@@ -403,9 +418,9 @@ class TestAverageBer:
 
     def test_grouped_mode_set(self):
         geom, rx = default_geom(), default_rx()
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
+        sigma_theta = 3.0e-5
         modes = ModeSet(tx_modes=(-4, -2, 1, 3), stream_grouping=((-4, -2), (1, 3)))
-        result = average_ber(geom, rx, modes, stats, Method.RADIAL_SUM, quad_order=48)
+        result = average_ber(geom, rx, modes, sigma_theta, Method.RADIAL_SUM, quad_order=48)
         assert 0.0 < result.averaged < 1.5
         assert result.quad_converged
 
@@ -423,29 +438,28 @@ class TestAverageBer:
             (3.0e-5, "0.06337909537581755", "0.06337909537581757"),
             (2.0e-5, "0.001506130828729049", "0.0015061308287290154"),
         ):
-            stats = PointingStats(sigma_theta=sigma, distance=geom.distance)
-            result = average_ber(geom, rx, modes, stats, Method.BESSEL_SUM, quad_order=64)
+            result = average_ber(geom, rx, modes, sigma, Method.BESSEL_SUM, quad_order=64)
             assert repr(result.averaged) == frozen, sigma
             assert result.averaged == pytest.approx(float(before), rel=1e-12, abs=0.0), sigma
 
     def test_parameter_snapshot(self):
         geom, rx = default_geom(), default_rx()
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
+        sigma_theta = 3.0e-5
         modes = ModeSet(tx_modes=(-2, 1))
-        result = average_ber(geom, rx, modes, stats, "radial-sum", quad_order=48)
-        assert result.method is Method.RADIAL_SUM
+        result = average_ber(geom, rx, modes, sigma_theta, "radial-sum", quad_order=48)
+        assert result == average_ber(geom, rx, modes, sigma_theta, Method.RADIAL_SUM, 48)
 
     def test_quad_order_guards(self):
         geom, rx = default_geom(), default_rx()
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
+        sigma_theta = 3.0e-5
         modes = ModeSet(tx_modes=(-2, 1))
         for bad in (8, 300, 64.0):
             with pytest.raises(ValueError):
-                average_ber(geom, rx, modes, stats, Method.RADIAL_SUM, quad_order=bad)
+                average_ber(geom, rx, modes, sigma_theta, Method.RADIAL_SUM, quad_order=bad)
 
     def test_result_validation_and_clamp(self):
-        assert BerResult(averaged=1.2, method=Method.BESSEL_SUM).averaged_clamped == 0.5
-        assert BerResult(averaged=0.3, method=Method.BESSEL_SUM).averaged_clamped == 0.3
+        assert BerResult(averaged=1.2).averaged_clamped == 0.5
+        assert BerResult(averaged=0.3).averaged_clamped == 0.3
         for bad in (1.6, -0.1):
             with pytest.raises(ValueError):
-                BerResult(averaged=bad, method=Method.BESSEL_SUM)
+                BerResult(averaged=bad)

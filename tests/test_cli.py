@@ -34,6 +34,7 @@ from oamlink.cli import (
     write_csv,
     write_manifest,
 )
+from oamlink.beam import ModeSet
 from oamlink.ber import BerResult
 from oamlink.crosstalk import Method
 
@@ -118,6 +119,7 @@ class TestModeSpecAndAccessors:
     def test_parse_mode_set_spec(self):
         plain = parse_mode_set_spec("-2|1")
         assert plain.streams == ((-2,), (1,))
+        assert plain == ModeSet((-2, 1)) and hash(plain) == hash(ModeSet((-2, 1)))
         grouped = parse_mode_set_spec("-4,-2|1,3")
         assert grouped.streams == ((-4, -2), (1, 3))
         assert grouped.tx_modes == (-4, -2, 1, 3)
@@ -183,8 +185,8 @@ class TestModeSpecAndAccessors:
             cfg_with(pointing__sigma_theta_rad="", pointing__r_ch_m="5").link()
         with pytest.raises(ConfigError, match="quad.order"):
             cfg_with(quad__order="8").quad_order()
-        geom, _, stats = cfg_with().link()
-        assert (stats.sigma_theta, stats.distance) == (3e-5, geom.distance)
+        geom, _, sigma_theta = cfg_with().link()
+        assert (sigma_theta, geom.distance) == (3e-5, 1e6)
         trial_cfg = cfg_with().trial_config(Method.RADIAL_SUM)
         assert trial_cfg.trials == 1_000_000
         assert trial_cfg.crosstalk_method is Method.RADIAL_SUM
@@ -659,7 +661,7 @@ class TestBerCurveCommand:
         # Axis names are matched stripped and case-insensitively, and the
         # schema line spells the axis as the schema does.
         monkeypatch.setattr("oamlink.cli.average_ber",
-                            lambda geom, rx, modes, stats, method, q: BerResult(0.1, method))
+                            lambda geom, rx, modes, sigma_theta, method, q: BerResult(0.1))
         out = tmp_path / "ber.csv"
         base = ["ber-curve", "--candidates=-2|1", "-o", str(out), "--axis"]
         for spelling, axis, value in ((" W0 ", "w0", "0.02"), ("sigma_theta", "sigma_theta",
@@ -698,9 +700,9 @@ class TestBerCurveCommand:
         # (waist, distance, sigma_theta, Rayleigh scale) of each average.
         seen = []
 
-        def record(geom, rx, modes, stats, method, quad_order):
-            seen.append((geom.waist, geom.distance, stats.sigma_theta, stats.rayleigh_scale))
-            return BerResult(0.1, method)
+        def record(geom, rx, modes, sigma_theta, method, quad_order):
+            seen.append((geom.waist, geom.distance, sigma_theta, geom.rayleigh_scale(sigma_theta)))
+            return BerResult(0.1)
 
         monkeypatch.setattr("oamlink.cli.average_ber", record)
         assert main(["ber-curve", "--axis", axis, "--grid", value, "--candidates=-2|1",

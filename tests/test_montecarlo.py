@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oamlink.beam import LinkGeometry, ModeSet
-from oamlink.ber import PointingStats, conditional_ber
+from oamlink.ber import conditional_ber
 from oamlink.crosstalk import Method, ReceiverConfig
 from oamlink.montecarlo import (
     CHUNK_SIZE,
@@ -25,6 +25,10 @@ from oamlink.montecarlo import (
     simulate_ber,
     worker_count,
 )
+
+
+# Per-axis angular pointing jitter, rad.
+SIGMA_THETA = 3.0e-5
 
 
 def default_geom(waist=0.025):
@@ -87,10 +91,9 @@ class TestTrialConfig:
 class TestMlDetect:
     def fixed_run(self, h, noise_level, seed):
         geom, rx = default_geom(), default_rx(noise_level=noise_level)
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
         modes = ModeSet(tx_modes=(-2, 1))
         cfg = TrialConfig(trials=20_000, seed=seed)
-        return simulate_ber(geom, rx, modes, stats, cfg, amplitude_matrix=h)
+        return simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, amplitude_matrix=h)
 
     def test_recovers_clean_symbols(self):
         # Orthogonal unit-gain streams far above the noise: no errors.
@@ -108,10 +111,9 @@ class TestMlDetect:
 class TestSimulateBer:
     def run_default(self, trials=30_000, seed=42, **kwargs):
         geom, rx = default_geom(), default_rx()
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
         modes = ModeSet(tx_modes=(-2, 1))
         cfg = TrialConfig(trials=trials, seed=seed, **kwargs)
-        return simulate_ber(geom, rx, modes, stats, cfg)
+        return simulate_ber(geom, rx, modes, SIGMA_THETA, cfg)
 
     def test_deterministic_given_seed(self):
         a = self.run_default()
@@ -134,13 +136,12 @@ class TestSimulateBer:
     def test_max_workers_cap(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "4")
         geom, rx = default_geom(), default_rx()
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
         modes = ModeSet(tx_modes=(-2, 1))
         cfg = TrialConfig(trials=CHUNK_SIZE + 5000, seed=1)
-        out = simulate_ber(geom, rx, modes, stats, cfg, max_workers=1)
+        out = simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, max_workers=1)
         assert out.workers == 1
         with pytest.raises(ValueError):
-            simulate_ber(geom, rx, modes, stats, cfg, max_workers=0)
+            simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, max_workers=0)
 
     def test_common_random_numbers_monotone_in_noise(self):
         # Same seed means identical pointing, symbols and noise draws, so
@@ -149,10 +150,9 @@ class TestSimulateBer:
         for n0 in (6.35e-16, 6.35e-15, 6.35e-14):
             geom = default_geom()
             rx = default_rx(noise_level=n0)
-            stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
             modes = ModeSet(tx_modes=(-2, 1))
             out = simulate_ber(
-                geom, rx, modes, stats, TrialConfig(trials=20_000, seed=9)
+                geom, rx, modes, SIGMA_THETA, TrialConfig(trials=20_000, seed=9)
             )
             counts.append(out.errors)
         assert counts[0] < counts[1] < counts[2]
@@ -175,11 +175,10 @@ class TestSimulateBer:
         # tight here, so the estimate must land within its own confidence
         # interval of it.
         geom, rx = default_geom(), default_rx(noise_level=1.0)
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
         modes = ModeSet(tx_modes=(-2, 1))
         h = np.array([[6.2, 0.0], [0.0, 6.2]])
         cfg = TrialConfig(trials=200_000, seed=31)
-        out = simulate_ber(geom, rx, modes, stats, cfg, amplitude_matrix=h)
+        out = simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, amplitude_matrix=h)
         analytic = conditional_ber(h[:, 0], h[:, 1], rx.noise_level)
         assert abs(out.ber_hat - analytic) <= 3.0 * out.ci95_halfwidth
         assert out.degraded_fraction == 0.0
@@ -189,44 +188,53 @@ class TestSimulateBer:
         # are indistinguishable, and the deterministic tie-break turns
         # exactly the (1,0) sends into errors: a quarter of all trials.
         geom, rx = default_geom(), default_rx(noise_level=1e-12)
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
         modes = ModeSet(tx_modes=(-2, 1))
         h = np.array([[1.0, 1.0], [0.5, 0.5]])
         cfg = TrialConfig(trials=100_000, seed=8)
-        out = simulate_ber(geom, rx, modes, stats, cfg, amplitude_matrix=h)
+        out = simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, amplitude_matrix=h)
         analytic = conditional_ber(h[:, 0], h[:, 1], rx.noise_level)
         assert analytic == pytest.approx(0.25, rel=1e-12)
         assert abs(out.ber_hat - analytic) <= 3.0 * out.ci95_halfwidth
 
     def test_amplitude_matrix_shape_guard(self):
         geom, rx = default_geom(), default_rx()
-        stats = PointingStats(sigma_theta=3.0e-5, distance=geom.distance)
         modes = ModeSet(tx_modes=(-2, 1))
         cfg = TrialConfig(trials=10_000, seed=1)
         with pytest.raises(ValueError):
             simulate_ber(
-                geom, rx, modes, stats, cfg, amplitude_matrix=np.ones((3, 2))
+                geom, rx, modes, SIGMA_THETA, cfg, amplitude_matrix=np.ones((3, 2))
             )
 
     def test_degraded_channel_abort_and_override(self):
         # A tiny jitter puts several percent of the draws below the validity
         # floor of the Bessel-based methods.
         geom, rx = default_geom(), default_rx()
-        stats = PointingStats(sigma_theta=3.0e-6, distance=geom.distance)
-        modes = ModeSet(tx_modes=(-2, 1))
+        modes, tiny = ModeSet(tx_modes=(-2, 1)), 3.0e-6
         with pytest.raises(DegradedChannelError):
-            simulate_ber(geom, rx, modes, stats, TrialConfig(trials=10_000, seed=2))
+            simulate_ber(geom, rx, modes, tiny, TrialConfig(trials=10_000, seed=2))
         out = simulate_ber(
-            geom, rx, modes, stats,
+            geom, rx, modes, tiny,
             TrialConfig(trials=10_000, seed=2, allow_degraded=True),
         )
         assert 0.04 < out.degraded_fraction < 0.07
         # The full-rank methods have no validity floor to police.
         clean = simulate_ber(
-            geom, rx, modes, stats,
+            geom, rx, modes, tiny,
             TrialConfig(trials=10_000, seed=2, crosstalk_method="radial-sum"),
         )
         assert clean.degraded_fraction == 0.0
+
+    def test_bad_jitter_is_refused_before_any_trial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr("oamlink.montecarlo.channel_profile", refuse)
+        geom, rx, modes = default_geom(), default_rx(), ModeSet(tx_modes=(-2, 1))
+        cfg = TrialConfig(trials=10_000, seed=1)
+        with pytest.raises(ValueError, match="sigma_theta must be positive, got -1.0"):
+            simulate_ber(geom, rx, modes, -1.0, cfg)
+        with pytest.raises(ValueError, match="sigma_theta 1e-300 gives a Rayleigh scale"):
+            simulate_ber(geom, rx, modes, 1e-300, cfg, amplitude_matrix=np.eye(2))
 
 
 class TestTrialOutcome:

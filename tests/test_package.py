@@ -75,6 +75,19 @@ def _annotation_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def test_montecarlo_imports_nothing_from_ber():
+    # The simulator is the independent check on the analytic average, so it
+    # must not share the analytic module's code.
+    path = pathlib.Path(importlib.import_module("oamlink.montecarlo").__file__)
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    assert [n for n in names if n == "oamlink.ber" or n.startswith("oamlink.ber.")] == []
+
+
 def test_every_import_is_used():
     # A deletion that leaves its import behind, or a new import that only a
     # tracer reads, shows here; no linter is needed.

@@ -15,8 +15,7 @@ import pytest
 
 import oamlink.sweep
 from oamlink.beam import LinkGeometry, ModeSet
-from oamlink.ber import PointingStats
-from oamlink.crosstalk import Method, ReceiverConfig
+from oamlink.crosstalk import ReceiverConfig
 from oamlink.sweep import (
     PRE_GRID_POINTS,
     BenchReport,
@@ -32,8 +31,8 @@ from oamlink.sweep import (
 GEOM = LinkGeometry(wavelength=1.55e-6, waist=0.025, radial_index=0, distance=1.0e6)
 RX = ReceiverConfig(aperture_radius=0.05, noise_level=6.35e-16, k_r=6)
 A2 = ModeSet(tx_modes=(-2, 1))
-STATS = PointingStats(sigma_theta=3.0e-5, distance=GEOM.distance)
-LINK = (GEOM, RX, A2, STATS)
+SIGMA_THETA = 3.0e-5  # per-axis angular pointing jitter, rad
+LINK = (GEOM, RX, A2, SIGMA_THETA)
 
 
 class TestModeSetLabel:
@@ -89,7 +88,6 @@ class TestOptimizeW0:
         assert not res.boundary
         assert 0.009 < res.w0_opt < 0.016
         assert res.ber_opt < 5e-3
-        assert res.method is Method.BESSEL_SUM
 
     def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -106,19 +104,19 @@ class TestOptimizeW0:
         good = ((0.01, 2.0), (0.02, 1.0), (0.03, 3.0))
         OptimizeResult(
             w0_opt=0.02, ber_opt=1.0, bracket=good, boundary=False,
-            evaluations=9, method=Method.RADIAL_SUM, tol=1e-4,
+            evaluations=9,
         )
         with pytest.raises(ValueError):
             OptimizeResult(
                 w0_opt=0.02, ber_opt=1.0,
                 bracket=((0.03, 2.0), (0.02, 1.0), (0.01, 3.0)),
-                boundary=False, evaluations=9, method=Method.RADIAL_SUM, tol=1e-4,
+                boundary=False, evaluations=9,
             )
         with pytest.raises(ValueError):
             OptimizeResult(
                 w0_opt=0.02, ber_opt=2.5,
                 bracket=((0.01, 2.0), (0.02, 2.5), (0.03, 2.2)),
-                boundary=False, evaluations=9, method=Method.RADIAL_SUM, tol=1e-4,
+                boundary=False, evaluations=9,
             )
 
 
@@ -153,8 +151,8 @@ class TestRankModeSets:
     )
 
     def test_ordering_and_permutation_stability(self):
-        forward = rank_mode_sets(self.CANDIDATES, GEOM, RX, STATS, quad_order=48)
-        backward = rank_mode_sets(tuple(reversed(self.CANDIDATES)), GEOM, RX, STATS,
+        forward = rank_mode_sets(self.CANDIDATES, GEOM, RX, SIGMA_THETA, quad_order=48)
+        backward = rank_mode_sets(tuple(reversed(self.CANDIDATES)), GEOM, RX, SIGMA_THETA,
                                   quad_order=48)
         assert [r.label for r in forward] == [r.label for r in backward]
         assert [r.ber for r in forward] == [r.ber for r in backward]
@@ -166,9 +164,9 @@ class TestRankModeSets:
     def test_duplicate_candidates_rejected(self):
         with pytest.raises(ValueError):
             rank_mode_sets((ModeSet(tx_modes=(-2, 1)), ModeSet(tx_modes=(-2, 1))),
-                           GEOM, RX, STATS, quad_order=48)
+                           GEOM, RX, SIGMA_THETA, quad_order=48)
         with pytest.raises(ValueError):
-            rank_mode_sets((), GEOM, RX, STATS, quad_order=48)
+            rank_mode_sets((), GEOM, RX, SIGMA_THETA, quad_order=48)
 
 
 class TestBench:
@@ -199,6 +197,14 @@ class TestBench:
             bench_methods(*LINK, grid, repetitions=2, **common)
         with pytest.raises(ValueError):
             bench_methods(*LINK, grid, repetitions=3, methods=["bessel-sum"], **common)
+
+    def test_bad_jitter_is_refused_before_any_timing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("evaluator timed")
+
+        monkeypatch.setattr(oamlink.sweep, "crosstalk", refuse)
+        with pytest.raises(ValueError, match="sigma_theta must be positive, got 0.0"):
+            bench_methods(GEOM, RX, A2, 0.0, [(5.0, (-2, 1))], repetitions=3)
 
     def test_report_validation(self):
         times = {"exact2d": 1.0, "bessel-sum": 0.1}
