@@ -221,9 +221,9 @@ def check_offset_radius(r_ch) -> None:
         )
 
 
-def lg_radial_norm(geom: LinkGeometry, ell: int) -> float:
-    """Unit-power normalisation sqrt(2 p! / (pi (p + |ell|)!)) of the LG mode."""
-    p = geom.radial_index
+def lg_radial_norm(p: int, ell: int) -> float:
+    """Unit-power normalisation sqrt(2 p! / (pi (p + |ell|)!)) of the LG mode
+    with radial index p."""
     return math.sqrt(
         2.0 * math.factorial(p) / (math.pi * math.factorial(p + abs(ell)))
     )
@@ -268,7 +268,7 @@ def lg_field(geom: LinkGeometry, orders: Sequence[int], x, y) -> np.ndarray:
     out = np.empty((len(orders),) + step.shape, dtype=complex)
     for idx, order in enumerate(orders):
         field, n = out[idx, ...], abs(order)
-        scalar = cmath.rect(lg_radial_norm(geom, order) / w, (2 * p + n + 1) * gouy)
+        scalar = cmath.rect(lg_radial_norm(p, order) / w, (2 * p + n + 1) * gouy)
         np.multiply(shared, scalar, out=field)
         if n:
             field *= helix[n] if order > 0 else np.conj(helix[n])

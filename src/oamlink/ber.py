@@ -18,6 +18,7 @@ comparable.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,6 +48,11 @@ __all__ = [
 # Per-window quadrature order used on each degeneracy ridge (doubled along
 # with the base order by the convergence self-check).
 _WINDOW_ORDER = 48
+
+# Points of the cached crossing search's scan of (0, cap]; cap is at most
+# twice the call's range, so the steps are no wider than a 4,096-point scan
+# of that range.
+_SCAN_POINTS = 8192
 
 # The Rayleigh average covers offset radii up to this many sigma_r; the
 # excluded tail carries less than 1.3e-14 of the probability mass.
@@ -113,6 +119,59 @@ def _vectors_from_profile(profile: np.ndarray, modes: ModeSet) -> tuple[np.ndarr
     return h[0], h[1]
 
 
+def _gap(terms, s):
+    """g(s) = sum_l d_l |s^|l| L_p^|l|(s^2)| from ``terms``, one (d_l, |l|,
+    L_p^|l| coefficients highest power first) per tx mode: a float in the
+    bisection, an array in the scan."""
+    total = 0.0
+    for d, n, lag in terms:
+        poly = 0.0
+        for c in lag:
+            poly = poly * (s * s) + c
+        total = total + d * abs(s**n * poly)
+    return total
+
+
+@functools.lru_cache(maxsize=256)
+def _gap_roots(
+    tx_modes: tuple[int, ...],
+    streams: tuple[tuple[int, ...], ...],
+    radial_index: int,
+    cap: float,
+) -> tuple[float, ...]:
+    """Every sign change s* of g on (0, cap], ascending.
+
+    A scan of ``_SCAN_POINTS`` equal steps of (0, cap] brackets each sign
+    change, and bisection narrows the bracket until no float lies inside
+    (at most 60 steps); s* is the bracket's midpoint. cap is a power of two,
+    so every scan point is exact.
+    """
+    stream_matrix = ModeSet(tx_modes, stream_grouping=streams).stream_matrix
+    terms = []
+    for ell, (m1, m2) in zip(tx_modes, stream_matrix.tolist()):
+        n = abs(ell)
+        lag = laguerre_coefficients(radial_index, n)[::-1]
+        terms.append(((m1 - m2) * lg_radial_norm(radial_index, ell), n, lag))
+
+    probe = np.arange(1, _SCAN_POINTS + 1) * (cap / _SCAN_POINTS)
+    diff = _gap(terms, probe)
+    roots = []
+    for idx in np.nonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)[0]:
+        lo, hi = float(probe[idx]), float(probe[idx + 1])
+        f_lo = _gap(terms, lo)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # no float lies between lo and hi: nothing moves again
+            f_mid = _gap(terms, mid)
+            if f_lo * f_mid <= 0.0:
+                hi = mid
+            else:
+                lo, f_lo = mid, f_mid
+        roots.append(0.5 * (lo + hi))
+    return tuple(roots)
+
+
 def _degeneracy_windows(
     geom: LinkGeometry,
     rx: ReceiverConfig,
@@ -131,46 +190,27 @@ def _degeneracy_windows(
     C(r) = 2 pi sqrt(gain / 2 pi) exp(-s^2/2) / (n_m w) > 0 and
     g(s) = sum_l d_l |s^|l| L_p^|l|(s^2)|, d_l = (M[l, 0] - M[l, 1])
     sqrt(2 p! / (pi (p + |l|)!)) (``lg_radial_norm``) with M the stream
-    matrix of the two-stream set. g depends on the mode set and p alone;
-    each of its sign changes is refined by bisection and bracketed with a
-    margin wide enough that the pairwise Q terms decay to nothing outside.
+    matrix of the two-stream set.
+
+    g depends on the mode set and p alone, so its sign changes are found
+    once per process: ``_gap_roots`` caches them (bounded LRU) under the key
+    (tx modes, stream partition, p, cap), where cap is the power of two in
+    (s_max, 2 s_max] and s_max = sqrt(2) upper / w is the call's scan range.
+    The cached search depends only on its key, and each call keeps the
+    crossings in (s_max / 4096, s_max], so a call's windows are a function
+    of its own arguments whatever ran before it, and no crossing past its
+    ``upper`` reaches it. Each kept crossing r* = s* w / sqrt(2) is bracketed
+    with a margin wide enough that the pairwise Q terms decay to nothing
+    outside, set by a one-radius slope probe of the call's own channel.
     """
-    terms = []
-    for ell, (m1, m2) in zip(modes.tx_modes, modes.stream_matrix.tolist()):
-        n = abs(ell)
-        # L_p^n coefficients, highest power first, for Horner.
-        lag = laguerre_coefficients(geom.radial_index, n)[::-1]
-        terms.append(((m1 - m2) * lg_radial_norm(geom, ell), n, lag))
-
-    def gap(s):
-        # A float in the bisection, an array in the probe scan.
-        total = 0.0
-        for d, n, lag in terms:
-            poly = 0.0
-            for c in lag:
-                poly = poly * (s * s) + c
-            total = total + d * abs(s**n * poly)
-        return total
-
     to_s = math.sqrt(2.0) / geom.beam_radius_at_rx
-    probe = np.linspace(0.0, upper, 4097)[1:] * to_s
-    diff = gap(probe)
-    flips = np.nonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)[0]
-
+    s_max = upper * to_s
+    cap = math.ldexp(1.0, math.frexp(s_max)[1])
     windows: list[tuple[float, float, float]] = []
-    for idx in flips:
-        lo, hi = float(probe[idx]), float(probe[idx + 1])
-        f_lo = gap(lo)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # no float lies between lo and hi: nothing moves again
-            f_mid = gap(mid)
-            if f_lo * f_mid <= 0.0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        r_star = 0.5 * (lo + hi) / to_s
+    for s_star in _gap_roots(modes.tx_modes, modes.streams, geom.radial_index, cap):
+        if not s_max / 4096 < s_star <= s_max:
+            continue
+        r_star = s_star / to_s
         # Probe far enough out that the full-rank methods' nonzero dip floor
         # does not masquerade as slope, but still inside the linear ramp.
         step = 1e-4 * upper

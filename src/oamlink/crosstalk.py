@@ -36,6 +36,7 @@ but flag degraded accuracy with ``ApproximationWarning``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -257,8 +258,10 @@ def _uniform_panel_weights(n_panels: int, step: float) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=64)
 def _sample_radii_and_weights(rx: ReceiverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Radial sample points r_a*k/k_r for k = 1..k_r with their weights.
+    """Radial sample points r_a*k/k_r for k = 1..k_r with their weights,
+    read-only and built once per receiver.
 
     The k = 0 node is dropped because the radial integrand carries an
     explicit factor r' and vanishes there.
@@ -266,6 +269,8 @@ def _sample_radii_and_weights(rx: ReceiverConfig) -> tuple[np.ndarray, np.ndarra
     step = rx.aperture_radius / rx.k_r
     nodes = step * np.arange(1, rx.k_r + 1)
     weights = _uniform_panel_weights(rx.k_r, step)[1:]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return nodes, weights
 
 

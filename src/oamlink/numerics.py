@@ -13,6 +13,7 @@ documented on it.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,9 +63,15 @@ _BLOCK = 32768
 
 def laguerre_coefficients(p: int, alpha: int) -> list[float]:
     """Power-series coefficients of L_p^alpha, lowest power first:
-    (-1)^m / m! * C(p + alpha, p - m) for m = 0..p."""
-    return [(-1.0) ** m / math.factorial(m) * math.comb(p + alpha, p - m)
-            for m in range(p + 1)]
+    (-1)^m / m! * C(p + alpha, p - m) for m = 0..p. Each call gets a fresh
+    list of the memoised values."""
+    return list(_laguerre_coefficients(p, alpha))
+
+
+@functools.lru_cache(maxsize=256)
+def _laguerre_coefficients(p: int, alpha: int) -> tuple[float, ...]:
+    return tuple((-1.0) ** m / math.factorial(m) * math.comb(p + alpha, p - m)
+                 for m in range(p + 1))
 
 
 def laguerre(p: int, alpha: int, x):

@@ -14,9 +14,11 @@ import pytest
 from scipy.special import erfc
 
 from oamlink.beam import LinkGeometry, ModeSet
+from oamlink import ber
 from oamlink.ber import (
     BerResult,
     _degeneracy_windows,
+    _gap_roots,
     average_ber,
     conditional_ber,
     rayleigh_pdf,
@@ -27,6 +29,7 @@ from oamlink.crosstalk import (
     channel_profile,
     mode_envelope,
 )
+from oamlink.cli import parse_mode_set_spec
 from oamlink.numerics import gauss_legendre, q_function
 
 
@@ -463,3 +466,101 @@ class TestAverageBer:
         for bad in (1.6, -0.1):
             with pytest.raises(ValueError):
                 BerResult(averaged=bad)
+
+
+CACHE_SPECS = ("-2|1", "-3|1", "-4,-2|1,3", "-3,-1|2,4")
+
+
+def windows_of(geom, modes, upper, rx=None):
+    return repr(_degeneracy_windows(geom, rx or default_rx(), modes, Method.BESSEL_SUM, upper))
+
+
+class TestCrossingCache:
+    """The crossings of g(s) are cached per (tx modes, stream partition, p,
+    cap); a call's windows must not depend on what the cache holds."""
+
+    @pytest.mark.parametrize("radial_index", [0, 1, 2])
+    def test_windows_do_not_depend_on_what_ran_before(self, radial_index):
+        other_rx = default_rx(aperture_radius=0.04, noise_level=1e-15)
+        warm_hits = 0
+        for spec in CACHE_SPECS:
+            modes = parse_mode_set_spec(spec)
+            for waist in (0.012, 0.025, 0.04):
+                for distance in (0.5e6, 1.5e6):
+                    for sigma in (1.0e-5, 3.0e-5):
+                        geom = default_geom(waist, radial_index, distance)
+                        upper = 8.0 * geom.rayleigh_scale(sigma)
+                        case = (spec, waist, distance, sigma)
+                        _gap_roots.cache_clear()
+                        cold = windows_of(geom, modes, upper)
+                        # The same set at another link: other distance and
+                        # receiver; in the far field s_max barely moves with
+                        # the distance, so this mostly shares the entry.
+                        other = default_geom(waist, radial_index, 2.0e6 - distance)
+                        _gap_roots.cache_clear()
+                        windows_of(other, modes, 8.0 * other.rayleigh_scale(sigma), other_rx)
+                        before = _gap_roots.cache_info().hits
+                        assert windows_of(geom, modes, upper) == cold, case
+                        warm_hits += _gap_roots.cache_info().hits - before
+                        # Warmed by larger and smaller reaches, alone and in
+                        # both orders; 1.3 often shares the cap, 3 never does.
+                        for warmers in ((3.0,), (1 / 3.0,), (1.3,), (1 / 1.3,),
+                                        (3.0, 1 / 3.0), (1 / 3.0, 3.0),
+                                        (1.3, 1 / 1.3), (1 / 1.3, 1.3)):
+                            _gap_roots.cache_clear()
+                            for factor in warmers:
+                                windows_of(geom, modes, factor * upper)
+                            assert windows_of(geom, modes, upper) == cold, (case, warmers)
+        assert warm_hits > 0
+
+    def test_no_crossing_past_upper_reaches_the_call(self):
+        # Reaches swept through the crossings of "-2|1" at p = 1 (about 12.9,
+        # 22.0 and 33.2 m on the default link), after a call with the full
+        # reach has cached every crossing.
+        geom = default_geom(radial_index=1)
+        modes = ModeSet(tx_modes=(-2, 1))
+        to_s = math.sqrt(2.0) / geom.beam_radius_at_rx
+        full = _degeneracy_windows(geom, default_rx(), modes, Method.BESSEL_SUM, 240.0)
+        assert len(full) == 3
+        held_beyond = 0
+        for upper in np.linspace(5.0, 40.0, 71):
+            windows = _degeneracy_windows(geom, default_rx(), modes, Method.BESSEL_SUM, upper)
+            assert all(0.0 <= lo <= mid <= hi <= upper for lo, mid, hi in windows), upper
+            assert [w[1] for w in windows] == [w[1] for w in full if w[1] <= upper], upper
+            s_max = upper * to_s
+            cap = math.ldexp(1.0, math.frexp(s_max)[1])
+            held_beyond += sum(s > s_max for s in _gap_roots((-2, 1), ((-2,), (1,)), 1, cap))
+        assert held_beyond > 0  # the cache did hold crossings the calls refused
+
+    @pytest.mark.parametrize("spec", CACHE_SPECS)
+    def test_warm_call_does_no_scan_or_bisection(self, monkeypatch, spec):
+        evaluations = []
+        gap = ber._gap
+
+        def counting(terms, s):
+            evaluations.append(np.size(s))
+            return gap(terms, s)
+
+        monkeypatch.setattr(ber, "_gap", counting)
+        geom, modes = default_geom(), parse_mode_set_spec(spec)
+        upper = 8.0 * geom.rayleigh_scale(3.0e-5)
+        _gap_roots.cache_clear()
+        cold = windows_of(geom, modes, upper)
+        assert evaluations[0] == ber._SCAN_POINTS and len(evaluations) > 1
+        evaluations.clear()
+        assert windows_of(geom, modes, upper) == cold
+        windows_of(geom, modes, upper, default_rx(aperture_radius=0.04, k_r=8))
+        assert evaluations == []
+
+    def test_a_set_and_its_spec_share_one_entry(self):
+        geom = default_geom()
+        upper = 8.0 * geom.rayleigh_scale(3.0e-5)
+        _gap_roots.cache_clear()
+        first = windows_of(geom, ModeSet((-2, 1)), upper)
+        assert windows_of(geom, parse_mode_set_spec("-2|1"), upper) == first
+        info = _gap_roots.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_cache_is_bounded(self):
+        maxsize = _gap_roots.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0

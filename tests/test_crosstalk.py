@@ -202,6 +202,17 @@ class TestApproximationChain:
                 db = abs(10.0 * math.log10(got / ref))
                 assert db <= 1.0, (method, ell_n, ell_j, r, db)
 
+    def test_sample_radii_and_weights_are_shared_read_only(self):
+        rx = default_rx()
+        nodes, weights = _sample_radii_and_weights(rx)
+        again = _sample_radii_and_weights(default_rx())  # an equal receiver
+        assert again[0] is nodes and again[1] is weights
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+            with pytest.raises(ValueError):
+                arr *= 2.0
+
     @pytest.mark.parametrize("k_r", [3, 5, 7, 9])
     def test_odd_sample_counts_integrate_cubics(self, k_r):
         # An odd k_r ends Simpson's rule with a 3/8 panel; both are exact
