@@ -27,12 +27,15 @@ from oamlink.beam import LinkGeometry, ModeSet
 from oamlink.ber import REACH_SIGMAS, average_ber
 from oamlink.crosstalk import Method, ReceiverConfig, crosstalk_matrix
 from oamlink.montecarlo import (
+    MAX_TRIALS,
     DegradedChannelError,
     TrialConfig,
+    check_chunk_memory,
     simulate_ber,
     worker_count,
 )
 from oamlink.sweep import (
+    TOL_ULPS,
     bench_methods,
     mode_set_label,
     optimize_w0,
@@ -123,6 +126,14 @@ def _check_bessel_range(
             f"geometry.distance_m={geom.distance!r}, geometry.w0_m={geom.waist!r}, "
             f"geometry.wavelength_m={geom.wavelength!r})"
         ) from None
+
+
+def _check_trial_budget(total: int, keys: str) -> None:
+    """Refuses a command whose Monte Carlo runs, ``keys`` multiplied,
+    simulate more than MAX_TRIALS trials in all."""
+    if total > MAX_TRIALS:
+        raise ConfigError(f"{keys} makes {total} simulated trials; "
+                          f"a command runs at most {MAX_TRIALS}")
 
 
 def _key_values(entries, missing_equals: str, from_file: bool = False) -> dict[str, str]:
@@ -276,6 +287,10 @@ class RunConfig:
                     modes = ModeSet(*args)
         return modes
 
+    def streams_key(self) -> str:
+        """The key that sets the streams of ``mode_set()``."""
+        return "modes.grouping" if self.is_set("modes.grouping") else "modes.tx"
+
     def candidates(self) -> tuple[ModeSet, ...]:
         raw = self.text("modes.candidates")
         if not raw:
@@ -292,8 +307,7 @@ class RunConfig:
         any work, naming the key, unless each has the averaged BER's 2 streams."""
         sets, key = tuple(candidates), "modes.candidates"
         if not sets:
-            sets = (self.mode_set(),)
-            key = "modes.grouping" if self.is_set("modes.grouping") else "modes.tx"
+            sets, key = (self.mode_set(),), self.streams_key()
         for modes in sets:
             if modes.n_streams != 2:
                 raise ConfigError(f"{key}: the averaged BER needs exactly 2 data streams, "
@@ -542,6 +556,8 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
     candidates = cfg.two_stream_sets(cfg.candidates())
     with_mc = cfg.flag("ber.with_mc")
     trial_cfgs = {method: cfg.trial_config(method) for method in methods} if with_mc else {}
+    _check_trial_budget(sum(c.trials for c in trial_cfgs.values()) * len(grid) * len(candidates),
+                        "mc.trials x sweep.grid values x modes.candidates x method")
 
     rows = []
     errors = 0
@@ -596,6 +612,8 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
 def cmd_montecarlo(cfg: RunConfig) -> _Output:
     geom, rx, sigma_theta = cfg.link()
     modes = cfg.mode_set()
+    with _config_errors(f"{cfg.streams_key()}: "):
+        check_chunk_memory(modes)
     method = cfg.single_method()
     trial_cfg = cfg.trial_config(method)
     outcome = simulate_ber(geom, rx, modes, sigma_theta, trial_cfg)
@@ -627,6 +645,9 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
         raise ConfigError(f"need 0 < optimize.lo_m < optimize.hi_m < inf, got {lo}, {hi}")
     if not (0 < tol < hi - lo):
         raise ConfigError(f"optimize.tol_m must be in (0, {hi - lo:g}), got {tol}")
+    if tol < TOL_ULPS * math.ulp(hi):
+        raise ConfigError(f"optimize.tol_m must be at least {TOL_ULPS} ulps of optimize.hi_m, "
+                          f"{TOL_ULPS * math.ulp(hi)!r}, or the search never ends; got {tol}")
     quad_order = cfg.quad_order()
     # The search replaces the waist, so its link is the config with each
     # bound, which it evaluates, as the waist; geometry.w0_m is never checked.
@@ -723,23 +744,17 @@ def cmd_bench(cfg: RunConfig) -> _Output:
         raise ConfigError(f"bench.repetitions must be in [3, 20], got {repetitions}")
     with _config_errors(keys={"trials": "bench.mc_trials", "seed": "mc.seed"}):
         TrialConfig(mc_trials, seed)
+    _check_trial_budget(repetitions * mc_trials, "bench.repetitions x bench.mc_trials")
     _check_bessel_range(geom, rx, r_max, "bench.r_max_m", r_max)
-
-    # Shared grid: radii evenly spaced, mode pairs cycling through the
-    # full tx-by-filter product so off-diagonal costs are represented.
-    pairs = [(ell_n, ell_j) for ell_j in modes.filter_modes for ell_n in modes.tx_modes]
-    step = (r_max - r_min) / (n_points - 1) if n_points > 1 else 0.0
-    grid = [(r_min + i * step, pairs[i % len(pairs)]) for i in range(n_points)]
-    report = bench_methods(
-        geom, rx, modes, sigma_theta, grid, repetitions, methods, mc_trials, seed, quad_order
-    )
+    report = bench_methods(geom, rx, modes, sigma_theta, r_min, r_max, n_points,
+                           repetitions, methods, mc_trials, seed, quad_order)
 
     # Wall times vary run to run, so they go to the manifest and stdout;
     # the CSV records only what was benchmarked, keeping reruns
     # byte-identical.
     roles = [(m.value, "reference" if m is Method.EXACT2D else "candidate") for m in methods]
     roles += [("monte-carlo", "estimator"), ("quadrature-average", "estimator")]
-    rows = [(*role, len(grid), repetitions, mc_trials) for role in roles]
+    rows = [(*role, n_points, repetitions, mc_trials) for role in roles]
     speedups = report.speedup_vs_exact.items()
     return _Output(
         (
@@ -755,7 +770,7 @@ def cmd_bench(cfg: RunConfig) -> _Output:
             "analytic_median_s": f"{report.analytic_ber_time:.6f}",
             "mc_over_analytic": f"{report.mc_over_analytic:.2f}",
         },
-        f"grid of {len(grid)} points, {repetitions} repetitions"
+        f"grid of {n_points} points, {repetitions} repetitions"
         + "".join(f", {name} {ratio:.0f}x" for name, ratio in speedups)
         + f" vs exact2d, monte-carlo {report.mc_over_analytic:.0f}x quadrature",
     )

@@ -34,12 +34,14 @@ from oamlink.crosstalk import (
 
 __all__ = [
     "CHUNK_SIZE",
+    "MAX_CHUNK_BYTES",
     "MAX_TRIALS",
     "MAX_WORKERS",
     "WORKERS_ENV_VAR",
     "DegradedChannelError",
     "TrialConfig",
     "TrialOutcome",
+    "check_chunk_memory",
     "worker_count",
     "simulate_ber",
 ]
@@ -50,6 +52,13 @@ CHUNK_SIZE = 1 << 16
 # Ceiling on one run: about 17 minutes at roughly a million trials per
 # second, so a mistyped count is refused instead of running for days.
 MAX_TRIALS = 10**9
+
+# Bytes the ML detection of one chunk may hold: its candidates and residuals
+# are two float64 arrays of shape (CHUNK_SIZE, 2^n_streams, n_filter), so
+# 2^n_streams * n_filter may be at most 256, and each worker holds one
+# chunk's pair at a time. Every two-stream set fits (4 x 33 filters take
+# 138 MB); ten single-mode streams would take 10.7 GB.
+MAX_CHUNK_BYTES = 1 << 28
 
 # Ceiling on worker threads. The threads share the GIL, so past a few per
 # core they add hand-offs, not speed; a run of MAX_TRIALS has 15,259 chunks
@@ -134,6 +143,17 @@ class TrialOutcome:
             raise ValueError("ber_hat inconsistent with error and trial counts")
 
 
+def check_chunk_memory(modes: ModeSet) -> None:
+    """Refuses a set whose ML detection would hold more than
+    ``MAX_CHUNK_BYTES`` for one chunk."""
+    need = 16 * CHUNK_SIZE * (1 << modes.n_streams) * modes.n_filter
+    if need > MAX_CHUNK_BYTES:
+        raise ValueError(
+            f"{modes.n_streams} streams x {modes.n_filter} filters need {need / 1e9:.1f} GB "
+            f"per Monte Carlo chunk, past its {MAX_CHUNK_BYTES / 1e9:.2f} GB budget"
+        )
+
+
 def _hypotheses(n_streams: int) -> np.ndarray:
     """All on/off stream vectors, in lexicographic order."""
     return np.array(list(product((0, 1), repeat=n_streams)), dtype=float)
@@ -207,13 +227,15 @@ def simulate_ber(
     fixed matrix (filter rows by tx columns) for synthetic audits such as
     forcing two identical stream signatures; pointing is then not drawn.
     ``max_workers`` caps the thread count below the environment setting,
-    which benchmark timings use to pin a single worker.
+    which benchmark timings use to pin a single worker. A set that
+    ``check_chunk_memory`` refuses is refused before any trial.
 
     Raises ``DegradedChannelError`` when more than 0.1% of the pointing
     draws fall below the approximation validity floor, unless the config
     sets ``allow_degraded``.
     """
     geom.rayleigh_scale(sigma_theta)
+    check_chunk_memory(modes)
     fixed = None
     if amplitude_matrix is not None:
         fixed = np.asarray(amplitude_matrix, dtype=float)

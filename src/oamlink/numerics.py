@@ -61,15 +61,11 @@ _ORDER_TIERS = (4, 16, BESSEL_MAX_ORDER)
 _BLOCK = 32768
 
 
-def laguerre_coefficients(p: int, alpha: int) -> list[float]:
-    """Power-series coefficients of L_p^alpha, lowest power first:
-    (-1)^m / m! * C(p + alpha, p - m) for m = 0..p. Each call gets a fresh
-    list of the memoised values."""
-    return list(_laguerre_coefficients(p, alpha))
-
-
 @functools.lru_cache(maxsize=256)
-def _laguerre_coefficients(p: int, alpha: int) -> tuple[float, ...]:
+def laguerre_coefficients(p: int, alpha: int) -> tuple[float, ...]:
+    """Power-series coefficients of L_p^alpha, lowest power first:
+    (-1)^m / m! * C(p + alpha, p - m) for m = 0..p. Memoised; a tuple, so
+    no caller can change the memo."""
     return tuple((-1.0) ** m / math.factorial(m) * math.comb(p + alpha, p - m)
                  for m in range(p + 1))
 

@@ -16,6 +16,7 @@ import statistics
 import time
 import warnings
 from dataclasses import dataclass, replace
+from itertools import cycle, product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -30,12 +31,17 @@ from oamlink.crosstalk import (
     crosstalk,
     crosstalk_matrix,  # noqa: F401  benchmarks/spans.py traces sweep.crosstalk_matrix
 )
-from oamlink.montecarlo import TrialConfig, simulate_ber
+from oamlink.montecarlo import MAX_TRIALS, TrialConfig, simulate_ber
 
 GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Coarse scan used to seed the golden-section bracket.
 PRE_GRID_POINTS = 8
+
+# The least tol the search takes, in units in the last place of the upper
+# bound. Near one ulp the golden-section points stop moving while the
+# bracket is still wider than tol, and the search never ends.
+TOL_ULPS = 2
 
 
 def mode_set_label(modes: ModeSet) -> str:
@@ -90,8 +96,9 @@ def optimize_w0(
 
     A coarse pre-grid of PRE_GRID_POINTS equally spaced waists seeds the
     bracket; golden-section then narrows the bracketing interval below
-    ``tol``. When the pre-grid argmin falls on an interval edge the result
-    is flagged as a boundary minimum and no interior certificate is
+    ``tol``, which may not be below ``TOL_ULPS`` ulps of the upper bound.
+    When the pre-grid argmin falls on an interval edge the result is
+    flagged as a boundary minimum and no interior certificate is
     fabricated.
     """
     w_lo, w_hi = float(bounds[0]), float(bounds[1])
@@ -99,9 +106,10 @@ def optimize_w0(
         raise ValueError(f"need w_lo < w_hi, got {bounds!r}")
     if w_lo <= 0:
         raise ValueError(f"beam waist bounds must be positive, got {bounds!r}")
-    if not (0 < tol < (w_hi - w_lo)):
+    if not (TOL_ULPS * math.ulp(w_hi) <= tol < (w_hi - w_lo)):
         raise ValueError(
-            f"tol must be in (0, {w_hi - w_lo:g}) for these bounds, got {tol!r}"
+            f"tol must be in [{TOL_ULPS * math.ulp(w_hi)!r}, {w_hi - w_lo:g}) for these "
+            f"bounds, got {tol!r}"
         )
     memo: dict[float, float] = {}
 
@@ -284,7 +292,9 @@ def bench_methods(
     rx: ReceiverConfig,
     modes: ModeSet,
     sigma_theta: float,
-    grid: Sequence[tuple[float, tuple[int, int]]],
+    r_min: float,
+    r_max: float,
+    n_points: int,
     repetitions: int = 5,
     methods: Sequence["Method | str"] = (
         Method.EXACT2D,
@@ -295,30 +305,36 @@ def bench_methods(
     seed: int = 0,
     quad_order: int = 64,
 ) -> BenchReport:
-    """Time each evaluator over one shared coefficient grid.
+    """Time each evaluator over one shared grid of ``n_points`` points.
 
-    ``grid`` lists (offset radius, (tx order, filter order)) evaluation
-    points; every method runs the identical list and the median of
-    ``repetitions`` passes is kept. The Monte Carlo versus analytic-average
-    comparison runs the estimator at ``mc_trials`` trials from ``seed``,
-    pinned to a single worker, against one quadrature average of order
-    ``quad_order``, both with bessel-sum whatever ``methods`` lists.
-    Accuracy warnings are suppressed inside the timed region so console
-    I/O does not leak into the wall times; the benchmark grid should sit
-    inside every method's validity range regardless.
+    Point i sits at the i-th of ``n_points`` radii evenly spaced over
+    [r_min, r_max] and takes pair i mod (n_tx * n_filter) of the set's
+    (tx order, filter order) pairs, filter-major, so off-diagonal costs are
+    represented. Every method times ``crosstalk`` once per point, and the
+    median of ``repetitions`` passes is kept. The Monte Carlo versus
+    analytic-average comparison runs the estimator at ``mc_trials`` trials
+    from ``seed``, pinned to a single worker, against one quadrature
+    average of order ``quad_order``, both with bessel-sum whatever
+    ``methods`` lists; ``repetitions * mc_trials`` may not pass
+    ``MAX_TRIALS``. Accuracy warnings are suppressed inside the timed
+    region so console I/O does not leak into the wall times; the span
+    should sit inside every method's validity range regardless.
     """
     geom.rayleigh_scale(sigma_theta)
     if repetitions < 3:
         raise ValueError(f"repetitions must be >= 3, got {repetitions}")
-    entries = [(float(r), (int(pair[0]), int(pair[1]))) for r, pair in grid]
-    if not entries:
-        raise ValueError("benchmark grid must not be empty")
-    if any(r <= 0 for r, _ in entries):
-        raise ValueError("benchmark offsets must be positive")
+    if repetitions * mc_trials > MAX_TRIALS:
+        raise ValueError(f"repetitions * mc_trials makes {repetitions * mc_trials} "
+                         f"simulated trials, past {MAX_TRIALS}")
+    if not (n_points >= 1 and 0 < r_min <= r_max < math.inf):
+        raise ValueError(f"benchmark span needs n_points >= 1 and 0 < r_min <= r_max < inf, "
+                         f"got {n_points} points over [{r_min}, {r_max}]")
     parsed = [Method.parse(m) for m in methods]
     if Method.EXACT2D not in parsed:
         raise ValueError("benchmark must include the reference method exact2d")
-    n_m = modes.n_streams
+    cfg = TrialConfig(mc_trials, seed, Method.BESSEL_SUM, allow_degraded=True)
+    pairs = cycle(product(modes.filter_modes, modes.tx_modes))
+    grid = list(zip(np.linspace(r_min, r_max, n_points).tolist(), pairs))
 
     method_times: dict[str, float] = {}
     with warnings.catch_warnings():
@@ -326,16 +342,10 @@ def bench_methods(
         warnings.simplefilter("ignore", QuadratureConvergenceWarning)
         for method in parsed:
             def one_pass(method: Method = method) -> None:
-                for r, (ell_n, ell_j) in entries:
-                    crosstalk(geom, rx, n_m, ell_n, ell_j, r, method)
+                for r, (ell_j, ell_n) in grid:
+                    crosstalk(geom, rx, modes.n_streams, ell_n, ell_j, r, method)
             method_times[method.value] = _median_wall_time(one_pass, repetitions)
 
-        cfg = TrialConfig(
-            trials=mc_trials,
-            seed=seed,
-            crosstalk_method=Method.BESSEL_SUM,
-            allow_degraded=True,
-        )
         mc_time = _median_wall_time(
             lambda: simulate_ber(geom, rx, modes, sigma_theta, cfg, max_workers=1), repetitions
         )

@@ -291,20 +291,14 @@ def test_10_speedups():
     # 5x and the closed Bessel sum at least 50x faster than the reference
     # integral; the quadrature average must beat a million-trial simulation
     # by at least 100x.
-    pairs = [
-        (ell_n, ell_j)
-        for ell_j in A2.filter_modes
-        for ell_n in A2.tx_modes
-    ]
-    grid = [
-        (2.0 + i * 18.0 / 49.0, pairs[i % len(pairs)]) for i in range(50)
-    ]
     report = bench_methods(
         make_geom(),
         RX,
         A2,
         3.0e-5,
-        grid,
+        2.0,
+        20.0,
+        50,
         repetitions=3,
         methods=(Method.EXACT2D, Method.RADIAL_SUM, Method.BESSEL_SUM),
         mc_trials=1_000_000,

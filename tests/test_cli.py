@@ -325,10 +325,36 @@ class TestMainErrors:
              "pointing.r_ch_m=100000.0, geometry.distance_m=1000000.0, geometry.w0_m=0.025"),
             (["bench", "-s", "bench.r_max_m=1e5"], None,
              "bench.r_max_m=100000.0, geometry.distance_m=1000000.0, geometry.w0_m=0.025"),
+            # A golden-section search whose tol is below the float spacing
+            # never ends.
+            (["optimize", "--tol", "1e-300"], None, "optimize.tol_m must be at least 2 ulps"),
+            (["optimize", "--tol", "1e-17"], None, "optimize.tol_m"),
+            # Runs that would simulate past 10^9 trials in all.
+            (["bench", "-s", "bench.mc_trials=1000000000"], None,
+             "bench.repetitions x bench.mc_trials makes 5000000000 simulated trials"),
+            (["bench", "--repetitions", "20", "-s", "bench.mc_trials=50000001"], None,
+             "bench.repetitions x bench.mc_trials"),
+            (["ber-curve", "--monte-carlo", "--trials", "1000000000", "--grid", "0.02"], None,
+             "mc.trials x sweep.grid values x modes.candidates x method makes 4000000000"),
+            (["ber-curve", "--monte-carlo", "--trials", "300000000", "--grid", "0.02,0.03",
+              "--candidates=-2|1", "--method", "bessel-sum,radial-sum"], None,
+             "mc.trials x sweep.grid values"),
+            # Sets whose ML detection would not fit one chunk in memory.
+            (["monte-carlo", "-s", "modes.tx=-5,-4,-3,-2,-1,1,2,3,4,5"], None,
+             "modes.tx: 10 streams x 10 filters"),
+            (["monte-carlo", "-s", "modes.tx=-5,-4,-3,-2,-1,1,2,3,4,5",
+              "-s", "modes.grouping=-5,-4|-3|-2|-1|1|2|3|4|5"], None,
+             "modes.grouping: 9 streams x 10 filters"),
         ],
     )
     def test_bad_input_exits_config_error(self, args, env, key, tmp_path, monkeypatch, capsys):
-        # Each is refused before any trial runs, so no thread starts.
+        # Each is refused before any average, timing or trial runs, so no
+        # thread starts.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("sweep.crosstalk", "sweep.average_ber", "montecarlo._run_chunk"):
+            monkeypatch.setattr(f"oamlink.{name}", refuse)
         if env is not None:
             monkeypatch.setenv("OAMLINK_WORKERS", env)
         assert main(args + ["-o", str(tmp_path / "o.csv")]) == EXIT_CONFIG

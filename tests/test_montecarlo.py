@@ -236,6 +236,27 @@ class TestSimulateBer:
         with pytest.raises(ValueError, match="sigma_theta 1e-300 gives a Rayleigh scale"):
             simulate_ber(geom, rx, modes, 1e-300, cfg, amplitude_matrix=np.eye(2))
 
+    def test_set_past_the_memory_budget_is_refused_before_any_trial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("chunk run")
+
+        monkeypatch.setattr("oamlink.montecarlo._run_chunk", refuse)
+        cfg = TrialConfig(trials=1000, seed=1)
+
+        def run(tx, filters=None):
+            modes = ModeSet(tx_modes=tx, filter_modes=filters)
+            return simulate_ber(default_geom(), default_rx(), modes, SIGMA_THETA, cfg)
+
+        # Ten single-mode streams would need 10.7 GB per chunk of 65,536.
+        with pytest.raises(ValueError, match="10 streams x 10 filters need 10.7 GB"):
+            run((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+        # The budget is 2^n_streams * n_filter <= 256: five streams fit
+        # with eight filters, not with nine.
+        with pytest.raises(ValueError, match="5 streams x 9 filters"):
+            run((-2, -1, 1, 2, 3), range(-4, 5))
+        with pytest.raises(AssertionError, match="chunk run"):
+            run((-2, -1, 1, 2, 3), range(-4, 4))
+
 
 class TestTrialOutcome:
     def test_validation(self):

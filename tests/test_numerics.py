@@ -68,12 +68,12 @@ class TestLaguerre:
             ) * laguerre(p - 1, alpha, x)
             assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
-    def test_memoised_coefficients_come_in_a_fresh_list(self):
-        first = laguerre_coefficients(2, 3)
-        assert first == [10.0, -5.0, 0.5]  # L_2^3(x) = 10 - 5x + x^2/2
-        first[0] = 99.0
-        second = laguerre_coefficients(2, 3)
-        assert second == [10.0, -5.0, 0.5] and second is not first
+    def test_memoised_coefficients_cannot_be_changed(self):
+        coeffs = laguerre_coefficients(2, 3)
+        assert coeffs == (10.0, -5.0, 0.5)  # L_2^3(x) = 10 - 5x + x^2/2
+        with pytest.raises(TypeError):
+            coeffs[0] = 99.0
+        assert laguerre_coefficients(2, 3) == (10.0, -5.0, 0.5)
 
     def test_scalar_in_scalar_out(self):
         out = laguerre(3, 1, 0.5)

@@ -100,6 +100,32 @@ class TestOptimizeW0:
         with pytest.raises(ValueError):
             optimize_w0(*LINK, bounds=(0.01, 0.03), tol=1e-4, quad_order=48)
 
+    @pytest.mark.parametrize("tol", [1e-300, 1e-18, math.ulp(0.06)])
+    def test_tol_below_the_float_spacing_is_refused_before_any_average(self, monkeypatch,
+                                                                       tol):
+        # The golden-section points stop moving below about one ulp of the
+        # optimum, so such a tol would never end the search.
+        def refuse(*args):
+            raise AssertionError("objective evaluated")
+
+        monkeypatch.setattr(oamlink.sweep, "average_ber", refuse)
+        with pytest.raises(ValueError, match="tol must be in"):
+            optimize_w0(*LINK, bounds=(0.005, 0.06), tol=tol)
+
+    @pytest.mark.parametrize("w_opt", [0.0095, 0.0237, 0.030, 0.045, 0.0555])
+    def test_least_tol_ends(self, monkeypatch, w_opt):
+        calls = []
+
+        def objective(w):
+            calls.append(w)
+            assert len(calls) < 500, "search did not end"
+            return (w - w_opt) ** 2
+
+        use_objective(monkeypatch, objective)
+        tol = oamlink.sweep.TOL_ULPS * math.ulp(0.06)
+        res = optimize_w0(*LINK, bounds=(0.005, 0.06), tol=tol)
+        assert not res.boundary and abs(res.w0_opt - w_opt) <= tol
+
     def test_result_validation(self):
         good = ((0.01, 2.0), (0.02, 1.0), (0.03, 3.0))
         OptimizeResult(
@@ -171,8 +197,7 @@ class TestRankModeSets:
 
 class TestBench:
     def test_small_benchmark_structure(self):
-        grid = [(5.0, (-2, 1)), (10.0, (0, 0))]
-        report = bench_methods(*LINK, grid, repetitions=3, mc_trials=1000, seed=77,
+        report = bench_methods(*LINK, 5.0, 10.0, 2, repetitions=3, mc_trials=1000, seed=77,
                                quad_order=48)
         assert set(report.method_times) == {
             "exact2d", "bessel-integral", "bessel-sum",
@@ -187,16 +212,44 @@ class TestBench:
         )
 
     def test_bench_guards(self):
-        grid = [(5.0, (-2, 1))]
         common = dict(mc_trials=1000, seed=77, quad_order=48)
         with pytest.raises(ValueError):
-            bench_methods(*LINK, [], repetitions=3, **common)
+            bench_methods(*LINK, 5.0, 10.0, 0, repetitions=3, **common)
         with pytest.raises(ValueError):
-            bench_methods(*LINK, [(0.0, (0, 0))], repetitions=3, **common)
+            bench_methods(*LINK, 0.0, 10.0, 1, repetitions=3, **common)
         with pytest.raises(ValueError):
-            bench_methods(*LINK, grid, repetitions=2, **common)
+            bench_methods(*LINK, 5.0, 5.0, 1, repetitions=2, **common)
         with pytest.raises(ValueError):
-            bench_methods(*LINK, grid, repetitions=3, methods=["bessel-sum"], **common)
+            bench_methods(*LINK, 5.0, 5.0, 1, repetitions=3, methods=["bessel-sum"], **common)
+
+    def test_times_the_filter_major_pair_cycle(self, monkeypatch):
+        class Timed(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Timed
+
+        calls = []
+        monkeypatch.setattr(oamlink.sweep, "crosstalk", lambda *args: calls.append(args))
+        monkeypatch.setattr(oamlink.sweep, "simulate_ber", stop)
+        modes = ModeSet(tx_modes=(-2, 1), filter_modes=(-2, 0, 1))
+        with pytest.raises(Timed):
+            bench_methods(GEOM, RX, modes, SIGMA_THETA, 2.0, 8.0, 7, repetitions=3,
+                          methods=["exact2d"])
+        pairs = [(-2, -2), (1, -2), (-2, 0), (1, 0), (-2, 1), (1, 1), (-2, -2)]
+        one_pass = [(GEOM, RX, 2, n, j, float(r), "exact2d")
+                    for (n, j), r in zip(pairs, range(2, 9))]
+        assert [(*c[:6], c[6].value) for c in calls] == one_pass * 3
+
+    @pytest.mark.parametrize("repetitions, mc_trials", [(5, 10**9), (20, 50_000_001)])
+    def test_trial_budget_is_refused_before_any_timing(self, monkeypatch, repetitions,
+                                                        mc_trials):
+        def refuse(*args):
+            raise AssertionError("evaluator timed")
+
+        monkeypatch.setattr(oamlink.sweep, "crosstalk", refuse)
+        with pytest.raises(ValueError, match="repetitions \\* mc_trials"):
+            bench_methods(*LINK, 5.0, 10.0, 2, repetitions=repetitions, mc_trials=mc_trials)
 
     def test_bad_jitter_is_refused_before_any_timing(self, monkeypatch):
         def refuse(*args):
@@ -204,7 +257,7 @@ class TestBench:
 
         monkeypatch.setattr(oamlink.sweep, "crosstalk", refuse)
         with pytest.raises(ValueError, match="sigma_theta must be positive, got 0.0"):
-            bench_methods(GEOM, RX, A2, 0.0, [(5.0, (-2, 1))], repetitions=3)
+            bench_methods(GEOM, RX, A2, 0.0, 5.0, 5.0, 1, repetitions=3)
 
     def test_report_validation(self):
         times = {"exact2d": 1.0, "bessel-sum": 0.1}
