@@ -212,10 +212,11 @@ def _checked_orders(kind: str, orders: Sequence[int]) -> tuple[int, ...]:
 
 def check_offset_radius(r_ch) -> None:
     """Refuses an offset radius, or an array of them, unless each is finite
-    and >= 0 (nan fails too)."""
+    and >= 0 (nan fails too). The smallest and largest radius decide; the
+    first bad one is looked up only to name it."""
     r = np.asarray(r_ch)
-    bad = ~((r >= 0) & (r < np.inf))
-    if np.any(bad):
+    if not (r.min(initial=0.0) >= 0 and r.max(initial=0.0) < np.inf):
+        bad = ~((r >= 0) & (r < np.inf))
         raise ValueError(
             f"offset radius r_ch must be finite and >= 0, got {float(r[bad][0])!r}"
         )

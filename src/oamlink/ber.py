@@ -35,7 +35,7 @@ from oamlink.crosstalk import (
     channel_profile,
     mode_envelope,  # noqa: F401  benchmarks/spans.py traces ber.mode_envelope
 )
-from oamlink.numerics import gauss_legendre, laguerre_coefficients, q_function
+from oamlink.numerics import _legendre_rule, laguerre_coefficients, q_function
 
 __all__ = [
     "REACH_SIGMAS",
@@ -104,8 +104,35 @@ def conditional_ber(h1: np.ndarray, h2: np.ndarray, n0: float):
         raise ValueError(f"noise level must be positive, got {n0!r}")
     scale = 1.0 / math.sqrt(4.0 * n0)
     stacked = np.stack([h1, h2, h1 + h2, h1 - h2])
-    q = q_function(np.sqrt(np.add.reduce(stacked * stacked, axis=-1)) * scale)
+    q = q_function(np.sqrt(_squared_norm(stacked)) * scale)
     return q[0] + q[1] + 0.5 * q[2] + 0.5 * q[3]
+
+
+def _squared_norm(v: np.ndarray) -> np.ndarray:
+    """Squared norm over the last axis by whole-column adds, bit for bit
+    ``np.add.reduce(v * v, axis=-1)`` up to 128 columns (a filter bank has
+    at most 33).
+
+    ``np.add.reduce`` runs its inner loop once per output element, which on
+    a 2-4 wide filter bank costs several times the adds themselves. This
+    spells out its order for a contiguous axis (numpy's pairwise summation):
+    under eight terms, left to right; from eight on, terms k and k + 8i
+    share one of eight partial sums, which add as the tree ((0+1)+(2+3)) +
+    ((4+5)+(6+7)), and the terms past the last full eight follow in order.
+    """
+    terms = v * v
+    columns = [terms[..., k] for k in range(terms.shape[-1])]
+    lanes = 8 if len(columns) >= 8 else 1
+    full = len(columns) - len(columns) % lanes
+    partial = columns[:lanes]
+    for start in range(lanes, full, lanes):
+        partial = [a + b for a, b in zip(partial, columns[start : start + lanes])]
+    while len(partial) > 1:
+        partial = [a + b for a, b in zip(partial[0::2], partial[1::2])]
+    total = partial[0]
+    for column in columns[full:]:
+        total = total + column
+    return total
 
 
 def _vectors_from_profile(profile: np.ndarray, modes: ModeSet) -> tuple[np.ndarray, np.ndarray]:
@@ -263,9 +290,9 @@ def _piecewise_rule(
     for a, b, n in pieces:
         if b - a <= upper * 1e-15:
             continue
-        rule = gauss_legendre(n, a, b)
-        nodes.append(rule.nodes)
-        weights.append(rule.weights)
+        piece_nodes, piece_weights = _legendre_rule(n, a, b)
+        nodes.append(piece_nodes)
+        weights.append(piece_weights)
     return np.concatenate(nodes), np.concatenate(weights)
 
 

@@ -211,10 +211,11 @@ def mode_envelope(
     geom: LinkGeometry,
     rx: ReceiverConfig,
     n_m: int,
-    ell_n: int,
+    orders,
     r_ch,
 ) -> np.ndarray:
-    """Transmit-mode factor of the separable coefficient approximations.
+    """Transmit-mode factor of the separable coefficient approximations,
+    shape ``(len(orders), *r_ch.shape)``: one row per tx order.
 
     The three Bessel-reduction methods all factor each coefficient into
     this envelope (a function of the transmitted order and the offset
@@ -222,18 +223,25 @@ def mode_envelope(
     order: the prefactor times the squared azimuthal-integral envelope
     frozen at the offset radius, [2*pi * (sqrt(2) r_ch / w)^{|ell_n|}
     L_p^{|ell_n|}(2 r_ch^2/w^2) exp(-r_ch^2/w^2)]^2, vectorized over r_ch.
+    r_ch^2, t = 2 r_ch^2/w^2, sqrt(t) and the Gaussian are computed once for
+    all orders, and each row is the same product whatever other orders are
+    requested. At p = 0 the Laguerre factor is 1 and is not multiplied in.
     """
     w = geom.beam_radius_at_rx
+    p = geom.radial_index
     r = np.asarray(r_ch, dtype=float)
-    t = 2.0 * r**2 / w**2
-    amp = (
-        2.0
-        * math.pi
-        * np.sqrt(t) ** abs(ell_n)
-        * laguerre(geom.radial_index, abs(ell_n), t)
-        * np.exp(-(r**2) / w**2)
-    )
-    return _envelope_prefactor(geom, rx, n_m, ell_n) * amp**2
+    r2 = r**2
+    t = 2.0 * r2 / w**2
+    root = np.sqrt(t)
+    gauss = np.exp(-r2 / w**2)
+    out = np.empty((len(orders),) + r.shape)
+    for i, ell_n in enumerate(orders):
+        n = abs(ell_n)
+        amp = 2.0 * math.pi * root**n
+        if p:
+            amp = amp * laguerre(p, n, t)
+        out[i] = _envelope_prefactor(geom, rx, n_m, n) * (amp * gauss) ** 2
+    return out
 
 
 def _uniform_panel_weights(n_panels: int, step: float) -> np.ndarray:
@@ -563,9 +571,8 @@ def channel_profile(
         radial = {ell_j: np.square(j, out=j) @ weighted for ell_j, j in zip(orders, table)}
 
     # Envelope factor: depends only on the tx order (through |ell_n|).
-    envelope = {}
-    for ell_n in set(abs(m) for m in modes.tx_modes):
-        envelope[ell_n] = mode_envelope(geom, rx, modes.n_streams, ell_n, r)
+    tx_orders = sorted({abs(m) for m in modes.tx_modes})
+    envelope = dict(zip(tx_orders, mode_envelope(geom, rx, modes.n_streams, tx_orders, r)))
 
     for j, ell_j in enumerate(modes.filter_modes):
         for i, ell_n in enumerate(modes.tx_modes):

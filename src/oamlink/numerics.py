@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,9 @@ _ORDER_TIERS = (4, 16, BESSEL_MAX_ORDER)
 # faster than one, and at 32,768 they take about a third less time than
 # one. The block's largest argument sets its start index.
 _BLOCK = 32768
+
+# Each thread's recurrence work rows, one buffer per dtype (``_work_rows``).
+_WORK = threading.local()
 
 
 @functools.lru_cache(maxsize=256)
@@ -148,7 +152,15 @@ def _tabulate(orders, x, dtype, block_kernel) -> np.ndarray:
     """Guards, then tiers, then blocks, of ``bessel_j`` and ``bessel_i_scaled``:
     ``block_kernel(xb, tier_orders, bound, rows, work)`` fills one tier's
     rows over one block ``xb``. Complex buffers are twice as wide, so a
-    complex block holds half of ``_BLOCK`` arguments."""
+    complex block holds half of ``_BLOCK`` arguments. The argument guard is
+    one max-|x| reduction; its message is built only on failure, non-finite
+    before too large.
+
+    The six work rows of the recurrence are the calling thread's own
+    (``_work_rows``), kept from call to call: allocated afresh on every
+    call, they left it to the allocator's state whether a call faulted in
+    new pages, hundreds of them per radial-sum average. Per thread, because
+    Monte Carlo workers run the kernel concurrently."""
     if np.ndim(orders) != 1 or not all(isinstance(n, (int, np.integer)) for n in orders):
         raise ValueError(f"Bessel orders must be a sequence of integers, got {orders!r}")
     orders = [int(order) for order in orders]
@@ -157,15 +169,15 @@ def _tabulate(orders, x, dtype, block_kernel) -> np.ndarray:
     if orders and orders[-1] > BESSEL_MAX_ORDER:
         raise ValueError(f"Bessel order {orders[-1]} exceeds guard {BESSEL_MAX_ORDER}")
     x_arr = np.asarray(x, dtype=dtype)
-    if not np.all(np.isfinite(x_arr)):
-        raise ValueError("Bessel argument must be finite")
-    if np.any(np.abs(x_arr) > BESSEL_MAX_ARG):
+    if not np.abs(x_arr).max(initial=0.0) <= BESSEL_MAX_ARG:  # nan fails too
+        if not np.all(np.isfinite(x_arr)):
+            raise ValueError("Bessel argument must be finite")
         raise ValueError(f"Bessel argument exceeds guard |x| <= {BESSEL_MAX_ARG:g}")
 
     flat = x_arr.ravel()
     table = np.empty((len(orders), flat.size), dtype)
     block = _BLOCK // 2 if dtype is complex else _BLOCK
-    work = np.empty((6, min(block, flat.size)), dtype)
+    work = _work_rows(dtype, min(block, flat.size))
     first = 0
     for bound in _ORDER_TIERS:
         tier = slice(first, bisect.bisect_right(orders, bound))
@@ -175,6 +187,18 @@ def _tabulate(orders, x, dtype, block_kernel) -> np.ndarray:
                 xb = flat[start: start + block]
                 block_kernel(xb, orders[tier], bound, table[tier, start: start + xb.size], work)
     return table.reshape(len(orders), *x_arr.shape)
+
+
+def _work_rows(dtype, size: int) -> np.ndarray:
+    """The calling thread's six recurrence work rows of ``dtype``, at least
+    ``size`` wide: one buffer per thread and dtype, only ever grown. Every
+    row is written before it is read, so what an earlier call left there
+    never reaches a value."""
+    work = getattr(_WORK, dtype.__name__, None)
+    if work is None or work.shape[1] < size:
+        work = np.empty((6, size), dtype)
+        setattr(_WORK, dtype.__name__, work)
+    return work
 
 
 def _j_block(x, orders, bound, out, work) -> None:
@@ -289,8 +313,10 @@ def _forward(x: np.ndarray, orders: list[int]) -> np.ndarray:
 def q_function(x):
     """Gaussian Q-function: upper-tail probability of the standard normal.
 
-    Q(x) = 0.5 * erfc(x / sqrt(2)); accurate into the far tail (x ~ 40).
-    Accepts scalars or arrays.
+    Q(x) = 0.5 * erfc(x / sqrt(2)). Accurate to round-off while Q is a
+    normal float, through x = 37.5 (Q = 4.6e-308). scipy's erfc underflows
+    before the subnormal range, so from x = 37.68 on it returns 0.0 (the
+    true Q(38) is 2.9e-316). Accepts scalars or arrays.
     """
     x_arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x_arr)):
@@ -328,10 +354,16 @@ def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
         raise ValueError(f"quadrature order must be an integer in [2, 512], got {order!r}")
     if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
         raise ValueError(f"need finite bounds with a < b, got a={a!r}, b={b!r}")
+    nodes, weights = _legendre_rule(order, a, b)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
+
+def _legendre_rule(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """``gauss_legendre``'s nodes and weights without its argument checks,
+    for callers whose order and bounds are valid by construction."""
     if order not in _LEGGAUSS_CACHE:
         _LEGGAUSS_CACHE[order] = leggauss(order)
     xs, ws = _LEGGAUSS_CACHE[order]
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    return QuadratureRule(nodes=mid + half * xs, weights=half * ws)
+    return mid + half * xs, half * ws

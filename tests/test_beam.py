@@ -17,6 +17,7 @@ from oamlink.beam import (
     MAX_AZIMUTHAL_ORDER,
     LinkGeometry,
     ModeSet,
+    check_offset_radius,
     lg_field,
     shifted_aperture_field,
 )
@@ -395,3 +396,21 @@ class TestShiftedApertureField:
             shifted_aperture_field(geom, MAX_AZIMUTHAL_ORDER + 1, 1.0, 0.0, r_ch)
         with pytest.raises(ValueError):
             shifted_aperture_field(geom, 0, -0.5, 0.0, r_ch)
+
+
+class TestOffsetRadiusGuard:
+    @pytest.mark.parametrize("radii, named", [
+        ([-5.0, math.nan], "-5.0"),
+        ([math.nan, -5.0], "nan"),
+        ([1.0, math.inf, -2.0], "inf"),
+        ([2.0, math.inf], "inf"),
+        ([[3.0, 2.0], [1.0, -1e-300]], "-1e-300"),
+        (-0.5, "-0.5"),
+    ])
+    def test_names_the_first_bad_offset(self, radii, named):
+        with pytest.raises(ValueError, match=re.escape(f"finite and >= 0, got {named}")):
+            check_offset_radius(np.array(radii))
+
+    @pytest.mark.parametrize("radii", [0.0, -0.0, 5, [0.0, 1e308], [], [[1.0, 2.0]]])
+    def test_accepts_finite_non_negative_offsets(self, radii):
+        check_offset_radius(np.array(radii))

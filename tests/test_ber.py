@@ -19,6 +19,7 @@ from oamlink.ber import (
     BerResult,
     _degeneracy_windows,
     _gap_roots,
+    _piecewise_rule,
     average_ber,
     conditional_ber,
     rayleigh_pdf,
@@ -164,9 +165,12 @@ class TestConditionalBer:
 
     def test_stacked_terms_match_separate_q_calls(self):
         # The four norms go through one q_function call; the sum must equal
-        # the four separate terms bit for bit, with and without batch axes.
+        # the four separate terms bit for bit, with and without batch axes,
+        # at every filter-bank width a ModeSet admits (1 to 33): the norms
+        # are column adds in numpy's own reduction order, which from eight
+        # columns on is not left to right.
         rng = np.random.default_rng(7)
-        for shape in ((3,), (5, 3), (2, 4, 2)):
+        for shape in ((3,), (5, 3), (2, 4, 2), *((60, width) for width in range(1, 34))):
             h1, h2 = rng.random(shape), rng.random(shape)
             scale = 1.0 / math.sqrt(4.0 * 0.05)
             terms = (
@@ -253,8 +257,8 @@ class TestAverageBer:
         # Locate the crossing from the public envelope factor; for orders
         # |l| = 2 and 1 it must sit at the received beam radius.
         def gap(r):
-            e2 = mode_envelope(geom, rx, 2, -2, np.array([r]))
-            e1 = mode_envelope(geom, rx, 2, 1, np.array([r]))
+            e2 = mode_envelope(geom, rx, 2, [-2], np.array([r]))[0]
+            e1 = mode_envelope(geom, rx, 2, [1], np.array([r]))[0]
             return float(np.sqrt(e2[0]) - np.sqrt(e1[0]))
 
         lo, hi = 20.0, 40.0
@@ -313,7 +317,7 @@ class TestAverageBer:
                     upper = 8.0 * 2.0e-5 * distance
 
                     def gap(r):
-                        env = [np.sqrt(mode_envelope(geom, rx, 2, ell, r)) for ell in tx]
+                        env = [np.sqrt(mode_envelope(geom, rx, 2, [ell], r)[0]) for ell in tx]
                         amps = np.einsum("tn,tk->kn", env, modes.stream_matrix)
                         return amps[0] - amps[1]
 
@@ -360,7 +364,7 @@ class TestAverageBer:
         sigma_theta = 3.0e-5
         modes = ModeSet(tx_modes=tx, stream_grouping=grouping)
         probe = np.linspace(0.0, 8.0 * geom.rayleigh_scale(sigma_theta), 4097)[1:]
-        env = [np.sqrt(mode_envelope(geom, rx, 2, ell, probe))
+        env = [np.sqrt(mode_envelope(geom, rx, 2, [ell], probe)[0])
                for ell in tx]
         gap = np.einsum("tn,tk->kn", env, modes.stream_matrix)
         gap = gap[0] - gap[1]
@@ -466,6 +470,46 @@ class TestAverageBer:
         for bad in (1.6, -0.1):
             with pytest.raises(ValueError):
                 BerResult(averaged=bad)
+
+
+class TestPiecewiseRule:
+    @staticmethod
+    def per_piece_rules(windows, upper, order, window_order):
+        """The rule built piece by piece from the public gauss_legendre."""
+        pieces, cursor = [], 0.0
+        for lo, mid, hi in windows:
+            if lo > cursor:
+                pieces.append((cursor, lo, order))
+            pieces += [(lo, mid, window_order), (mid, hi, window_order)]
+            cursor = hi
+        if cursor < upper:
+            pieces.append((cursor, upper, order))
+        rules = [gauss_legendre(n, a, b) for a, b, n in pieces if b - a > upper * 1e-15]
+        return (np.concatenate([rule.nodes for rule in rules]),
+                np.concatenate([rule.weights for rule in rules]))
+
+    def test_equals_per_piece_gauss_legendre(self):
+        # The pieces are mapped from the cached Legendre table directly; the
+        # floats must be the ones gauss_legendre gives, with and without
+        # windows, for every base order average_ber accepts and its double.
+        upper = 8.0 * default_geom(waist=0.015).rayleigh_scale(3.0e-5)
+        found = _degeneracy_windows(default_geom(waist=0.015), default_rx(),
+                                    ModeSet((-2, 1)), Method.BESSEL_SUM, upper)
+        assert found
+        window_sets = [
+            [],
+            found,
+            [(0.0, 0.25, 1.0), (100.0, 101.0, 102.5)],
+            [(0.5 * upper, 0.9 * upper, upper)],
+            [(10.0, 10.0, 11.0)],  # an empty half is skipped
+        ]
+        for windows in window_sets:
+            for order in (16, 17, 31, 48, 64, 100, 128, 255, 256):
+                for base, window_order in ((order, 48), (2 * order, 96)):
+                    got = _piecewise_rule(windows, upper, base, window_order)
+                    want = self.per_piece_rules(windows, upper, base, window_order)
+                    assert np.array_equal(got[0], want[0]), (windows, base)
+                    assert np.array_equal(got[1], want[1]), (windows, base)
 
 
 CACHE_SPECS = ("-2|1", "-3|1", "-4,-2|1,3", "-3,-1|2,4")

@@ -34,14 +34,16 @@ from oamlink.crosstalk import (
     crosstalk,
     crosstalk_exact_detailed,
     crosstalk_matrix,
+    mode_envelope,
 )
 from oamlink.crosstalk import (
+    _envelope_prefactor,
     _ring_powers,
     _ring_projection,
     _sample_radii_and_weights,
     _uniform_panel_weights,
 )
-from oamlink.numerics import gauss_legendre
+from oamlink.numerics import gauss_legendre, laguerre
 
 N_M = 2
 
@@ -532,6 +534,53 @@ class TestDispatchAndBatching:
             channel_profile(geom, rx, modes, np.array([0.0, 5.0]), "asymptotic")
         with pytest.raises(ValueError):
             channel_profile(geom, rx, modes, np.ones((2, 2)), "bessel-sum")
+
+
+class TestEnvelopePass:
+    @pytest.mark.parametrize("radial_index", [0, 1, 2])
+    def test_each_row_is_its_single_order_value(self, radial_index):
+        # One order's row is the one-order expression, Laguerre factor
+        # included (at p = 0 it is 1.0, so leaving it out moves no bit), and
+        # stays that value inside any order sequence.
+        geom, rx = default_geom(radial_index=radial_index), default_rx()
+        w = geom.beam_radius_at_rx
+        r = np.linspace(0.0, 150.0, 97)
+        t = 2.0 * r**2 / w**2
+        for ell in range(-6, 7):
+            n = abs(ell)
+            amp = (2.0 * math.pi * np.sqrt(t) ** n * laguerre(radial_index, n, t)
+                   * np.exp(-(r**2) / w**2))
+            alone = mode_envelope(geom, rx, N_M, [ell], r)
+            assert alone.shape == (1, r.size)
+            assert np.array_equal(alone[0], _envelope_prefactor(geom, rx, N_M, ell) * amp**2), ell
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            orders = [int(m) for m in rng.integers(-6, 7, size=rng.integers(1, 6))]
+            rows = mode_envelope(geom, rx, N_M, orders, r)
+            for ell, row in zip(orders, rows):
+                assert np.array_equal(row, mode_envelope(geom, rx, N_M, [ell], r)[0]), orders
+        assert mode_envelope(geom, rx, N_M, [-2, 1], 5.0).shape == (2,)
+
+    @pytest.mark.parametrize("radial_index, laguerre_calls", [(0, 0), (1, 3)])
+    def test_bessel_sum_profile_makes_one_kernel_and_one_envelope_call(
+            self, monkeypatch, radial_index, laguerre_calls):
+        calls = {"bessel_j": 0, "mode_envelope": 0, "laguerre": 0}
+
+        def counted(name):
+            original = getattr(oamlink.crosstalk, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(oamlink.crosstalk, name, counted(name))
+        # |ell_n| in {4, 2, 3}: three distinct envelope orders.
+        modes = ModeSet((-4, -2, 2, 3), (-2, 1, 3), stream_grouping=((-4, -2), (2, 3)))
+        channel_profile(default_geom(radial_index=radial_index), default_rx(), modes,
+                        np.linspace(1.0, 60.0, 33), "bessel-sum")
+        assert calls == {"bessel_j": 1, "mode_envelope": 1, "laguerre": laguerre_calls}
 
 
 class TestWarningsAndGuards:

@@ -7,6 +7,11 @@ density integral.
 """
 
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +343,75 @@ def test_refuses_orders_that_are_not_distinct_ascending_and_non_negative(kernel,
         kernel(orders, np.ones(3))
 
 
+@pytest.mark.parametrize("kernel", [bessel_j, bessel_i_scaled])
+def test_argument_guard_keeps_its_texts_and_priority(kernel):
+    # One reduction decides; only a failure looks again, and a non-finite
+    # argument is named before a too-large one wherever either sits.
+    for bad in ([math.nan, 2e3], [2e3, math.nan], [1.0, math.inf], [-math.inf, 5.0]):
+        with pytest.raises(ValueError, match="Bessel argument must be finite"):
+            kernel([0], np.array(bad))
+    for big in ([2e3], [0.0, -1000.5]):
+        with pytest.raises(ValueError, match=r"exceeds guard \|x\| <= 1000"):
+            kernel([0], np.array(big))
+    assert kernel([0, 1], np.array([-BESSEL_MAX_ARG, BESSEL_MAX_ARG])).shape == (2, 2)
+    assert kernel([0, 1], np.empty((0, 3))).shape == (2, 0, 3)
+
+
+class TestWorkBuffers:
+    """Each thread reuses one recurrence work buffer per dtype; what an
+    earlier call left in it must never reach a value."""
+
+    ORDERS = [0, 1, 2, 4, 9, 17, 40]
+
+    @staticmethod
+    def small_calls():
+        x = np.linspace(0.0, 45.0, 13)
+        beta = -2.0 * (1.0 / 400.0 + 0.5j * 4.05e6 / 1e6) * 0.04 * np.linspace(0.0, 30.0, 11)
+        return x, beta
+
+    def test_call_after_larger_and_complex_calls_equals_fresh_process(self, tmp_path):
+        fresh = tmp_path / "fresh.npz"
+        script = (
+            "import sys, numpy as np\n"
+            "from oamlink.numerics import bessel_j, bessel_i_scaled\n"
+            "from test_numerics import TestWorkBuffers as T\n"
+            "x, beta = T.small_calls()\n"
+            "np.savez(sys.argv[1], j=bessel_j(T.ORDERS, x), i=bessel_i_scaled(T.ORDERS, beta))\n"
+        )
+        path = os.pathsep.join([str(Path(numerics.__file__).parents[1]), str(Path(__file__).parent)])
+        env = {**os.environ, "PYTHONPATH": path + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        subprocess.run([sys.executable, "-c", script, str(fresh)], check=True, env=env)
+        want = np.load(fresh)
+        x, beta = self.small_calls()
+        rng = np.random.default_rng(9)
+        for before in (
+            lambda: bessel_j(self.ORDERS, rng.uniform(-900.0, 900.0, 40000)),
+            lambda: bessel_i_scaled(self.ORDERS, rng.uniform(-60, 60, 9000) * (1 + 3j)),
+            lambda: bessel_j([3], rng.uniform(0.0, 70.0, 5)),
+        ):
+            before()
+            assert np.array_equal(bessel_j(self.ORDERS, x), want["j"])
+            before()
+            assert np.array_equal(bessel_i_scaled(self.ORDERS, beta), want["i"])
+
+    def test_concurrent_threads_give_the_serial_result(self):
+        rng = np.random.default_rng(10)
+        inputs = []
+        for size in (7, 3000, 40000, 70000, 12, 33000):
+            inputs.append(rng.uniform(0.0, 60.0, size))
+            inputs.append(rng.uniform(-40.0, 40.0, size // 2) * (1.0 - 2.0j))
+
+        def run(x):
+            kernel = bessel_i_scaled if np.iscomplexobj(x) else bessel_j
+            return kernel(self.ORDERS, x)
+
+        serial = [run(x) for x in inputs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(3):
+                for got, want in zip(pool.map(run, inputs), serial):
+                    assert np.array_equal(got, want)
+
+
 class TestQFunction:
     def test_against_density_integral(self):
         # Q(x) = integral of the standard normal pdf from x to infinity;
@@ -361,6 +435,12 @@ class TestQFunction:
     def test_far_tail_is_not_flushed(self):
         assert q_function(30.0) > 0.0
         assert q_function(30.0) < 1e-190
+
+    def test_range_stated_in_the_docstring(self):
+        # Full accuracy while Q is a normal float; scipy's erfc underflows
+        # before the subnormal range, so Q(38), truly 2.9e-316, reads 0.
+        assert q_function(37.5) == pytest.approx(4.605353009581955e-308, rel=1e-12)
+        assert q_function(38.0) == 0.0
 
 
 class TestGaussLegendre:
