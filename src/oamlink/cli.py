@@ -364,13 +364,13 @@ class RunConfig:
             raise ConfigError(f"quad.order must be in [16, 256], got {quad_order}")
         return quad_order
 
-    def trial_config(self, method: Method) -> TrialConfig:
-        """Monte Carlo settings for runs with one crosstalk method."""
+    def trial_config(self) -> TrialConfig:
+        """Monte Carlo run settings."""
         trials = self.integer("mc.trials")
         seed = self.integer("mc.seed")
         allow_degraded = self.flag("mc.allow_degraded")
         with _config_errors(keys={"trials": "mc.trials", "seed": "mc.seed"}):
-            return TrialConfig(trials, seed, method, allow_degraded=allow_degraded)
+            return TrialConfig(trials, seed, allow_degraded=allow_degraded)
 
     def output_path(self, command: str) -> str:
         if not self.is_set("output.path"):
@@ -555,9 +555,11 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
         points = [cfg.with_value(key, value).link() for value in grid]
     candidates = cfg.two_stream_sets(cfg.candidates())
     with_mc = cfg.flag("ber.with_mc")
-    trial_cfgs = {method: cfg.trial_config(method) for method in methods} if with_mc else {}
-    _check_trial_budget(sum(c.trials for c in trial_cfgs.values()) * len(grid) * len(candidates),
-                        "mc.trials x sweep.grid values x modes.candidates x method")
+    trial_cfg = None
+    if with_mc:
+        trial_cfg = cfg.trial_config()
+        _check_trial_budget(trial_cfg.trials * len(grid) * len(candidates) * len(methods),
+                            "mc.trials x sweep.grid values x modes.candidates x method")
 
     rows = []
     errors = 0
@@ -579,7 +581,7 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
                 row = [value, label, method.value, raw, clamped]
                 if with_mc:
                     try:
-                        outcome = simulate_ber(geom, rx, modes, sigma_theta, trial_cfgs[method])
+                        outcome = simulate_ber(geom, rx, modes, sigma_theta, trial_cfg, method)
                         row.extend([outcome.ber_hat, outcome.ci95_halfwidth])
                         layout = {"workers": outcome.workers, "chunks": outcome.chunks}
                     except DegradedChannelError as exc:
@@ -615,8 +617,8 @@ def cmd_montecarlo(cfg: RunConfig) -> _Output:
     with _config_errors(f"{cfg.streams_key()}: "):
         check_chunk_memory(modes)
     method = cfg.single_method()
-    trial_cfg = cfg.trial_config(method)
-    outcome = simulate_ber(geom, rx, modes, sigma_theta, trial_cfg)
+    trial_cfg = cfg.trial_config()
+    outcome = simulate_ber(geom, rx, modes, sigma_theta, trial_cfg, method)
     return _Output(
         (
             "oamlink/monte-carlo v1; ber_mc and ci95 are probabilities",
@@ -694,7 +696,7 @@ def cmd_rank_modes(cfg: RunConfig) -> _Output:
     if not candidates:
         raise ConfigError("rank-modes needs modes.candidates, e.g. '-2|1;-2|2'")
     cfg.two_stream_sets(candidates)
-    ranking = rank_mode_sets(candidates, geom, rx, sigma_theta, method, quad_order)
+    ranking = rank_mode_sets(geom, rx, candidates, sigma_theta, method, quad_order)
     rows = [
         (
             r.rank,

@@ -306,16 +306,16 @@ def _ring_powers(
     the power each tx mode puts through the aperture (Parseval), shape
     (n_tx,).
     """
-    rule = gauss_legendre(radial_order, 0.0, rx.aperture_radius)
+    nodes, weights = gauss_legendre(radial_order, 0.0, rx.aperture_radius)
     phi = 2.0 * np.pi * np.arange(phi_points) / phi_points
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    weighted = rule.weights * rule.nodes
+    weighted = weights * nodes
     harmonics = [ell_j % phi_points for ell_j in modes.filter_modes]
     out = np.zeros((modes.n_filter, modes.n_tx))
     captured = np.zeros(modes.n_tx)
     rows = max(1, _EXACT_BLOCK_POINTS // phi_points)
     for start in range(0, radial_order, rows):
-        ring = rule.nodes[start : start + rows, np.newaxis]
+        ring = nodes[start : start + rows, np.newaxis]
         x = ring * cos_phi + r_ch
         y = ring * sin_phi
         fields = lg_field(geom, modes.tx_modes, x, y)
@@ -561,8 +561,7 @@ def channel_profile(
         if method is Method.BESSEL_SUM:
             nodes, weights = _sample_radii_and_weights(rx)
         else:
-            rule = gauss_legendre(96, 0.0, rx.aperture_radius)
-            nodes, weights = rule.nodes, rule.weights
+            nodes, weights = gauss_legendre(96, 0.0, rx.aperture_radius)
         alpha = geom.wavenumber * r / geom.curvature_at_rx
         # One recurrence pass gives every order; each is squared and reduced
         # to its weighted radial sum at once.

@@ -3,11 +3,12 @@
 Serves as the stochastic cross-check for the analytical average, so it
 imports nothing from ``oamlink.ber``: draw a pointing offset (each axis
 theta Z with theta ~ N(0, sigma_theta^2), Z the geometry's link distance),
-build the amplitude matrix with the selected crosstalk method, draw on/off
-symbols per stream, add real Gaussian noise, run joint ML detection over
-all symbol hypotheses, and count symbol-vector errors (the same error unit
-the analytical conditional expression bounds). A per-bit error count is
-kept alongside for diagnostics.
+build the amplitude matrix with ``simulate_ber``'s crosstalk method, draw
+on/off symbols per stream, add real Gaussian noise, run joint ML detection
+over all symbol hypotheses, and count symbol-vector errors (the same error
+unit the analytical conditional expression bounds). A per-bit error count
+is kept alongside for diagnostics. ``TrialConfig`` holds only the run:
+trial count, seed and the degraded-draw override.
 
 Trials are processed in fixed-size chunks and every chunk seeds its own
 generator from (seed, chunk_index), so the estimate is reproducible
@@ -107,7 +108,6 @@ class TrialConfig:
 
     trials: int
     seed: int
-    crosstalk_method: Method | str = Method.BESSEL_SUM
     allow_degraded: bool = False
 
     def __post_init__(self) -> None:
@@ -117,7 +117,6 @@ class TrialConfig:
             )
         if not isinstance(self.seed, (int, np.integer)) or not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        object.__setattr__(self, "crosstalk_method", Method.parse(self.crosstalk_method))
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -171,7 +170,8 @@ def _run_chunk(
     rx: ReceiverConfig,
     modes: ModeSet,
     sigma_theta: float,
-    cfg: TrialConfig,
+    seed: int,
+    method: Method,
     fixed_amplitude: np.ndarray | None,
 ) -> tuple[int, int, int]:
     """Simulate one chunk; returns (vector errors, bit errors, degraded draws).
@@ -179,7 +179,7 @@ def _run_chunk(
     Draw order inside a chunk is fixed (pointing, symbols, noise) so that
     runs differing only in the noise level see identical random streams.
     """
-    rng = np.random.default_rng((cfg.seed, chunk_index))
+    rng = np.random.default_rng((seed, chunk_index))
     hypotheses = _hypotheses(modes.n_streams)
 
     degraded = 0
@@ -189,8 +189,8 @@ def _run_chunk(
         theta = rng.normal(0.0, sigma_theta, size=(n, 2))
         offsets = theta * geom.distance
         r_ch = np.hypot(offsets[:, 0], offsets[:, 1])
-        degraded = int(np.count_nonzero(r_ch < cfg.crosstalk_method.validity_floor))
-        amp = np.sqrt(channel_profile(geom, rx, modes, r_ch, cfg.crosstalk_method))
+        degraded = int(np.count_nonzero(r_ch < method.validity_floor))
+        amp = np.sqrt(channel_profile(geom, rx, modes, r_ch, method))
 
     bits = rng.integers(0, 2, size=(n, modes.n_streams))
     noise = rng.standard_normal(size=(n, modes.n_filter))
@@ -215,13 +215,16 @@ def simulate_ber(
     modes: ModeSet,
     sigma_theta: float,
     cfg: TrialConfig,
+    method: Method | str = Method.BESSEL_SUM,
     *,
     amplitude_matrix: np.ndarray | None = None,
     max_workers: int | None = None,
 ) -> TrialOutcome:
     """Estimate the symbol-vector error rate of the simulated link under
-    the per-axis angular jitter ``sigma_theta`` (radians); a jitter that
-    ``LinkGeometry.rayleigh_scale`` refuses is refused before any trial.
+    the per-axis angular jitter ``sigma_theta`` (radians), with the channel
+    of crosstalk ``method``; a jitter that ``LinkGeometry.rayleigh_scale``
+    refuses, or a method ``Method.parse`` refuses, is refused before any
+    trial.
 
     ``amplitude_matrix`` replaces the pointing-dependent channel with a
     fixed matrix (filter rows by tx columns) for synthetic audits such as
@@ -234,6 +237,7 @@ def simulate_ber(
     draws fall below the approximation validity floor, unless the config
     sets ``allow_degraded``.
     """
+    method = Method.parse(method)
     geom.rayleigh_scale(sigma_theta)
     check_chunk_memory(modes)
     fixed = None
@@ -254,7 +258,7 @@ def simulate_ber(
 
     def run(idx_size: tuple[int, int]) -> tuple[int, int, int]:
         idx, size = idx_size
-        return _run_chunk(idx, size, geom, rx, modes, sigma_theta, cfg, fixed)
+        return _run_chunk(idx, size, geom, rx, modes, sigma_theta, cfg.seed, method, fixed)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run, enumerate(sizes)))
@@ -266,8 +270,8 @@ def simulate_ber(
     if degraded_fraction > 1e-3 and not cfg.allow_degraded:
         raise DegradedChannelError(
             f"{degraded_fraction:.3%} of trials drew offsets below the "
-            f"{cfg.crosstalk_method.validity_floor:g} m validity floor of method "
-            f"'{cfg.crosstalk_method.value}' (limit 0.1%); "
+            f"{method.validity_floor:g} m validity floor of method "
+            f"'{method.value}' (limit 0.1%); "
             "set mc.allow_degraded = true to accept them or use an exact method"
         )
     p_hat = vec_errors / cfg.trials

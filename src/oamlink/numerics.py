@@ -16,7 +16,6 @@ import bisect
 import functools
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -26,7 +25,6 @@ __all__ = [
     "LAGUERRE_MAX_ORDER",
     "BESSEL_MAX_ORDER",
     "BESSEL_MAX_ARG",
-    "QuadratureRule",
     "laguerre",
     "laguerre_coefficients",
     "bessel_j",
@@ -327,19 +325,11 @@ def q_function(x):
     return out
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes and weights mapped to a finite interval."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule of the given order on [a, b].
+def gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule of ``order`` on [a, b].
 
     Exact for polynomials up to degree 2*order - 1.
 
@@ -354,8 +344,7 @@ def gauss_legendre(order: int, a: float, b: float) -> QuadratureRule:
         raise ValueError(f"quadrature order must be an integer in [2, 512], got {order!r}")
     if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
         raise ValueError(f"need finite bounds with a < b, got a={a!r}, b={b!r}")
-    nodes, weights = _legendre_rule(order, a, b)
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return _legendre_rule(order, a, b)
 
 
 def _legendre_rule(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

@@ -110,7 +110,7 @@ def test_03_filter_bank_conserves_captured_power():
     # Every order a mode set admits: past |16| the coefficients are below
     # 1e-22 of the sum, so they do not move it.
     geom = make_geom()
-    rule = gauss_legendre(200, 0.0, RX.aperture_radius)
+    nodes, weights = gauss_legendre(200, 0.0, RX.aperture_radius)
     phi = 2.0 * np.pi * np.arange(256) / 256
     orders = list(range(-MAX_AZIMUTHAL_ORDER, MAX_AZIMUTHAL_ORDER + 1))
     worst = 0.0
@@ -124,7 +124,7 @@ def test_03_filter_bank_conserves_captured_power():
                     power = np.abs(shifted_aperture_field(geom, ell_n, r, phi, r_ch)) ** 2
                     return r * ((2.0 * np.pi / 256) * power.sum())
 
-                collected = rule.weights @ np.array([ring(r) for r in rule.nodes])
+                collected = weights @ np.array([ring(r) for r in nodes])
                 expected = RX.gain * collected / N_STREAMS**2
                 worst = max(worst, abs(total - expected) / expected)
     check(3, worst <= 1e-3, f"worst filter-sum mismatch {worst:.2e} (limit 1e-3)")
@@ -189,13 +189,8 @@ def test_06_average_matches_simulation():
         for w0 in (0.013, 0.014, 0.015, 0.016, 0.017):
             geom = make_geom(w0)
             analytic = average_ber(geom, RX, A2, sigma_theta, Method.BESSEL_SUM, 192).averaged
-            cfg = TrialConfig(
-                trials=1_000_000,
-                seed=12345,
-                crosstalk_method=Method.BESSEL_SUM,
-                allow_degraded=True,
-            )
-            out = simulate_ber(geom, RX, A2, sigma_theta, cfg)
+            cfg = TrialConfig(trials=1_000_000, seed=12345, allow_degraded=True)
+            out = simulate_ber(geom, RX, A2, sigma_theta, cfg, Method.BESSEL_SUM)
             margins.append(abs(analytic - out.ber_hat) / (3.0 * out.ci95_halfwidth))
     elapsed = time.perf_counter() - t0
     check(
@@ -320,9 +315,9 @@ def test_11_identical_signature_floor():
     # reproduces it within its confidence interval.
     h = np.array([[1.0, 1.0], [0.5, 0.5]])
     floor = float(conditional_ber(h[:, 0], h[:, 1], 1.0e-12))
-    cfg = TrialConfig(trials=100_000, seed=7, crosstalk_method=Method.BESSEL_SUM)
+    cfg = TrialConfig(trials=100_000, seed=7)
     out = simulate_ber(
-        make_geom(), RX, A2, 2.0e-5, cfg, amplitude_matrix=h
+        make_geom(), RX, A2, 2.0e-5, cfg, Method.BESSEL_SUM, amplitude_matrix=h
     )
     mc_gap = abs(out.ber_hat - 0.25)
     check(

@@ -203,9 +203,9 @@ def polar_closed_form(geom, ell, r, phi):
 def radial_power(geom, ell, order=200):
     """2*pi * integral of |u|^2 r dr; |u| has no phi dependence."""
     w = geom.beam_radius_at_rx
-    rule = gauss_legendre(order, 0.0, 10.0 * w)
-    intensity = np.abs(lg_field(geom, [ell], rule.nodes, 0.0)[0]) ** 2
-    return 2.0 * math.pi * (rule.weights @ (intensity * rule.nodes))
+    nodes, weights = gauss_legendre(order, 0.0, 10.0 * w)
+    intensity = np.abs(lg_field(geom, [ell], nodes, 0.0)[0]) ** 2
+    return 2.0 * math.pi * (weights @ (intensity * nodes))
 
 
 class TestLgField:
@@ -225,10 +225,10 @@ class TestLgField:
         geom0 = default_geom(radial_index=0)
         geom1 = default_geom(radial_index=1)
         w = geom0.beam_radius_at_rx
-        rule = gauss_legendre(240, 0.0, 10.0 * w)
-        u0 = lg_field(geom0, [ell], rule.nodes, 0.0)[0]
-        u1 = lg_field(geom1, [ell], rule.nodes, 0.0)[0]
-        overlap = 2.0 * math.pi * (rule.weights @ (u0 * np.conj(u1) * rule.nodes))
+        nodes, weights = gauss_legendre(240, 0.0, 10.0 * w)
+        u0 = lg_field(geom0, [ell], nodes, 0.0)[0]
+        u1 = lg_field(geom1, [ell], nodes, 0.0)[0]
+        overlap = 2.0 * math.pi * (weights @ (u0 * np.conj(u1) * nodes))
         assert abs(overlap) < 1e-10
 
     def test_helical_phase(self):
@@ -377,14 +377,14 @@ class TestShiftedApertureField:
         geom = default_geom(radial_index=1)
         r_ch = 8.0
         w = geom.beam_radius_at_rx
-        rule = gauss_legendre(220, 0.0, r_ch + 10.0 * w)
+        nodes, weights = gauss_legendre(220, 0.0, r_ch + 10.0 * w)
         phi = 2.0 * np.pi * np.arange(256) / 256
 
         def ring_power(r_p):
             power = np.abs(shifted_aperture_field(geom, 2, r_p, phi, r_ch)) ** 2
             return r_p * ((2.0 * np.pi / 256) * power.sum())
 
-        total = rule.weights @ np.array([ring_power(r_p) for r_p in rule.nodes])
+        total = weights @ np.array([ring_power(r_p) for r_p in nodes])
         assert total == pytest.approx(1.0, rel=1e-8)
 
     def test_scalar_and_guard_behavior(self):

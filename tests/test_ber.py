@@ -78,10 +78,10 @@ class TestRayleighOffset:
 
     def test_pdf_is_normalized_density(self):
         s = default_geom().rayleigh_scale(3.0e-5)
-        rule = gauss_legendre(256, 0.0, 8.0 * s)
-        mass = rule.weights @ rayleigh_pdf(rule.nodes, s)
+        nodes, weights = gauss_legendre(256, 0.0, 8.0 * s)
+        mass = weights @ rayleigh_pdf(nodes, s)
         assert mass == pytest.approx(1.0, rel=1e-12)
-        mean = rule.weights @ (rayleigh_pdf(rule.nodes, s) * rule.nodes)
+        mean = weights @ (rayleigh_pdf(nodes, s) * nodes)
         assert mean == pytest.approx(s * math.sqrt(math.pi / 2.0), rel=1e-10)
 
     def test_pdf_mode_at_scale(self):
@@ -467,7 +467,9 @@ class TestAverageBer:
     def test_result_validation_and_clamp(self):
         assert BerResult(averaged=1.2).averaged_clamped == 0.5
         assert BerResult(averaged=0.3).averaged_clamped == 0.3
-        for bad in (1.6, -0.1):
+        # nan and the infinities are refused too, so every average that
+        # optimize_w0 or rank_mode_sets reads is finite.
+        for bad in (1.6, -0.1, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 BerResult(averaged=bad)
 
@@ -484,9 +486,9 @@ class TestPiecewiseRule:
             cursor = hi
         if cursor < upper:
             pieces.append((cursor, upper, order))
-        rules = [gauss_legendre(n, a, b) for a, b, n in pieces if b - a > upper * 1e-15]
-        return (np.concatenate([rule.nodes for rule in rules]),
-                np.concatenate([rule.weights for rule in rules]))
+        nodes, weights = zip(*(gauss_legendre(n, a, b) for a, b, n in pieces
+                               if b - a > upper * 1e-15))
+        return np.concatenate(nodes), np.concatenate(weights)
 
     def test_equals_per_piece_gauss_legendre(self):
         # The pieces are mapped from the cached Legendre table directly; the

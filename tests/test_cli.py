@@ -37,6 +37,7 @@ from oamlink.cli import (
 from oamlink.beam import ModeSet
 from oamlink.ber import BerResult
 from oamlink.crosstalk import Method
+from oamlink.montecarlo import TrialConfig, simulate_ber
 
 
 def cfg_with(**overrides):
@@ -187,11 +188,10 @@ class TestModeSpecAndAccessors:
             cfg_with(quad__order="8").quad_order()
         geom, _, sigma_theta = cfg_with().link()
         assert (sigma_theta, geom.distance) == (3e-5, 1e6)
-        trial_cfg = cfg_with().trial_config(Method.RADIAL_SUM)
-        assert trial_cfg.trials == 1_000_000
-        assert trial_cfg.crosstalk_method is Method.RADIAL_SUM
+        trial_cfg = cfg_with().trial_config()
+        assert (trial_cfg.trials, trial_cfg.seed) == (1_000_000, 12345)
         with pytest.raises(ConfigError, match="trials"):
-            cfg_with(mc__trials="10").trial_config(Method.BESSEL_SUM)
+            cfg_with(mc__trials="10").trial_config()
 
     def test_output_path_required(self):
         with pytest.raises(ConfigError, match="set output.path"):
@@ -734,6 +734,34 @@ class TestBerCurveCommand:
         assert main(["ber-curve", "--axis", axis, "--grid", value, "--candidates=-2|1",
                      "-o", str(tmp_path / "ber.csv")]) == EXIT_OK
         assert seen == [pytest.approx(expected)]
+
+    def test_monte_carlo_methods_share_one_trial_config(self, tmp_path, monkeypatch):
+        # The run settings are built once; each method's row simulates with
+        # them and that method, and ber_mc is that simulation's estimate.
+        built, calls = [], []
+
+        def counting_config(*args, **kwargs):
+            built.append(TrialConfig(*args, **kwargs))
+            return built[-1]
+
+        def record(*args):
+            calls.append(args)
+            return simulate_ber(*args)
+
+        monkeypatch.setattr("oamlink.cli.TrialConfig", counting_config)
+        monkeypatch.setattr("oamlink.cli.simulate_ber", record)
+        out = tmp_path / "ber.csv"
+        assert main(["ber-curve", "--grid", "0.02,0.025", "--candidates=-2|1", "--monte-carlo",
+                     "--trials", "2000", "--method", "bessel-sum,radial-sum",
+                     "-s", "quad.order=48", "-o", str(out)]) == EXIT_OK
+        rows = read_csv_file(out)[2]
+        assert len(built) == 1 and (built[0].trials, built[0].seed) == (2000, 12345)
+        assert [row[2] for row in rows] == ["bessel-sum", "radial-sum"] * 2
+        assert len(calls) == len(rows)
+        for row, (geom, rx, modes, sigma_theta, cfg, method) in zip(rows, calls):
+            assert cfg is built[0] and method is Method.parse(row[2])
+            want = simulate_ber(geom, rx, modes, sigma_theta, TrialConfig(2000, 12345), method)
+            assert float(row[5]) == want.ber_hat and float(row[6]) == want.ci95_halfwidth
 
 
 class TestMonteCarloCommand:

@@ -284,14 +284,14 @@ class TestStructuralInvariants:
         total = sum(crosstalk_exact_detailed(geom, rx, ModeSet((2,), orders), r_ch).value[:, 0])
 
 
-        rule = gauss_legendre(200, 0.0, rx.aperture_radius)
+        nodes, weights = gauss_legendre(200, 0.0, rx.aperture_radius)
         phi = 2.0 * np.pi * np.arange(256) / 256
 
         def ring(r):
             power = np.abs(shifted_aperture_field(geom, 2, r, phi, r_ch)) ** 2
             return r * ((2.0 * np.pi / 256) * power.sum())
 
-        collected = rule.weights @ np.array([ring(r) for r in rule.nodes])
+        collected = weights @ np.array([ring(r) for r in nodes])
         assert total == pytest.approx(rx.gain * collected, rel=1e-3)
         # The reference grid's sum over every harmonic is the same power
         # (Parseval); exact2d measures its round-off floor against it.
@@ -334,10 +334,10 @@ class TestClosedFormProjection:
 
     def closed_and_fft(self, geom, radial_order=24):
         rx = default_rx()
-        rule = gauss_legendre(radial_order, 0.0, rx.aperture_radius)
+        nodes, weights = gauss_legendre(radial_order, 0.0, rx.aperture_radius)
         modes = ModeSet(self.ORDERS)
         closed = _ring_projection(
-            geom, rx, modes, rule.nodes, rule.weights, np.array(self.RADII)
+            geom, rx, modes, nodes, weights, np.array(self.RADII)
         )
         for got, r in zip(closed, self.RADII):
             want, _ = _ring_powers(geom, rx, modes, r, 1024, radial_order)

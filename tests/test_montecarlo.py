@@ -6,6 +6,7 @@ analytical conditional expression on fixed synthetic channels, and the
 degraded-channel abort bookkeeping.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -66,10 +67,13 @@ class TestWorkerCount:
 
 
 class TestTrialConfig:
-    def test_defaults_and_parsing(self):
-        cfg = TrialConfig(trials=10_000, seed=7, crosstalk_method="radial-sum")
-        assert cfg.crosstalk_method is Method.RADIAL_SUM
+    def test_defaults_and_fields(self):
+        cfg = TrialConfig(trials=10_000, seed=7)
         assert not cfg.allow_degraded
+        # The config describes the run only; the method is simulate_ber's.
+        assert [f.name for f in dataclasses.fields(TrialConfig)] == [
+            "trials", "seed", "allow_degraded"
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -84,8 +88,6 @@ class TestTrialConfig:
             TrialConfig(trials=10_000, seed=-1)
         with pytest.raises(ValueError):
             TrialConfig(trials=10_000, seed=2**64)
-        with pytest.raises(ValueError):
-            TrialConfig(trials=10_000, seed=0, crosstalk_method="fft")
 
 
 class TestMlDetect:
@@ -196,6 +198,25 @@ class TestSimulateBer:
         assert analytic == pytest.approx(0.25, rel=1e-12)
         assert abs(out.ber_hat - analytic) <= 3.0 * out.ci95_halfwidth
 
+    def test_method_defaults_to_bessel_sum_and_parses_names(self):
+        geom, rx, modes = default_geom(), default_rx(), ModeSet(tx_modes=(-2, 1))
+        cfg = TrialConfig(trials=5000, seed=11)
+        assert simulate_ber(geom, rx, modes, SIGMA_THETA, cfg) == simulate_ber(
+            geom, rx, modes, SIGMA_THETA, cfg, Method.BESSEL_SUM
+        )
+        assert simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, "radial-sum") == simulate_ber(
+            geom, rx, modes, SIGMA_THETA, cfg, Method.RADIAL_SUM
+        )
+
+    def test_unknown_method_is_refused_before_any_trial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("chunk run")
+
+        monkeypatch.setattr("oamlink.montecarlo._run_chunk", refuse)
+        geom, rx, modes = default_geom(), default_rx(), ModeSet(tx_modes=(-2, 1))
+        with pytest.raises(ValueError, match="fft"):
+            simulate_ber(geom, rx, modes, SIGMA_THETA, TrialConfig(trials=1000, seed=1), "fft")
+
     def test_amplitude_matrix_shape_guard(self):
         geom, rx = default_geom(), default_rx()
         modes = ModeSet(tx_modes=(-2, 1))
@@ -219,8 +240,7 @@ class TestSimulateBer:
         assert 0.04 < out.degraded_fraction < 0.07
         # The full-rank methods have no validity floor to police.
         clean = simulate_ber(
-            geom, rx, modes, tiny,
-            TrialConfig(trials=10_000, seed=2, crosstalk_method="radial-sum"),
+            geom, rx, modes, tiny, TrialConfig(trials=10_000, seed=2), Method.RADIAL_SUM
         )
         assert clean.degraded_fraction == 0.0
 

@@ -418,9 +418,9 @@ class TestQFunction:
         # evaluate with Gauss-Legendre on [x, x+12] (truncated tail < 1e-32
         # of the remaining mass at these x).
         for x in (0.0, 0.5, 1.0, 2.0, 3.5):
-            rule = gauss_legendre(200, x, x + 12.0)
-            t = rule.nodes
-            ref = rule.weights @ (np.exp(-(t**2) / 2.0) / math.sqrt(2.0 * math.pi))
+            nodes, weights = gauss_legendre(200, x, x + 12.0)
+            t = nodes
+            ref = weights @ (np.exp(-(t**2) / 2.0) / math.sqrt(2.0 * math.pi))
             assert q_function(x) == pytest.approx(ref, rel=1e-12)
 
     def test_decile_point(self):
@@ -446,20 +446,28 @@ class TestQFunction:
 class TestGaussLegendre:
     def test_polynomial_exactness(self):
         # Order n integrates polynomials up to degree 2n-1 exactly.
-        rule = gauss_legendre(6, -1.0, 3.0)
+        nodes, weights = gauss_legendre(6, -1.0, 3.0)
         for degree in range(12):
             exact = (3.0 ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
-            got = rule.weights @ rule.nodes**degree
+            got = weights @ nodes**degree
             assert got == pytest.approx(exact, rel=1e-12), degree
 
     def test_interval_mapping(self):
-        rule = gauss_legendre(16, 2.0, 5.0)
-        assert rule.nodes.min() > 2.0 and rule.nodes.max() < 5.0
-        assert rule.weights.sum() == pytest.approx(3.0, rel=1e-14)
+        # The rule is the unchecked _legendre_rule's (nodes, weights) pair,
+        # float for float.
+        for order, a, b in ((16, 2.0, 5.0), (2, -1.0, 1.0), (96, 0.0, 0.05),
+                            (200, 3.5, 15.5), (512, -7.0, 1e3)):
+            rule = gauss_legendre(order, a, b)
+            assert isinstance(rule, tuple) and len(rule) == 2
+            nodes, weights = rule
+            want_nodes, want_weights = numerics._legendre_rule(order, a, b)
+            assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+            assert nodes.min() > a and nodes.max() < b
+            assert weights.sum() == pytest.approx(b - a, rel=1e-13)
 
     def test_smooth_integrand(self):
-        rule = gauss_legendre(48, 0.0, math.pi)
-        assert rule.weights @ np.sin(rule.nodes) == pytest.approx(2.0, rel=1e-13)
+        nodes, weights = gauss_legendre(48, 0.0, math.pi)
+        assert weights @ np.sin(nodes) == pytest.approx(2.0, rel=1e-13)
 
     def test_guards(self):
         with pytest.raises(ValueError):

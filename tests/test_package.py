@@ -1,8 +1,9 @@
 """Public names: every module's ``__all__`` resolves and star-imports,
-every import is used, and the argument slots the span tracer reads keep
-their parameters."""
+every import is used, the argument slots the span tracer reads keep their
+parameters, and the result fields it reads exist."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -30,6 +31,7 @@ TRACED_SLOTS = {
     "oamlink.crosstalk.channel_profile": {3: "r_ch", 4: "method"},
     "oamlink.crosstalk.crosstalk_matrix": {4: "method"},
     "oamlink.beam.lg_field": {2: "x", 3: "y"},
+    "oamlink.beam.shifted_aperture_field": {2: "r_prime", 3: "phi_prime"},
     "oamlink.numerics.bessel_j": {1: "x"},
 }
 
@@ -41,6 +43,26 @@ def test_traced_argument_slots_keep_their_parameters(name):
     module, _, attr = name.rpartition(".")
     params = list(inspect.signature(getattr(importlib.import_module(module), attr)).parameters)
     assert {slot: params[slot] for slot in TRACED_SLOTS[name]} == TRACED_SLOTS[name]
+
+
+# The result fields benchmarks/spans.py reads its counts from.
+TRACED_RESULT_FIELDS = {
+    "oamlink.ber.BerResult": {"quad_self_check_rel", "quad_converged",
+                              "degraded_node_fraction"},
+    "oamlink.montecarlo.TrialOutcome": {"trials", "workers", "degraded_fraction"},
+    "oamlink.sweep.OptimizeResult": {"evaluations"},
+    "oamlink.crosstalk.ExactEvaluation": {"phi_points", "rel_change"},
+}
+
+
+@pytest.mark.parametrize("name", TRACED_RESULT_FIELDS)
+def test_traced_result_fields_exist(name):
+    # A rename of one of these would break a traced benchmark run; the
+    # traced test under benchmarks/ runs no optimize job, so it would not
+    # see ``evaluations`` go.
+    module, _, attr = name.rpartition(".")
+    fields = {f.name for f in dataclasses.fields(getattr(importlib.import_module(module), attr))}
+    assert TRACED_RESULT_FIELDS[name] <= fields
 
 
 # The imports that only give benchmarks/spans.py a name to rebind; each

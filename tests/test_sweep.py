@@ -15,7 +15,8 @@ import pytest
 
 import oamlink.sweep
 from oamlink.beam import LinkGeometry, ModeSet
-from oamlink.crosstalk import ReceiverConfig
+from oamlink.ber import BerResult
+from oamlink.crosstalk import Method, ReceiverConfig
 from oamlink.sweep import (
     PRE_GRID_POINTS,
     BenchReport,
@@ -96,8 +97,10 @@ class TestOptimizeW0:
             optimize_w0(*LINK, bounds=(0.01, 0.03), tol=0.5, quad_order=48)
         with pytest.raises(ValueError):
             optimize_w0(*LINK, bounds=(-0.01, 0.03), tol=1e-4, quad_order=48)
-        use_objective(monkeypatch, lambda w: math.nan)
-        with pytest.raises(ValueError):
+        # A nan average is refused where it is made, by BerResult.
+        monkeypatch.setattr(oamlink.sweep, "average_ber",
+                            lambda geom, *args: BerResult(averaged=math.nan))
+        with pytest.raises(ValueError, match="averaged BER nan"):
             optimize_w0(*LINK, bounds=(0.01, 0.03), tol=1e-4, quad_order=48)
 
     @pytest.mark.parametrize("tol", [1e-300, 1e-18, math.ulp(0.06)])
@@ -177,8 +180,9 @@ class TestRankModeSets:
     )
 
     def test_ordering_and_permutation_stability(self):
-        forward = rank_mode_sets(self.CANDIDATES, GEOM, RX, SIGMA_THETA, quad_order=48)
-        backward = rank_mode_sets(tuple(reversed(self.CANDIDATES)), GEOM, RX, SIGMA_THETA,
+        # average_ber's argument order, the candidates in the mode-set slot.
+        forward = rank_mode_sets(GEOM, RX, self.CANDIDATES, SIGMA_THETA, Method.BESSEL_SUM, 48)
+        backward = rank_mode_sets(GEOM, RX, tuple(reversed(self.CANDIDATES)), SIGMA_THETA,
                                   quad_order=48)
         assert [r.label for r in forward] == [r.label for r in backward]
         assert [r.ber for r in forward] == [r.ber for r in backward]
@@ -189,10 +193,10 @@ class TestRankModeSets:
 
     def test_duplicate_candidates_rejected(self):
         with pytest.raises(ValueError):
-            rank_mode_sets((ModeSet(tx_modes=(-2, 1)), ModeSet(tx_modes=(-2, 1))),
-                           GEOM, RX, SIGMA_THETA, quad_order=48)
+            rank_mode_sets(GEOM, RX, (ModeSet(tx_modes=(-2, 1)), ModeSet(tx_modes=(-2, 1))),
+                           SIGMA_THETA, quad_order=48)
         with pytest.raises(ValueError):
-            rank_mode_sets((), GEOM, RX, SIGMA_THETA, quad_order=48)
+            rank_mode_sets(GEOM, RX, (), SIGMA_THETA, quad_order=48)
 
 
 class TestBench:
