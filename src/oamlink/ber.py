@@ -42,6 +42,7 @@ __all__ = [
     "rayleigh_pdf",
     "BerResult",
     "conditional_ber",
+    "check_quad_order",
     "average_ber",
 ]
 
@@ -296,6 +297,12 @@ def _piecewise_rule(
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def check_quad_order(quad_order: int) -> None:
+    """Refuses a Gauss-Legendre order that is not an integer in [16, 256]."""
+    if not isinstance(quad_order, (int, np.integer)) or not (16 <= quad_order <= 256):
+        raise ValueError(f"quad_order must be an integer in [16, 256], got {quad_order!r}")
+
+
 def average_ber(
     geom: LinkGeometry,
     rx: ReceiverConfig,
@@ -316,12 +323,11 @@ def average_ber(
     as not converged and warns with ``QuadratureConvergenceWarning``. A
     Bessel-based method warns with ``ApproximationWarning`` when the whole
     domain lies below its validity floor. The mode set must carry exactly
-    two data streams. exact2d has no batched profile and is refused
-    (``channel_profile``).
+    two data streams (and ``check_quad_order`` bounds the order). exact2d
+    has no batched profile and is refused (``channel_profile``).
     """
     scale = geom.rayleigh_scale(sigma_theta)
-    if not isinstance(quad_order, (int, np.integer)) or not (16 <= quad_order <= 256):
-        raise ValueError(f"quad_order must be an integer in [16, 256], got {quad_order!r}")
+    check_quad_order(quad_order)
     method = Method.parse(method)
     if modes.n_streams != 2:
         raise ValueError(f"need exactly 2 data streams, got {modes.n_streams}")

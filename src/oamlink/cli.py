@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from oamlink import __version__
-from oamlink.beam import LinkGeometry, ModeSet
-from oamlink.ber import REACH_SIGMAS, average_ber
+from oamlink.beam import LinkGeometry, ModeSet, check_offset_radius
+from oamlink.ber import REACH_SIGMAS, average_ber, check_quad_order
 from oamlink.crosstalk import Method, ReceiverConfig, crosstalk_matrix
 from oamlink.montecarlo import (
     MAX_TRIALS,
@@ -35,8 +35,10 @@ from oamlink.montecarlo import (
     worker_count,
 )
 from oamlink.sweep import (
-    TOL_ULPS,
     bench_methods,
+    check_bench_grid,
+    check_candidates,
+    check_waist_search,
     mode_set_label,
     optimize_w0,
     rank_mode_sets,
@@ -126,14 +128,6 @@ def _check_bessel_range(
             f"geometry.distance_m={geom.distance!r}, geometry.w0_m={geom.waist!r}, "
             f"geometry.wavelength_m={geom.wavelength!r})"
         ) from None
-
-
-def _check_trial_budget(total: int, keys: str) -> None:
-    """Refuses a command whose Monte Carlo runs, ``keys`` multiplied,
-    simulate more than MAX_TRIALS trials in all."""
-    if total > MAX_TRIALS:
-        raise ConfigError(f"{keys} makes {total} simulated trials; "
-                          f"a command runs at most {MAX_TRIALS}")
 
 
 def _key_values(entries, missing_equals: str, from_file: bool = False) -> dict[str, str]:
@@ -295,11 +289,9 @@ class RunConfig:
         raw = self.text("modes.candidates")
         if not raw:
             return ()
-        with _config_errors("modes.candidates: "):
+        with _config_errors("modes.candidates: ", keys={"candidates": "modes.candidates"}):
             sets = tuple(parse_mode_set_spec(part) for part in raw.split(";"))
-        labels = [mode_set_label(m) for m in sets]
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"modes.candidates lists a mode set twice: {raw!r}")
+            check_candidates(sets)
         return sets
 
     def two_stream_sets(self, candidates: Sequence[ModeSet] = ()) -> tuple[ModeSet, ...]:
@@ -360,8 +352,8 @@ class RunConfig:
     def quad_order(self) -> int:
         """Gauss-Legendre order of the jitter average."""
         quad_order = self.integer("quad.order")
-        if not (16 <= quad_order <= 256):
-            raise ConfigError(f"quad.order must be in [16, 256], got {quad_order}")
+        with _config_errors(keys={"quad_order": "quad.order"}):
+            check_quad_order(quad_order)
         return quad_order
 
     def trial_config(self) -> TrialConfig:
@@ -493,10 +485,8 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
             "crosstalk-curve needs offset radii: set sweep.grid (meters) or "
             "pointing.r_ch_m for a single point"
         )
-    if not all(0.0 <= r < math.inf for r in radii):
-        raise ConfigError(
-            f"offset radii (sweep.grid or pointing.r_ch_m) must be finite and >= 0, got {radii}"
-        )
+    with _config_errors(keys={"r_ch": key}):
+        check_offset_radius(radii)
     _check_bessel_range(geom, rx, max(radii), key, max(radii))
 
     # Evaluate one matrix per (radius, method), then emit rows with the
@@ -558,8 +548,10 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
     trial_cfg = None
     if with_mc:
         trial_cfg = cfg.trial_config()
-        _check_trial_budget(trial_cfg.trials * len(grid) * len(candidates) * len(methods),
-                            "mc.trials x sweep.grid values x modes.candidates x method")
+        total = trial_cfg.trials * len(grid) * len(candidates) * len(methods)
+        if total > MAX_TRIALS:
+            raise ConfigError(f"mc.trials x sweep.grid values x modes.candidates x method makes "
+                              f"{total} simulated trials; a command runs at most {MAX_TRIALS}")
 
     rows = []
     errors = 0
@@ -643,13 +635,9 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
     method = cfg.single_method()
     lo, hi = cfg.number("optimize.lo_m"), cfg.number("optimize.hi_m")
     tol = cfg.number("optimize.tol_m")
-    if not (0 < lo < hi < math.inf):
-        raise ConfigError(f"need 0 < optimize.lo_m < optimize.hi_m < inf, got {lo}, {hi}")
-    if not (0 < tol < hi - lo):
-        raise ConfigError(f"optimize.tol_m must be in (0, {hi - lo:g}), got {tol}")
-    if tol < TOL_ULPS * math.ulp(hi):
-        raise ConfigError(f"optimize.tol_m must be at least {TOL_ULPS} ulps of optimize.hi_m, "
-                          f"{TOL_ULPS * math.ulp(hi)!r}, or the search never ends; got {tol}")
+    with _config_errors(keys={"w_lo": "optimize.lo_m", "w_hi": "optimize.hi_m",
+                              "tol": "optimize.tol_m"}):
+        check_waist_search(lo, hi, tol)
     quad_order = cfg.quad_order()
     # The search replaces the waist, so its link is the config with each
     # bound, which it evaluates, as the waist; geometry.w0_m is never checked.
@@ -726,35 +714,28 @@ def cmd_bench(cfg: RunConfig) -> _Output:
     quad_order = cfg.quad_order()
     geom, rx, sigma_theta = cfg.link()
     (modes,) = cfg.two_stream_sets()
-    methods = list(cfg.methods())
-    if Method.EXACT2D not in methods:
-        methods.insert(0, Method.EXACT2D)
+    methods = cfg.methods()
     r_min = cfg.number("bench.r_min_m")
     r_max = cfg.number("bench.r_max_m")
     n_points = cfg.integer("bench.grid_points")
     repetitions = cfg.integer("bench.repetitions")
     mc_trials = cfg.integer("bench.mc_trials")
     seed = cfg.integer("mc.seed")
-    if not (0 < r_min < r_max < math.inf):
-        raise ConfigError(
-            f"need 0 < bench.r_min_m < bench.r_max_m < inf, got {r_min}, {r_max}"
-        )
-    # At about 35 ms per exact2d point the ceilings bound it to ~12 minutes.
-    if not 1 <= n_points <= 1000:
-        raise ConfigError(f"bench.grid_points must be in [1, 1000], got {n_points}")
-    if not 3 <= repetitions <= 20:
-        raise ConfigError(f"bench.repetitions must be in [3, 20], got {repetitions}")
-    with _config_errors(keys={"trials": "bench.mc_trials", "seed": "mc.seed"}):
-        TrialConfig(mc_trials, seed)
-    _check_trial_budget(repetitions * mc_trials, "bench.repetitions x bench.mc_trials")
+    # TrialConfig names the count "trials"; the budget message never does.
+    with _config_errors(keys={"r_min": "bench.r_min_m", "r_max": "bench.r_max_m",
+                              "n_points": "bench.grid_points", "repetitions": "bench.repetitions",
+                              "mc_trials": "bench.mc_trials", "trials": "bench.mc_trials",
+                              "seed": "mc.seed"}):
+        check_bench_grid(r_min, r_max, n_points, repetitions, mc_trials, seed)
     _check_bessel_range(geom, rx, r_max, "bench.r_max_m", r_max)
     report = bench_methods(geom, rx, modes, sigma_theta, r_min, r_max, n_points,
                            repetitions, methods, mc_trials, seed, quad_order)
 
     # Wall times vary run to run, so they go to the manifest and stdout;
     # the CSV records only what was benchmarked, keeping reruns
-    # byte-identical.
-    roles = [(m.value, "reference" if m is Method.EXACT2D else "candidate") for m in methods]
+    # byte-identical. The bench times exact2d first unless methods lists it.
+    roles = [(name, "reference" if name == Method.EXACT2D.value else "candidate")
+             for name in report.method_times]
     roles += [("monte-carlo", "estimator"), ("quadrature-average", "estimator")]
     rows = [(*role, n_points, repetitions, mc_trials) for role in roles]
     speedups = report.speedup_vs_exact.items()

@@ -243,11 +243,9 @@ def simulate_ber(
     fixed = None
     if amplitude_matrix is not None:
         fixed = np.asarray(amplitude_matrix, dtype=float)
-        if fixed.shape != (modes.n_filter, modes.n_tx):
-            raise ValueError(
-                f"amplitude matrix shape {fixed.shape} does not match "
-                f"{modes.n_filter} filters x {modes.n_tx} tx modes"
-            )
+        if fixed.shape != (modes.n_filter, modes.n_tx) or not np.isfinite(fixed).all():
+            raise ValueError(f"amplitude matrix must be finite, {modes.n_filter} filters x "
+                             f"{modes.n_tx} tx modes; got {fixed.tolist()}")
 
     sizes = _chunk_sizes(cfg.trials)
     workers = min(worker_count(), len(sizes))

@@ -6,7 +6,8 @@ sigma_theta in radians), ``rank_mode_sets`` with its candidate sets in the
 mode-set slot. It searches for the BER-minimizing beam waist with a
 bracketed golden-section routine, orders candidate mode sets by averaged
 BER under an equal total power budget, or times the crosstalk evaluators
-against the reference integral and the Monte Carlo validator.
+against the reference integral and the Monte Carlo validator. Each
+refuses its inputs through one ``check_*`` function, which the CLI calls too.
 """
 
 from __future__ import annotations
@@ -83,6 +84,16 @@ class OptimizeResult:
                 )
 
 
+def check_waist_search(w_lo: float, w_hi: float, tol: float) -> None:
+    """Refuses bounds unless 0 < w_lo < w_hi < inf, and a tol outside
+    [``TOL_ULPS`` ulps of w_hi, w_hi - w_lo)."""
+    if not (0 < w_lo < w_hi < math.inf):
+        raise ValueError(f"need 0 < w_lo < w_hi < inf, got {w_lo}, {w_hi}")
+    if not (TOL_ULPS * math.ulp(w_hi) <= tol < w_hi - w_lo):
+        raise ValueError(f"tol must be in [{TOL_ULPS * math.ulp(w_hi)!r}, {w_hi - w_lo:g}), at "
+                         f"least {TOL_ULPS} ulps of w_hi or the search never ends; got {tol!r}")
+
+
 def optimize_w0(
     geom: LinkGeometry,
     rx: ReceiverConfig,
@@ -97,21 +108,13 @@ def optimize_w0(
 
     A coarse pre-grid of PRE_GRID_POINTS equally spaced waists seeds the
     bracket; golden-section then narrows the bracketing interval below
-    ``tol``, which may not be below ``TOL_ULPS`` ulps of the upper bound.
+    ``tol``, which ``check_waist_search`` bounds before any average.
     When the pre-grid argmin falls on an interval edge the result is
     flagged as a boundary minimum and no interior certificate is
     fabricated.
     """
     w_lo, w_hi = float(bounds[0]), float(bounds[1])
-    if not (math.isfinite(w_lo) and math.isfinite(w_hi) and w_lo < w_hi):
-        raise ValueError(f"need w_lo < w_hi, got {bounds!r}")
-    if w_lo <= 0:
-        raise ValueError(f"beam waist bounds must be positive, got {bounds!r}")
-    if not (TOL_ULPS * math.ulp(w_hi) <= tol < (w_hi - w_lo)):
-        raise ValueError(
-            f"tol must be in [{TOL_ULPS * math.ulp(w_hi)!r}, {w_hi - w_lo:g}) for these "
-            f"bounds, got {tol!r}"
-        )
+    check_waist_search(w_lo, w_hi, tol)
     memo: dict[float, float] = {}
 
     def evaluate(x: float) -> float:
@@ -202,6 +205,14 @@ class RankedModeSet:
     status: str
 
 
+def check_candidates(candidates: Sequence[ModeSet]) -> list[str]:
+    """Refuses an empty list or a mode set listed twice; returns the labels."""
+    labels = [mode_set_label(m) for m in candidates]
+    if not labels or len(set(labels)) != len(labels):
+        raise ValueError(f"candidates must list distinct mode sets, at least one; got {labels}")
+    return labels
+
+
 def rank_mode_sets(
     geom: LinkGeometry,
     rx: ReceiverConfig,
@@ -217,13 +228,9 @@ def rank_mode_sets(
     the coefficient normalization counts streams, so grouped and plain sets
     are directly comparable. Ties sort by label, which together with the
     deterministic evaluation makes the ranking independent of the order the
-    candidates were passed in.
+    candidates were passed in. ``check_candidates`` runs before any average.
     """
-    if not candidates:
-        raise ValueError("need at least one candidate mode set")
-    labels = [mode_set_label(m) for m in candidates]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate candidate mode sets: {sorted(labels)}")
+    labels = check_candidates(candidates)
     scored = []
     for label, modes in zip(labels, candidates):
         res, status = warning_status(average_ber, geom, rx, modes, sigma_theta, method, quad_order)
@@ -285,6 +292,24 @@ def _median_wall_time(fn: Callable[[], object], repetitions: int) -> float:
     return statistics.median(times)
 
 
+def check_bench_grid(r_min: float, r_max: float, n_points: int, repetitions: int,
+                     mc_trials: int, seed: int) -> TrialConfig:
+    """Refuses a span, grid size, repetition or trial count, seed or trial
+    budget the bench cannot run; returns the bench's Monte Carlo settings."""
+    if not (0 < r_min <= r_max < math.inf):
+        raise ValueError(f"need 0 < r_min <= r_max < inf, got {r_min}, {r_max}")
+    # At about 35 ms per exact2d point the ceilings bound a bench to ~12 minutes.
+    for name, value, least, most in (("n_points", n_points, 1, 1000),
+                                     ("repetitions", repetitions, 3, 20)):
+        if not isinstance(value, (int, np.integer)) or not least <= value <= most:
+            raise ValueError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
+    cfg = TrialConfig(mc_trials, seed, allow_degraded=True)
+    if repetitions * cfg.trials > MAX_TRIALS:
+        raise ValueError(f"repetitions x mc_trials makes {repetitions * cfg.trials} Monte Carlo "
+                         f"draws; a run simulates at most {MAX_TRIALS}")
+    return cfg
+
+
 def bench_methods(
     geom: LinkGeometry,
     rx: ReceiverConfig,
@@ -294,11 +319,7 @@ def bench_methods(
     r_max: float,
     n_points: int,
     repetitions: int = 5,
-    methods: Sequence["Method | str"] = (
-        Method.EXACT2D,
-        Method.BESSEL_INTEGRAL,
-        Method.BESSEL_SUM,
-    ),
+    methods: Sequence["Method | str"] = (Method.BESSEL_INTEGRAL, Method.BESSEL_SUM),
     mc_trials: int = 1_000_000,
     seed: int = 0,
     quad_order: int = 64,
@@ -308,29 +329,22 @@ def bench_methods(
     Point i sits at the i-th of ``n_points`` radii evenly spaced over
     [r_min, r_max] and takes pair i mod (n_tx * n_filter) of the set's
     (tx order, filter order) pairs, filter-major, so off-diagonal costs are
-    represented. Every method times ``crosstalk`` once per point, and the
-    median of ``repetitions`` passes is kept. The Monte Carlo versus
+    represented. Every method, and exact2d first if ``methods`` lacks it,
+    times ``crosstalk`` once per point, and the median of ``repetitions``
+    passes is kept in timing order. The Monte Carlo versus
     analytic-average comparison runs the estimator at ``mc_trials`` trials
     from ``seed``, pinned to a single worker, against one quadrature
     average of order ``quad_order``, both with bessel-sum whatever
-    ``methods`` lists; ``repetitions * mc_trials`` may not pass
-    ``MAX_TRIALS``. Accuracy warnings are suppressed inside the timed
-    region so console I/O does not leak into the wall times; the span
-    should sit inside every method's validity range regardless.
+    ``methods`` lists; ``check_bench_grid`` runs before any timing.
+    Accuracy warnings are suppressed inside the timed region so console
+    I/O does not leak into the wall times; the span should sit inside
+    every method's validity range regardless.
     """
     geom.rayleigh_scale(sigma_theta)
-    if repetitions < 3:
-        raise ValueError(f"repetitions must be >= 3, got {repetitions}")
-    if repetitions * mc_trials > MAX_TRIALS:
-        raise ValueError(f"repetitions * mc_trials makes {repetitions * mc_trials} "
-                         f"simulated trials, past {MAX_TRIALS}")
-    if not (n_points >= 1 and 0 < r_min <= r_max < math.inf):
-        raise ValueError(f"benchmark span needs n_points >= 1 and 0 < r_min <= r_max < inf, "
-                         f"got {n_points} points over [{r_min}, {r_max}]")
+    cfg = check_bench_grid(r_min, r_max, n_points, repetitions, mc_trials, seed)
     parsed = [Method.parse(m) for m in methods]
     if Method.EXACT2D not in parsed:
-        raise ValueError("benchmark must include the reference method exact2d")
-    cfg = TrialConfig(mc_trials, seed, allow_degraded=True)
+        parsed.insert(0, Method.EXACT2D)
     pairs = cycle(product(modes.filter_modes, modes.tx_modes))
     grid = list(zip(np.linspace(r_min, r_max, n_points).tolist(), pairs))
 

@@ -21,6 +21,7 @@ from oamlink.ber import (
     _gap_roots,
     _piecewise_rule,
     average_ber,
+    check_quad_order,
     conditional_ber,
     rayleigh_pdf,
 )
@@ -456,13 +457,19 @@ class TestAverageBer:
         result = average_ber(geom, rx, modes, sigma_theta, "radial-sum", quad_order=48)
         assert result == average_ber(geom, rx, modes, sigma_theta, Method.RADIAL_SUM, 48)
 
-    def test_quad_order_guards(self):
+    def test_quad_order_guards(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr("oamlink.ber.channel_profile", refuse)
         geom, rx = default_geom(), default_rx()
         sigma_theta = 3.0e-5
         modes = ModeSet(tx_modes=(-2, 1))
-        for bad in (8, 300, 64.0):
-            with pytest.raises(ValueError):
+        for bad in (8, 15, 257, 300, 64.0):
+            with pytest.raises(ValueError, match="quad_order must be an integer in \\[16, 256\\]"):
                 average_ber(geom, rx, modes, sigma_theta, Method.RADIAL_SUM, quad_order=bad)
+        for edge in (16, 256, np.int64(64)):
+            check_quad_order(edge)
 
     def test_result_validation_and_clamp(self):
         assert BerResult(averaged=1.2).averaged_clamped == 0.5

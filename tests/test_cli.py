@@ -38,6 +38,7 @@ from oamlink.beam import ModeSet
 from oamlink.ber import BerResult
 from oamlink.crosstalk import Method
 from oamlink.montecarlo import TrialConfig, simulate_ber
+from oamlink.sweep import TOL_ULPS
 
 
 def cfg_with(**overrides):
@@ -279,6 +280,28 @@ class TestMainErrors:
              "receiver.aperture_radius_m"),
             (["bench", "-s", "bench.grid_points=1001"], None, "bench.grid_points"),
             (["bench", "-s", "bench.repetitions=21"], None, "bench.repetitions"),
+            # Each rule the library owns, refused by the CLI through the
+            # library's own check, naming the key.
+            (["bench", "-s", "bench.grid_points=0"], None,
+             "bench.grid_points must be an integer in [1, 1000]"),
+            (["bench", "-s", "bench.repetitions=2"], None,
+             "bench.repetitions must be an integer in [3, 20]"),
+            (["bench", "-s", "bench.r_min_m=0"], None,
+             "need 0 < bench.r_min_m <= bench.r_max_m < inf"),
+            (["bench", "-s", "bench.r_min_m=20.5"], None, "bench.r_min_m <= bench.r_max_m"),
+            (["optimize", "--lo", "nan"], None, "need 0 < optimize.lo_m < optimize.hi_m < inf"),
+            (["optimize", "--tol", "0.055"], None, "optimize.tol_m must be in ["),
+            (["ber-curve", "--grid", "0.02", "-s", "quad.order=257"], None,
+             "quad.order must be an integer in [16, 256]"),
+            (["rank-modes", "-s", "quad.order=15"], None, "quad.order"),
+            (["crosstalk-curve", "--grid", "5,-1"], None,
+             "sweep.grid value must be finite and >= 0, got -1.0"),
+            (["crosstalk-curve", "-s", "pointing.r_ch_m=inf"], None,
+             "pointing.r_ch_m must be finite and >= 0, got inf"),
+            (["rank-modes", "--candidates=-2|1;-1|1;-2|1"], None,
+             "modes.candidates must list distinct mode sets"),
+            (["ber-curve", "--grid", "0.02", "--candidates=-2|1;-2|1"], None,
+             "modes.candidates must list distinct mode sets"),
             (["ber-curve", "--grid", "0.02", "-s", "pointing.sigma_theta_rad=1e-300"], None,
              "pointing.sigma_theta_rad"),
             (["rank-modes", "-s", "receiver.aperture_radius_m=2"], None,
@@ -327,11 +350,12 @@ class TestMainErrors:
              "bench.r_max_m=100000.0, geometry.distance_m=1000000.0, geometry.w0_m=0.025"),
             # A golden-section search whose tol is below the float spacing
             # never ends.
-            (["optimize", "--tol", "1e-300"], None, "optimize.tol_m must be at least 2 ulps"),
+            (["optimize", "--tol", "1e-300"], None,
+             "at least 2 ulps of optimize.hi_m or the search never ends"),
             (["optimize", "--tol", "1e-17"], None, "optimize.tol_m"),
             # Runs that would simulate past 10^9 trials in all.
             (["bench", "-s", "bench.mc_trials=1000000000"], None,
-             "bench.repetitions x bench.mc_trials makes 5000000000 simulated trials"),
+             "bench.repetitions x bench.mc_trials makes 5000000000 Monte Carlo draws"),
             (["bench", "--repetitions", "20", "-s", "bench.mc_trials=50000001"], None,
              "bench.repetitions x bench.mc_trials"),
             (["ber-curve", "--monte-carlo", "--trials", "1000000000", "--grid", "0.02"], None,
@@ -353,7 +377,8 @@ class TestMainErrors:
         def refuse(*args, **kwargs):
             raise AssertionError("work started")
 
-        for name in ("sweep.crosstalk", "sweep.average_ber", "montecarlo._run_chunk"):
+        for name in ("sweep.crosstalk", "sweep.average_ber", "montecarlo._run_chunk",
+                     "cli.average_ber", "cli.crosstalk_matrix"):
             monkeypatch.setattr(f"oamlink.{name}", refuse)
         if env is not None:
             monkeypatch.setenv("OAMLINK_WORKERS", env)
@@ -926,6 +951,17 @@ class TestOptimizeCommand:
         assert main(args + [str(replaced), "-s", f"geometry.w0_m={waist}"]) == EXIT_OK
         assert replaced.read_bytes() == (tmp_path / "base.txt").read_bytes()
 
+    def test_least_tol_runs_and_one_float_less_is_refused(self, tmp_path, monkeypatch):
+        # At TOL_ULPS ulps of optimize.hi_m the search still ends (here on a
+        # closed-form objective); the next float down is refused.
+        monkeypatch.setattr("oamlink.sweep.average_ber",
+                            lambda geom, *args: BerResult(averaged=(geom.waist - 0.02) ** 2))
+        least = TOL_ULPS * math.ulp(0.06)
+        args = ["optimize", "--hi", "0.06", "-o", str(tmp_path / "opt.txt")]
+        assert main(args + ["--tol", repr(least)]) == EXIT_OK
+        assert f"optimize.tol_m = {least!r}\n" in (tmp_path / "opt.txt").read_text()
+        assert main(args + ["--tol", repr(math.nextafter(least, 0))]) == EXIT_CONFIG
+
     def test_bad_bounds(self, tmp_path):
         args = ["optimize", "--lo", "0.03", "--hi", "0.01", "-o",
                 str(tmp_path / "o.txt")]
@@ -996,7 +1032,7 @@ class TestBenchCommand:
         schema, header, rows = read_csv_file(out1)
         assert schema.startswith("oamlink/bench v1")
         assert header == ["method", "role", "grid_size", "repetitions", "mc_trials"]
-        # exact2d is prepended to the configured method list.
+        # The bench times exact2d first when the method list lacks it.
         assert [r[0] for r in rows] == [
             "exact2d", "bessel-sum", "monte-carlo", "quadrature-average",
         ]
@@ -1018,6 +1054,16 @@ class TestBenchCommand:
             assert main(args) == EXIT_OK
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == ""
+
+    def test_one_radius_span_runs(self, tmp_path):
+        # r_min == r_max is a span of one radius, timed like any other.
+        out = tmp_path / "b.csv"
+        settings = ["-s", "bench.grid_points=1", "-s", "bench.r_min_m=5", "-s", "bench.r_max_m=5",
+                    "-s", "bench.repetitions=3", "-s", "bench.mc_trials=1000"]
+        assert main(["bench", "-o", str(out)] + settings) == EXIT_OK
+        _, _, rows = read_csv_file(out)
+        assert [r[:3] for r in rows[:2]] == [["exact2d", "reference", "1"],
+                                              ["bessel-sum", "candidate", "1"]]
 
     def test_bad_bench_range(self, tmp_path):
         args = ["bench", "-o", str(tmp_path / "b.csv"), "-s", "bench.r_min_m=30"]

@@ -98,9 +98,11 @@ class TestMlDetect:
         return simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, amplitude_matrix=h)
 
     def test_recovers_clean_symbols(self):
-        # Orthogonal unit-gain streams far above the noise: no errors.
-        out = self.fixed_run(np.eye(2), 1e-6, seed=3)
-        assert out.errors == 0 and out.bit_errors == 0
+        # Orthogonal unit-gain streams far above the noise: no errors, and
+        # a negative gain, which a fixed audit matrix may carry, is as clean.
+        for h in (np.eye(2), -np.eye(2)):
+            out = self.fixed_run(h, 1e-6, seed=3)
+            assert out.errors == 0 and out.bit_errors == 0
 
     def test_tie_breaks_to_earliest_hypothesis(self):
         # An all-zero channel makes every hypothesis equally good; the
@@ -216,6 +218,24 @@ class TestSimulateBer:
         geom, rx, modes = default_geom(), default_rx(), ModeSet(tx_modes=(-2, 1))
         with pytest.raises(ValueError, match="fft"):
             simulate_ber(geom, rx, modes, SIGMA_THETA, TrialConfig(trials=1000, seed=1), "fft")
+
+    @pytest.mark.parametrize("h", [
+        np.full((2, 2), np.nan),
+        np.full((2, 2), np.inf),
+        np.array([[1.0, 0.0], [-np.inf, 1.0]]),
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+    ])
+    def test_non_finite_amplitude_matrix_is_refused_before_any_trial(self, monkeypatch, h):
+        # Over nan metrics ML detection would pick an arbitrary hypothesis
+        # and return a plausible-looking estimate.
+        def refuse(*args):
+            raise AssertionError("chunk run")
+
+        monkeypatch.setattr("oamlink.montecarlo._run_chunk", refuse)
+        geom, rx, modes = default_geom(), default_rx(), ModeSet(tx_modes=(-2, 1))
+        with pytest.raises(ValueError, match="amplitude matrix must be finite"):
+            simulate_ber(geom, rx, modes, SIGMA_THETA, TrialConfig(trials=1000, seed=1),
+                         amplitude_matrix=h)
 
     def test_amplitude_matrix_shape_guard(self):
         geom, rx = default_geom(), default_rx()

@@ -7,6 +7,7 @@ the acceptance suite.
 """
 
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -115,6 +116,23 @@ class TestOptimizeW0:
         with pytest.raises(ValueError, match="tol must be in"):
             optimize_w0(*LINK, bounds=(0.005, 0.06), tol=tol)
 
+    @pytest.mark.parametrize("bounds, tol, refusal", [
+        ((0.0, 0.06), 1e-4, "need 0 < w_lo < w_hi < inf"),
+        ((0.03, 0.01), 1e-4, "need 0 < w_lo < w_hi < inf"),
+        ((0.03, 0.03), 1e-4, "need 0 < w_lo < w_hi < inf"),
+        ((math.nan, 0.06), 1e-4, "need 0 < w_lo < w_hi < inf"),
+        ((0.01, math.inf), 1e-4, "need 0 < w_lo < w_hi < inf"),
+        ((0.005, 0.06), 0.06 - 0.005, "tol must be in"),
+        ((0.005, 0.06), math.nan, "tol must be in"),
+    ])
+    def test_bad_search_is_refused_before_any_average(self, monkeypatch, bounds, tol, refusal):
+        def refuse(*args):
+            raise AssertionError("objective evaluated")
+
+        monkeypatch.setattr(oamlink.sweep, "average_ber", refuse)
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            optimize_w0(*LINK, bounds=bounds, tol=tol)
+
     @pytest.mark.parametrize("w_opt", [0.0095, 0.0237, 0.030, 0.045, 0.0555])
     def test_least_tol_ends(self, monkeypatch, w_opt):
         calls = []
@@ -191,11 +209,16 @@ class TestRankModeSets:
         assert bers == sorted(bers)
         assert all(r.converged for r in forward)
 
-    def test_duplicate_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            rank_mode_sets(GEOM, RX, (ModeSet(tx_modes=(-2, 1)), ModeSet(tx_modes=(-2, 1))),
+    def test_duplicate_candidates_rejected(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("candidate averaged")
+
+        monkeypatch.setattr(oamlink.sweep, "average_ber", refuse)
+        with pytest.raises(ValueError, match=re.escape("distinct mode sets, at least one; got "
+                                                       "['-2|1', '-1|1', '-2|1']")):
+            rank_mode_sets(GEOM, RX, (A2, ModeSet(tx_modes=(-1, 1)), ModeSet(tx_modes=(-2, 1))),
                            SIGMA_THETA, quad_order=48)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got \\[\\]"):
             rank_mode_sets(GEOM, RX, (), SIGMA_THETA, quad_order=48)
 
 
@@ -215,16 +238,37 @@ class TestBench:
             report.mc_time / report.analytic_ber_time, rel=1e-12
         )
 
-    def test_bench_guards(self):
+    def test_bench_guards(self, monkeypatch):
+        # Each bad grid is refused, naming its argument, before any timing.
+        def refuse(*args):
+            raise AssertionError("evaluator timed")
+
+        monkeypatch.setattr(oamlink.sweep, "crosstalk", refuse)
         common = dict(mc_trials=1000, seed=77, quad_order=48)
-        with pytest.raises(ValueError):
-            bench_methods(*LINK, 5.0, 10.0, 0, repetitions=3, **common)
-        with pytest.raises(ValueError):
-            bench_methods(*LINK, 0.0, 10.0, 1, repetitions=3, **common)
-        with pytest.raises(ValueError):
-            bench_methods(*LINK, 5.0, 5.0, 1, repetitions=2, **common)
-        with pytest.raises(ValueError):
-            bench_methods(*LINK, 5.0, 5.0, 1, repetitions=3, methods=["bessel-sum"], **common)
+        for span, repetitions, refusal in [
+            ((5.0, 10.0, 0), 3, "n_points must be an integer in [1, 1000], got 0"),
+            ((5.0, 10.0, 1001), 3, "n_points must be an integer in [1, 1000], got 1001"),
+            ((5.0, 10.0, 2.0), 3, "n_points must be an integer in [1, 1000], got 2.0"),
+            ((5.0, 10.0, 2), 2, "repetitions must be an integer in [3, 20], got 2"),
+            ((5.0, 10.0, 2), 21, "repetitions must be an integer in [3, 20], got 21"),
+            ((5.0, 10.0, 2), 3.0, "repetitions must be an integer in [3, 20], got 3.0"),
+            ((0.0, 10.0, 1), 3, "need 0 < r_min <= r_max < inf, got 0.0, 10.0"),
+            ((6.0, 5.0, 1), 3, "need 0 < r_min <= r_max < inf, got 6.0, 5.0"),
+            ((5.0, math.inf, 1), 3, "need 0 < r_min <= r_max < inf, got 5.0, inf"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(refusal)):
+                bench_methods(*LINK, *span, repetitions=repetitions, **common)
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            bench_methods(*LINK, 5.0, 10.0, 2, repetitions=3, mc_trials=1000, seed=-1)
+
+        # A one-radius span runs, and the reference exact2d, missing from
+        # the list, is timed first.
+        timed = []
+        monkeypatch.setattr(oamlink.sweep, "crosstalk", lambda *args: timed.append(args[6]))
+        report = bench_methods(*LINK, 5.0, 5.0, 1, repetitions=3, methods=["bessel-sum"],
+                               **common)
+        assert list(report.method_times) == ["exact2d", "bessel-sum"]
+        assert timed == [Method.EXACT2D] * 3 + [Method.BESSEL_SUM] * 3
 
     def test_times_the_filter_major_pair_cycle(self, monkeypatch):
         class Timed(Exception):
@@ -252,7 +296,7 @@ class TestBench:
             raise AssertionError("evaluator timed")
 
         monkeypatch.setattr(oamlink.sweep, "crosstalk", refuse)
-        with pytest.raises(ValueError, match="repetitions \\* mc_trials"):
+        with pytest.raises(ValueError, match="repetitions x mc_trials makes"):
             bench_methods(*LINK, 5.0, 10.0, 2, repetitions=repetitions, mc_trials=mc_trials)
 
     def test_bad_jitter_is_refused_before_any_timing(self, monkeypatch):
