@@ -19,10 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from oamlink.numerics import LAGUERRE_MAX_ORDER, laguerre
+from oamlink.numerics import LAGUERRE_MAX_ORDER, is_integer, laguerre
 
 __all__ = [
     "MAX_AZIMUTHAL_ORDER",
+    "REACH_SIGMAS",
     "LinkGeometry",
     "ModeSet",
     "check_offset_radius",
@@ -32,6 +33,10 @@ __all__ = [
 ]
 
 MAX_AZIMUTHAL_ORDER = 16
+
+# Runs over the pointing jitter reach offset radii of this many sigma_r; the
+# excluded Rayleigh tail carries less than 1.3e-14 of the probability mass.
+REACH_SIGMAS = 8.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class LinkGeometry:
         if not (self.distance > 0 and math.isfinite(self.distance)):
             raise ValueError(f"distance must be positive, got {self.distance!r}")
         p = self.radial_index
-        if not isinstance(p, (int, np.integer)) or p < 0 or p > LAGUERRE_MAX_ORDER:
+        if not is_integer(p) or p < 0 or p > LAGUERRE_MAX_ORDER:
             raise ValueError(
                 f"radial_index must be an integer in [0, {LAGUERRE_MAX_ORDER}], got {p!r}"
             )
@@ -128,10 +133,10 @@ class ModeSet:
     stream, so one set has one stored form. ``stream_matrix`` mixes the
     modes into streams. Neither order list is empty, and each is pairwise
     distinct: a repeated filter would count its branch twice in the
-    detection. Every order is an integer (``int`` or ``np.integer``) within
-    ``MAX_AZIMUTHAL_ORDER``, as ``lg_field`` requires; a float or a string
-    is refused by name, never truncated. The crosstalk layer normalises
-    each coefficient grid by ``n_streams``.
+    detection. Every order is an integer (``is_integer``) within
+    ``MAX_AZIMUTHAL_ORDER``, as ``lg_field`` requires; a float, a string or
+    a bool is refused by name, never truncated. The crosstalk layer
+    normalises each coefficient grid by ``n_streams``.
     """
 
     tx_modes: tuple[int, ...]
@@ -165,6 +170,21 @@ class ModeSet:
         object.__setattr__(self, "tx_modes", tx)
         object.__setattr__(self, "filter_modes", flt)
         object.__setattr__(self, "streams", streams)
+
+    @classmethod
+    def parse(cls, spec: str) -> "ModeSet":
+        """The set whose ``label`` is ``spec``: ``-2|1`` is two single-mode
+        streams, ``-4,-2|1,3`` two streams of two modes each."""
+        try:
+            groups = [[int(tok) for tok in part.split(",")] for part in spec.split("|")]
+            return cls([m for g in groups for m in g], stream_grouping=groups)
+        except ValueError as exc:
+            raise ValueError(f"bad mode set spec {spec!r}: {exc}") from None
+
+    @property
+    def label(self) -> str:
+        """Short name: modes comma-joined, streams separated by '|'."""
+        return "|".join(",".join(str(m) for m in group) for group in self.streams)
 
     @property
     def n_tx(self) -> int:
@@ -200,10 +220,10 @@ class ModeSet:
 
 def _checked_orders(kind: str, orders: Sequence[int]) -> tuple[int, ...]:
     """``orders`` as ints; refuses, naming ``kind``, one that is not an
-    ``int`` or ``np.integer``, and one past ``MAX_AZIMUTHAL_ORDER``."""
+    integer (``is_integer``), and one past ``MAX_AZIMUTHAL_ORDER``."""
     orders = tuple(orders)
     for order in orders:
-        if not isinstance(order, (int, np.integer)):
+        if not is_integer(order):
             raise ValueError(f"{kind} order must be an integer, got {order!r}")
         if abs(order) > MAX_AZIMUTHAL_ORDER:
             raise ValueError(f"azimuthal order |{order}| exceeds guard {MAX_AZIMUTHAL_ORDER}")

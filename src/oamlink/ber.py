@@ -26,23 +26,25 @@ from typing import Sequence
 
 import numpy as np
 
-from oamlink.beam import LinkGeometry, ModeSet, lg_radial_norm
+from oamlink.beam import REACH_SIGMAS, LinkGeometry, ModeSet, lg_radial_norm
 from oamlink.crosstalk import (
     ApproximationWarning,
     Method,
     QuadratureConvergenceWarning,
     ReceiverConfig,
     channel_profile,
+    check_averaged_method,
     mode_envelope,  # noqa: F401  benchmarks/spans.py traces ber.mode_envelope
 )
-from oamlink.numerics import _legendre_rule, laguerre_coefficients, q_function
+from oamlink.numerics import _legendre_rule, is_integer, laguerre_coefficients, q_function
 
 __all__ = [
-    "REACH_SIGMAS",
     "rayleigh_pdf",
     "BerResult",
     "conditional_ber",
     "check_quad_order",
+    "check_two_streams",
+    "check_average",
     "average_ber",
 ]
 
@@ -54,10 +56,6 @@ _WINDOW_ORDER = 48
 # twice the call's range, so the steps are no wider than a 4,096-point scan
 # of that range.
 _SCAN_POINTS = 8192
-
-# The Rayleigh average covers offset radii up to this many sigma_r; the
-# excluded tail carries less than 1.3e-14 of the probability mass.
-REACH_SIGMAS = 8.0
 
 
 def rayleigh_pdf(r, scale: float) -> np.ndarray:
@@ -299,8 +297,27 @@ def _piecewise_rule(
 
 def check_quad_order(quad_order: int) -> None:
     """Refuses a Gauss-Legendre order that is not an integer in [16, 256]."""
-    if not isinstance(quad_order, (int, np.integer)) or not (16 <= quad_order <= 256):
+    if not is_integer(quad_order) or not (16 <= quad_order <= 256):
         raise ValueError(f"quad_order must be an integer in [16, 256], got {quad_order!r}")
+
+
+def check_two_streams(modes: ModeSet) -> None:
+    """Refuses a mode set unless it carries the 2 data streams the
+    conditional BER is written for."""
+    if modes.n_streams != 2:
+        raise ValueError(f"the averaged BER needs exactly 2 data streams, "
+                         f"{modes.label!r} has {modes.n_streams}")
+
+
+def check_average(geom: LinkGeometry, rx: ReceiverConfig, modes: ModeSet, sigma_theta: float,
+                  method: Method | str, quad_order: int) -> Method:
+    """Refuses, before any work, the inputs ``average_ber`` refuses, and
+    returns the parsed method; each driver calls it on every average's."""
+    rx.check_bessel_range(geom, sigma_theta=sigma_theta)
+    check_quad_order(quad_order)
+    method = check_averaged_method(method)
+    check_two_streams(modes)
+    return method
 
 
 def average_ber(
@@ -322,15 +339,12 @@ def average_ber(
     come from one kernel pass; a relative shift above 1% marks the result
     as not converged and warns with ``QuadratureConvergenceWarning``. A
     Bessel-based method warns with ``ApproximationWarning`` when the whole
-    domain lies below its validity floor. The mode set must carry exactly
-    two data streams (and ``check_quad_order`` bounds the order). exact2d
-    has no batched profile and is refused (``channel_profile``).
+    domain lies below its validity floor. ``check_average`` runs first: the
+    jitter, the Bessel range at the reach, the order, the method (no
+    exact2d) and the set (``check_two_streams``).
     """
+    method = check_average(geom, rx, modes, sigma_theta, method, quad_order)
     scale = geom.rayleigh_scale(sigma_theta)
-    check_quad_order(quad_order)
-    method = Method.parse(method)
-    if modes.n_streams != 2:
-        raise ValueError(f"need exactly 2 data streams, got {modes.n_streams}")
     upper = REACH_SIGMAS * scale
     floor = method.validity_floor
     if upper < floor:

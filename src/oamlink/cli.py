@@ -24,8 +24,8 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from oamlink import __version__
 from oamlink.beam import LinkGeometry, ModeSet, check_offset_radius
-from oamlink.ber import REACH_SIGMAS, average_ber, check_quad_order
-from oamlink.crosstalk import Method, ReceiverConfig, crosstalk_matrix
+from oamlink.ber import average_ber, check_quad_order, check_two_streams
+from oamlink.crosstalk import Method, ReceiverConfig, check_averaged_method, crosstalk_matrix
 from oamlink.montecarlo import (
     MAX_TRIALS,
     DegradedChannelError,
@@ -39,7 +39,6 @@ from oamlink.sweep import (
     check_bench_grid,
     check_candidates,
     check_waist_search,
-    mode_set_label,
     optimize_w0,
     rank_mode_sets,
     warning_status,
@@ -113,21 +112,10 @@ def _config_errors(prefix: str = "", keys: Optional[Mapping[str, str]] = None) -
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _check_bessel_range(
-    geom: LinkGeometry, rx: ReceiverConfig, r_max: float, key: str, value: float
-) -> None:
-    """Refuses Bessel arguments past their range at offsets up to ``r_max``.
-    The offsets' reach comes from ``key`` (at ``value``) and the beam at Z
-    sets c, so the refusal names their keys beside the aperture's."""
-    try:
-        rx.check_bessel_range(geom, r_max)
-    except ValueError as exc:
-        named = str(exc).replace("aperture_radius", "receiver.aperture_radius_m", 1)
-        raise ConfigError(
-            f"{named} (at {key}={value!r}, "
-            f"geometry.distance_m={geom.distance!r}, geometry.w0_m={geom.waist!r}, "
-            f"geometry.wavelength_m={geom.wavelength!r})"
-        ) from None
+# The keys of the link fields a ``ReceiverConfig.check_bessel_range``
+# refusal names beside the argument that set the reach.
+_LINK_KEYS = {"aperture_radius": "receiver.aperture_radius_m", "distance": "geometry.distance_m",
+              "waist": "geometry.w0_m", "wavelength": "geometry.wavelength_m"}
 
 
 def _key_values(entries, missing_equals: str, from_file: bool = False) -> dict[str, str]:
@@ -169,27 +157,6 @@ def parse_config_text(text: str, source: str) -> dict[str, str]:
         if raw.strip() and not raw.strip().startswith("#")
     ]
     return _key_values(lines, "{}: expected 'key = value', got {!r}", from_file=True)
-
-
-def _mode_groups(text: str) -> list[list[int]]:
-    """Orders in the mode-set syntax: streams split by '|', modes by ','."""
-    return [[int(tok) for tok in part.split(",")] for part in text.split("|")]
-
-
-def _mode_list(text: str) -> list[int]:
-    (orders,) = _mode_groups(text)  # a single stream: no '|'
-    return orders
-
-
-def parse_mode_set_spec(spec: str) -> ModeSet:
-    """Mode set from its label syntax: streams split by '|', modes by ','.
-
-    ``-2|1`` is two single-mode streams; ``-4,-2|1,3`` groups two modes
-    per stream.
-    """
-    with _config_errors(f"bad mode set spec {spec!r}: "):
-        groups = _mode_groups(spec)
-        return ModeSet([m for g in groups for m in g], stream_grouping=groups)
 
 
 @dataclass(frozen=True)
@@ -265,13 +232,16 @@ class RunConfig:
         )
 
     def mode_set(self) -> ModeSet:
-        orders = "be comma-separated integers"
-        tx = self._parsed("modes.tx", _mode_list, orders)
-        flt = grouping = None
-        if self.is_set("modes.filter"):
-            flt = self._parsed("modes.filter", _mode_list, orders)
+        def orders(key: str) -> list[int]:
+            return self._parsed(key, lambda s: [int(tok) for tok in s.split(",")],
+                                "be comma-separated integers")
+
+        tx = orders("modes.tx")
+        flt = orders("modes.filter") if self.is_set("modes.filter") else None
+        grouping = None
         if self.is_set("modes.grouping"):
-            grouping = self._parsed("modes.grouping", _mode_groups, "look like '-4,-2|1,3'")
+            with _config_errors("modes.grouping: "):
+                grouping = ModeSet.parse(self.text("modes.grouping")).streams
         # Each key's value is checked on top of the ones before it; an
         # unset key adds nothing to check.
         for key, args in (("modes.tx", (tx,)), ("modes.filter", (tx, flt)),
@@ -290,7 +260,7 @@ class RunConfig:
         if not raw:
             return ()
         with _config_errors("modes.candidates: ", keys={"candidates": "modes.candidates"}):
-            sets = tuple(parse_mode_set_spec(part) for part in raw.split(";"))
+            sets = tuple(ModeSet.parse(part) for part in raw.split(";"))
             check_candidates(sets)
         return sets
 
@@ -300,29 +270,20 @@ class RunConfig:
         sets, key = tuple(candidates), "modes.candidates"
         if not sets:
             sets, key = (self.mode_set(),), self.streams_key()
-        for modes in sets:
-            if modes.n_streams != 2:
-                raise ConfigError(f"{key}: the averaged BER needs exactly 2 data streams, "
-                                  f"{mode_set_label(modes)!r} has {modes.n_streams}")
+        with _config_errors(f"{key}: "):
+            for modes in sets:
+                check_two_streams(modes)
         return sets
 
     def methods(self) -> tuple[Method, ...]:
         with _config_errors():
-            parsed = tuple(Method.parse(tok) for tok in self.text("method").split(","))
-        if len(set(parsed)) != len(parsed):
-            raise ConfigError(f"duplicate methods in {self.text('method')!r}")
-        return parsed
+            return Method.parse_distinct(self.text("method").split(","))
 
     def averaged_methods(self) -> tuple[Method, ...]:
-        """Methods for a jitter-averaged command, which refuses exact2d: one
-        average needs hundreds of reference integrals (about 250 s)."""
-        parsed = self.methods()
-        if Method.EXACT2D in parsed:
-            raise ConfigError(
-                "method exact2d takes minutes per jitter-averaged value; use "
-                "radial-sum, which keeps the azimuthal integral exact"
-            )
-        return parsed
+        """Methods for a jitter-averaged command, which refuses exact2d
+        (``check_averaged_method``)."""
+        with _config_errors():
+            return tuple(check_averaged_method(m) for m in self.methods())
 
     def single_method(self) -> Method:
         """The one method of a Monte Carlo, optimize or rank-modes run; like
@@ -336,7 +297,7 @@ class RunConfig:
     def link(self) -> tuple[LinkGeometry, ReceiverConfig, float]:
         """Link and angular jitter sigma_theta of the commands that draw or
         average over the pointing jitter; refuses Bessel arguments past
-        their range at offsets out to 8 sigma_r (``REACH_SIGMAS``)."""
+        their range at the offsets the jitter reaches."""
         if not self.is_set("pointing.sigma_theta_rad"):
             raise ConfigError(
                 "this command averages over pointing jitter; set "
@@ -344,9 +305,8 @@ class RunConfig:
             )
         geom, rx = self.geometry(), self.receiver()
         sigma_theta = self.number("pointing.sigma_theta_rad")
-        with _config_errors(keys={"sigma_theta": "pointing.sigma_theta_rad"}):
-            reach = REACH_SIGMAS * geom.rayleigh_scale(sigma_theta)
-        _check_bessel_range(geom, rx, reach, "pointing.sigma_theta_rad", sigma_theta)
+        with _config_errors(keys={**_LINK_KEYS, "sigma_theta": "pointing.sigma_theta_rad"}):
+            rx.check_bessel_range(geom, sigma_theta=sigma_theta)
         return geom, rx, sigma_theta
 
     def quad_order(self) -> int:
@@ -485,9 +445,10 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
             "crosstalk-curve needs offset radii: set sweep.grid (meters) or "
             "pointing.r_ch_m for a single point"
         )
-    with _config_errors(keys={"r_ch": key}):
+    with _config_errors(keys={**_LINK_KEYS, "r_ch": key, "r_max": key}):
         check_offset_radius(radii)
-    _check_bessel_range(geom, rx, max(radii), key, max(radii))
+        if methods != (Method.EXACT2D,):  # exact2d evaluates no Bessel function
+            rx.check_bessel_range(geom, r_max=max(radii))
 
     # Evaluate one matrix per (radius, method), then emit rows with the
     # method innermost so the per-pair method comparison sits on adjacent
@@ -561,7 +522,7 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
     layout = {}
     for value, (geom, rx, sigma_theta) in zip(grid, points):
         for modes in candidates:
-            label = mode_set_label(modes)
+            label = modes.label
             for method in methods:
                 res, status = _capture(average_ber, geom, rx, modes, sigma_theta, method, quad_order)
                 if res is None:
@@ -722,12 +683,12 @@ def cmd_bench(cfg: RunConfig) -> _Output:
     mc_trials = cfg.integer("bench.mc_trials")
     seed = cfg.integer("mc.seed")
     # TrialConfig names the count "trials"; the budget message never does.
-    with _config_errors(keys={"r_min": "bench.r_min_m", "r_max": "bench.r_max_m",
+    with _config_errors(keys={**_LINK_KEYS, "r_min": "bench.r_min_m", "r_max": "bench.r_max_m",
                               "n_points": "bench.grid_points", "repetitions": "bench.repetitions",
                               "mc_trials": "bench.mc_trials", "trials": "bench.mc_trials",
                               "seed": "mc.seed"}):
         check_bench_grid(r_min, r_max, n_points, repetitions, mc_trials, seed)
-    _check_bessel_range(geom, rx, r_max, "bench.r_max_m", r_max)
+        rx.check_bessel_range(geom, r_max=r_max)
     report = bench_methods(geom, rx, modes, sigma_theta, r_min, r_max, n_points,
                            repetitions, methods, mc_trials, seed, quad_order)
 

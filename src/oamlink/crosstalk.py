@@ -46,6 +46,7 @@ import numpy as np
 
 from oamlink import numerics
 from oamlink.beam import (
+    REACH_SIGMAS,
     LinkGeometry,
     ModeSet,
     check_offset_radius,
@@ -57,6 +58,7 @@ from oamlink.numerics import (
     bessel_i_scaled,
     bessel_j,
     gauss_legendre,
+    is_integer,
     laguerre,
     laguerre_coefficients,
 )
@@ -71,6 +73,7 @@ __all__ = [
     "crosstalk_exact_detailed",
     "crosstalk",
     "crosstalk_matrix",
+    "check_averaged_method",
 ]
 
 # Below this offset radius (meters) the Bessel-based approximations degrade;
@@ -115,6 +118,14 @@ class Method(str, Enum):
             valid = ", ".join(m.value for m in cls)
             raise ValueError(f"unknown method {name!r}; expected one of: {valid}") from None
 
+    @classmethod
+    def parse_distinct(cls, names) -> tuple["Method", ...]:
+        """Each of ``names`` parsed; refuses a method listed twice."""
+        parsed = tuple(cls.parse(name) for name in names)
+        if len(set(parsed)) != len(parsed):
+            raise ValueError(f"duplicate methods in {','.join(m.value for m in parsed)!r}")
+        return parsed
+
     @property
     def validity_floor(self) -> float:
         """Offset radius (m) below which the method's accuracy is degraded:
@@ -155,7 +166,7 @@ class ReceiverConfig:
             raise ValueError(f"apd_gain must be finite and >= 1, got {self.apd_gain!r}")
         if not (0 < self.noise_level < math.inf):
             raise ValueError(f"noise_level must be finite and positive, got {self.noise_level!r}")
-        if not isinstance(self.k_r, (int, np.integer)) or not (2 <= self.k_r <= 64):
+        if not is_integer(self.k_r) or not (2 <= self.k_r <= 64):
             raise ValueError(f"k_r must be an integer in [2, 64], got {self.k_r!r}")
 
     @property
@@ -163,15 +174,23 @@ class ReceiverConfig:
         """Combined scalar gain: responsivity times APD gain."""
         return self.responsivity * self.apd_gain
 
-    def check_bessel_range(self, geom: LinkGeometry, r_max: float) -> None:
+    def check_bessel_range(self, geom: LinkGeometry, r_max: float | None = None, *,
+                           sigma_theta: float | None = None) -> None:
         """Refuses Bessel arguments past ``BESSEL_MAX_ARG`` at offsets up to
-        ``r_max``, naming the key before a kernel refuses them: |beta| =
-        2|c| r_a r of radial-sum's ``bessel_i_scaled`` table bounds k r_a r/R."""
+        ``r_max``, or to ``REACH_SIGMAS`` sigma_r of the jitter ``sigma_theta``,
+        naming that argument and the link before a kernel refuses them:
+        |beta| = 2|c| r_a r of radial-sum's ``bessel_i_scaled`` table bounds
+        k r_a r/R."""
+        name, value = ("r_max", r_max) if sigma_theta is None else ("sigma_theta", sigma_theta)
+        if sigma_theta is not None:
+            r_max = REACH_SIGMAS * geom.rayleigh_scale(sigma_theta)
         largest = 2.0 * abs(geom.gaussian_coefficient) * self.aperture_radius * r_max
         if not largest <= BESSEL_MAX_ARG:
             raise ValueError(
                 f"aperture_radius {self.aperture_radius!r} m takes Bessel arguments up to "
-                f"{largest:.3g} at offsets up to {r_max:.3g} m, past {BESSEL_MAX_ARG:g}"
+                f"{largest:.3g} at offsets up to {r_max:.3g} m, past {BESSEL_MAX_ARG:g} "
+                f"(at {name}={value!r}, distance={geom.distance!r}, waist={geom.waist!r}, "
+                f"wavelength={geom.wavelength!r})"
             )
 
 
@@ -453,7 +472,7 @@ def crosstalk(
     the one-stream ``crosstalk_matrix`` cell of the pair, normalized by
     ``n_m`` data streams instead.
     """
-    if not isinstance(n_m, (int, np.integer)) or n_m < 1:
+    if not is_integer(n_m) or n_m < 1:
         raise ValueError(f"n_m must be a positive integer, got {n_m!r}")
     pair = ModeSet((ell_n,), (ell_j,))
     return float(crosstalk_matrix(geom, rx, pair, r_ch, method)[0, 0] / n_m**2)
@@ -506,6 +525,18 @@ def crosstalk_matrix(
 
 # ---------------------------------------------------------------------------
 # the batched kernel behind every reduced method
+
+def check_averaged_method(method: Method | str) -> Method:
+    """``method`` parsed; refuses exact2d, whose one jitter average needs
+    hundreds of reference integrals (about 250 s)."""
+    method = Method.parse(method)
+    if method is Method.EXACT2D:
+        raise ValueError(
+            "method exact2d takes minutes per jitter-averaged value; use "
+            "radial-sum, which keeps the azimuthal integral exact"
+        )
+    return method
+
 
 def channel_profile(
     geom: LinkGeometry,

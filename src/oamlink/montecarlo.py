@@ -31,7 +31,9 @@ from oamlink.crosstalk import (
     Method,
     ReceiverConfig,
     channel_profile,
+    check_averaged_method,
 )
+from oamlink.numerics import is_integer
 
 __all__ = [
     "CHUNK_SIZE",
@@ -111,11 +113,11 @@ class TrialConfig:
     allow_degraded: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, (int, np.integer)) or not (1000 <= self.trials <= MAX_TRIALS):
+        if not is_integer(self.trials) or not (1000 <= self.trials <= MAX_TRIALS):
             raise ValueError(
                 f"trials must be an integer in [1000, {MAX_TRIALS}], got {self.trials!r}"
             )
-        if not isinstance(self.seed, (int, np.integer)) or not (0 <= self.seed < 2**64):
+        if not is_integer(self.seed) or not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
@@ -222,16 +224,16 @@ def simulate_ber(
 ) -> TrialOutcome:
     """Estimate the symbol-vector error rate of the simulated link under
     the per-axis angular jitter ``sigma_theta`` (radians), with the channel
-    of crosstalk ``method``; a jitter that ``LinkGeometry.rayleigh_scale``
-    refuses, or a method ``Method.parse`` refuses, is refused before any
-    trial.
+    of crosstalk ``method``. Refused before any trial: the jitter, the
+    method, the set (``check_chunk_memory``), ``max_workers`` unless an
+    integer >= 1 and, for a drawn channel, exact2d and the Bessel range at
+    the reach (``check_averaged_method``, ``ReceiverConfig.check_bessel_range``).
 
     ``amplitude_matrix`` replaces the pointing-dependent channel with a
     fixed matrix (filter rows by tx columns) for synthetic audits such as
     forcing two identical stream signatures; pointing is then not drawn.
     ``max_workers`` caps the thread count below the environment setting,
-    which benchmark timings use to pin a single worker. A set that
-    ``check_chunk_memory`` refuses is refused before any trial.
+    which benchmark timings use to pin a single worker.
 
     Raises ``DegradedChannelError`` when more than 0.1% of the pointing
     draws fall below the approximation validity floor, unless the config
@@ -240,8 +242,13 @@ def simulate_ber(
     method = Method.parse(method)
     geom.rayleigh_scale(sigma_theta)
     check_chunk_memory(modes)
+    if max_workers is not None and not (is_integer(max_workers) and max_workers >= 1):
+        raise ValueError(f"max_workers must be an integer >= 1, got {max_workers!r}")
     fixed = None
-    if amplitude_matrix is not None:
+    if amplitude_matrix is None:
+        check_averaged_method(method)
+        rx.check_bessel_range(geom, sigma_theta=sigma_theta)
+    else:
         fixed = np.asarray(amplitude_matrix, dtype=float)
         if fixed.shape != (modes.n_filter, modes.n_tx) or not np.isfinite(fixed).all():
             raise ValueError(f"amplitude matrix must be finite, {modes.n_filter} filters x "
@@ -250,9 +257,7 @@ def simulate_ber(
     sizes = _chunk_sizes(cfg.trials)
     workers = min(worker_count(), len(sizes))
     if max_workers is not None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        workers = min(workers, max_workers)
+        workers = min(workers, int(max_workers))
 
     def run(idx_size: tuple[int, int]) -> tuple[int, int, int]:
         idx, size = idx_size

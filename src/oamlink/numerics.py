@@ -31,6 +31,7 @@ __all__ = [
     "bessel_i_scaled",
     "q_function",
     "gauss_legendre",
+    "is_integer",
 ]
 
 # Binomials in the Laguerre sum stay exactly representable in float64 up to
@@ -326,6 +327,12 @@ def q_function(x):
 
 
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def is_integer(value) -> bool:
+    """An ``int`` or ``np.integer`` that is not a ``bool``: a truth value is
+    never taken as a count or an order."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

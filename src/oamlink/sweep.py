@@ -7,7 +7,8 @@ mode-set slot. It searches for the BER-minimizing beam waist with a
 bracketed golden-section routine, orders candidate mode sets by averaged
 BER under an equal total power budget, or times the crosstalk evaluators
 against the reference integral and the Monte Carlo validator. Each
-refuses its inputs through one ``check_*`` function, which the CLI calls too.
+refuses its inputs before any work through ``check_*`` functions, which the
+CLI calls too; ``check_average`` covers every average it will run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from oamlink.beam import LinkGeometry, ModeSet
-from oamlink.ber import average_ber
+from oamlink.ber import average_ber, check_average
 from oamlink.crosstalk import (
     ApproximationWarning,
     Method,
@@ -34,6 +35,7 @@ from oamlink.crosstalk import (
     crosstalk_matrix,  # noqa: F401  benchmarks/spans.py traces sweep.crosstalk_matrix
 )
 from oamlink.montecarlo import MAX_TRIALS, TrialConfig, simulate_ber
+from oamlink.numerics import is_integer
 
 GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -44,11 +46,6 @@ PRE_GRID_POINTS = 8
 # bound. Near one ulp the golden-section points stop moving while the
 # bracket is still wider than tol, and the search never ends.
 TOL_ULPS = 2
-
-
-def mode_set_label(modes: ModeSet) -> str:
-    """Canonical short name: modes comma-joined, streams separated by '|'."""
-    return "|".join(",".join(str(m) for m in group) for group in modes.streams)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +105,15 @@ def optimize_w0(
 
     A coarse pre-grid of PRE_GRID_POINTS equally spaced waists seeds the
     bracket; golden-section then narrows the bracketing interval below
-    ``tol``, which ``check_waist_search`` bounds before any average.
-    When the pre-grid argmin falls on an interval edge the result is
-    flagged as a boundary minimum and no interior certificate is
-    fabricated.
+    ``tol``; ``check_waist_search`` and ``check_average`` at both bounds run
+    before any average. When the pre-grid argmin falls on an interval edge
+    the result is flagged as a boundary minimum and no interior certificate
+    is fabricated.
     """
     w_lo, w_hi = float(bounds[0]), float(bounds[1])
     check_waist_search(w_lo, w_hi, tol)
+    for w in (w_lo, w_hi):
+        check_average(replace(geom, waist=w), rx, modes, sigma_theta, method, quad_order)
     memo: dict[float, float] = {}
 
     def evaluate(x: float) -> float:
@@ -207,7 +206,7 @@ class RankedModeSet:
 
 def check_candidates(candidates: Sequence[ModeSet]) -> list[str]:
     """Refuses an empty list or a mode set listed twice; returns the labels."""
-    labels = [mode_set_label(m) for m in candidates]
+    labels = [m.label for m in candidates]
     if not labels or len(set(labels)) != len(labels):
         raise ValueError(f"candidates must list distinct mode sets, at least one; got {labels}")
     return labels
@@ -228,9 +227,12 @@ def rank_mode_sets(
     the coefficient normalization counts streams, so grouped and plain sets
     are directly comparable. Ties sort by label, which together with the
     deterministic evaluation makes the ranking independent of the order the
-    candidates were passed in. ``check_candidates`` runs before any average.
+    candidates were passed in. ``check_candidates``, and ``check_average``
+    on every candidate, run before any average.
     """
     labels = check_candidates(candidates)
+    for modes in candidates:
+        check_average(geom, rx, modes, sigma_theta, method, quad_order)
     scored = []
     for label, modes in zip(labels, candidates):
         res, status = warning_status(average_ber, geom, rx, modes, sigma_theta, method, quad_order)
@@ -301,7 +303,7 @@ def check_bench_grid(r_min: float, r_max: float, n_points: int, repetitions: int
     # At about 35 ms per exact2d point the ceilings bound a bench to ~12 minutes.
     for name, value, least, most in (("n_points", n_points, 1, 1000),
                                      ("repetitions", repetitions, 3, 20)):
-        if not isinstance(value, (int, np.integer)) or not least <= value <= most:
+        if not is_integer(value) or not least <= value <= most:
             raise ValueError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
     cfg = TrialConfig(mc_trials, seed, allow_degraded=True)
     if repetitions * cfg.trials > MAX_TRIALS:
@@ -335,14 +337,16 @@ def bench_methods(
     analytic-average comparison runs the estimator at ``mc_trials`` trials
     from ``seed``, pinned to a single worker, against one quadrature
     average of order ``quad_order``, both with bessel-sum whatever
-    ``methods`` lists; ``check_bench_grid`` runs before any timing.
-    Accuracy warnings are suppressed inside the timed region so console
-    I/O does not leak into the wall times; the span should sit inside
-    every method's validity range regardless.
+    ``methods`` lists. ``check_bench_grid``, ``check_average``,
+    ``Method.parse_distinct`` and the Bessel range at ``r_max`` are checked
+    before any timing. Accuracy warnings are suppressed inside the timed
+    region so console I/O does not leak into the wall times; the span
+    should sit inside every method's validity range regardless.
     """
-    geom.rayleigh_scale(sigma_theta)
     cfg = check_bench_grid(r_min, r_max, n_points, repetitions, mc_trials, seed)
-    parsed = [Method.parse(m) for m in methods]
+    check_average(geom, rx, modes, sigma_theta, Method.BESSEL_SUM, quad_order)
+    parsed = list(Method.parse_distinct(methods))
+    rx.check_bessel_range(geom, r_max=r_max)
     if Method.EXACT2D not in parsed:
         parsed.insert(0, Method.EXACT2D)
     pairs = cycle(product(modes.filter_modes, modes.tx_modes))

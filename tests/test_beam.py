@@ -100,6 +100,9 @@ class TestLinkGeometry:
             LinkGeometry(
                 wavelength=1.55e-6, waist=0.025, radial_index=0.5, distance=1e6
             )
+        with pytest.raises(ValueError, match=re.escape("radial_index must be an integer in "
+                                                       "[0, 12], got True")):
+            LinkGeometry(wavelength=1.55e-6, waist=0.025, radial_index=True, distance=1e6)
         with pytest.raises(ValueError):
             LinkGeometry(
                 wavelength=1.55e-6,
@@ -143,6 +146,23 @@ class TestModeSet:
             assert same == plain and hash(same) == hash(plain)
         assert ModeSet((-2, 1), stream_grouping=((-2, 1),)) != plain
 
+    def test_label_and_parse(self):
+        assert ModeSet(tx_modes=(-2, 1)).label == "-2|1"
+        assert ModeSet(tx_modes=(0,)).label == "0"
+        plain = ModeSet.parse("-2|1")
+        assert plain.streams == ((-2,), (1,))
+        assert plain == ModeSet((-2, 1)) and hash(plain) == hash(ModeSet((-2, 1)))
+        grouped = ModeSet.parse("-4,-2|1,3")
+        assert grouped.streams == ((-4, -2), (1, 3))
+        assert grouped.tx_modes == (-4, -2, 1, 3)
+        assert grouped.label == "-4,-2|1,3"
+        assert grouped == ModeSet((-4, -2, 1, 3), stream_grouping=((-4, -2), (1, 3)))
+        # A spec that names no set is refused by it, with the set's reason.
+        with pytest.raises(ValueError, match=re.escape("bad mode set spec 'a|b': invalid literal")):
+            ModeSet.parse("a|b")
+        with pytest.raises(ValueError, match=re.escape("bad mode set spec '-2|-2': tx modes must")):
+            ModeSet.parse("-2|-2")
+
     def test_grouped_streams(self):
         modes = ModeSet(tx_modes=(-4, -2, 1, 3), stream_grouping=((-4, -2), (1, 3)))
         assert modes.streams == ((-4, -2), (1, 3))
@@ -179,6 +199,9 @@ class TestModeSet:
             (((2.0, -2),), "tx mode order must be an integer, got 2.0"),
             (((1, -2), ("0", 1)), "filter mode order must be an integer, got '0'"),
             (((1, -2), None, [[1.5], [-2]]), "stream grouping order must be an integer, got 1.5"),
+            # A bool is an int to isinstance, but never an order.
+            (((True, -2),), "tx mode order must be an integer, got True"),
+            (((1, -2), (np.int64(1), False)), "filter mode order must be an integer, got False"),
         ],
     )
     def test_refuses_a_non_integer_order(self, args, refusal):

@@ -8,6 +8,7 @@ piecewise quadrature actually resolves it.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from oamlink.crosstalk import (
     channel_profile,
     mode_envelope,
 )
-from oamlink.cli import parse_mode_set_spec
 from oamlink.numerics import gauss_legendre, q_function
 
 
@@ -111,6 +111,32 @@ class TestRayleighOffset:
             average_ber(geom, rx, modes, 0.0)
         with pytest.raises(ValueError, match="sigma_theta 1e-300 gives a Rayleigh scale"):
             average_ber(geom, rx, modes, 1e-300)
+
+    @pytest.mark.parametrize("tx, grouping, sigma_theta, method, aperture, refusal", [
+        ((-2, 1, 3), None, 3e-5, "bessel-sum", 0.05,
+         "the averaged BER needs exactly 2 data streams, '-2|1|3' has 3"),
+        ((-2, 1), ((-2, 1),), 3e-5, "radial-sum", 0.05, "'-2,1' has 1"),
+        ((-2, 1), None, 3e-5, "exact2d", 0.05,
+         "method exact2d takes minutes per jitter-averaged value; use radial-sum"),
+        # 8 sigma_r = 8 km, or a 1.5 m aperture, takes the Bessel arguments
+        # past their range.
+        ((-2, 1), None, 1e-3, "bessel-sum", 0.05,
+         "past 1000 (at sigma_theta=0.001, distance=1000000.0, waist=0.025, "
+         "wavelength=1.55e-06)"),
+        ((-2, 1), None, 3e-5, "asymptotic", 1.5, "aperture_radius 1.5 m takes Bessel arguments"),
+    ])
+    def test_average_it_cannot_run_is_refused_before_the_window_search(
+        self, monkeypatch, tx, grouping, sigma_theta, method, aperture, refusal
+    ):
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr("oamlink.ber.channel_profile", refuse)
+        monkeypatch.setattr("oamlink.ber._gap_roots", refuse)
+        modes = ModeSet(tx, stream_grouping=grouping)
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            average_ber(default_geom(), default_rx(aperture_radius=aperture), modes, sigma_theta,
+                        method)
 
 
 class TestStreamVectors:
@@ -537,7 +563,7 @@ class TestCrossingCache:
         other_rx = default_rx(aperture_radius=0.04, noise_level=1e-15)
         warm_hits = 0
         for spec in CACHE_SPECS:
-            modes = parse_mode_set_spec(spec)
+            modes = ModeSet.parse(spec)
             for waist in (0.012, 0.025, 0.04):
                 for distance in (0.5e6, 1.5e6):
                     for sigma in (1.0e-5, 3.0e-5):
@@ -595,7 +621,7 @@ class TestCrossingCache:
             return gap(terms, s)
 
         monkeypatch.setattr(ber, "_gap", counting)
-        geom, modes = default_geom(), parse_mode_set_spec(spec)
+        geom, modes = default_geom(), ModeSet.parse(spec)
         upper = 8.0 * geom.rayleigh_scale(3.0e-5)
         _gap_roots.cache_clear()
         cold = windows_of(geom, modes, upper)
@@ -610,7 +636,7 @@ class TestCrossingCache:
         upper = 8.0 * geom.rayleigh_scale(3.0e-5)
         _gap_roots.cache_clear()
         first = windows_of(geom, ModeSet((-2, 1)), upper)
-        assert windows_of(geom, parse_mode_set_spec("-2|1"), upper) == first
+        assert windows_of(geom, ModeSet.parse("-2|1"), upper) == first
         info = _gap_roots.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 

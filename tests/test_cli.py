@@ -30,11 +30,9 @@ from oamlink.cli import (
     load_config,
     main,
     parse_config_text,
-    parse_mode_set_spec,
     write_csv,
     write_manifest,
 )
-from oamlink.beam import ModeSet
 from oamlink.ber import BerResult
 from oamlink.crosstalk import Method
 from oamlink.montecarlo import TrialConfig, simulate_ber
@@ -118,16 +116,6 @@ class TestLoadConfigPrecedence:
 
 
 class TestModeSpecAndAccessors:
-    def test_parse_mode_set_spec(self):
-        plain = parse_mode_set_spec("-2|1")
-        assert plain.streams == ((-2,), (1,))
-        assert plain == ModeSet((-2, 1)) and hash(plain) == hash(ModeSet((-2, 1)))
-        grouped = parse_mode_set_spec("-4,-2|1,3")
-        assert grouped.streams == ((-4, -2), (1, 3))
-        assert grouped.tx_modes == (-4, -2, 1, 3)
-        with pytest.raises(ConfigError, match="bad mode set spec"):
-            parse_mode_set_spec("a|b")
-
     def test_typed_accessors(self):
         cfg = cfg_with()
         assert cfg.number("geometry.w0_m") == 0.025
@@ -348,6 +336,21 @@ class TestMainErrors:
              "pointing.r_ch_m=100000.0, geometry.distance_m=1000000.0, geometry.w0_m=0.025"),
             (["bench", "-s", "bench.r_max_m=1e5"], None,
              "bench.r_max_m=100000.0, geometry.distance_m=1000000.0, geometry.w0_m=0.025"),
+            # A listed method with a Bessel kernel is refused beside exact2d.
+            (["crosstalk-curve", "--grid", "5e4", "--method", "exact2d,radial-sum"], None,
+             "sweep.grid value=50000.0, geometry.distance_m=1000000.0"),
+            # On the w0 axis the grid value sets the waist the refusal names.
+            (["ber-curve", "--grid", "0.02", "-s", "receiver.aperture_radius_m=1.5"], None,
+             "receiver.aperture_radius_m 1.5 m takes Bessel arguments up to 1.46e+03 at offsets "
+             "up to 240 m, past 1000 (at pointing.sigma_theta_rad=3e-05, geometry.distance_m="
+             "1000000.0, sweep.grid value for geometry.w0_m=0.02, geometry.wavelength_m=1.55e-06)"),
+            # A method listed twice would be evaluated, or timed, twice.
+            (["bench", "--method", "bessel-sum,bessel-sum"], None,
+             "duplicate methods in 'bessel-sum,bessel-sum'"),
+            (["crosstalk-curve", "--grid", "5", "--method", "exact2d,EXACT2D"], None,
+             "duplicate methods in 'exact2d,exact2d'"),
+            (["monte-carlo", "-s", "modes.tx=-4,-2,1,3", "-s", "modes.grouping=-4,x|1,3"], None,
+             "modes.grouping: bad mode set spec '-4,x|1,3'"),
             # A golden-section search whose tol is below the float spacing
             # never ends.
             (["optimize", "--tol", "1e-300"], None,
@@ -565,6 +568,16 @@ class TestCrosstalkCurveCommand:
         _, _, rows = read_csv_file(out)
         assert all(r[6].startswith("error: ValueError") for r in rows)
         assert all(r[4] == "nan" for r in rows)
+
+    def test_exact2d_alone_runs_past_the_bessel_range(self, tmp_path):
+        # exact2d evaluates no Bessel function, so only a listed Bessel
+        # method is held to the range; this radius takes bessel-sum past it.
+        out = tmp_path / "xt.csv"
+        assert main(["crosstalk-curve", "--grid", "5e4", "--method", "exact2d",
+                     "-o", str(out)]) == EXIT_OK
+        _, _, rows = read_csv_file(out)
+        assert len(rows) == 4 and all(r[3] == "exact2d" and r[6] == "ok" for r in rows)
+        assert all(float(r[4]) >= 0 for r in rows)
 
     def test_needs_radii(self, tmp_path):
         out = str(tmp_path / "x.csv")

@@ -8,6 +8,7 @@ degraded-channel abort bookkeeping.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,8 +145,16 @@ class TestSimulateBer:
         cfg = TrialConfig(trials=CHUNK_SIZE + 5000, seed=1)
         out = simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, max_workers=1)
         assert out.workers == 1
-        with pytest.raises(ValueError):
-            simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, max_workers=0)
+        assert simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, max_workers=np.int64(3)).workers == 2
+        # Anything but an integer >= 1 is refused before any chunk: a bool
+        # is an int to isinstance but not a count.
+        def refuse(*args):
+            raise AssertionError("chunk run")
+
+        monkeypatch.setattr("oamlink.montecarlo._run_chunk", refuse)
+        for bad in (0, -1, 1.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match=f"max_workers must be an integer >= 1, got {bad!r}"):
+                simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, max_workers=bad)
 
     def test_common_random_numbers_monotone_in_noise(self):
         # Same seed means identical pointing, symbols and noise draws, so
@@ -275,6 +284,30 @@ class TestSimulateBer:
             simulate_ber(geom, rx, modes, -1.0, cfg)
         with pytest.raises(ValueError, match="sigma_theta 1e-300 gives a Rayleigh scale"):
             simulate_ber(geom, rx, modes, 1e-300, cfg, amplitude_matrix=np.eye(2))
+
+    @pytest.mark.parametrize("sigma_theta, method, refusal", [
+        (SIGMA_THETA, "exact2d", "method exact2d takes minutes per jitter-averaged value; "
+                                 "use radial-sum"),
+        # 8 sigma_r = 8 km takes bessel_j and bessel_i_scaled past their range.
+        (1e-3, "bessel-sum", "past 1000 (at sigma_theta=0.001, distance=1000000.0, "
+                             "waist=0.025, wavelength=1.55e-06)"),
+        (1e-3, "radial-sum", "at offsets up to 8e+03 m, past 1000 (at sigma_theta=0.001"),
+    ])
+    def test_channel_no_kernel_can_draw_is_refused_before_any_chunk(
+        self, monkeypatch, sigma_theta, method, refusal
+    ):
+        def refuse(*args):
+            raise AssertionError("chunk run")
+
+        geom, rx, modes = default_geom(), default_rx(), ModeSet(tx_modes=(-2, 1))
+        cfg = TrialConfig(trials=1000, seed=1)
+        with monkeypatch.context() as patched:
+            patched.setattr("oamlink.montecarlo._run_chunk", refuse)
+            with pytest.raises(ValueError, match=re.escape(refusal)):
+                simulate_ber(geom, rx, modes, sigma_theta, cfg, method)
+        # A fixed amplitude matrix evaluates no kernel, so neither rule applies.
+        out = simulate_ber(geom, rx, modes, sigma_theta, cfg, method, amplitude_matrix=np.eye(2))
+        assert out.trials == 1000
 
     def test_set_past_the_memory_budget_is_refused_before_any_trial(self, monkeypatch):
         def refuse(*args):

@@ -110,6 +110,15 @@ def test_montecarlo_imports_nothing_from_ber():
     assert [n for n in names if n == "oamlink.ber" or n.startswith("oamlink.ber.")] == []
 
 
+def test_cli_restates_no_library_bound():
+    # The CLI names a refusal's key by calling the library's check; a bound
+    # or reach it imported would be a rule written a second time.
+    path = pathlib.Path(importlib.import_module("oamlink.cli").__file__)
+    names = {alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert names & {"REACH_SIGMAS", "TOL_ULPS", "BESSEL_MAX_ARG"} == set()
+
+
 def test_every_import_is_used():
     # A deletion that leaves its import behind, or a new import that only a
     # tracer reads, shows here; no linter is needed.

@@ -23,7 +23,6 @@ from oamlink.sweep import (
     BenchReport,
     OptimizeResult,
     bench_methods,
-    mode_set_label,
     optimize_w0,
     rank_mode_sets,
     warning_status,
@@ -35,14 +34,6 @@ RX = ReceiverConfig(aperture_radius=0.05, noise_level=6.35e-16, k_r=6)
 A2 = ModeSet(tx_modes=(-2, 1))
 SIGMA_THETA = 3.0e-5  # per-axis angular pointing jitter, rad
 LINK = (GEOM, RX, A2, SIGMA_THETA)
-
-
-class TestModeSetLabel:
-    def test_labels(self):
-        assert mode_set_label(ModeSet(tx_modes=(-2, 1))) == "-2|1"
-        grouped = ModeSet(tx_modes=(-4, -2, 1, 3), stream_grouping=((-4, -2), (1, 3)))
-        assert mode_set_label(grouped) == "-4,-2|1,3"
-        assert mode_set_label(ModeSet(tx_modes=(0,))) == "0"
 
 
 def use_objective(monkeypatch, objective):
@@ -249,6 +240,7 @@ class TestBench:
             ((5.0, 10.0, 0), 3, "n_points must be an integer in [1, 1000], got 0"),
             ((5.0, 10.0, 1001), 3, "n_points must be an integer in [1, 1000], got 1001"),
             ((5.0, 10.0, 2.0), 3, "n_points must be an integer in [1, 1000], got 2.0"),
+            ((5.0, 10.0, True), 3, "n_points must be an integer in [1, 1000], got True"),
             ((5.0, 10.0, 2), 2, "repetitions must be an integer in [3, 20], got 2"),
             ((5.0, 10.0, 2), 21, "repetitions must be an integer in [3, 20], got 21"),
             ((5.0, 10.0, 2), 3.0, "repetitions must be an integer in [3, 20], got 3.0"),
@@ -312,3 +304,42 @@ class TestBench:
         report = BenchReport(method_times=times, mc_time=2.0, analytic_ber_time=0.5)
         assert report.speedup_vs_exact["bessel-sum"] == pytest.approx(10.0)
         assert report.mc_over_analytic == pytest.approx(4.0)
+
+
+THREE_STREAMS = ModeSet(tx_modes=(-2, 1, 3))
+WIDE_RX = ReceiverConfig(aperture_radius=1.5, noise_level=6.35e-16, k_r=6)
+BENCH_RUN = dict(repetitions=3, mc_trials=1000)
+
+
+@pytest.mark.parametrize("driver, args, kwargs, refusal", [
+    # The second candidate has three streams; the first is not averaged.
+    (rank_mode_sets, (GEOM, RX, (A2, THREE_STREAMS), SIGMA_THETA), {},
+     "the averaged BER needs exactly 2 data streams, '-2|1|3' has 3"),
+    (rank_mode_sets, (GEOM, RX, (A2,), SIGMA_THETA, "exact2d"), {},
+     "method exact2d takes minutes per jitter-averaged value"),
+    (rank_mode_sets, (GEOM, RX, (A2,), 1e-3), {}, "past 1000 (at sigma_theta=0.001, "),
+    (optimize_w0, (GEOM, RX, THREE_STREAMS, SIGMA_THETA, (0.01, 0.03), 1e-3), {},
+     "'-2|1|3' has 3"),
+    (optimize_w0, (*LINK, (0.01, 0.03), 1e-3, "exact2d"), {}, "method exact2d takes minutes"),
+    # The reach is checked with each bound as the waist.
+    (optimize_w0, (GEOM, WIDE_RX, A2, SIGMA_THETA, (0.01, 0.03), 1e-3), {},
+     "(at sigma_theta=3e-05, distance=1000000.0, waist=0.01, wavelength=1.55e-06)"),
+    (bench_methods, (GEOM, RX, THREE_STREAMS, SIGMA_THETA, 5.0, 10.0, 2), BENCH_RUN,
+     "'-2|1|3' has 3"),
+    # A method listed twice would be timed twice for one entry.
+    (bench_methods, (*LINK, 5.0, 10.0, 1), dict(BENCH_RUN, methods=["bessel-sum"] * 2),
+     "duplicate methods in 'bessel-sum,bessel-sum'"),
+    # The top radius takes bessel-sum past its range; exact2d is not timed
+    # out to it first.
+    (bench_methods, (*LINK, 5.0, 1e5, 4), dict(BENCH_RUN, methods=["bessel-sum"]),
+     "at offsets up to 1e+05 m, past 1000 (at r_max=100000.0, "),
+], ids=["rank-streams", "rank-exact2d", "rank-reach", "optimize-streams", "optimize-exact2d",
+        "optimize-reach", "bench-streams", "bench-duplicate", "bench-r_max"])
+def test_driver_refuses_before_any_work(monkeypatch, driver, args, kwargs, refusal):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("average_ber", "crosstalk", "simulate_ber"):
+        monkeypatch.setattr(oamlink.sweep, name, refuse)
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        driver(*args, **kwargs)
