@@ -1,10 +1,11 @@
 """Link geometry and Laguerre-Gaussian field evaluation.
 
 Holds the value types describing one optical link (geometry and mode
-sets) and the two field evaluators at the receiver plane Z: the on-axis
-LG modes at Cartesian points (x, y), and one mode's version seen from the
-receiver aperture at polar coordinates (r', phi') when the beam center is
-displaced by the offset radius r_ch. All quantities are SI (meters,
+sets), the offset-radius check every crosstalk evaluator shares, and the
+field evaluator at the receiver plane Z: the on-axis LG modes at
+Cartesian points (x, y). The field seen from the receiver aperture when the
+beam center is displaced, exact2d's sampler, is
+``crosstalk.shifted_aperture_field``. All quantities are SI (meters,
 radians).
 """
 
@@ -29,7 +30,6 @@ __all__ = [
     "check_offset_radius",
     "lg_field",
     "lg_radial_norm",
-    "shifted_aperture_field",
 ]
 
 MAX_AZIMUTHAL_ORDER = 16
@@ -297,24 +297,3 @@ def lg_field(geom: LinkGeometry, orders: Sequence[int], x, y) -> np.ndarray:
             field *= laguerre(p, n, 2.0 * r2 / w**2)
     return out
 
-
-def shifted_aperture_field(
-    geom: LinkGeometry,
-    ell: int,
-    r_prime,
-    phi_prime,
-    r_ch: float,
-) -> np.ndarray:
-    """LG field seen at aperture coordinates (r', phi') when the beam center
-    is displaced by the offset radius r_ch along +x, shape
-    ``broadcast(r', phi')``.
-
-    This is the on-axis field ``lg_field`` evaluated at the shifted Cartesian
-    point (r' cos phi' + r_ch, r' sin phi'). The crosstalk depends on the
-    offset radius alone, so the direction of the shift is fixed.
-    """
-    check_offset_radius(r_ch)
-    r_arr, phi_arr = np.asarray(r_prime, dtype=float), np.asarray(phi_prime, dtype=float)
-    if not (np.all((r_arr >= 0) & (r_arr < np.inf)) and np.all(np.isfinite(phi_arr))):
-        raise ValueError("aperture coordinates r' and phi' must be finite, with r' >= 0")
-    return lg_field(geom, [ell], r_arr * np.cos(phi_arr) + r_ch, r_arr * np.sin(phi_arr))[0]

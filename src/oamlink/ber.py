@@ -313,9 +313,9 @@ def check_average(geom: LinkGeometry, rx: ReceiverConfig, modes: ModeSet, sigma_
                   method: Method | str, quad_order: int) -> Method:
     """Refuses, before any work, the inputs ``average_ber`` refuses, and
     returns the parsed method; each driver calls it on every average's."""
-    rx.check_bessel_range(geom, sigma_theta=sigma_theta)
-    check_quad_order(quad_order)
     method = check_averaged_method(method)
+    rx.check_bessel_range(geom, (method,), sigma_theta=sigma_theta)
+    check_quad_order(quad_order)
     check_two_streams(modes)
     return method
 
@@ -340,8 +340,8 @@ def average_ber(
     as not converged and warns with ``QuadratureConvergenceWarning``. A
     Bessel-based method warns with ``ApproximationWarning`` when the whole
     domain lies below its validity floor. ``check_average`` runs first: the
-    jitter, the Bessel range at the reach, the order, the method (no
-    exact2d) and the set (``check_two_streams``).
+    method (no exact2d), the jitter, the Bessel range at the reach, the
+    order and the set (``check_two_streams``).
     """
     method = check_average(geom, rx, modes, sigma_theta, method, quad_order)
     scale = geom.rayleigh_scale(sigma_theta)

@@ -294,10 +294,10 @@ class RunConfig:
             )
         return self.averaged_methods()[0]
 
-    def link(self) -> tuple[LinkGeometry, ReceiverConfig, float]:
+    def link(self, methods: Sequence[Method]) -> tuple[LinkGeometry, ReceiverConfig, float]:
         """Link and angular jitter sigma_theta of the commands that draw or
-        average over the pointing jitter; refuses Bessel arguments past
-        their range at the offsets the jitter reaches."""
+        average over the pointing jitter with ``methods``; refuses Bessel
+        arguments past their range at the offsets the jitter reaches."""
         if not self.is_set("pointing.sigma_theta_rad"):
             raise ConfigError(
                 "this command averages over pointing jitter; set "
@@ -306,7 +306,7 @@ class RunConfig:
         geom, rx = self.geometry(), self.receiver()
         sigma_theta = self.number("pointing.sigma_theta_rad")
         with _config_errors(keys={**_LINK_KEYS, "sigma_theta": "pointing.sigma_theta_rad"}):
-            rx.check_bessel_range(geom, sigma_theta=sigma_theta)
+            rx.check_bessel_range(geom, methods, sigma_theta=sigma_theta)
         return geom, rx, sigma_theta
 
     def quad_order(self) -> int:
@@ -447,8 +447,7 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
         )
     with _config_errors(keys={**_LINK_KEYS, "r_ch": key, "r_max": key}):
         check_offset_radius(radii)
-        if methods != (Method.EXACT2D,):  # exact2d evaluates no Bessel function
-            rx.check_bessel_range(geom, r_max=max(radii))
+        rx.check_bessel_range(geom, methods, r_max=max(radii))
 
     # Evaluate one matrix per (radius, method), then emit rows with the
     # method innermost so the per-pair method comparison sits on adjacent
@@ -503,7 +502,7 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
     # refusal that names the axis key names it as the sweep.grid value.
     key = _AXIS_KEYS[axis]
     with _config_errors(keys={key: f"sweep.grid value for {key}"}):
-        points = [cfg.with_value(key, value).link() for value in grid]
+        points = [cfg.with_value(key, value).link(methods) for value in grid]
     candidates = cfg.two_stream_sets(cfg.candidates())
     with_mc = cfg.flag("ber.with_mc")
     trial_cfg = None
@@ -565,11 +564,11 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
 
 
 def cmd_montecarlo(cfg: RunConfig) -> _Output:
-    geom, rx, sigma_theta = cfg.link()
+    method = cfg.single_method()
+    geom, rx, sigma_theta = cfg.link((method,))
     modes = cfg.mode_set()
     with _config_errors(f"{cfg.streams_key()}: "):
         check_chunk_memory(modes)
-    method = cfg.single_method()
     trial_cfg = cfg.trial_config()
     outcome = simulate_ber(geom, rx, modes, sigma_theta, trial_cfg, method)
     return _Output(
@@ -604,7 +603,7 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
     # bound, which it evaluates, as the waist; geometry.w0_m is never checked.
     for key, bound in (("optimize.lo_m", lo), ("optimize.hi_m", hi)):
         with _config_errors(keys={"geometry.w0_m": key}):
-            geom, rx, sigma_theta = cfg.with_value("geometry.w0_m", bound).link()
+            geom, rx, sigma_theta = cfg.with_value("geometry.w0_m", bound).link((method,))
     (modes,) = cfg.two_stream_sets()
     result, status = warning_status(
         optimize_w0, geom, rx, modes, sigma_theta, (lo, hi), tol, method, quad_order
@@ -639,8 +638,8 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
 
 def cmd_rank_modes(cfg: RunConfig) -> _Output:
     quad_order = cfg.quad_order()
-    geom, rx, sigma_theta = cfg.link()
     method = cfg.single_method()
+    geom, rx, sigma_theta = cfg.link((method,))
     candidates = cfg.candidates()
     if not candidates:
         raise ConfigError("rank-modes needs modes.candidates, e.g. '-2|1;-2|2'")
@@ -673,7 +672,8 @@ def cmd_rank_modes(cfg: RunConfig) -> _Output:
 
 def cmd_bench(cfg: RunConfig) -> _Output:
     quad_order = cfg.quad_order()
-    geom, rx, sigma_theta = cfg.link()
+    # The bench's average and simulation run bessel-sum whatever it times.
+    geom, rx, sigma_theta = cfg.link((Method.BESSEL_SUM,))
     (modes,) = cfg.two_stream_sets()
     methods = cfg.methods()
     r_min = cfg.number("bench.r_min_m")
@@ -688,7 +688,7 @@ def cmd_bench(cfg: RunConfig) -> _Output:
                               "mc_trials": "bench.mc_trials", "trials": "bench.mc_trials",
                               "seed": "mc.seed"}):
         check_bench_grid(r_min, r_max, n_points, repetitions, mc_trials, seed)
-        rx.check_bessel_range(geom, r_max=r_max)
+        rx.check_bessel_range(geom, methods, r_max=r_max)
     report = bench_methods(geom, rx, modes, sigma_theta, r_min, r_max, n_points,
                            repetitions, methods, mc_trials, seed, quad_order)
 

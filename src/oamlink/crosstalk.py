@@ -7,8 +7,8 @@ quality to cheapest:
 - ``exact2d``: the full 2D aperture integral (azimuthal projection of the
   shifted field, then a weighted radial integral), with a grid-doubling
   convergence check. Its grid is walked block by block of rings, with one
-  shared-factor field pass for every tx mode, on the block's Cartesian
-  points, and one FFT per block. This is the oracle the others are judged
+  ``shifted_aperture_field`` pass for every tx mode on the block's rings
+  and one FFT per block. This is the oracle the others are judged
   against.
 - ``radial-sum``: keeps the azimuthal integral exact (in closed form) but
   evaluates the radial integral on k_r uniformly spaced sample radii.
@@ -31,7 +31,9 @@ under an explicit stream count ``n_m``. The Bessel-based forms
 (bessel-integral, bessel-sum, asymptotic) assume the offset radius is
 large against the aperture; below ``SMALL_OFFSET_FLOOR``
 (``Method.validity_floor``) those single-offset views still return values
-but flag degraded accuracy with ``ApproximationWarning``.
+but flag degraded accuracy with ``ApproximationWarning``. Only methods
+that evaluate a Bessel function (``Method.has_bessel_kernel``) are held
+to its argument range (``ReceiverConfig.check_bessel_range``).
 """
 
 from __future__ import annotations
@@ -41,18 +43,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from oamlink import numerics
-from oamlink.beam import (
-    REACH_SIGMAS,
-    LinkGeometry,
-    ModeSet,
-    check_offset_radius,
-    lg_field,
-    shifted_aperture_field,  # noqa: F401  benchmarks/spans.py traces crosstalk.shifted_aperture_field
-)
+from oamlink.beam import REACH_SIGMAS, LinkGeometry, ModeSet, check_offset_radius, lg_field
 from oamlink.numerics import (
     BESSEL_MAX_ARG,
     bessel_i_scaled,
@@ -74,6 +70,7 @@ __all__ = [
     "crosstalk",
     "crosstalk_matrix",
     "check_averaged_method",
+    "shifted_aperture_field",
 ]
 
 # Below this offset radius (meters) the Bessel-based approximations degrade;
@@ -132,6 +129,12 @@ class Method(str, Enum):
         ``SMALL_OFFSET_FLOOR`` for the Bessel-based forms, 0 for the others."""
         return 0.0 if self in (Method.EXACT2D, Method.RADIAL_SUM) else SMALL_OFFSET_FLOOR
 
+    @property
+    def has_bessel_kernel(self) -> bool:
+        """Whether the method evaluates a Bessel function: radial-sum,
+        bessel-integral and bessel-sum do; exact2d and asymptotic do not."""
+        return self in (Method.RADIAL_SUM, Method.BESSEL_INTEGRAL, Method.BESSEL_SUM)
+
 
 @dataclass(frozen=True)
 class ReceiverConfig:
@@ -174,18 +177,20 @@ class ReceiverConfig:
         """Combined scalar gain: responsivity times APD gain."""
         return self.responsivity * self.apd_gain
 
-    def check_bessel_range(self, geom: LinkGeometry, r_max: float | None = None, *,
-                           sigma_theta: float | None = None) -> None:
+    def check_bessel_range(self, geom: LinkGeometry, methods: Sequence[Method | str],
+                           r_max: float | None = None, *, sigma_theta: float | None = None) -> None:
         """Refuses Bessel arguments past ``BESSEL_MAX_ARG`` at offsets up to
         ``r_max``, or to ``REACH_SIGMAS`` sigma_r of the jitter ``sigma_theta``,
+        for ``methods`` with a Bessel kernel (``Method.has_bessel_kernel``),
         naming that argument and the link before a kernel refuses them:
         |beta| = 2|c| r_a r of radial-sum's ``bessel_i_scaled`` table bounds
-        k r_a r/R."""
+        k r_a r/R. The jitter is refused whatever the methods."""
         name, value = ("r_max", r_max) if sigma_theta is None else ("sigma_theta", sigma_theta)
         if sigma_theta is not None:
             r_max = REACH_SIGMAS * geom.rayleigh_scale(sigma_theta)
         largest = 2.0 * abs(geom.gaussian_coefficient) * self.aperture_radius * r_max
-        if not largest <= BESSEL_MAX_ARG:
+        if not largest <= BESSEL_MAX_ARG and any(
+                Method.parse(method).has_bessel_kernel for method in methods):
             raise ValueError(
                 f"aperture_radius {self.aperture_radius!r} m takes Bessel arguments up to "
                 f"{largest:.3g} at offsets up to {r_max:.3g} m, past {BESSEL_MAX_ARG:g} "
@@ -301,6 +306,26 @@ def _sample_radii_and_weights(rx: ReceiverConfig) -> tuple[np.ndarray, np.ndarra
     return nodes, weights
 
 
+def shifted_aperture_field(
+    geom: LinkGeometry,
+    orders: Sequence[int],
+    r_prime,
+    phi_prime,
+    r_ch: float,
+) -> np.ndarray:
+    """LG fields of ``orders`` at aperture coordinates (r', phi') with the
+    beam center displaced by the offset radius r_ch along +x, one row per
+    order: ``lg_field`` at the points (r' cos phi' + r_ch, r' sin phi').
+    exact2d samples its grid with it. The crosstalk depends on the offset
+    radius alone, so the direction of the shift is fixed.
+    """
+    check_offset_radius(r_ch)
+    r_arr, phi_arr = np.asarray(r_prime, dtype=float), np.asarray(phi_prime, dtype=float)
+    if not (np.all((r_arr >= 0) & (r_arr < np.inf)) and np.all(np.isfinite(phi_arr))):
+        raise ValueError("aperture coordinates r' and phi' must be finite, with r' >= 0")
+    return lg_field(geom, orders, r_arr * np.cos(phi_arr) + r_ch, r_arr * np.sin(phi_arr))
+
+
 def _ring_powers(
     geom: LinkGeometry,
     rx: ReceiverConfig,
@@ -315,19 +340,17 @@ def _ring_powers(
     displaced by r_ch along +x.
 
     The rings are walked in blocks of about ``_EXACT_BLOCK_POINTS`` grid
-    points. For each block one shared-factor ``lg_field`` pass samples the
-    displaced field of every tx mode at the block's points (x, y) =
-    (ring cos phi + r_ch, ring sin phi), one FFT projects each on every filter
-    harmonic, and ``|projection|^2`` times the ring weights is added to a
-    running sum per (filter, tx) pair, each pair with its own reduction so
-    its value does not depend on the other pairs. Returns the coefficients,
-    shape (n_filter, n_tx), and the same sum over every harmonic, which is
-    the power each tx mode puts through the aperture (Parseval), shape
-    (n_tx,).
+    points. For each block one ``shifted_aperture_field`` pass samples the
+    displaced field of every tx mode on the block's rings, one FFT projects
+    each on every filter harmonic, and ``|projection|^2`` times the ring
+    weights is added to a running sum per (filter, tx) pair, each pair with
+    its own reduction so its value does not depend on the other pairs.
+    Returns the coefficients, shape (n_filter, n_tx), and the same sum over
+    every harmonic, which is the power each tx mode puts through the
+    aperture (Parseval), shape (n_tx,).
     """
     nodes, weights = gauss_legendre(radial_order, 0.0, rx.aperture_radius)
     phi = 2.0 * np.pi * np.arange(phi_points) / phi_points
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     weighted = weights * nodes
     harmonics = [ell_j % phi_points for ell_j in modes.filter_modes]
     out = np.zeros((modes.n_filter, modes.n_tx))
@@ -335,9 +358,7 @@ def _ring_powers(
     rows = max(1, _EXACT_BLOCK_POINTS // phi_points)
     for start in range(0, radial_order, rows):
         ring = nodes[start : start + rows, np.newaxis]
-        x = ring * cos_phi + r_ch
-        y = ring * sin_phi
-        fields = lg_field(geom, modes.tx_modes, x, y)
+        fields = shifted_aperture_field(geom, modes.tx_modes, ring, phi, r_ch)
         # ifft index m holds (1/n) sum_k u_k e^{+i m phi_k}; the projection
         # is 2 pi times it, and (2 pi)^2 goes into ``scale``.
         power = np.square(np.abs(np.fft.ifft(fields, axis=-1)))
@@ -528,7 +549,8 @@ def crosstalk_matrix(
 
 def check_averaged_method(method: Method | str) -> Method:
     """``method`` parsed; refuses exact2d, whose one jitter average needs
-    hundreds of reference integrals (about 250 s)."""
+    hundreds of reference integrals (about 250 s). ``channel_profile``, the
+    batched kernel of every other method, refuses it through this check."""
     method = Method.parse(method)
     if method is Method.EXACT2D:
         raise ValueError(
@@ -553,15 +575,10 @@ def channel_profile(
     vectorize directly and radial-sum projects the shifted field in closed
     form. No degraded-accuracy warnings are emitted here; callers are
     expected to account for offsets below the validity floor themselves.
-    exact2d has no batched form: its one kernel is
-    ``crosstalk_exact_detailed``, at one offset per call.
+    exact2d has no batched form (``check_averaged_method``): its one kernel
+    is ``crosstalk_exact_detailed``, at one offset per call.
     """
-    method = Method.parse(method)
-    if method is Method.EXACT2D:
-        raise ValueError(
-            "exact2d has no batched profile; evaluate it one offset at a time with "
-            "crosstalk_matrix or crosstalk_exact_detailed"
-        )
+    method = check_averaged_method(method)
     r = np.asarray(r_ch, dtype=float)
     if r.ndim != 1:
         raise ValueError("r_ch must be one-dimensional")

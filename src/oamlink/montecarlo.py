@@ -247,7 +247,7 @@ def simulate_ber(
     fixed = None
     if amplitude_matrix is None:
         check_averaged_method(method)
-        rx.check_bessel_range(geom, sigma_theta=sigma_theta)
+        rx.check_bessel_range(geom, (method,), sigma_theta=sigma_theta)
     else:
         fixed = np.asarray(amplitude_matrix, dtype=float)
         if fixed.shape != (modes.n_filter, modes.n_tx) or not np.isfinite(fixed).all():

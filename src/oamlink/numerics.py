@@ -93,13 +93,13 @@ def laguerre(p: int, alpha: int, x):
     float or ndarray
         L_p^alpha evaluated at x.
     """
-    if not isinstance(p, (int, np.integer)) or p < 0:
+    if not is_integer(p) or p < 0:
         raise ValueError(f"radial order p must be a non-negative integer, got {p!r}")
     if p > LAGUERRE_MAX_ORDER:
         raise ValueError(
             f"radial order p={p} exceeds the supported maximum {LAGUERRE_MAX_ORDER}"
         )
-    if not isinstance(alpha, (int, np.integer)) or alpha < 0:
+    if not is_integer(alpha) or alpha < 0:
         raise ValueError(f"degree alpha must be a non-negative integer, got {alpha!r}")
 
     x_arr = np.asarray(x, dtype=float)
@@ -160,7 +160,7 @@ def _tabulate(orders, x, dtype, block_kernel) -> np.ndarray:
     call, they left it to the allocator's state whether a call faulted in
     new pages, hundreds of them per radial-sum average. Per thread, because
     Monte Carlo workers run the kernel concurrently."""
-    if np.ndim(orders) != 1 or not all(isinstance(n, (int, np.integer)) for n in orders):
+    if np.ndim(orders) != 1 or not all(is_integer(n) for n in orders):
         raise ValueError(f"Bessel orders must be a sequence of integers, got {orders!r}")
     orders = [int(order) for order in orders]
     if orders != sorted(set(orders)) or (orders and orders[0] < 0):
@@ -347,7 +347,7 @@ def gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     a, b : float
         Integration bounds with a < b.
     """
-    if not isinstance(order, (int, np.integer)) or not (2 <= order <= 512):
+    if not is_integer(order) or not (2 <= order <= 512):
         raise ValueError(f"quadrature order must be an integer in [2, 512], got {order!r}")
     if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
         raise ValueError(f"need finite bounds with a < b, got a={a!r}, b={b!r}")

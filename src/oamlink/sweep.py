@@ -346,9 +346,9 @@ def bench_methods(
     cfg = check_bench_grid(r_min, r_max, n_points, repetitions, mc_trials, seed)
     check_average(geom, rx, modes, sigma_theta, Method.BESSEL_SUM, quad_order)
     parsed = list(Method.parse_distinct(methods))
-    rx.check_bessel_range(geom, r_max=r_max)
     if Method.EXACT2D not in parsed:
         parsed.insert(0, Method.EXACT2D)
+    rx.check_bessel_range(geom, parsed, r_max=r_max)
     pairs = cycle(product(modes.filter_modes, modes.tx_modes))
     grid = list(zip(np.linspace(r_min, r_max, n_points).tolist(), pairs))
 

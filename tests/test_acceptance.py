@@ -17,10 +17,16 @@ import warnings
 
 import numpy as np
 
-from oamlink.beam import MAX_AZIMUTHAL_ORDER, LinkGeometry, ModeSet, shifted_aperture_field
+from oamlink.beam import MAX_AZIMUTHAL_ORDER, LinkGeometry, ModeSet
 from oamlink.ber import average_ber, conditional_ber
 from oamlink.cli import main
-from oamlink.crosstalk import Method, ReceiverConfig, crosstalk, crosstalk_exact_detailed
+from oamlink.crosstalk import (
+    Method,
+    ReceiverConfig,
+    crosstalk,
+    crosstalk_exact_detailed,
+    shifted_aperture_field,
+)
 from oamlink.montecarlo import TrialConfig, simulate_ber
 from oamlink.numerics import gauss_legendre
 from oamlink.sweep import bench_methods, optimize_w0
@@ -121,7 +127,8 @@ def test_03_filter_bank_conserves_captured_power():
                 total = sum(exact.value[:, 0].tolist()) / N_STREAMS**2
 
                 def ring(r):
-                    power = np.abs(shifted_aperture_field(geom, ell_n, r, phi, r_ch)) ** 2
+                    field = shifted_aperture_field(geom, [ell_n], r, phi, r_ch)[0]
+                    power = np.abs(field) ** 2
                     return r * ((2.0 * np.pi / 256) * power.sum())
 
                 collected = weights @ np.array([ring(r) for r in nodes])

@@ -1,9 +1,10 @@
 """Link geometry, mode bookkeeping and LG field evaluation.
 
 The propagation quantities are pinned against values computed once from the
-textbook formulas with independent arithmetic; the field evaluators are
+textbook formulas with independent arithmetic; the field evaluator is
 checked against physical invariants (unit power, radial orthogonality,
-helical phase, translation) that do not depend on the implementation.
+helical phase) that do not depend on the implementation. The displaced
+field exact2d samples is checked in ``test_crosstalk.py``.
 """
 
 import math
@@ -19,7 +20,6 @@ from oamlink.beam import (
     ModeSet,
     check_offset_radius,
     lg_field,
-    shifted_aperture_field,
 )
 from oamlink.numerics import LAGUERRE_MAX_ORDER, gauss_legendre
 
@@ -298,25 +298,17 @@ class TestLgField:
         geom = default_geom()
         with pytest.raises(ValueError, match=f"order must be an integer, got {order!r}"):
             lg_field(geom, [0, order], 1.0, 0.0)
-        with pytest.raises(ValueError, match=f"order must be an integer, got {order!r}"):
-            shifted_aperture_field(geom, order, 1.0, 0.0, 2.0)
 
-    @pytest.mark.parametrize("evaluator", ["lg_field", "shifted_aperture_field"])
     @pytest.mark.parametrize(
         "first, second",
         [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (1.0, -math.inf),
          (np.array([1.0, math.nan]), 0.0)],
         ids=["nan-first", "nan-second", "inf-first", "inf-second", "nan-in-array"],
     )
-    def test_rejects_non_finite_coordinates(self, evaluator, first, second):
-        # Each of these used to come back as nan+nanj. The coordinates are
-        # (x, y) for lg_field and (r', phi') for the shifted field.
-        geom = default_geom()
+    def test_rejects_non_finite_coordinates(self, first, second):
+        # Each of these used to come back as nan+nanj.
         with pytest.raises(ValueError, match="must be finite"):
-            if evaluator == "lg_field":
-                lg_field(geom, [1], first, second)
-            else:
-                shifted_aperture_field(geom, 1, first, second, math.sqrt(5.0))
+            lg_field(default_geom(), [1], first, second)
 
     @pytest.mark.parametrize("p", [0, 2])
     def test_matches_the_polar_closed_form(self, p):
@@ -374,51 +366,6 @@ class TestLgField:
         assert lg_field(geom, (1,), x, 0.2).shape == (1, 3)
         assert lg_field(geom, np.array([0, 3]), x[:, None], x).shape == (2, 3, 3)
         assert lg_field(geom, [], x, 0.2).shape == (0, 3)
-
-
-class TestShiftedApertureField:
-    def test_zero_offset_matches_on_axis_field(self):
-        geom = default_geom()
-        r = np.linspace(0.5, 30.0, 7)
-        for phi in (0.0, 1.0, 2.5, 4.0):
-            shifted = shifted_aperture_field(geom, -2, r, phi, 0.0)
-            direct = lg_field(geom, [-2], r * math.cos(phi), r * math.sin(phi))[0]
-            assert np.allclose(shifted, direct, rtol=1e-12)
-
-    def test_matches_field_at_displaced_point(self):
-        geom = default_geom()
-        r_ch = 5.0
-        for r_p, phi_p in ((0.0, 0.0), (6.0, 1.2), (15.0, 3.9), (22.0, 5.8)):
-            x = r_p * math.cos(phi_p) + r_ch
-            y = r_p * math.sin(phi_p)
-            expected = polar_closed_form(geom, 1, math.hypot(x, y), math.atan2(y, x))
-            got = shifted_aperture_field(geom, 1, r_p, phi_p, r_ch)
-            assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_power_conserved_under_shift(self):
-        # Translation moves the intensity pattern without changing its total.
-        geom = default_geom(radial_index=1)
-        r_ch = 8.0
-        w = geom.beam_radius_at_rx
-        nodes, weights = gauss_legendre(220, 0.0, r_ch + 10.0 * w)
-        phi = 2.0 * np.pi * np.arange(256) / 256
-
-        def ring_power(r_p):
-            power = np.abs(shifted_aperture_field(geom, 2, r_p, phi, r_ch)) ** 2
-            return r_p * ((2.0 * np.pi / 256) * power.sum())
-
-        total = weights @ np.array([ring_power(r_p) for r_p in nodes])
-        assert total == pytest.approx(1.0, rel=1e-8)
-
-    def test_scalar_and_guard_behavior(self):
-        geom = default_geom()
-        r_ch = math.sqrt(5.0)
-        out = shifted_aperture_field(geom, 0, 3.0, 0.5, r_ch)
-        assert out.shape == () and out.dtype == complex
-        with pytest.raises(ValueError):
-            shifted_aperture_field(geom, MAX_AZIMUTHAL_ORDER + 1, 1.0, 0.0, r_ch)
-        with pytest.raises(ValueError):
-            shifted_aperture_field(geom, 0, -0.5, 0.0, r_ch)
 
 
 class TestOffsetRadiusGuard:

@@ -123,7 +123,8 @@ class TestRayleighOffset:
         ((-2, 1), None, 1e-3, "bessel-sum", 0.05,
          "past 1000 (at sigma_theta=0.001, distance=1000000.0, waist=0.025, "
          "wavelength=1.55e-06)"),
-        ((-2, 1), None, 3e-5, "asymptotic", 1.5, "aperture_radius 1.5 m takes Bessel arguments"),
+        ((-2, 1), None, 3e-5, "bessel-integral", 1.5,
+         "aperture_radius 1.5 m takes Bessel arguments"),
     ])
     def test_average_it_cannot_run_is_refused_before_the_window_search(
         self, monkeypatch, tx, grouping, sigma_theta, method, aperture, refusal
@@ -137,6 +138,14 @@ class TestRayleighOffset:
         with pytest.raises(ValueError, match=re.escape(refusal)):
             average_ber(default_geom(), default_rx(aperture_radius=aperture), modes, sigma_theta,
                         method)
+
+    def test_asymptotic_is_not_held_to_the_bessel_range(self):
+        # asymptotic evaluates no Bessel function: the 1.5 m aperture the
+        # Bessel methods are refused at averages and settles.
+        res = average_ber(default_geom(), default_rx(aperture_radius=1.5), ModeSet((-2, 1)),
+                          3e-5, "asymptotic")
+        assert res.quad_converged and res.quad_self_check_rel < 2e-3
+        assert res.averaged == pytest.approx(0.07313, rel=1e-4)
 
 
 class TestStreamVectors:

@@ -171,12 +171,18 @@ class TestModeSpecAndAccessors:
             cfg_with(method="fft").methods()
 
     def test_pointing_and_link(self):
+        bessel_sum = (Method.BESSEL_SUM,)
         with pytest.raises(ConfigError, match="sigma_theta"):
-            cfg_with(pointing__sigma_theta_rad="", pointing__r_ch_m="5").link()
+            cfg_with(pointing__sigma_theta_rad="", pointing__r_ch_m="5").link(bessel_sum)
         with pytest.raises(ConfigError, match="quad.order"):
             cfg_with(quad__order="8").quad_order()
-        geom, _, sigma_theta = cfg_with().link()
+        geom, _, sigma_theta = cfg_with().link(bessel_sum)
         assert (sigma_theta, geom.distance) == (3e-5, 1e6)
+        # Only a method with a Bessel kernel is held to the Bessel range.
+        wide = cfg_with(receiver__aperture_radius_m="1.5")
+        with pytest.raises(ConfigError, match="receiver.aperture_radius_m 1.5 m takes Bessel"):
+            wide.link(bessel_sum)
+        assert wide.link((Method.ASYMPTOTIC,))[1].aperture_radius == 1.5
         trial_cfg = cfg_with().trial_config()
         assert (trial_cfg.trials, trial_cfg.seed) == (1_000_000, 12345)
         with pytest.raises(ConfigError, match="trials"):
@@ -336,8 +342,11 @@ class TestMainErrors:
              "pointing.r_ch_m=100000.0, geometry.distance_m=1000000.0, geometry.w0_m=0.025"),
             (["bench", "-s", "bench.r_max_m=1e5"], None,
              "bench.r_max_m=100000.0, geometry.distance_m=1000000.0, geometry.w0_m=0.025"),
-            # A listed method with a Bessel kernel is refused beside exact2d.
+            # A listed method with a Bessel kernel is refused beside exact2d
+            # or asymptotic.
             (["crosstalk-curve", "--grid", "5e4", "--method", "exact2d,radial-sum"], None,
+             "sweep.grid value=50000.0, geometry.distance_m=1000000.0"),
+            (["crosstalk-curve", "--grid", "5e4", "--method", "asymptotic,bessel-sum"], None,
              "sweep.grid value=50000.0, geometry.distance_m=1000000.0"),
             # On the w0 axis the grid value sets the waist the refusal names.
             (["ber-curve", "--grid", "0.02", "-s", "receiver.aperture_radius_m=1.5"], None,
@@ -569,14 +578,16 @@ class TestCrosstalkCurveCommand:
         assert all(r[6].startswith("error: ValueError") for r in rows)
         assert all(r[4] == "nan" for r in rows)
 
-    def test_exact2d_alone_runs_past_the_bessel_range(self, tmp_path):
-        # exact2d evaluates no Bessel function, so only a listed Bessel
-        # method is held to the range; this radius takes bessel-sum past it.
+    @pytest.mark.parametrize("method", ["exact2d", "asymptotic"])
+    def test_method_without_a_bessel_kernel_runs_past_the_bessel_range(self, method, tmp_path):
+        # exact2d and asymptotic evaluate no Bessel function, so only a
+        # listed Bessel method is held to the range; this radius takes
+        # bessel-sum past it.
         out = tmp_path / "xt.csv"
-        assert main(["crosstalk-curve", "--grid", "5e4", "--method", "exact2d",
+        assert main(["crosstalk-curve", "--grid", "5e4", "--method", method,
                      "-o", str(out)]) == EXIT_OK
         _, _, rows = read_csv_file(out)
-        assert len(rows) == 4 and all(r[3] == "exact2d" and r[6] == "ok" for r in rows)
+        assert len(rows) == 4 and all(r[3] == method and r[6] == "ok" for r in rows)
         assert all(float(r[4]) >= 0 for r in rows)
 
     def test_needs_radii(self, tmp_path):
@@ -1019,6 +1030,15 @@ class TestRankModesCommand:
         assert rank_row[2] == ber_row[3]
         assert rank_row[5] == ber_row[5]
         assert rank_row[5].startswith("warning:") and "validity floor" in rank_row[5]
+
+    def test_asymptotic_is_not_held_to_the_bessel_range(self, tmp_path):
+        # This aperture takes the Bessel methods past their range; asymptotic
+        # evaluates no Bessel function, so its ranking runs and settles.
+        out = tmp_path / "rank.csv"
+        assert main(["rank-modes", "--method", "asymptotic",
+                     "-s", "receiver.aperture_radius_m=1.5", "-o", str(out)]) == EXIT_OK
+        rows = read_csv_file(out)[2]
+        assert len(rows) == 4 and all(r[3:5] == ["asymptotic", "true"] for r in rows)
 
     def test_duplicate_candidates(self, tmp_path):
         args = ["rank-modes", "--candidates=-2|1;-2|1", "-o",

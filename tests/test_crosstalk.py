@@ -17,13 +17,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 import oamlink.crosstalk
-from oamlink.beam import (
-    MAX_AZIMUTHAL_ORDER,
-    LinkGeometry,
-    ModeSet,
-    lg_field,
-    shifted_aperture_field,
-)
+from oamlink.beam import MAX_AZIMUTHAL_ORDER, LinkGeometry, ModeSet, lg_field
 from oamlink.crosstalk import (
     SMALL_OFFSET_FLOOR,
     ApproximationWarning,
@@ -35,6 +29,7 @@ from oamlink.crosstalk import (
     crosstalk_exact_detailed,
     crosstalk_matrix,
     mode_envelope,
+    shifted_aperture_field,
 )
 from oamlink.crosstalk import (
     _envelope_prefactor,
@@ -44,6 +39,7 @@ from oamlink.crosstalk import (
     _uniform_panel_weights,
 )
 from oamlink.numerics import gauss_legendre, laguerre
+from test_beam import polar_closed_form
 
 N_M = 2
 
@@ -111,6 +107,70 @@ def brute_force_coefficient(geom, rx, n_m, ell_n, ell_j, r_ch, n_phi=768, n_rad=
 def pair(ell_n, ell_j):
     """The one-stream mode set of a single (tx, filter) pair."""
     return ModeSet((ell_n,), (ell_j,))
+
+
+class TestShiftedApertureField:
+    # exact2d's field sampler: the on-axis field at the displaced points.
+
+    def test_zero_offset_matches_on_axis_field(self):
+        geom = default_geom()
+        r = np.linspace(0.5, 30.0, 7)
+        for phi in (0.0, 1.0, 2.5, 4.0):
+            shifted = shifted_aperture_field(geom, [-2], r, phi, 0.0)
+            direct = lg_field(geom, [-2], r * math.cos(phi), r * math.sin(phi))
+            assert np.allclose(shifted, direct, rtol=1e-12)
+
+    def test_matches_field_at_displaced_point(self):
+        geom = default_geom()
+        r_ch = 5.0
+        for r_p, phi_p in ((0.0, 0.0), (6.0, 1.2), (15.0, 3.9), (22.0, 5.8)):
+            x = r_p * math.cos(phi_p) + r_ch
+            y = r_p * math.sin(phi_p)
+            expected = polar_closed_form(geom, 1, math.hypot(x, y), math.atan2(y, x))
+            got = shifted_aperture_field(geom, [1], r_p, phi_p, r_ch)[0]
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_power_conserved_under_shift(self):
+        # Translation moves the intensity pattern without changing its total.
+        geom = default_geom(radial_index=1)
+        r_ch = 8.0
+        w = geom.beam_radius_at_rx
+        nodes, weights = gauss_legendre(220, 0.0, r_ch + 10.0 * w)
+        phi = 2.0 * np.pi * np.arange(256) / 256
+
+        def ring_power(r_p):
+            power = np.abs(shifted_aperture_field(geom, [2], r_p, phi, r_ch)[0]) ** 2
+            return r_p * ((2.0 * np.pi / 256) * power.sum())
+
+        total = weights @ np.array([ring_power(r_p) for r_p in nodes])
+        assert total == pytest.approx(1.0, rel=1e-8)
+
+    def test_scalar_and_guard_behavior(self):
+        geom = default_geom()
+        r_ch = math.sqrt(5.0)
+        out = shifted_aperture_field(geom, [0], 3.0, 0.5, r_ch)
+        assert out.shape == (1,) and out.dtype == complex
+        with pytest.raises(ValueError):
+            shifted_aperture_field(geom, [MAX_AZIMUTHAL_ORDER + 1], 1.0, 0.0, r_ch)
+        with pytest.raises(ValueError):
+            shifted_aperture_field(geom, [0], -0.5, 0.0, r_ch)
+
+    @pytest.mark.parametrize("order", [1.5, 2.0, "1", None])
+    def test_refuses_a_non_integer_order(self, order):
+        # Refused by name, not by a TypeError from the helix power loop.
+        with pytest.raises(ValueError, match=f"order must be an integer, got {order!r}"):
+            shifted_aperture_field(default_geom(), [order], 1.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "r_prime, phi_prime",
+        [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (1.0, -math.inf),
+         (np.array([1.0, math.nan]), 0.0)],
+        ids=["nan-first", "nan-second", "inf-first", "inf-second", "nan-in-array"],
+    )
+    def test_rejects_non_finite_coordinates(self, r_prime, phi_prime):
+        # Each of these used to come back as nan+nanj.
+        with pytest.raises(ValueError, match="must be finite"):
+            shifted_aperture_field(default_geom(), [1], r_prime, phi_prime, math.sqrt(5.0))
 
 
 class TestReferenceIntegral:
@@ -288,7 +348,7 @@ class TestStructuralInvariants:
         phi = 2.0 * np.pi * np.arange(256) / 256
 
         def ring(r):
-            power = np.abs(shifted_aperture_field(geom, 2, r, phi, r_ch)) ** 2
+            power = np.abs(shifted_aperture_field(geom, [2], r, phi, r_ch)[0]) ** 2
             return r * ((2.0 * np.pi / 256) * power.sum())
 
         collected = weights @ np.array([ring(r) for r in nodes])
@@ -387,21 +447,23 @@ class TestReferenceGridMemory:
             tracemalloc.stop()
         assert peak < 16e6, peak
 
-    def test_field_pass_passes_the_block_points_positionally(self, monkeypatch):
-        # benchmarks/spans.py counts lg_field points as
-        # broadcast(args[2], args[3]): each block's x and y go in those
-        # slots, whole rings at a time, with no keyword arguments.
-        calls = []
+    @pytest.mark.parametrize("name, n_args", [("shifted_aperture_field", 5), ("lg_field", 4)])
+    def test_field_pass_passes_the_block_points_positionally(self, monkeypatch, name, n_args):
+        # benchmarks/spans.py counts shifted_aperture_field and lg_field
+        # points as broadcast(args[2], args[3]): each block's rings and
+        # angles, and then its x and y, go in those slots, whole rings at a
+        # time, with no keyword arguments.
+        calls, traced = [], getattr(oamlink.crosstalk, name)
 
         def counting(*args, **kwargs):
             calls.append((args, kwargs))
-            return lg_field(*args, **kwargs)
+            return traced(*args, **kwargs)
 
-        monkeypatch.setattr("oamlink.crosstalk.lg_field", counting)
+        monkeypatch.setattr(oamlink.crosstalk, name, counting)
         geom, rx = default_geom(), default_rx()
         # 16,384-point blocks of 512-angle rings: 32 rings, then the last 8.
         _ring_powers(geom, rx, ModeSet((-2, 1)), 6.0, 512, 40)
-        assert [len(args) for args, _ in calls] == [4, 4]
+        assert [len(args) for args, _ in calls] == [n_args, n_args]
         assert [kwargs for _, kwargs in calls] == [{}, {}]
         sizes = [np.broadcast(args[2], args[3]).size for args, _ in calls]
         assert sizes == [32 * 512, 8 * 512]
@@ -416,7 +478,7 @@ class TestDispatchAndBatching:
         for method in Method:
             if method is Method.EXACT2D:
                 # exact2d's one kernel takes one offset per call.
-                with pytest.raises(ValueError, match="crosstalk_exact_detailed"):
+                with pytest.raises(ValueError, match="method exact2d takes minutes"):
                     channel_profile(geom, rx, modes, np.array([r_ch]), method)
                 continue
             grid = channel_profile(geom, rx, modes, np.array([r_ch]), method)[0]
@@ -428,6 +490,8 @@ class TestDispatchAndBatching:
         assert default == crosstalk(geom, rx, N_M, -2, 1, r_ch, "bessel-sum")
 
     def test_method_parse(self):
+        assert {m.value for m in Method if m.has_bessel_kernel} == {
+            "radial-sum", "bessel-integral", "bessel-sum"}
         assert Method.parse(" Bessel-Sum ") is Method.BESSEL_SUM
         assert Method.parse(Method.EXACT2D) is Method.EXACT2D
         with pytest.raises(ValueError):
@@ -630,7 +694,7 @@ class TestWarningsAndGuards:
         "crosstalk_exact_detailed": lambda geom, rx, modes, r: crosstalk_exact_detailed(
             geom, rx, modes, r),
         "shifted_aperture_field": lambda geom, rx, modes, r: shifted_aperture_field(
-            geom, 1, 1.0, 0.0, r),
+            geom, [1], 1.0, 0.0, r),
     }
 
     @pytest.mark.parametrize("radius", [-5.0, math.nan, math.inf])

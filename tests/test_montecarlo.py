@@ -309,6 +309,18 @@ class TestSimulateBer:
         out = simulate_ber(geom, rx, modes, sigma_theta, cfg, method, amplitude_matrix=np.eye(2))
         assert out.trials == 1000
 
+    def test_asymptotic_channel_is_not_held_to_the_bessel_range(self, monkeypatch):
+        # asymptotic evaluates no Bessel function, so the 1.5 m aperture the
+        # Bessel methods are refused at reaches the first chunk.
+        def refuse(*args):
+            raise AssertionError("chunk run")
+
+        monkeypatch.setattr("oamlink.montecarlo._run_chunk", refuse)
+        modes, cfg = ModeSet(tx_modes=(-2, 1)), TrialConfig(trials=1000, seed=1)
+        with pytest.raises(AssertionError, match="chunk run"):
+            simulate_ber(default_geom(), default_rx(aperture_radius=1.5), modes, SIGMA_THETA, cfg,
+                         "asymptotic")
+
     def test_set_past_the_memory_budget_is_refused_before_any_trial(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("chunk run")

@@ -93,6 +93,11 @@ class TestLaguerre:
             laguerre(2, -1, 1.0)
         with pytest.raises(ValueError):
             laguerre(2, 0, math.inf)
+        # A bool is not an order: L_1^2(0.5) = 2.5 came back for True.
+        with pytest.raises(ValueError, match="radial order p must be a non-negative integer"):
+            laguerre(True, 2, 0.5)
+        with pytest.raises(ValueError, match="degree alpha must be a non-negative integer"):
+            laguerre(2, True, 0.5)
 
 
 def _bessel_series(n: int, x: float, terms: int = 60) -> float:
@@ -217,6 +222,9 @@ class TestBessel:
             bessel_j([0], math.nan)
         with pytest.raises(ValueError):
             bessel_j([0.5], 1.0)
+        # A bool is not an order: J_1(1) = 0.4401 came back for True.
+        with pytest.raises(ValueError, match="integers"):
+            bessel_j([True], 1.0)
 
 
 def _scaled_i_reference(orders, beta):
@@ -334,6 +342,8 @@ class TestScaledModifiedBessel:
             bessel_i_scaled([BESSEL_MAX_ORDER + 1], 1.0j)
         with pytest.raises(ValueError, match="integers"):
             bessel_i_scaled([0.5], 1.0j)
+        with pytest.raises(ValueError, match="integers"):
+            bessel_i_scaled([True], 1.0j)
 
 
 @pytest.mark.parametrize("kernel", [bessel_j, bessel_i_scaled])
@@ -474,3 +484,5 @@ class TestGaussLegendre:
             gauss_legendre(1, 0.0, 1.0)
         with pytest.raises(ValueError):
             gauss_legendre(16, 1.0, 1.0)
+        with pytest.raises(ValueError, match="quadrature order must be an integer"):
+            gauss_legendre(True, 0.0, 1.0)

@@ -31,7 +31,7 @@ TRACED_SLOTS = {
     "oamlink.crosstalk.channel_profile": {3: "r_ch", 4: "method"},
     "oamlink.crosstalk.crosstalk_matrix": {4: "method"},
     "oamlink.beam.lg_field": {2: "x", 3: "y"},
-    "oamlink.beam.shifted_aperture_field": {2: "r_prime", 3: "phi_prime"},
+    "oamlink.crosstalk.shifted_aperture_field": {2: "r_prime", 3: "phi_prime"},
     "oamlink.numerics.bessel_j": {1: "x"},
 }
 
@@ -67,8 +67,7 @@ def test_traced_result_fields_exist(name):
 
 # The imports that only give benchmarks/spans.py a name to rebind; each
 # carries "# noqa: F401" on its line.
-TRACER_IMPORTS = {"ber.mode_envelope", "crosstalk.shifted_aperture_field",
-                  "sweep.crosstalk_matrix"}
+TRACER_IMPORTS = {"ber.mode_envelope", "sweep.crosstalk_matrix"}
 
 
 def _module_names_read(table: symtable.SymbolTable) -> set[str]:
