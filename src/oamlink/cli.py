@@ -32,8 +32,8 @@ from oamlink.montecarlo import (
     TrialConfig,
     check_chunk_memory,
     simulate_ber,
-    worker_count,
 )
+from oamlink.numerics import worker_count
 from oamlink.sweep import (
     bench_methods,
     check_bench_grid,

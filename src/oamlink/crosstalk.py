@@ -6,10 +6,10 @@ quality to cheapest:
 
 - ``exact2d``: the full 2D aperture integral (azimuthal projection of the
   shifted field, then a weighted radial integral), with a grid-doubling
-  convergence check. Its grid is walked block by block of rings, with one
-  ``shifted_aperture_field`` pass for every tx mode on the block's rings
-  and one FFT per block. This is the oracle the others are judged
-  against.
+  convergence check. Its grid is walked block by block of rings on the
+  worker threads, with one ``shifted_aperture_field`` pass for every tx
+  mode on the block's rings and one FFT per block. This is the oracle the
+  others are judged against.
 - ``radial-sum``: keeps the azimuthal integral exact (in closed form) but
   evaluates the radial integral on k_r uniformly spaced sample radii.
 - ``bessel-integral``: freezes the slowly varying envelope at the offset
@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -57,6 +58,7 @@ from oamlink.numerics import (
     is_integer,
     laguerre,
     laguerre_coefficients,
+    worker_count,
 )
 
 __all__ = [
@@ -340,35 +342,38 @@ def _ring_powers(
     displaced by r_ch along +x.
 
     The rings are walked in blocks of about ``_EXACT_BLOCK_POINTS`` grid
-    points. For each block one ``shifted_aperture_field`` pass samples the
-    displaced field of every tx mode on the block's rings, one FFT projects
-    each on every filter harmonic, and ``|projection|^2`` times the ring
-    weights is added to a running sum per (filter, tx) pair, each pair with
-    its own reduction so its value does not depend on the other pairs.
-    Returns the coefficients, shape (n_filter, n_tx), and the same sum over
-    every harmonic, which is the power each tx mode puts through the
-    aperture (Parseval), shape (n_tx,).
+    points, on a thread pool of ``worker_count()`` threads. For each block
+    one ``shifted_aperture_field`` pass samples the displaced field of every
+    tx mode on the block's rings, one FFT projects each on every filter
+    harmonic, and ``|projection|^2`` times the ring weights gives the
+    block's sum per (filter, tx) pair, each pair with its own reduction so
+    its value does not depend on the other pairs. The calling thread adds
+    the block sums in block order, so the result is the same bits for any
+    worker count. Returns the coefficients, shape (n_filter, n_tx), and the
+    same sum over every harmonic, which is the power each tx mode puts
+    through the aperture (Parseval), shape (n_tx,).
     """
     nodes, weights = gauss_legendre(radial_order, 0.0, rx.aperture_radius)
     phi = 2.0 * np.pi * np.arange(phi_points) / phi_points
     weighted = weights * nodes
     harmonics = [ell_j % phi_points for ell_j in modes.filter_modes]
-    out = np.zeros((modes.n_filter, modes.n_tx))
-    captured = np.zeros(modes.n_tx)
     rows = max(1, _EXACT_BLOCK_POINTS // phi_points)
-    for start in range(0, radial_order, rows):
+    starts = range(0, radial_order, rows)
+
+    def block_sums(start: int) -> tuple[np.ndarray, np.ndarray]:
         ring = nodes[start : start + rows, np.newaxis]
         fields = shifted_aperture_field(geom, modes.tx_modes, ring, phi, r_ch)
         # ifft index m holds (1/n) sum_k u_k e^{+i m phi_k}; the projection
         # is 2 pi times it, and (2 pi)^2 goes into ``scale``.
         power = np.square(np.abs(np.fft.ifft(fields, axis=-1)))
         block = weighted[start : start + rows]
-        for i, tx_power in enumerate(power):
-            for j, m in enumerate(harmonics):
-                out[j, i] += tx_power[:, m] @ block
-            captured[i] += tx_power.sum(axis=1) @ block
+        return (np.array([[tx_power[:, m] @ block for tx_power in power] for m in harmonics]),
+                np.array([tx_power.sum(axis=1) @ block for tx_power in power]))
+
+    with ThreadPoolExecutor(max_workers=min(worker_count(), len(starts))) as pool:
+        pairs, captured = zip(*pool.map(block_sums, starts))
     scale = 2.0 * math.pi * rx.gain / modes.n_streams**2
-    return scale * out, scale * captured
+    return scale * sum(pairs), scale * sum(captured)
 
 
 def _laurent_product(a: list, b: list) -> list:

@@ -17,9 +17,7 @@ bit-for-bit regardless of how many workers run the chunks.
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -33,19 +31,16 @@ from oamlink.crosstalk import (
     channel_profile,
     check_averaged_method,
 )
-from oamlink.numerics import is_integer
+from oamlink.numerics import is_integer, worker_count
 
 __all__ = [
     "CHUNK_SIZE",
     "MAX_CHUNK_BYTES",
     "MAX_TRIALS",
-    "MAX_WORKERS",
-    "WORKERS_ENV_VAR",
     "DegradedChannelError",
     "TrialConfig",
     "TrialOutcome",
     "check_chunk_memory",
-    "worker_count",
     "simulate_ber",
 ]
 
@@ -63,40 +58,9 @@ MAX_TRIALS = 10**9
 # 138 MB); ten single-mode streams would take 10.7 GB.
 MAX_CHUNK_BYTES = 1 << 28
 
-# Ceiling on worker threads. The threads share the GIL, so past a few per
-# core they add hand-offs, not speed; a run of MAX_TRIALS has 15,259 chunks
-# and would otherwise start one thread per chunk for a mistyped count.
-MAX_WORKERS = 64
-
-WORKERS_ENV_VAR = "OAMLINK_WORKERS"
-
 
 class DegradedChannelError(RuntimeError):
     """Too many trials fell below the crosstalk approximation validity floor."""
-
-
-def worker_count() -> int:
-    """Worker threads to use: the OAMLINK_WORKERS variable, else CPU count,
-    at most MAX_WORKERS."""
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is not None:
-        try:
-            count = int(raw)
-        except ValueError:
-            count = 0
-        if not 1 <= count <= MAX_WORKERS:
-            raise ValueError(
-                f"{WORKERS_ENV_VAR} must be an integer in [1, {MAX_WORKERS}], got {raw!r}"
-            )
-        return count
-    return _cpu_workers()
-
-
-@functools.cache
-def _cpu_workers() -> int:
-    """The default worker count. os.cpu_count makes system calls, so it is
-    read once: the number of CPUs does not change while the process runs."""
-    return min(os.cpu_count() or 1, MAX_WORKERS)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ completeness, mirror symmetry and separability.
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from oamlink.crosstalk import (
     _sample_radii_and_weights,
     _uniform_panel_weights,
 )
-from oamlink.numerics import gauss_legendre, laguerre
+from oamlink.numerics import WORKERS_ENV_VAR, gauss_legendre, laguerre
 from test_beam import polar_closed_form
 
 N_M = 2
@@ -432,10 +433,13 @@ class TestClosedFormProjection:
 
 
 class TestReferenceGridMemory:
-    def test_field_pass_is_blocked(self):
+    def test_field_pass_is_blocked(self, monkeypatch):
         # The finest grid exact2d reaches (2048 angles x 512 rings) for four
         # tx modes: a single field pass over the whole grid holds over
-        # 100 MB; blocks of rings keep the peak to a few MB.
+        # 100 MB; blocks of rings keep the peak to a few MB. Each worker
+        # holds one block's temporaries, so the count is pinned: the peak
+        # must not depend on the host's CPUs.
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
         geom, rx = default_geom(), default_rx()
         modes = ModeSet((-4, -2, 1, 3))
         r_ch = 14.0
@@ -452,7 +456,9 @@ class TestReferenceGridMemory:
         # benchmarks/spans.py counts shifted_aperture_field and lg_field
         # points as broadcast(args[2], args[3]): each block's rings and
         # angles, and then its x and y, go in those slots, whole rings at a
-        # time, with no keyword arguments.
+        # time, with no keyword arguments. One worker, so the calls come in
+        # block order.
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
         calls, traced = [], getattr(oamlink.crosstalk, name)
 
         def counting(*args, **kwargs):
@@ -467,6 +473,53 @@ class TestReferenceGridMemory:
         assert [kwargs for _, kwargs in calls] == [{}, {}]
         sizes = [np.broadcast(args[2], args[3]).size for args, _ in calls]
         assert sizes == [32 * 512, 8 * 512]
+
+
+class TestReferenceWorkers:
+    # exact2d's ring blocks run on the worker threads and the calling thread
+    # adds their sums in block order, so every worker count gives the bits
+    # of one worker.
+
+    def test_uneven_blocks_give_the_one_worker_result(self, monkeypatch):
+        # 512-angle rings in 16,384-point blocks: 32 rings, then the last 8.
+        geom, rx = default_geom(), default_rx()
+        sizes, traced = [], oamlink.crosstalk.shifted_aperture_field
+
+        def counting(*args):
+            sizes.append(np.broadcast(args[2], args[3]).size)
+            return traced(*args)
+
+        monkeypatch.setattr(oamlink.crosstalk, "shifted_aperture_field", counting)
+        results = []
+        for workers in ("1", "2", "3", "2", "3"):
+            monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+            sizes.clear()
+            got = _ring_powers(geom, rx, ModeSet((-4, -2, 1, 3)), 6.0, 512, 40)
+            assert Counter(sizes) == Counter([32 * 512, 8 * 512]), workers
+            results.append(tuple(a.tobytes() for a in got))
+        assert results == results[:1] * len(results)
+
+    @pytest.mark.parametrize("r_ch, rel_tol, radial_order", [
+        # The off-diagonals are FFT round-off and settle by the 1e-13 rule.
+        (0.0, 1e-3, 256),
+        # A tolerance no pair meets walks every grid up to the finest.
+        (1.5, 1e-13, 512),
+    ])
+    def test_worker_count_does_not_change_the_evaluation(
+            self, monkeypatch, r_ch, rel_tol, radial_order):
+        monkeypatch.setattr(oamlink.crosstalk, "_EXACT_REL_TOL", rel_tol)
+        geom, rx = default_geom(), default_rx()
+        modes = ModeSet((-4, -2, 1, 3))
+
+        def evaluation(workers):
+            monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+            e = crosstalk_exact_detailed(geom, rx, modes, r_ch)
+            return e.value.tobytes(), e.converged, e.rel_change, e.phi_points, e.radial_order
+
+        serial = evaluation("1")
+        assert serial[4] == radial_order
+        for workers in ("2", "3", "2", "3"):
+            assert evaluation(workers) == serial, workers
 
 
 class TestDispatchAndBatching:

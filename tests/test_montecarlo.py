@@ -19,14 +19,12 @@ from oamlink.crosstalk import Method, ReceiverConfig
 from oamlink.montecarlo import (
     CHUNK_SIZE,
     MAX_TRIALS,
-    MAX_WORKERS,
-    WORKERS_ENV_VAR,
     DegradedChannelError,
     TrialConfig,
     TrialOutcome,
     simulate_ber,
-    worker_count,
 )
+from oamlink.numerics import MAX_WORKERS, WORKERS_ENV_VAR, worker_count
 
 
 # Per-axis angular pointing jitter, rad.

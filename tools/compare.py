@@ -1,6 +1,8 @@
-"""Check that this tree writes the same bytes as another revision.
+"""Check that this tree writes the same bytes as another revision, or time
+the two against each other.
 
     python3 tools/compare.py --against REV
+    python3 tools/compare.py --against REV --pairs N --workload W [--seed S]
 
 Extracts ``src/`` of REV with ``git archive`` into a temporary directory,
 then runs one fixed job list through each tree's ``oamlink.cli.main``, in a
@@ -24,6 +26,18 @@ The job list is defined here, once:
 A warning goes to a job's stderr as ``Category: message``, without the
 source line Python prints, so a warning raised from a moved line does not
 read as a change. Standard output carries wall times and is not compared.
+
+With ``--pairs N`` no bytes are compared. It extracts ``src/`` and
+``benchmarks/`` of REV and runs ``benchmarks/run.py --workload W --trace 0``
+N times on each tree, one run at a time: pair i uses seed S + i on both
+sides, and the side that runs first alternates, REV first in pair 0. Run
+length is ``BENCHMARK.json``'s ``run_seconds`` unless ``--seconds`` is
+given. For every end-to-end metric it prints both sides' medians and
+quartiles, the change's median relative to REV's, the pairs the change
+won (ties count for neither) and whether that is a gain: at least nine
+tenths of the pairs won and the medians further apart than REV's
+interquartile range. The last line is one JSON object with the summary
+and every run. A run that fails or reports a failed job stops the tool.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ import json
 import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -155,9 +170,10 @@ def run_tree(src: str, jobs_file: str, outdir: str) -> None:
     Path("results.json").write_text(json.dumps(results))
 
 
-def extract(rev: str, dest: Path) -> Path:
-    """``src/`` of ``rev`` under ``dest``, by ``git archive``."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+def extract(rev: str, dest: Path, *paths: str) -> Path:
+    """``paths`` of ``rev`` under ``dest``, by ``git archive``; returns
+    ``dest/src``."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, *paths],
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
@@ -212,9 +228,76 @@ def differences(jobs, base: Path, change: Path) -> dict[str, list[str]]:
     return found
 
 
+def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``benchmarks/run.py`` run of the tree at ``root``: its final
+    JSON object, after checking that every job was correct."""
+    out = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        capture_output=True, text=True)
+    lines = out.stdout.splitlines()
+    if out.returncode != 0 or not lines:
+        raise SystemExit(f"{root}: run.py exited {out.returncode}\n{out.stderr}")
+    report = json.loads(lines[-1])
+    if not report["correct"]:
+        raise SystemExit(f"{root}: {report['failed']} of {report['attempted']} jobs failed, "
+                         f"seed {seed}\n{out.stdout}")
+    return report
+
+
+def pairs(rev: str, n: int, workload: str, first_seed: int, seconds: float | None) -> dict:
+    """Alternating benchmark runs of REV and this tree, summarised per
+    end-to-end metric; prints one line per pair and per metric."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = seconds or spec["run_seconds"]
+    runs = {}
+    with tempfile.TemporaryDirectory(prefix="oamlink-pairs-") as tmp:
+        base = Path(tmp)
+        extract(rev, base, "src", "benchmarks")
+        for i in range(n):
+            seed = first_seed + i
+            order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
+            run = {"first": order[0]}
+            for side in order:
+                report = bench_run(base if side == "base" else ROOT, workload, seed, seconds)
+                run[side] = {"attempted": report["attempted"],
+                             **{k: v["value"] for k, v in report["metrics"].items()}}
+            runs[seed] = run
+            print(f"seed {seed} ({order[0]} first): " + ", ".join(
+                f"{name} {run['base'][name]:.4g} -> {run['change'][name]:.4g}"
+                for name in better), flush=True)
+    summary = {}
+    for name, direction in better.items():
+        old = [r["base"][name] for r in runs.values()]
+        new = [r["change"][name] for r in runs.values()]
+        sign = 1.0 if direction == "lower" else -1.0
+        wins = sum(1 for a, b in zip(old, new) if sign * (a - b) > 0)
+        old_m, new_m = statistics.median(old), statistics.median(new)
+        old_q, new_q = (statistics.quantiles(v, n=4) if n > 1 else [v[0]] * 3
+                        for v in (old, new))
+        gain = wins >= 0.9 * n and sign * (old_m - new_m) > old_q[2] - old_q[0]
+        summary[name] = {
+            "base_median": old_m, "base_quartiles": [old_q[0], old_q[2]],
+            "change_median": new_m, "change_quartiles": [new_q[0], new_q[2]],
+            "change_vs_base": new_m / old_m - 1.0, "change_wins": wins, "pairs": n,
+            "gain": gain,
+        }
+        print(f"{name:16s} {rev} {old_m:.4g} [{old_q[0]:.4g}, {old_q[2]:.4g}]  "
+              f"this tree {new_m:.4g} [{new_q[0]:.4g}, {new_q[2]:.4g}]  "
+              f"{new_m / old_m - 1.0:+.1%}, won {wins} of {n}{', gain' if gain else ''}")
+    return {"against": rev, "workload": workload, "seconds": seconds,
+            "summary": summary, "runs": runs}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", help="git revision to compare with")
+    parser.add_argument("--pairs", type=int, metavar="N",
+                        help="time N alternating benchmark pairs instead of comparing bytes")
+    parser.add_argument("--workload", choices=sorted(WORKLOADS), help="workload of --pairs")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--seconds", type=float, help="run length of --pairs")
     parser.add_argument("--run-tree", nargs=3, metavar=("SRC", "JOBS", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -223,13 +306,18 @@ def main(argv=None) -> int:
         return 0
     if not args.against:
         parser.error("--against REV is required")
+    if args.pairs is not None:
+        if args.pairs < 1 or not args.workload:
+            parser.error("--pairs takes N >= 1 and a --workload")
+        print(json.dumps(pairs(args.against, args.pairs, args.workload, args.seed, args.seconds)))
+        return 0
     jobs = job_list()
     pin_environment()  # the benchmark's worker and BLAS thread counts, for both trees
     with tempfile.TemporaryDirectory(prefix="oamlink-compare-") as tmp:
         work = Path(tmp)
         jobs_file = work / "jobs.json"
         jobs_file.write_text(json.dumps(jobs))
-        trees = {"base": extract(args.against, work / "base"), "change": ROOT / "src"}
+        trees = {"base": extract(args.against, work / "base", "src"), "change": ROOT / "src"}
         seconds = {}
         for name, src in trees.items():
             outdir = work / f"{name}-out"
