@@ -86,7 +86,7 @@ _EXACT_RADIAL_ORDER = 128
 # Relative change between doublings below which a reference pair settles.
 _EXACT_REL_TOL = 1e-3
 # Grid points per field pass of the reference integral: whole rings, so
-# the fields of every tx mode stay a few megabytes on any grid.
+# the fields of every tx mode stay a few megabytes per worker on any grid.
 _EXACT_BLOCK_POINTS = 16384
 
 

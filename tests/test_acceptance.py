@@ -28,7 +28,7 @@ from oamlink.crosstalk import (
     shifted_aperture_field,
 )
 from oamlink.montecarlo import TrialConfig, simulate_ber
-from oamlink.numerics import gauss_legendre
+from oamlink.numerics import WORKERS_ENV_VAR, gauss_legendre
 from oamlink.sweep import bench_methods, optimize_w0
 
 N_STREAMS = 2
@@ -288,11 +288,14 @@ def test_09_distance_trend():
     )
 
 
-def test_10_speedups():
+def test_10_speedups(monkeypatch):
     # On one shared 50-point grid the sampled-radius sum must be at least
     # 5x and the closed Bessel sum at least 50x faster than the reference
     # integral; the quadrature average must beat a million-trial simulation
-    # by at least 100x.
+    # by at least 100x. The reference integral runs on the worker threads,
+    # so their count is pinned to the benchmark's two: the speedups must
+    # not follow the host's CPUs.
+    monkeypatch.setenv(WORKERS_ENV_VAR, "2")
     report = bench_methods(
         make_geom(),
         RX,

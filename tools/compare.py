@@ -28,11 +28,12 @@ source line Python prints, so a warning raised from a moved line does not
 read as a change. Standard output carries wall times and is not compared.
 
 With ``--pairs N`` no bytes are compared. It extracts ``src/`` and
-``benchmarks/`` of REV and runs ``benchmarks/run.py --workload W --trace 0``
-N times on each tree, one run at a time: pair i uses seed S + i on both
-sides, and the side that runs first alternates, REV first in pair 0. Run
-length is ``BENCHMARK.json``'s ``run_seconds`` unless ``--seconds`` is
-given. For every end-to-end metric it prints both sides' medians and
+``benchmarks/`` of REV, copies those of this tree beside them in the same
+temporary directory, so both sides run from the same kind of location, and
+runs ``benchmarks/run.py --workload W --trace 0`` N times on each tree at
+run.py's own run length, one run at a time: pair i uses seed S + i on both
+sides, and the side that runs first alternates, REV first in pair 0. For
+every end-to-end metric it prints both sides' medians and
 quartiles, the change's median relative to REV's, the pairs the change
 won (ties count for neither) and whether that is a gain: at least nine
 tenths of the pairs won and the medians further apart than REV's
@@ -49,6 +50,7 @@ import json
 import math
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -228,12 +230,12 @@ def differences(jobs, base: Path, change: Path) -> dict[str, list[str]]:
     return found
 
 
-def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(root: Path, workload: str, seed: int) -> dict:
     """One ``benchmarks/run.py`` run of the tree at ``root``: its final
     JSON object, after checking that every job was correct."""
     out = subprocess.run(
         [sys.executable, str(root / "benchmarks" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         capture_output=True, text=True)
     lines = out.stdout.splitlines()
     if out.returncode != 0 or not lines:
@@ -245,22 +247,24 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return report
 
 
-def pairs(rev: str, n: int, workload: str, first_seed: int, seconds: float | None) -> dict:
+def pairs(rev: str, n: int, workload: str, first_seed: int) -> dict:
     """Alternating benchmark runs of REV and this tree, summarised per
     end-to-end metric; prints one line per pair and per metric."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    seconds = seconds or spec["run_seconds"]
     runs = {}
     with tempfile.TemporaryDirectory(prefix="oamlink-pairs-") as tmp:
-        base = Path(tmp)
-        extract(rev, base, "src", "benchmarks")
+        trees = {"base": Path(tmp, "base"), "change": Path(tmp, "change")}
+        extract(rev, trees["base"], "src", "benchmarks")
+        for name in ("src", "benchmarks"):
+            shutil.copytree(ROOT / name, trees["change"] / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
         for i in range(n):
             seed = first_seed + i
             order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
             run = {"first": order[0]}
             for side in order:
-                report = bench_run(base if side == "base" else ROOT, workload, seed, seconds)
+                report = bench_run(trees[side], workload, seed)
                 run[side] = {"attempted": report["attempted"],
                              **{k: v["value"] for k, v in report["metrics"].items()}}
             runs[seed] = run
@@ -286,8 +290,7 @@ def pairs(rev: str, n: int, workload: str, first_seed: int, seconds: float | Non
         print(f"{name:16s} {rev} {old_m:.4g} [{old_q[0]:.4g}, {old_q[2]:.4g}]  "
               f"this tree {new_m:.4g} [{new_q[0]:.4g}, {new_q[2]:.4g}]  "
               f"{new_m / old_m - 1.0:+.1%}, won {wins} of {n}{', gain' if gain else ''}")
-    return {"against": rev, "workload": workload, "seconds": seconds,
-            "summary": summary, "runs": runs}
+    return {"against": rev, "workload": workload, "summary": summary, "runs": runs}
 
 
 def main(argv=None) -> int:
@@ -297,7 +300,6 @@ def main(argv=None) -> int:
                         help="time N alternating benchmark pairs instead of comparing bytes")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), help="workload of --pairs")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, help="run length of --pairs")
     parser.add_argument("--run-tree", nargs=3, metavar=("SRC", "JOBS", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -309,7 +311,7 @@ def main(argv=None) -> int:
     if args.pairs is not None:
         if args.pairs < 1 or not args.workload:
             parser.error("--pairs takes N >= 1 and a --workload")
-        print(json.dumps(pairs(args.against, args.pairs, args.workload, args.seed, args.seconds)))
+        print(json.dumps(pairs(args.against, args.pairs, args.workload, args.seed)))
         return 0
     jobs = job_list()
     pin_environment()  # the benchmark's worker and BLAS thread counts, for both trees
