@@ -707,7 +707,7 @@ def cmd_bench(cfg: RunConfig) -> _Output:
             rows,
         ),
         {
-            "workers": 1,
+            "workers": worker_count(),
             **{f"median_s.{name}": f"{s:.6f}" for name, s in report.method_times.items()},
             **{f"speedup.{name}": f"{ratio:.2f}" for name, ratio in speedups},
             "mc_median_s": f"{report.mc_time:.6f}",

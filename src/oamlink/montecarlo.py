@@ -184,20 +184,17 @@ def simulate_ber(
     method: Method | str = Method.BESSEL_SUM,
     *,
     amplitude_matrix: np.ndarray | None = None,
-    max_workers: int | None = None,
 ) -> TrialOutcome:
     """Estimate the symbol-vector error rate of the simulated link under
     the per-axis angular jitter ``sigma_theta`` (radians), with the channel
     of crosstalk ``method``. Refused before any trial: the jitter, the
-    method, the set (``check_chunk_memory``), ``max_workers`` unless an
-    integer >= 1 and, for a drawn channel, exact2d and the Bessel range at
-    the reach (``check_averaged_method``, ``ReceiverConfig.check_bessel_range``).
+    method, the set (``check_chunk_memory``) and, for a drawn channel,
+    exact2d and the Bessel range at the reach (``check_averaged_method``,
+    ``ReceiverConfig.check_bessel_range``).
 
     ``amplitude_matrix`` replaces the pointing-dependent channel with a
     fixed matrix (filter rows by tx columns) for synthetic audits such as
     forcing two identical stream signatures; pointing is then not drawn.
-    ``max_workers`` caps the thread count below the environment setting,
-    which benchmark timings use to pin a single worker.
 
     Raises ``DegradedChannelError`` when more than 0.1% of the pointing
     draws fall below the approximation validity floor, unless the config
@@ -206,8 +203,6 @@ def simulate_ber(
     method = Method.parse(method)
     geom.rayleigh_scale(sigma_theta)
     check_chunk_memory(modes)
-    if max_workers is not None and not (is_integer(max_workers) and max_workers >= 1):
-        raise ValueError(f"max_workers must be an integer >= 1, got {max_workers!r}")
     fixed = None
     if amplitude_matrix is None:
         check_averaged_method(method)
@@ -220,8 +215,6 @@ def simulate_ber(
 
     sizes = _chunk_sizes(cfg.trials)
     workers = min(worker_count(), len(sizes))
-    if max_workers is not None:
-        workers = min(workers, int(max_workers))
 
     def run(idx_size: tuple[int, int]) -> tuple[int, int, int]:
         idx, size = idx_size

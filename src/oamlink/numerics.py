@@ -363,9 +363,6 @@ def q_function(x):
     return out
 
 
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def is_integer(value) -> bool:
     """An ``int`` or ``np.integer`` that is not a ``bool``: a truth value is
     never taken as a count or an order."""
@@ -391,12 +388,14 @@ def gauss_legendre(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     return _legendre_rule(order, a, b)
 
 
+# numpy's nodes and weights on [-1, 1], computed once per order.
+_leggauss = functools.cache(leggauss)
+
+
 def _legendre_rule(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """``gauss_legendre``'s nodes and weights without its argument checks,
     for callers whose order and bounds are valid by construction."""
-    if order not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[order] = leggauss(order)
-    xs, ws = _LEGGAUSS_CACHE[order]
+    xs, ws = _leggauss(order)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     return mid + half * xs, half * ws

@@ -335,9 +335,9 @@ def bench_methods(
     times ``crosstalk`` once per point, and the median of ``repetitions``
     passes is kept in timing order. The Monte Carlo versus
     analytic-average comparison runs the estimator at ``mc_trials`` trials
-    from ``seed``, pinned to a single worker, against one quadrature
-    average of order ``quad_order``, both with bessel-sum whatever
-    ``methods`` lists. ``check_bench_grid``, ``check_average``,
+    from ``seed`` on exact2d's ``worker_count()`` threads, against one
+    quadrature average of order ``quad_order``, both with bessel-sum
+    whatever ``methods`` lists. ``check_bench_grid``, ``check_average``,
     ``Method.parse_distinct`` and the Bessel range at ``r_max`` are checked
     before any timing. Accuracy warnings are suppressed inside the timed
     region so console I/O does not leak into the wall times; the span
@@ -363,8 +363,7 @@ def bench_methods(
             method_times[method.value] = _median_wall_time(one_pass, repetitions)
 
         mc_time = _median_wall_time(
-            lambda: simulate_ber(geom, rx, modes, sigma_theta, cfg, Method.BESSEL_SUM,
-                                 max_workers=1),
+            lambda: simulate_ber(geom, rx, modes, sigma_theta, cfg, Method.BESSEL_SUM),
             repetitions,
         )
         analytic_time = _median_wall_time(

@@ -292,9 +292,10 @@ def test_10_speedups(monkeypatch):
     # On one shared 50-point grid the sampled-radius sum must be at least
     # 5x and the closed Bessel sum at least 50x faster than the reference
     # integral; the quadrature average must beat a million-trial simulation
-    # by at least 100x. The reference integral runs on the worker threads,
-    # so their count is pinned to the benchmark's two: the speedups must
-    # not follow the host's CPUs.
+    # by at least 100x. Every timed evaluator that uses threads, the
+    # reference integral and the simulation alike, runs on the worker
+    # threads, so their count is pinned to the benchmark's two: the
+    # speedups must not follow the host's CPUs.
     monkeypatch.setenv(WORKERS_ENV_VAR, "2")
     report = bench_methods(
         make_geom(),

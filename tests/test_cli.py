@@ -864,20 +864,23 @@ class TestMonteCarloCommand:
         assert not out.exists()
 
     def test_manifests_record_the_worker_layout(self, tmp_path, monkeypatch):
-        # 70,000 trials make two RNG chunks, one per worker thread; both
-        # commands write the layout to the manifest and nowhere else.
+        # 70,000 trials make two RNG chunks, one per worker thread; every
+        # command writes the layout to the manifest and nowhere else. bench
+        # records the worker cap that sizes both its exact2d and its Monte
+        # Carlo pool, and no chunk count.
         monkeypatch.setenv("OAMLINK_WORKERS", "2")
         runs = {
-            "monte-carlo": ["monte-carlo", "--trials", "70000"],
-            "ber-curve": ["ber-curve", "--grid", "0.025", "--candidates=-2|1",
-                          "--monte-carlo", "--trials", "70000"],
+            "monte-carlo": (["monte-carlo", "--trials", "70000"], "2"),
+            "ber-curve": (["ber-curve", "--grid", "0.025", "--candidates=-2|1",
+                           "--monte-carlo", "--trials", "70000"], "2"),
+            "bench": (["bench", *BENCH], None),
         }
-        for name, args in runs.items():
+        for name, (args, chunks) in runs.items():
             out = tmp_path / f"{name}.csv"
             assert main(args + ["-o", str(out)]) == EXIT_OK
             lines = Path(f"{out}.manifest").read_text(encoding="utf-8").splitlines()
             facts = dict(line.split(" = ", 1) for line in lines)
-            assert (facts["manifest.workers"], facts["manifest.chunks"]) == ("2", "2"), name
+            assert (facts["manifest.workers"], facts.get("manifest.chunks")) == ("2", chunks), name
             assert not {"workers", "chunks"} & set(read_csv_file(out)[1]), name
 
 

@@ -136,24 +136,6 @@ class TestSimulateBer:
         assert serial.bit_errors == threaded.bit_errors
         assert threaded.workers == 2  # capped by the number of chunks
 
-    def test_max_workers_cap(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        geom, rx = default_geom(), default_rx()
-        modes = ModeSet(tx_modes=(-2, 1))
-        cfg = TrialConfig(trials=CHUNK_SIZE + 5000, seed=1)
-        out = simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, max_workers=1)
-        assert out.workers == 1
-        assert simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, max_workers=np.int64(3)).workers == 2
-        # Anything but an integer >= 1 is refused before any chunk: a bool
-        # is an int to isinstance but not a count.
-        def refuse(*args):
-            raise AssertionError("chunk run")
-
-        monkeypatch.setattr("oamlink.montecarlo._run_chunk", refuse)
-        for bad in (0, -1, 1.5, 2.0, True, "2"):
-            with pytest.raises(ValueError, match=f"max_workers must be an integer >= 1, got {bad!r}"):
-                simulate_ber(geom, rx, modes, SIGMA_THETA, cfg, max_workers=bad)
-
     def test_common_random_numbers_monotone_in_noise(self):
         # Same seed means identical pointing, symbols and noise draws, so
         # raising the noise level can only add errors in aggregate.

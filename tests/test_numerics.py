@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import special as sps
 
 from oamlink import numerics
@@ -472,6 +473,10 @@ class TestGaussLegendre:
             nodes, weights = rule
             want_nodes, want_weights = numerics._legendre_rule(order, a, b)
             assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+            # Its memo holds numpy's unit rule, bit for bit, once per order.
+            unit = numerics._leggauss(order)
+            assert unit is numerics._leggauss(order)
+            assert all(np.array_equal(got, want) for got, want in zip(unit, leggauss(order)))
             assert nodes.min() > a and nodes.max() < b
             assert weights.sum() == pytest.approx(b - a, rel=1e-13)
 
