@@ -136,6 +136,17 @@ class TestSimulateBer:
         assert serial.bit_errors == threaded.bit_errors
         assert threaded.workers == 2  # capped by the number of chunks
 
+    def test_pool_follows_the_worker_rule(self, monkeypatch):
+        # The pool is min(worker_count(), chunks) threads: the worker cap
+        # alone can hold two chunks to one thread, and no call overrides it.
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+        out = self.run_default(trials=CHUNK_SIZE + 5000)
+        assert (out.workers, out.chunks) == (1, 2)
+        cfg = TrialConfig(trials=CHUNK_SIZE + 5000, seed=42)
+        with pytest.raises(TypeError, match="max_workers"):
+            simulate_ber(default_geom(), default_rx(), ModeSet(tx_modes=(-2, 1)),
+                         SIGMA_THETA, cfg, max_workers=2)
+
     def test_common_random_numbers_monotone_in_noise(self):
         # Same seed means identical pointing, symbols and noise draws, so
         # raising the noise level can only add errors in aggregate.
