@@ -36,7 +36,8 @@ from oamlink.crosstalk import (
     check_averaged_method,
     mode_envelope,  # noqa: F401  benchmarks/spans.py traces ber.mode_envelope
 )
-from oamlink.numerics import _legendre_rule, is_integer, laguerre_coefficients, q_function
+from oamlink.numerics import (_kronrod, _legendre_rule, is_integer, laguerre_coefficients,
+                              q_function)
 
 __all__ = [
     "rayleigh_pdf",
@@ -48,8 +49,8 @@ __all__ = [
     "average_ber",
 ]
 
-# Per-window quadrature order used on each degeneracy ridge (doubled along
-# with the base order by the convergence self-check).
+# Per-window quadrature order used on each degeneracy ridge (extended to
+# its Gauss-Kronrod rule, like the base order, by the convergence self-check).
 _WINDOW_ORDER = 48
 
 # Points of the cached crossing search's scan of (0, cap]; cap is at most
@@ -267,8 +268,10 @@ def _piecewise_rule(
     upper: float,
     order: int,
     window_order: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated Gauss-Legendre nodes and weights on [0, upper].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenated Gauss-Legendre nodes and weights on [0, upper], then the
+    Gauss-Kronrod extension's added nodes and its weights at the Gauss nodes
+    followed by the added ones.
 
     The plain rule of the requested order covers each gap between windows;
     each window half gets its own rule, split at the crossing so the kink
@@ -284,15 +287,20 @@ def _piecewise_rule(
         cursor = hi
     if cursor < upper:
         pieces.append((cursor, upper, order))
-    nodes = []
-    weights = []
+    nodes, weights, added, gauss_kronrod, added_kronrod = [], [], [], [], []
     for a, b, n in pieces:
         if b - a <= upper * 1e-15:
             continue
         piece_nodes, piece_weights = _legendre_rule(n, a, b)
         nodes.append(piece_nodes)
         weights.append(piece_weights)
-    return np.concatenate(nodes), np.concatenate(weights)
+        xs, gauss_ws, added_ws = _kronrod(n)
+        half = 0.5 * (b - a)
+        added.append(0.5 * (b + a) + half * xs)
+        gauss_kronrod.append(half * gauss_ws)
+        added_kronrod.append(half * added_ws)
+    return (np.concatenate(nodes), np.concatenate(weights), np.concatenate(added),
+            np.concatenate(gauss_kronrod + added_kronrod))
 
 
 def check_quad_order(quad_order: int) -> None:
@@ -335,9 +343,11 @@ def average_ber(
     [0, 8 sigma_r] (``REACH_SIGMAS``). The rule is
     composed piecewise around each stream-amplitude crossing, whose
     centimeter-scale degeneracy ridge a single global rule would step
-    over. The rule at twice the order is the self-check, and both orders
-    come from one kernel pass; a relative shift above 1% marks the result
-    as not converged and warns with ``QuadratureConvergenceWarning``. A
+    over. The self-check is each piece's Gauss-Kronrod extension, which
+    reuses the Gauss nodes and adds order + 1 more, all in one kernel pass;
+    the reported BER is the Gauss sum, and a relative gap to the Kronrod sum
+    above 1% marks the result as not converged and warns with
+    ``QuadratureConvergenceWarning``. A
     Bessel-based method warns with ``ApproximationWarning`` when the whole
     domain lies below its validity floor. ``check_average`` runs first: the
     method (no exact2d), the jitter, the Bessel range at the reach, the
@@ -356,21 +366,20 @@ def average_ber(
             stacklevel=2,
         )
     windows = _degeneracy_windows(geom, rx, modes, method, upper)
-    nodes, weights = _piecewise_rule(windows, upper, int(quad_order), _WINDOW_ORDER)
-    fine_nodes, fine_weights = _piecewise_rule(windows, upper, 2 * int(quad_order),
-                                               2 * _WINDOW_ORDER)
-    both = np.concatenate([nodes, fine_nodes])
+    nodes, weights, added, kronrod = _piecewise_rule(windows, upper, int(quad_order),
+                                                     _WINDOW_ORDER)
+    both = np.concatenate([nodes, added])
     h1, h2 = _vectors_from_profile(channel_profile(geom, rx, modes, both, method), modes)
     integrand = rayleigh_pdf(both, scale) * conditional_ber(h1, h2, rx.noise_level)
     base = float(np.dot(weights, integrand[: nodes.size]))
-    refined = float(np.dot(fine_weights, integrand[nodes.size :]))
+    extended = float(np.dot(kronrod, integrand))
     degraded_fraction = float(np.count_nonzero(nodes < floor)) / nodes.size
-    scale = max(abs(base), abs(refined), np.finfo(float).tiny)
-    self_check = abs(refined - base) / scale
+    scale = max(abs(base), abs(extended), np.finfo(float).tiny)
+    self_check = abs(extended - base) / scale
     converged = self_check <= 1e-2
     if not converged:
         warnings.warn(
-            f"pointing average did not settle: doubling the quadrature order "
+            f"pointing average did not settle: the Gauss-Kronrod extension "
             f"moved the BER by {self_check:.2%}",
             QuadratureConvergenceWarning,
             stacklevel=2,

@@ -399,3 +399,44 @@ def _legendre_rule(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     return mid + half * xs, half * ws
+
+
+@functools.cache
+def _kronrod(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (2 order + 1)-point Gauss-Kronrod extension of the Gauss-Legendre
+    rule of ``order`` on [-1, 1], exact through degree 3 order + 1: the
+    order + 1 added nodes, the Kronrod weights at ``_leggauss``'s nodes and
+    those at the added nodes, each ascending. Memoised, read-only.
+
+    Laurie's algorithm (Math. Comp. 66 (1997) 1133) extends the Legendre
+    recurrence b_0 = 2, b_k = k^2 / (4k^2 - 1) to the Jacobi-Kronrod matrix,
+    whose eigenvalues are the nodes and 2 v_0^2 the weights (Golub-Welsch).
+    The weight is even, so the diagonal is zero and only b is extended.
+    """
+    n = order
+    b = [2.0] + [k * k / (4.0 * k * k - 1.0) for k in range(1, (3 * n + 1) // 2 + 1)]
+    b += [0.0] * (2 * n + 1 - len(b))
+    s, t = [0.0] * (n // 2 + 2), [0.0, b[n + 1]] + [0.0] * (n // 2)
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            u += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s = s[:1] + s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - m + k
+            u += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    # eigh reads the lower triangle only.
+    nodes, vectors = np.linalg.eigh(np.diag(np.sqrt(b[1:]), -1))
+    weights = 2.0 * vectors[0] ** 2
+    rule = nodes[0::2], weights[1::2], weights[0::2]
+    for part in rule:
+        part.flags.writeable = False
+    return rule

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from oamlink.beam import LinkGeometry, ModeSet
+from oamlink.beam import REACH_SIGMAS, LinkGeometry, ModeSet
 from oamlink import ber
 from oamlink.ber import (
     BerResult,
     _degeneracy_windows,
     _gap_roots,
     _piecewise_rule,
+    _vectors_from_profile,
     average_ber,
     check_quad_order,
     conditional_ber,
@@ -28,11 +29,12 @@ from oamlink.ber import (
 )
 from oamlink.crosstalk import (
     Method,
+    QuadratureConvergenceWarning,
     ReceiverConfig,
     channel_profile,
     mode_envelope,
 )
-from oamlink.numerics import gauss_legendre, q_function
+from oamlink.numerics import _kronrod, gauss_legendre, q_function
 
 
 def default_geom(waist=0.025, radial_index=0, distance=1.0e6):
@@ -64,6 +66,20 @@ def four_term_ref(h1, h2, n0):
         + 0.5 * q_ref(ns * scale)
         + 0.5 * q_ref(nd * scale)
     )
+
+
+def rule_pieces(windows, upper, order, window_order):
+    """average_ber's pieces (a, b, n): the base order on the gaps, the
+    window order on each half of each window, empty pieces dropped."""
+    pieces, cursor = [], 0.0
+    for lo, mid, hi in windows:
+        if lo > cursor:
+            pieces.append((cursor, lo, order))
+        pieces += [(lo, mid, window_order), (mid, hi, window_order)]
+        cursor = hi
+    if cursor < upper:
+        pieces.append((cursor, upper, order))
+    return [(a, b, n) for a, b, n in pieces if b - a > upper * 1e-15]
 
 
 def conditional_profile(geom, rx, radii, method):
@@ -388,23 +404,33 @@ class TestAverageBer:
                     crossings += len(roots)
         assert crossings > 0
 
-    @pytest.mark.parametrize("tx, grouping, crossings", [
-        ((-2, 1), None, 1),
-        ((-4, -2, 1, 3), ((-4, -2), (1, 3)), 1),
-        ((-1, 1), None, 0),
-    ], ids=["-2|1", "-4,-2|1,3", "-1|1"])
-    def test_one_kernel_pass_per_average(self, monkeypatch, tx, grouping, crossings):
-        # The base and doubled rules share one channel_profile call; the only
-        # other calls are the one-radius slope probes, one per crossing.
+    @pytest.mark.parametrize("tx, grouping, crossings, method, quad_order", [
+        ((-2, 1), None, 1, Method.BESSEL_SUM, 64),
+        ((-4, -2, 1, 3), ((-4, -2), (1, 3)), 1, Method.BESSEL_SUM, 17),  # does not settle
+        ((-1, 1), None, 0, Method.BESSEL_SUM, 64),
+        ((-2, 1), None, 1, Method.RADIAL_SUM, 96),
+        ((-2, 1), None, 1, Method.ASYMPTOTIC, 256),
+    ], ids=["-2|1", "-4,-2|1,3-q17", "-1|1", "-2|1-radial-sum", "-2|1-asymptotic-q256"])
+    @pytest.mark.filterwarnings("ignore::oamlink.crosstalk.QuadratureConvergenceWarning")
+    def test_one_kernel_pass_per_average(self, monkeypatch, tx, grouping, crossings, method,
+                                         quad_order):
+        # The Gauss rule and its Kronrod extension share one channel_profile
+        # call over sum(2 n_i + 1) radii, n_i the order of piece i: the Gauss
+        # nodes and the n_i + 1 added ones, not a second rule of twice the
+        # order (3 n_i). The only other calls are the one-radius slope
+        # probes, one per crossing.
         geom, rx = default_geom(), default_rx()
         sigma_theta = 3.0e-5
         modes = ModeSet(tx_modes=tx, stream_grouping=grouping)
-        probe = np.linspace(0.0, 8.0 * geom.rayleigh_scale(sigma_theta), 4097)[1:]
+        upper = REACH_SIGMAS * geom.rayleigh_scale(sigma_theta)
+        probe = np.linspace(0.0, upper, 4097)[1:]
         env = [np.sqrt(mode_envelope(geom, rx, 2, [ell], probe)[0])
                for ell in tx]
         gap = np.einsum("tn,tk->kn", env, modes.stream_matrix)
         gap = gap[0] - gap[1]
         assert np.count_nonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0) == crossings
+        pieces = rule_pieces(_degeneracy_windows(geom, rx, modes, method, upper), upper,
+                             quad_order, 48)
         sizes = []
 
         def counting(geom, rx, modes, r_ch, method):
@@ -412,9 +438,10 @@ class TestAverageBer:
             return channel_profile(geom, rx, modes, r_ch, method)
 
         monkeypatch.setattr("oamlink.ber.channel_profile", counting)
-        average_ber(geom, rx, modes, sigma_theta, Method.BESSEL_SUM, quad_order=64)
+        average_ber(geom, rx, modes, sigma_theta, method, quad_order)
         assert len(sizes) == 1 + crossings, sizes
         assert sorted(sizes)[:-1] == [1] * crossings, sizes
+        assert max(sizes) == sum(2 * n + 1 for _, _, n in pieces), sizes
 
     @pytest.mark.parametrize("label, radial_index, frozen", [
         ("-2|1", 0, "[(19.71218000565596, 19.735228778029057, 19.758277550402155)]"),
@@ -519,22 +546,25 @@ class TestAverageBer:
 class TestPiecewiseRule:
     @staticmethod
     def per_piece_rules(windows, upper, order, window_order):
-        """The rule built piece by piece from the public gauss_legendre."""
-        pieces, cursor = [], 0.0
-        for lo, mid, hi in windows:
-            if lo > cursor:
-                pieces.append((cursor, lo, order))
-            pieces += [(lo, mid, window_order), (mid, hi, window_order)]
-            cursor = hi
-        if cursor < upper:
-            pieces.append((cursor, upper, order))
-        nodes, weights = zip(*(gauss_legendre(n, a, b) for a, b, n in pieces
-                               if b - a > upper * 1e-15))
-        return np.concatenate(nodes), np.concatenate(weights)
+        """The rule built piece by piece: the Gauss part from the public
+        gauss_legendre, and the Kronrod extension's added nodes and weights
+        (at the Gauss nodes, then at the added ones) mapped from _kronrod."""
+        pieces = rule_pieces(windows, upper, order, window_order)
+        nodes, weights = zip(*(gauss_legendre(n, a, b) for a, b, n in pieces))
+        added, at_gauss, at_added = [], [], []
+        for a, b, n in pieces:
+            xs, gauss_ws, added_ws = _kronrod(n)
+            half = 0.5 * (b - a)
+            added.append(0.5 * (b + a) + half * xs)
+            at_gauss.append(half * gauss_ws)
+            at_added.append(half * added_ws)
+        return (np.concatenate(nodes), np.concatenate(weights), np.concatenate(added),
+                np.concatenate(at_gauss + at_added))
 
     def test_equals_per_piece_gauss_legendre(self):
-        # The pieces are mapped from the cached Legendre table directly; the
-        # floats must be the ones gauss_legendre gives, with and without
+        # The pieces are mapped from the cached Legendre and Kronrod tables
+        # directly; the floats must be the ones gauss_legendre gives, and
+        # the Kronrod parts those of each piece's own map, with and without
         # windows, for every base order average_ber accepts and its double.
         upper = 8.0 * default_geom(waist=0.015).rayleigh_scale(3.0e-5)
         found = _degeneracy_windows(default_geom(waist=0.015), default_rx(),
@@ -552,8 +582,77 @@ class TestPiecewiseRule:
                 for base, window_order in ((order, 48), (2 * order, 96)):
                     got = _piecewise_rule(windows, upper, base, window_order)
                     want = self.per_piece_rules(windows, upper, base, window_order)
-                    assert np.array_equal(got[0], want[0]), (windows, base)
-                    assert np.array_equal(got[1], want[1]), (windows, base)
+                    assert len(got) == 4
+                    for part, (g, w) in enumerate(zip(got, want)):
+                        assert np.array_equal(g, w), (windows, base, part)
+                    # The Kronrod weights cover the Gauss nodes, then the
+                    # added ones, and each rule spans [0, upper].
+                    nodes, weights, added, kronrod = got
+                    assert kronrod.size == nodes.size + added.size
+                    assert weights.sum() == pytest.approx(upper, rel=1e-13)
+                    assert kronrod.sum() == pytest.approx(upper, rel=1e-13)
+
+
+# The seven regimes of ROADMAP Table U (default link at 1000 km, p = 0,
+# bessel-sum at q = 64), criterion 06's links (bessel-sum at q = 192) and
+# criterion 08's (radial-sum at q = 96 across its search range), each
+# (w0, sigma_theta, mode set, method, q).
+GATE_REGIMES = [
+    (0.015, 2e-5, "-2|1", Method.BESSEL_SUM, 64),
+    (0.025, 3e-5, "-2|1", Method.BESSEL_SUM, 64),
+    (0.035, 2e-5, "-2|1", Method.BESSEL_SUM, 64),
+    (0.015, 2e-5, "-4,-2|1,3", Method.BESSEL_SUM, 64),
+    (0.025, 3e-5, "-4,-2|1,3", Method.BESSEL_SUM, 64),
+    (0.025, 3e-5, "-2|2", Method.BESSEL_SUM, 64),
+    (0.025, 1e-5, "-1|1", Method.BESSEL_SUM, 64),
+    *((w0, 2e-5, "-2|1", Method.BESSEL_SUM, 192) for w0 in (0.013, 0.015, 0.017)),
+    *((w0, sigma, "-2|1", Method.RADIAL_SUM, 96)
+      for sigma in (1e-5, 2e-5, 3e-5) for w0 in (0.005, 0.01, 0.025, 0.06)),
+]
+
+
+class TestSelfCheckGate:
+    """The Gauss-Kronrod self-check measures what the doubled-order rule
+    it replaced measured, so the 1% gate keeps its meaning."""
+
+    @staticmethod
+    def doubled_order_estimate(geom, rx, modes, sigma_theta, method, quad_order, base):
+        """|fine - base| / max(|fine|, |base|), fine the Gauss-Legendre
+        rule of twice the order (96 on the windows) on average_ber's pieces."""
+        scale = geom.rayleigh_scale(sigma_theta)
+        upper = REACH_SIGMAS * scale
+        windows = _degeneracy_windows(geom, rx, modes, method, upper)
+        fine = 0.0
+        for a, b, n in rule_pieces(windows, upper, 2 * quad_order, 96):
+            x, w = gauss_legendre(n, a, b)
+            h1, h2 = _vectors_from_profile(channel_profile(geom, rx, modes, x, method), modes)
+            fine += w @ (rayleigh_pdf(x, scale) * conditional_ber(h1, h2, rx.noise_level))
+        return abs(fine - base) / max(abs(fine), abs(base))
+
+    @pytest.mark.parametrize("w0, sigma_theta, spec, method, quad_order", GATE_REGIMES)
+    def test_kronrod_check_tracks_the_doubled_order_check(self, w0, sigma_theta, spec, method,
+                                                          quad_order):
+        geom, rx, modes = default_geom(waist=w0), default_rx(), ModeSet.parse(spec)
+        result = average_ber(geom, rx, modes, sigma_theta, method, quad_order)
+        kronrod = result.quad_self_check_rel
+        doubled = self.doubled_order_estimate(geom, rx, modes, sigma_theta, method,
+                                              quad_order, result.averaged)
+        assert (kronrod < 1e-8 and doubled < 1e-8) or 0.5 <= kronrod / doubled <= 2.0, (
+            kronrod, doubled)
+        assert (kronrod <= 1e-2) == (doubled <= 1e-2) == result.quad_converged
+
+    def test_unsettled_average_names_the_extension(self):
+        # At q = 16 the default link's average fails the gate; the warning
+        # carries one number, the relative move, so sweep's status fold
+        # still ranks the warnings by it.
+        geom, rx, modes = default_geom(), default_rx(), ModeSet((-2, 1))
+        with pytest.warns(QuadratureConvergenceWarning) as caught:
+            result = average_ber(geom, rx, modes, 3e-5, Method.BESSEL_SUM, 16)
+        assert not result.quad_converged
+        (text,) = [str(w.message) for w in caught]
+        assert text == ("pointing average did not settle: the Gauss-Kronrod extension "
+                        f"moved the BER by {result.quad_self_check_rel:.2%}")
+        assert len(re.findall(r"\d+(?:\.\d+)?", text)) == 1
 
 
 CACHE_SPECS = ("-2|1", "-3|1", "-4,-2|1,3", "-3,-1|2,4")

@@ -937,7 +937,7 @@ class TestOptimizeCommand:
         assert "optimize.boundary = true" in out.read_text(encoding="utf-8")
 
     def test_warnings_go_to_manifest_status(self, tmp_path):
-        # At this order the doubled-order self-check fails on some waists:
+        # At this order the Gauss-Kronrod self-check fails on some waists:
         # the warnings land in the manifest's status line, not on stderr,
         # and the report itself carries no status.
         out = tmp_path / "opt.txt"

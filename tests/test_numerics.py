@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy import special as sps
 
 from oamlink import numerics
@@ -491,3 +491,52 @@ class TestGaussLegendre:
             gauss_legendre(16, 1.0, 1.0)
         with pytest.raises(ValueError, match="quadrature order must be an integer"):
             gauss_legendre(True, 0.0, 1.0)
+
+
+KRONROD_ORDERS = (16, 17, 31, 48, 64, 100, 128, 255, 256)
+
+
+class TestKronrod:
+    """The Gauss-Kronrod extension that average_ber's self-check uses:
+    numpy's Gauss nodes with _kronrod's weights, plus its added nodes."""
+
+    @staticmethod
+    def combined(n):
+        added, gauss_weights, added_weights = numerics._kronrod(n)
+        return (np.concatenate([leggauss(n)[0], added]),
+                np.concatenate([gauss_weights, added_weights]))
+
+    @pytest.mark.parametrize("n", KRONROD_ORDERS)
+    def test_exact_through_degree_3n_plus_1(self, n):
+        nodes, weights = self.combined(n)
+        assert nodes.size == 2 * n + 1
+        degrees = np.arange(3 * n + 2)
+        exact = np.where(degrees % 2 == 0, 2.0 / (degrees + 1), 0.0)
+        got = weights @ nodes[:, None] ** degrees
+        assert np.abs(got - exact).max() < 1e-14
+        # Monomials of high degree barely tell rules apart; Legendre
+        # polynomials do. Each P_k, k >= 1, integrates to zero through
+        # degree 3n + 1 and the first degree past the rule's misses by far
+        # more than round-off (3n + 2 for even n, 3n + 3 for odd n).
+        first_miss = 3 * n + 2 + n % 2
+        got = weights @ legvander(nodes, first_miss)
+        assert got[0] == pytest.approx(2.0, rel=1e-14)
+        assert np.abs(got[1 : 3 * n + 2]).max() < 1e-14
+        assert abs(got[first_miss]) > 1e-8
+
+    @pytest.mark.parametrize("n", KRONROD_ORDERS)
+    def test_weights_positive_and_nodes_interlace(self, n):
+        added, gauss_weights, added_weights = numerics._kronrod(n)
+        assert gauss_weights.min() > 0.0 and added_weights.min() > 0.0
+        gauss_nodes = leggauss(n)[0]
+        assert -1.0 < added[0] and added[-1] < 1.0
+        # added[0] < g[0] < added[1] < g[1] < ... < g[n-1] < added[n]
+        assert np.all(added[:-1] < gauss_nodes) and np.all(gauss_nodes < added[1:])
+
+    def test_memo_is_read_only(self):
+        rule = numerics._kronrod(64)
+        assert rule is numerics._kronrod(64)
+        for part in rule:
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 0.0
