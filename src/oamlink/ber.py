@@ -29,6 +29,7 @@ import numpy as np
 from oamlink.beam import REACH_SIGMAS, LinkGeometry, ModeSet, lg_radial_norm
 from oamlink.crosstalk import (
     ApproximationWarning,
+    Check,
     Method,
     QuadratureConvergenceWarning,
     ReceiverConfig,
@@ -69,7 +70,7 @@ def rayleigh_pdf(r, scale: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BerResult:
-    """Averaged BER with the quadrature audit trail.
+    """Averaged BER with the quadrature audit trail and the checks it failed.
 
     ``averaged`` is the Rayleigh-weighted mean of the conditional error
     probability and lives in [0, 1.5]; ``averaged_clamped`` caps it at 0.5
@@ -80,6 +81,7 @@ class BerResult:
     quad_self_check_rel: float = 0.0
     quad_converged: bool = True
     degraded_node_fraction: float = 0.0
+    checks: tuple[Check, ...] = ()
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.averaged <= 1.5):
@@ -346,25 +348,22 @@ def average_ber(
     over. The self-check is each piece's Gauss-Kronrod extension, which
     reuses the Gauss nodes and adds order + 1 more, all in one kernel pass;
     the reported BER is the Gauss sum, and a relative gap to the Kronrod sum
-    above 1% marks the result as not converged and warns with
-    ``QuadratureConvergenceWarning``. A
-    Bessel-based method warns with ``ApproximationWarning`` when the whole
-    domain lies below its validity floor. ``check_average`` runs first: the
-    method (no exact2d), the jitter, the Bessel range at the reach, the
-    order and the set (``check_two_streams``).
+    above 1% marks the result as not converged and fails a
+    ``QuadratureConvergenceWarning`` check; a Bessel-based method fails an
+    ``ApproximationWarning`` check when the whole domain lies below its
+    floor. Both go into ``BerResult.checks`` and are warned. ``check_average``
+    runs first: the method (no exact2d), the jitter, the Bessel range at
+    the reach, the order and the set (``check_two_streams``).
     """
     method = check_average(geom, rx, modes, sigma_theta, method, quad_order)
     scale = geom.rayleigh_scale(sigma_theta)
     upper = REACH_SIGMAS * scale
     floor = method.validity_floor
+    checks = []
     if upper < floor:
-        warnings.warn(
-            f"every averaged offset (up to 8 sigma_r = {upper:.3g} m) is below the "
-            f"{floor:g} m validity floor of the Bessel-based "
-            "approximations; accuracy is degraded",
-            ApproximationWarning,
-            stacklevel=2,
-        )
+        checks.append(Check(ApproximationWarning, floor - upper, "every averaged offset (up to 8 "
+                            f"sigma_r = {upper:.3g} m) is below the {floor:g} m validity floor of "
+                            "the Bessel-based approximations; accuracy is degraded"))
     windows = _degeneracy_windows(geom, rx, modes, method, upper)
     nodes, weights, added, kronrod = _piecewise_rule(windows, upper, int(quad_order),
                                                      _WINDOW_ORDER)
@@ -378,15 +377,15 @@ def average_ber(
     self_check = abs(extended - base) / scale
     converged = self_check <= 1e-2
     if not converged:
-        warnings.warn(
-            f"pointing average did not settle: the Gauss-Kronrod extension "
-            f"moved the BER by {self_check:.2%}",
-            QuadratureConvergenceWarning,
-            stacklevel=2,
-        )
+        checks.append(Check(QuadratureConvergenceWarning, self_check,
+                            "pointing average did not settle: the Gauss-Kronrod extension "
+                            f"moved the BER by {self_check:.2%}"))
+    for check in checks:
+        warnings.warn(check.text, check.category, stacklevel=2)
     return BerResult(
         averaged=base,
         quad_self_check_rel=self_check,
         quad_converged=converged,
         degraded_node_fraction=degraded_fraction,
+        checks=tuple(checks),
     )

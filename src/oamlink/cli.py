@@ -19,13 +19,15 @@ import math
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from oamlink import __version__
 from oamlink.beam import LinkGeometry, ModeSet, check_offset_radius
 from oamlink.ber import average_ber, check_quad_order, check_two_streams
-from oamlink.crosstalk import Method, ReceiverConfig, check_averaged_method, crosstalk_matrix
+from oamlink.crosstalk import (ApproximationWarning, Method, QuadratureConvergenceWarning,
+                                ReceiverConfig, check_averaged_method, crosstalk_matrix)
 from oamlink.montecarlo import (
     MAX_TRIALS,
     DegradedChannelError,
@@ -38,10 +40,10 @@ from oamlink.sweep import (
     bench_methods,
     check_bench_grid,
     check_candidates,
+    check_status,
     check_waist_search,
     optimize_w0,
     rank_mode_sets,
-    warning_status,
 )
 
 EXIT_OK = 0
@@ -395,11 +397,9 @@ def _dbm(c_watts: float, tx_power_w: float) -> float:
 
 
 def _capture(fn, *args):
-    """``warning_status(fn, *args)``, with an error folded into the status
-    cell too: "error: Type: message" with a None result (warnings raised
-    before the error are dropped)."""
+    """``(fn(*args), None)``, or ``(None, "error: Type: message")`` if it raises."""
     try:
-        return warning_status(fn, *args)
+        return fn(*args), None
     except Exception as exc:
         return None, f"error: {type(exc).__name__}: {exc}"
 
@@ -455,7 +455,8 @@ def cmd_crosstalk_curve(cfg: RunConfig) -> _Output:
     evaluated = {}
     for r in radii:
         for method in methods:
-            evaluated[(r, method)] = _capture(crosstalk_matrix, geom, rx, modes, r, method)
+            res, error = _capture(crosstalk_matrix, geom, rx, modes, r, method)
+            evaluated[(r, method)] = (None, error) if error else (res[0], check_status(res[1]))
 
     rows = []
     errors = 0
@@ -530,6 +531,7 @@ def cmd_ber_curve(cfg: RunConfig) -> _Output:
                 else:
                     raw, clamped = res.averaged, res.averaged_clamped
                     unconverged += not res.quad_converged
+                    status = check_status(res.checks)
                 row = [value, label, method.value, raw, clamped]
                 if with_mc:
                     try:
@@ -605,9 +607,7 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
         with _config_errors(keys={"geometry.w0_m": key}):
             geom, rx, sigma_theta = cfg.with_value("geometry.w0_m", bound).link((method,))
     (modes,) = cfg.two_stream_sets()
-    result, status = warning_status(
-        optimize_w0, geom, rx, modes, sigma_theta, (lo, hi), tol, method, quad_order
-    )
+    result = optimize_w0(geom, rx, modes, sigma_theta, (lo, hi), tol, method, quad_order)
     (b_lo, b_mid, b_hi) = result.bracket
     boundary = str(result.boundary).lower()
     # Floats print in their shortest round-trip form, as in the CSVs.
@@ -629,7 +629,7 @@ def cmd_optimize(cfg: RunConfig) -> _Output:
     return _Output(
         "".join(f"optimize.{key} = {_fmt(value)}\n" for key, value in report.items()),
         {"boundary": boundary, "evaluations": result.evaluations, "quad_order": quad_order,
-         "status": status},
+         "status": check_status(result.checks)},
         f"w0*={result.w0_opt:.6g} m, ber*={result.ber_opt:.6g}{flag} "
         f"[{result.evaluations} evaluations]",
         EXIT_BOUNDARY if result.boundary else EXIT_OK,
@@ -843,12 +843,16 @@ def run_command(command: str, cfg: RunConfig) -> int:
 
     A failed evaluation exits 3 with no file: a Monte Carlo run with too
     many degraded draws, or numbers out of range for the numerics (a
-    configuration error is not one of these).
+    configuration error is not one of these). Failed checks go to the
+    status cells, not to stderr: their warnings are ignored.
     """
     path = cfg.output_path(command)
     start = time.perf_counter()
     try:
-        out = _COMMANDS[command][0](cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ApproximationWarning)
+            warnings.simplefilter("ignore", QuadratureConvergenceWarning)
+            out = _COMMANDS[command][0](cfg)
     except ConfigError:
         raise
     except (DegradedChannelError, ValueError, ArithmeticError) as exc:

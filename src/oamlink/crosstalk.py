@@ -31,9 +31,9 @@ under an explicit stream count ``n_m``. The Bessel-based forms
 (bessel-integral, bessel-sum, asymptotic) assume the offset radius is
 large against the aperture; below ``SMALL_OFFSET_FLOOR``
 (``Method.validity_floor``) those single-offset views still return values
-but flag degraded accuracy with ``ApproximationWarning``. Only methods
-that evaluate a Bessel function (``Method.has_bessel_kernel``) are held
-to its argument range (``ReceiverConfig.check_bessel_range``).
+but fail a ``Check``, which both warn and ``crosstalk_matrix`` returns.
+Only methods that evaluate a Bessel function (``Method.has_bessel_kernel``)
+are held to its argument range (``ReceiverConfig.check_bessel_range``).
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ __all__ = [
     "Method",
     "ReceiverConfig",
     "ExactEvaluation",
+    "Check",
     "ApproximationWarning",
     "QuadratureConvergenceWarning",
     "crosstalk_exact_detailed",
@@ -96,6 +97,16 @@ class ApproximationWarning(UserWarning):
 
 class QuadratureConvergenceWarning(UserWarning):
     """Grid doubling changed the result by more than the accepted tolerance."""
+
+
+@dataclass(frozen=True)
+class Check:
+    """A failed self-check: its warning class, its size (a relative change or
+    meters below a validity floor; larger is worse) and its warning's text."""
+
+    category: type[Warning]
+    size: float
+    text: str
 
 
 class Method(str, Enum):
@@ -501,7 +512,7 @@ def crosstalk(
     if not is_integer(n_m) or n_m < 1:
         raise ValueError(f"n_m must be a positive integer, got {n_m!r}")
     pair = ModeSet((ell_n,), (ell_j,))
-    return float(crosstalk_matrix(geom, rx, pair, r_ch, method)[0, 0] / n_m**2)
+    return float(crosstalk_matrix(geom, rx, pair, r_ch, method)[0][0, 0] / n_m**2)
 
 
 def crosstalk_matrix(
@@ -510,43 +521,42 @@ def crosstalk_matrix(
     modes: ModeSet,
     r_ch: float,
     method: Method | str = Method.BESSEL_SUM,
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[Check, ...]]:
     """The full coefficient grid at offset radius r_ch, shape (n_filter,
-    n_tx): row j, column i is C for ``tx_modes[i]`` through the filter
-    matched to ``filter_modes[j]``. Its element-wise square root is the
-    amplitude-domain channel matrix.
+    n_tx), and the checks it failed, each also warned: row j, column i is C
+    for ``tx_modes[i]`` through the filter matched to ``filter_modes[j]``.
+    Its element-wise square root is the amplitude-domain channel matrix.
 
     The channel-count normalization inside each coefficient counts parallel
     data channels (streams), not physical modes, so a stream-grouped set keeps
     the same per-channel scale as its ungrouped counterpart under an equal
     total power budget.
 
-    exact2d integrates at the given offset and warns with
-    ``QuadratureConvergenceWarning`` if grid doubling still moves a value by
-    more than 0.1%, quoting the largest change. The other methods are
-    ``channel_profile`` at the one radius and warn with
-    ``ApproximationWarning`` below the method's ``validity_floor``.
+    exact2d integrates at the given offset and fails a
+    ``QuadratureConvergenceWarning`` check if grid doubling still moves a
+    value by more than 0.1%, quoting the largest change. The other methods
+    are ``channel_profile`` at the one radius and fail an
+    ``ApproximationWarning`` check below the method's ``validity_floor``.
     """
     method = Method.parse(method)
+    checks = ()
     if method is Method.EXACT2D:
         result = crosstalk_exact_detailed(geom, rx, modes, r_ch)
+        grid = result.value
         if not result.converged:
-            warnings.warn(
-                f"crosstalk integral did not settle: last grid doubling changed the "
-                f"value by {result.rel_change:.2%}",
-                QuadratureConvergenceWarning,
-                stacklevel=2,
-            )
-        return result.value
-    grid = channel_profile(geom, rx, modes, np.array([r_ch]), method)[0]
-    if r_ch < method.validity_floor:
-        warnings.warn(
-            f"offset radius {r_ch:.3g} m is below the {method.validity_floor:g} m validity "
-            "floor of the Bessel-based approximations; accuracy is degraded",
-            ApproximationWarning,
-            stacklevel=2,
-        )
-    return grid
+            checks = (Check(QuadratureConvergenceWarning, result.rel_change,
+                            "crosstalk integral did not settle: last grid doubling changed the "
+                            f"value by {result.rel_change:.2%}"),)
+    else:
+        grid = channel_profile(geom, rx, modes, np.array([r_ch]), method)[0]
+        floor = method.validity_floor
+        if r_ch < floor:
+            checks = (Check(ApproximationWarning, floor - r_ch,
+                            f"offset radius {r_ch:.3g} m is below the {floor:g} m validity floor "
+                            "of the Bessel-based approximations; accuracy is degraded"),)
+    for check in checks:
+        warnings.warn(check.text, check.category, stacklevel=2)
+    return grid, checks
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +588,8 @@ def channel_profile(
     Returns an array of shape (len(r_ch), n_filter, n_tx): the grid
     ``crosstalk_matrix`` gives for each radius. The Bessel-based methods
     vectorize directly and radial-sum projects the shifted field in closed
-    form. No degraded-accuracy warnings are emitted here; callers are
-    expected to account for offsets below the validity floor themselves.
+    form. It fails no ``Check`` and warns nothing; callers account for
+    offsets below the validity floor themselves.
     exact2d has no batched form (``check_averaged_method``): its one kernel
     is ``crosstalk_exact_detailed``, at one offset per call.
     """

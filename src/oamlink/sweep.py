@@ -14,7 +14,6 @@ CLI calls too; ``check_average`` covers every average it will run.
 from __future__ import annotations
 
 import math
-import re
 import statistics
 import time
 import warnings
@@ -25,9 +24,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from oamlink.beam import LinkGeometry, ModeSet
-from oamlink.ber import average_ber, check_average
+from oamlink.ber import BerResult, average_ber, check_average
 from oamlink.crosstalk import (
     ApproximationWarning,
+    Check,
     Method,
     QuadratureConvergenceWarning,
     ReceiverConfig,
@@ -59,7 +59,8 @@ class OptimizeResult:
     ``bracket`` holds three evaluated (w0, ber) points in ascending w0 with
     the middle value no larger than the sides; when ``boundary`` is set the
     argmin sat on an edge of the search interval and the bracket shows the
-    edge triple instead of an interior certificate.
+    edge triple instead of an interior certificate. ``checks`` holds every
+    check the evaluations failed, in evaluation order.
     """
 
     w0_opt: float
@@ -67,6 +68,7 @@ class OptimizeResult:
     bracket: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     boundary: bool
     evaluations: int
+    checks: tuple[Check, ...] = ()
 
     def __post_init__(self) -> None:
         xs = [p[0] for p in self.bracket]
@@ -114,13 +116,13 @@ def optimize_w0(
     check_waist_search(w_lo, w_hi, tol)
     for w in (w_lo, w_hi):
         check_average(replace(geom, waist=w), rx, modes, sigma_theta, method, quad_order)
-    memo: dict[float, float] = {}
+    memo: dict[float, BerResult] = {}
 
     def evaluate(x: float) -> float:
         if x not in memo:
-            res = average_ber(replace(geom, waist=x), rx, modes, sigma_theta, method, quad_order)
-            memo[x] = float(res.averaged)
-        return memo[x]
+            memo[x] = average_ber(replace(geom, waist=x), rx, modes, sigma_theta, method,
+                                  quad_order)
+        return memo[x].averaged
 
     pre = np.linspace(w_lo, w_hi, PRE_GRID_POINTS)
     pre_vals = [evaluate(float(x)) for x in pre]
@@ -142,20 +144,21 @@ def optimize_w0(
     # the memo argmin rather than the final interval midpoint keeps the
     # certificate on points that were actually computed.
     ordered = sorted(memo)
-    x_star = min(ordered, key=lambda x: (memo[x], x))
+    x_star = min(ordered, key=lambda x: (memo[x].averaged, x))
     i = ordered.index(x_star)
     boundary = i == 0 or i == len(ordered) - 1
     if boundary:
         triple = ordered[:3] if i == 0 else ordered[-3:]
     else:
         triple = ordered[i - 1 : i + 2]
-    certificate = tuple((x, memo[x]) for x in triple)
+    certificate = tuple((x, memo[x].averaged) for x in triple)
     return OptimizeResult(
         w0_opt=x_star,
-        ber_opt=memo[x_star],
+        ber_opt=memo[x_star].averaged,
         bracket=certificate,
         boundary=boundary,
         evaluations=len(memo),
+        checks=tuple(check for res in memo.values() for check in res.checks),
     )
 
 
@@ -163,39 +166,23 @@ def optimize_w0(
 # mode-set ranking
 
 
-_NUMBER = re.compile(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?")
-
-
-def warning_status(fn: Callable, *args):
-    """Call ``fn(*args)`` and fold its warnings into a status cell: returns
-    ``(result, status)`` with status "ok", or "warning: " followed by the
-    distinct warning texts in sorted order.
-
-    Texts that differ only in their numbers fold into one: the text with
-    the largest numbers, which for the warnings that repeat so (a change
-    that did not settle) is the worst, followed by "(worst of N warnings)".
-    A text with no such relatives is kept as it is.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn(*args)
-    groups: dict[str, list[str]] = {}
-    for w in caught:
-        text = str(w.message)
-        groups.setdefault(_NUMBER.sub("#", text), []).append(text)
+def check_status(checks: Sequence[Check]) -> str:
+    """The status cell of ``checks``: "ok", or "warning: " and, sorted and
+    joined by "; ", one note per category: the text of its largest ``size``,
+    then " (worst of N warnings)" if its N texts are not all the same."""
     notes = []
-    for texts in groups.values():
-        worst = max(texts, key=lambda text: [float(x) for x in _NUMBER.findall(text)])
-        alone = len(set(texts)) == 1
-        notes.append(worst if alone else f"{worst} (worst of {len(texts)} warnings)")
-    note = "; ".join(sorted(notes))
-    return result, f"warning: {note}" if note else "ok"
+    for category in {check.category for check in checks}:
+        group = [check for check in checks if check.category is category]
+        worst = max(group, key=lambda check: check.size).text
+        alone = len({check.text for check in group}) == 1
+        notes.append(worst if alone else f"{worst} (worst of {len(group)} warnings)")
+    return f"warning: {'; '.join(sorted(notes))}" if notes else "ok"
 
 
 @dataclass(frozen=True)
 class RankedModeSet:
-    """One candidate's position in the averaged-BER ordering; ``status``
-    folds the warnings of its average (``warning_status``)."""
+    """One candidate's position in the averaged-BER ordering; ``status`` is
+    ``check_status`` of its average's checks."""
 
     rank: int
     label: str
@@ -235,8 +222,8 @@ def rank_mode_sets(
         check_average(geom, rx, modes, sigma_theta, method, quad_order)
     scored = []
     for label, modes in zip(labels, candidates):
-        res, status = warning_status(average_ber, geom, rx, modes, sigma_theta, method, quad_order)
-        scored.append((res.averaged, label, res.quad_converged, status))
+        res = average_ber(geom, rx, modes, sigma_theta, method, quad_order)
+        scored.append((res.averaged, label, res.quad_converged, check_status(res.checks)))
     scored.sort(key=lambda item: (item[0], item[1]))
     return tuple(
         RankedModeSet(

@@ -9,11 +9,13 @@ piecewise quadrature actually resolves it.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
+import oamlink.crosstalk
 from oamlink.beam import REACH_SIGMAS, LinkGeometry, ModeSet
 from oamlink import ber
 from oamlink.ber import (
@@ -28,10 +30,14 @@ from oamlink.ber import (
     rayleigh_pdf,
 )
 from oamlink.crosstalk import (
+    ApproximationWarning,
+    Check,
     Method,
     QuadratureConvergenceWarning,
     ReceiverConfig,
     channel_profile,
+    crosstalk_exact_detailed,
+    crosstalk_matrix,
     mode_envelope,
 )
 from oamlink.numerics import _kronrod, gauss_legendre, q_function
@@ -641,18 +647,47 @@ class TestSelfCheckGate:
             kronrod, doubled)
         assert (kronrod <= 1e-2) == (doubled <= 1e-2) == result.quad_converged
 
-    def test_unsettled_average_names_the_extension(self):
-        # At q = 16 the default link's average fails the gate; the warning
-        # carries one number, the relative move, so sweep's status fold
-        # still ranks the warnings by it.
+    def test_each_check_record_owns_its_warning_text(self, monkeypatch):
+        # The four checks: the average's self-check and validity floor, and
+        # a matrix's grid doubling and validity floor. Each is pinned from
+        # its record, and each warning's text is its record's text.
         geom, rx, modes = default_geom(), default_rx(), ModeSet((-2, 1))
-        with pytest.warns(QuadratureConvergenceWarning) as caught:
-            result = average_ber(geom, rx, modes, 3e-5, Method.BESSEL_SUM, 16)
-        assert not result.quad_converged
-        (text,) = [str(w.message) for w in caught]
-        assert text == ("pointing average did not settle: the Gauss-Kronrod extension "
-                        f"moved the BER by {result.quad_self_check_rel:.2%}")
-        assert len(re.findall(r"\d+(?:\.\d+)?", text)) == 1
+        monkeypatch.setattr(oamlink.crosstalk, "_EXACT_REL_TOL", 0.0)
+        calls = {
+            "average-self-check": lambda: average_ber(geom, rx, modes, 3e-5, "bessel-sum", 16),
+            "average-floor": lambda: average_ber(geom, rx, modes, 1e-12, "bessel-sum", 64),
+            "matrix-doubling": lambda: crosstalk_matrix(geom, rx, modes, 8.0, "exact2d"),
+            "matrix-floor": lambda: crosstalk_matrix(geom, rx, modes, 0.5, "bessel-sum"),
+        }
+        floor = "validity floor of the Bessel-based approximations; accuracy is degraded"
+        upper = REACH_SIGMAS * geom.rayleigh_scale(1e-12)
+        rel_change = crosstalk_exact_detailed(geom, rx, modes, 8.0).rel_change
+        expected = {
+            "average-self-check": (QuadratureConvergenceWarning, None,
+                                   "pointing average did not settle: the Gauss-Kronrod "
+                                   "extension moved the BER by {:.2%}"),
+            "average-floor": (ApproximationWarning, 1.0 - upper,
+                              f"every averaged offset (up to 8 sigma_r = {upper:.3g} m) is "
+                              f"below the 1 m {floor}"),
+            "matrix-doubling": (QuadratureConvergenceWarning, rel_change,
+                                "crosstalk integral did not settle: last grid doubling "
+                                f"changed the value by {rel_change:.2%}"),
+            "matrix-floor": (ApproximationWarning, 0.5,
+                             f"offset radius 0.5 m is below the 1 m {floor}"),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = call()
+            checks = result.checks if isinstance(result, BerResult) else result[1]
+            (check,) = checks
+            category, size, text = expected[name]
+            if size is None:
+                assert not result.quad_converged
+                size = result.quad_self_check_rel
+                text = text.format(size)
+            assert check == Check(category, size, text), name
+            assert [(w.category, str(w.message)) for w in caught] == [(category, text)], name
 
 
 CACHE_SPECS = ("-2|1", "-3|1", "-4,-2|1,3", "-3,-1|2,4")

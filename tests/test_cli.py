@@ -1153,3 +1153,20 @@ class TestCliContract:
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_BOUNDARY), err
         if code == EXIT_CONFIG:
             assert any(key in err for key in DEFAULTS), err
+
+    @pytest.mark.parametrize("args", [
+        ["rank-modes", "--candidates=-2|1", "-s", "pointing.sigma_theta_rad=1e-12"],
+        ["ber-curve", "--grid", "0.02", "--candidates=-2|1", "-s", "pointing.sigma_theta_rad=1e-12"],
+        ["crosstalk-curve", "--grid", "0.5"],
+    ], ids=["rank-modes", "ber-curve", "crosstalk-curve"])
+    def test_checks_below_the_floor_go_to_status_not_stderr(self, args, tmp_path, capsys):
+        # The library warns each failed check; the command writes it in the
+        # status cells, and no warning leaves main.
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(args + ["-o", str(out)]) == EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        rows = read_csv_file(out)[2]
+        assert rows and all("validity floor" in row[-1] for row in rows)

@@ -558,8 +558,8 @@ class TestDispatchAndBatching:
         r_ch = 6.0
         for tx_modes in ((-2, 1), (-4, -2, 1, 3)):
             modes = ModeSet(tx_modes=tx_modes, filter_modes=(-2, 0, 1))
-            matrix = crosstalk_matrix(geom, rx, modes, r_ch, Method.BESSEL_SUM)
-            assert matrix.shape == (3, len(tx_modes))
+            matrix, checks = crosstalk_matrix(geom, rx, modes, r_ch, Method.BESSEL_SUM)
+            assert matrix.shape == (3, len(tx_modes)) and checks == ()
             for j, ell_j in enumerate(modes.filter_modes):
                 for i, ell_n in enumerate(modes.tx_modes):
                     want = crosstalk(
@@ -574,9 +574,10 @@ class TestDispatchAndBatching:
         for r_ch in (0.0, 1.5, 8.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", QuadratureConvergenceWarning)
-                matrix = crosstalk_matrix(geom, rx, modes, r_ch, Method.EXACT2D)
+                matrix, checks = crosstalk_matrix(geom, rx, modes, r_ch, Method.EXACT2D)
             whole = crosstalk_exact_detailed(geom, rx, modes, r_ch)
             assert np.array_equal(whole.value, matrix)
+            assert (checks == ()) == whole.converged
             pairs = []
             for j, ell_j in enumerate(modes.filter_modes):
                 for i, ell_n in enumerate(modes.tx_modes):
@@ -615,8 +616,8 @@ class TestDispatchAndBatching:
             tx_modes=(-4, -2, 1, 3), stream_grouping=((-4, -2), (1, 3))
         )
         flat = ModeSet(tx_modes=(-4, -2, 1, 3))
-        g = crosstalk_matrix(geom, rx, grouped, r_ch, Method.BESSEL_SUM)
-        f = crosstalk_matrix(geom, rx, flat, r_ch, Method.BESSEL_SUM)
+        g, _ = crosstalk_matrix(geom, rx, grouped, r_ch, Method.BESSEL_SUM)
+        f, _ = crosstalk_matrix(geom, rx, flat, r_ch, Method.BESSEL_SUM)
         assert np.allclose(g, 4.0 * f, rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -629,7 +630,7 @@ class TestDispatchAndBatching:
         profile = channel_profile(geom, rx, modes, radii, method)
         assert profile.shape == (3, 2, 2)
         for idx, r in enumerate(radii):
-            expected = crosstalk_matrix(geom, rx, modes, r, method)
+            expected, _ = crosstalk_matrix(geom, rx, modes, r, method)
             assert np.allclose(profile[idx], expected, rtol=1e-12), (method, r)
 
     @pytest.mark.parametrize("tx_modes", [(-2, 1), (0, 2, 4)])
@@ -709,24 +710,33 @@ class TestWarningsAndGuards:
         for method in ("bessel-integral", "bessel-sum"):
             with pytest.warns(ApproximationWarning):
                 crosstalk(geom, rx, N_M, 0, 0, near, method)
-            with pytest.warns(ApproximationWarning):
-                crosstalk_matrix(geom, rx, modes, near, method)
+            with pytest.warns(ApproximationWarning) as caught:
+                _, checks = crosstalk_matrix(geom, rx, modes, near, method)
+            (check,) = checks
+            assert check.category is ApproximationWarning
+            assert check.size == SMALL_OFFSET_FLOOR - near
+            assert [str(w.message) for w in caught] == [check.text]
 
     def test_no_warning_above_floor(self):
         geom, rx = default_geom(), default_rx()
+        modes = ModeSet(tx_modes=(-2, 1))
         r_ch = 2.0 * SMALL_OFFSET_FLOOR
+        near = 0.5 * SMALL_OFFSET_FLOOR
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            crosstalk(geom, rx, N_M, 0, 0, r_ch, "bessel-integral")
-            crosstalk(geom, rx, N_M, 0, 0, r_ch, "bessel-sum")
-            crosstalk(geom, rx, N_M, 0, 0, r_ch, "asymptotic")
+            for method in ("bessel-integral", "bessel-sum", "asymptotic"):
+                crosstalk(geom, rx, N_M, 0, 0, r_ch, method)
+                assert crosstalk_matrix(geom, rx, modes, r_ch, method)[1] == ()
             # radial-sum keeps the angle exact and carries no validity floor.
-            near = 0.5 * SMALL_OFFSET_FLOOR
             crosstalk(geom, rx, N_M, 0, 0, near, "radial-sum")
+            assert crosstalk_matrix(geom, rx, modes, near, "radial-sum")[1] == ()
         # The asymptotic form is the large-offset limit of the Bessel
         # reduction and shares its floor.
         with pytest.warns(ApproximationWarning):
             crosstalk(geom, rx, N_M, 0, 0, near, "asymptotic")
+        with pytest.warns(ApproximationWarning):
+            _, checks = crosstalk_matrix(geom, rx, modes, near, "asymptotic")
+        assert [check.category for check in checks] == [ApproximationWarning]
 
     def test_unsettled_reference_integral_warns(self, monkeypatch):
         # At a zero tolerance no grid doubling settles a pair.
@@ -734,7 +744,10 @@ class TestWarningsAndGuards:
         geom, rx = default_geom(), default_rx()
         modes = ModeSet(tx_modes=(-2, 1))
         with pytest.warns(QuadratureConvergenceWarning, match="crosstalk integral did not settle"):
-            crosstalk_matrix(geom, rx, modes, 8.0, "exact2d")
+            _, checks = crosstalk_matrix(geom, rx, modes, 8.0, "exact2d")
+        (check,) = checks
+        assert check.category is QuadratureConvergenceWarning
+        assert check.size == crosstalk_exact_detailed(geom, rx, modes, 8.0).rel_change
 
     # Each evaluator at offset radius r: the four batched methods with r
     # beside a valid radius, then the single-offset forms.

@@ -14,18 +14,25 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oamlink.ber
 import oamlink.sweep
 from oamlink.beam import LinkGeometry, ModeSet
 from oamlink.ber import BerResult
-from oamlink.crosstalk import Method, ReceiverConfig
+from oamlink.crosstalk import (
+    ApproximationWarning,
+    Check,
+    Method,
+    QuadratureConvergenceWarning,
+    ReceiverConfig,
+)
 from oamlink.sweep import (
     PRE_GRID_POINTS,
     BenchReport,
     OptimizeResult,
     bench_methods,
+    check_status,
     optimize_w0,
     rank_mode_sets,
-    warning_status,
 )
 
 
@@ -40,7 +47,7 @@ def use_objective(monkeypatch, objective):
     """Replace the averaged BER the optimizer minimizes with a closed-form
     function of the waist."""
     def average_ber(geom, *args):
-        return SimpleNamespace(averaged=objective(geom.waist))
+        return SimpleNamespace(averaged=objective(geom.waist), checks=())
 
     monkeypatch.setattr(oamlink.sweep, "average_ber", average_ber)
 
@@ -81,6 +88,26 @@ class TestOptimizeW0:
         assert not res.boundary
         assert 0.009 < res.w0_opt < 0.016
         assert res.ber_opt < 5e-3
+
+    def test_checks_hold_one_check_per_unconverged_evaluation(self, monkeypatch):
+        # At order 32 most of the default search's averages fail the
+        # Gauss-Kronrod gate, each by its own amount; every one is warned.
+        averages = []
+
+        def spy(*args):
+            averages.append(oamlink.ber.average_ber(*args))
+            return averages[-1]
+
+        monkeypatch.setattr(oamlink.sweep, "average_ber", spy)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = optimize_w0(*LINK, bounds=(0.005, 0.06), tol=5e-4, quad_order=32)
+        assert len(averages) == res.evaluations
+        unconverged = [a for a in averages if not a.quad_converged]
+        assert 0 < len(unconverged) < res.evaluations
+        assert res.checks == tuple(check for a in unconverged for check in a.checks)
+        assert all(check.category is QuadratureConvergenceWarning for check in res.checks)
+        assert [str(w.message) for w in caught] == [check.text for check in res.checks]
 
     def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -158,27 +185,34 @@ class TestOptimizeW0:
             )
 
 
-class TestWarningStatus:
+class TestCheckStatus:
+    FLOOR = "offset radius 0.5 m is below the 1 m validity floor"
+
     @staticmethod
-    def warn(*texts):
-        def fn():
-            for text in texts:
-                warnings.warn(text)
-            return 7
-        return fn
+    def moved(size):
+        return Check(QuadratureConvergenceWarning, size, f"moved the BER by {size:.2%}")
 
-    def test_single_text_is_kept_byte_for_byte(self):
-        text = "offset radius 0.5 m is below the 1 m validity floor"
-        assert warning_status(self.warn(text)) == (7, f"warning: {text}")
-        assert warning_status(self.warn(text, text)) == (7, f"warning: {text}")
+    def test_no_checks_read_ok(self):
+        assert check_status([]) == "ok"
 
-    def test_texts_differing_in_numbers_fold_to_the_worst(self):
-        moved = "moved the BER by {}%"
-        fn = self.warn(moved.format("1.37"), "other", moved.format("12.10"),
-                       moved.format("4.76"), moved.format("1.37"))
-        assert warning_status(fn) == (
-            7, "warning: moved the BER by 12.10% (worst of 4 warnings); other"
-        )
+    def test_one_check_is_kept_byte_for_byte(self):
+        check = Check(ApproximationWarning, 0.5, self.FLOOR)
+        assert check_status([check]) == f"warning: {self.FLOOR}"
+
+    def test_identical_repeats_take_no_suffix(self):
+        check = Check(ApproximationWarning, 0.5, self.FLOOR)
+        assert check_status([check, check, check]) == f"warning: {self.FLOOR}"
+
+    def test_differing_sizes_keep_the_largest_and_count_the_group(self):
+        checks = [self.moved(0.0137), self.moved(0.121), self.moved(0.0476), self.moved(0.0137)]
+        assert check_status(checks) == "warning: moved the BER by 12.10% (worst of 4 warnings)"
+
+    def test_categories_fold_apart_and_join_sorted(self):
+        # The notes sort by text, whatever order their checks came in.
+        checks = [self.moved(0.0137), Check(ApproximationWarning, 0.5, self.FLOOR),
+                  self.moved(0.0476)]
+        assert check_status(checks) == (
+            "warning: moved the BER by 4.76% (worst of 2 warnings); " + self.FLOOR)
 
 
 class TestRankModeSets:
@@ -199,6 +233,16 @@ class TestRankModeSets:
         bers = [r.ber for r in forward]
         assert bers == sorted(bers)
         assert all(r.converged for r in forward)
+
+    def test_checks_are_warned_and_folded_into_the_status(self):
+        # Every offset lies below the Bessel methods' 1 m validity floor: the
+        # average warns its check, as optimize_w0's averages do, and the
+        # candidate's status is check_status of it.
+        with pytest.warns(ApproximationWarning) as caught:
+            (ranked,) = rank_mode_sets(GEOM, RX, (A2,), 1e-12, quad_order=48)
+        (text,) = [str(w.message) for w in caught]
+        assert "validity floor" in text
+        assert ranked.status == f"warning: {text}"
 
     def test_duplicate_candidates_rejected(self, monkeypatch):
         def refuse(*args):

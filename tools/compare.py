@@ -21,7 +21,8 @@ The job list is defined here, once:
 - rounds 0-1 of seeds 0-1 of the four benchmark workloads, as
   ``benchmarks/workloads.py`` of this tree builds them;
 - the six argument sets of acceptance criterion 12;
-- ``NAMED``: runs at the edges of the input rules, grouped by exit code.
+- ``NAMED``: runs at the edges of the input rules, and runs whose status
+  folds failed checks, grouped by exit code.
 
 A warning goes to a job's stderr as ``Category: message``, without the
 source line Python prints, so a warning raised from a moved line does not
@@ -83,6 +84,7 @@ CRITERION_12 = {
 _WIDE = ["-s", "receiver.aperture_radius_m=1.5"]
 _SMALL_BENCH = ["-s", "bench.grid_points=2", "-s", "bench.repetitions=3",
                 "-s", "bench.mc_trials=1000"]
+_BELOW_FLOOR = ["-s", "pointing.sigma_theta_rad=1e-12"]
 
 # Runs at the edges of the input rules, grouped by their exit code at this
 # tree.
@@ -105,6 +107,13 @@ NAMED = {
                           "-s", "modes.tx=-4,-2,1,3", "-s", "modes.grouping=-4,-2|1,3"],
     "sigma-axis": ["ber-curve", "--axis", "sigma_theta", "--grid", "1e-5,3e-5",
                    "--candidates=-2|1"],
+    # Exit 0: status cells that fold failed checks, which no job above
+    # writes: a search whose averages fail the self-check by differing
+    # amounts, and averages with every offset below the 1 m validity floor.
+    "optimize-order-32": ["optimize", "-s", "quad.order=32"],
+    "rank-below-floor": ["rank-modes", "--candidates=-2|1", *_BELOW_FLOOR],
+    "ber-below-floor": ["ber-curve", "--grid", "0.01,0.025", "--candidates=-2|1",
+                        *_BELOW_FLOOR],
     # Exit 2: past the Bessel range with a method that has a Bessel kernel.
     "asymptotic-bessel-curve-5e4": ["crosstalk-curve", "--grid", "5e4",
                                     "--method", "asymptotic,bessel-sum"],
@@ -124,6 +133,9 @@ NAMED = {
     "mc-degraded": ["monte-carlo", "--trials", "20000", "-s", "pointing.sigma_theta_rad=1e-6"],
     "ber-mc-degraded": ["ber-curve", "--grid", "0.02", "--candidates=-2|1", "--monte-carlo",
                         "--trials", "20000", "-s", "pointing.sigma_theta_rad=1e-6"],
+    # Exit 4: the same floor check repeated by every average of a search
+    # that ends on the edge, so its status keeps the one text.
+    "optimize-below-floor": ["optimize", *_BELOW_FLOOR],
 }
 
 # Manifest lines whose value is a measured time.
